@@ -15,12 +15,10 @@ from .approx import (
 from .candidates import (
     SegmentSet,
     Transmitter,
-    augment_candidates,
     canonical,
     canonicalize_solution,
-    extension_set,
+    edge_aligned_candidates,
     prune_dominated,
-    reflex_vertices,
 )
 from .errors import InvalidPolygonError, NoSolutionWithinBudget
 from .exact import exact_min_transmitters
@@ -34,17 +32,13 @@ from .geometry import (
     build_grid,
     cut_right,
     parse_polygon,
-    slab_profile,
     validate,
 )
 from .instances import FIXTURES, corpus, fixture, random_monotone
 from .svg import render_svg
 from .visibility import (
     RectUnion,
-    contains_region,
     covers_polygon,
-    crossing_count,
-    sees_point,
     union_regions,
     vis_region,
 )
@@ -67,26 +61,20 @@ __all__ = [
     "Span",
     "Transmitter",
     "approximate_2transmitters",
-    "augment_candidates",
     "build_grid",
     "canonical",
     "canonicalize_solution",
-    "contains_region",
     "corpus",
     "covers_polygon",
-    "crossing_count",
     "cut_right",
+    "edge_aligned_candidates",
     "exact_min_transmitters",
-    "extension_set",
     "fixture",
     "hv_finder",
     "parse_polygon",
     "prune_dominated",
     "random_monotone",
-    "reflex_vertices",
     "render_svg",
-    "sees_point",
-    "slab_profile",
     "union_regions",
     "validate",
     "vh_finder",

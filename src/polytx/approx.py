@@ -19,7 +19,7 @@ from .candidates import (
     canonical,
     edge_aligned_candidates,
 )
-from .geometry import CellGrid, OrthoPolygon, SCALE, SlabProfile, build_grid, cut_right
+from .geometry import CellGrid, OrthoPolygon, SlabProfile, build_grid, cut_right
 from .visibility import RectUnion, covers_polygon, union_regions, vis_region
 
 
@@ -231,7 +231,9 @@ def approximate_2transmitters(p: OrthoPolygon) -> Solution:
 
     Recomputes the edge-aligned candidate family on each remaining part, so
     every chosen segment is maximal there; coverage of the original polygon
-    is re-verified at the end rather than inferred from the loop.
+    is re-verified at the end rather than inferred from the loop.  Raises
+    RuntimeError when a round fails to advance the cut or the round and size
+    bounds behind the factor-2 guarantee are broken.
     """
     chosen: list[Transmitter] = []
     current: SlabProfile | None = p.profile
@@ -248,9 +250,13 @@ def approximate_2transmitters(p: OrthoPolygon) -> Solution:
         iterations += 1
         if step.done:
             break
-        assert step.cut_x > current.x_min, "cut must advance"
+        # Not an assert: python -O strips those, and a stalled cut loops forever.
+        if step.cut_x <= current.x_min:
+            raise RuntimeError(f"cut at x={step.cut_x} does not advance past x={current.x_min}")
         current = cut_right(current, step.cut_x)
     transmitters = canonical(chosen)
-    assert len(transmitters) <= 2 * iterations
-    assert iterations <= p.m
+    if len(transmitters) > 2 * iterations:
+        raise RuntimeError(f"{len(transmitters)} transmitters from {iterations} rounds")
+    if iterations > p.m:
+        raise RuntimeError(f"{iterations} rounds exceed m = {p.m} vertical edges")
     return Solution.build(p, transmitters, 2, "approx", iterations)

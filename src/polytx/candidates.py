@@ -1,11 +1,11 @@
 """Guard segments and the edge-aligned candidate family.
 
 A transmitter is a maximal axis-parallel segment inside the closed polygon.
-The search family consists of the extensions of edges incident to reflex
-vertices, completed with a maximal vertical segment at every vertical-edge
-abscissa and every maximal horizontal run at every horizontal-edge ordinate.
-An optimal solution can always be slid onto these edge-aligned lines, which
-is what :func:`canonicalize_solution` performs (and re-verifies).
+The search family is the edge-aligned family: a maximal vertical segment at
+every vertical-edge abscissa and every maximal horizontal run at every
+horizontal-edge ordinate.  An optimal solution can always be slid onto these
+edge-aligned lines, which is what :func:`canonicalize_solution` performs (and
+re-verifies).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import OrthoPolygon, Point, SCALE, SlabProfile, Span, build_grid
+from .geometry import OrthoPolygon, SCALE, SlabProfile, Span, build_grid
 
 VERTICAL = "v"
 HORIZONTAL = "h"
@@ -23,10 +23,9 @@ HORIZONTAL = "h"
 class Transmitter:
     """Axis-parallel guard segment: anchor line coordinate plus closed span.
 
-    A vertical transmitter at x = anchor spans y in [span[0], span[1]]; its
-    "left" endpoint is the upper one and its "right" endpoint the lower one.
-    A horizontal transmitter at y = anchor spans x, left endpoint at span[0].
-    Coordinates are internal (doubled) units.
+    A vertical transmitter at x = anchor spans y in [span[0], span[1]]; a
+    horizontal transmitter at y = anchor spans x.  Coordinates are internal
+    (doubled) units.
     """
 
     orientation: str
@@ -43,22 +42,6 @@ class Transmitter:
     def sort_key(self) -> tuple[int, int, int, int]:
         """Canonical family order: vertical first, then anchor, then span."""
         return (0 if self.orientation == VERTICAL else 1, self.anchor, *self.span)
-
-    @property
-    def left(self) -> Point:
-        if self.orientation == HORIZONTAL:
-            return (self.span[0], self.anchor)
-        return (self.anchor, self.span[1])
-
-    @property
-    def right(self) -> Point:
-        if self.orientation == HORIZONTAL:
-            return (self.span[1], self.anchor)
-        return (self.anchor, self.span[0])
-
-    @property
-    def length(self) -> int:
-        return self.span[1] - self.span[0]
 
     def as_input(self) -> dict:
         """JSON-ready dict in input units."""
@@ -82,45 +65,10 @@ def canonical(segments: Iterable[Transmitter]) -> SegmentSet:
     return tuple(sorted(set(segments), key=lambda s: s.sort_key))
 
 
-def reflex_vertices(p: OrthoPolygon) -> tuple[Point, ...]:
-    """Vertices with 270-degree interior angle, in ring order."""
-    ring = p.vertices
-    n = len(ring)
-    out = []
-    for i in range(n):
-        ax, ay = ring[i - 1]
-        bx, by = ring[i]
-        cx, cy = ring[(i + 1) % n]
-        cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-        if cross < 0:  # right turn on a counter-clockwise ring
-            out.append(ring[i])
-    return tuple(out)
-
-
 def _maximal_vertical(prof: SlabProfile, x: int) -> Transmitter:
     section = prof.cross_section(x)
     assert section is not None, "anchor outside polygon"
     return Transmitter(VERTICAL, x, section)
-
-
-def extension_set(p: OrthoPolygon) -> SegmentSet:
-    """Maximal segments supporting the edges incident to reflex vertices."""
-    prof = p.profile
-    ring = p.vertices
-    n = len(ring)
-    reflex = set(reflex_vertices(p))
-    segs: list[Transmitter] = []
-    for i in range(n):
-        if ring[i] not in reflex:
-            continue
-        for a, b in ((ring[i - 1], ring[i]), (ring[i], ring[(i + 1) % n])):
-            if a[1] == b[1]:  # horizontal edge
-                run = prof.run_covering(a[1], min(a[0], b[0]), max(a[0], b[0]))
-                assert run is not None, "boundary edge must lie inside its own run"
-                segs.append(Transmitter(HORIZONTAL, a[1], run))
-            else:
-                segs.append(_maximal_vertical(prof, a[0]))
-    return canonical(segs)
 
 
 def edge_aligned_candidates(prof: SlabProfile) -> SegmentSet:
@@ -136,11 +84,6 @@ def edge_aligned_candidates(prof: SlabProfile) -> SegmentSet:
         for run in prof.runs_at(y):
             segs.append(Transmitter(HORIZONTAL, y, run))
     return canonical(segs)
-
-
-def augment_candidates(c: Iterable[Transmitter], p: OrthoPolygon) -> SegmentSet:
-    """c completed with the full edge-aligned family of p."""
-    return canonical(tuple(c) + edge_aligned_candidates(p.profile))
 
 
 def prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> SegmentSet:

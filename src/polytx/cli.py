@@ -1,7 +1,8 @@
 """Command-line surface: validate, candidates, solve, compare, gen, bench, render.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 invariant breach
-(approximation ratio above 2 or incomplete coverage), 4 budget exhausted.
+(approximation ratio above 2, incomplete coverage, or a failed solver
+check), 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -13,13 +14,8 @@ import sys
 import time
 from pathlib import Path
 
-from .approx import Solution, approximate_2transmitters
-from .candidates import (
-    Transmitter,
-    augment_candidates,
-    extension_set,
-    prune_dominated,
-)
+from .approx import approximate_2transmitters
+from .candidates import Transmitter, edge_aligned_candidates, prune_dominated
 from .errors import InvalidPolygonError, NoSolutionWithinBudget
 from .exact import exact_min_transmitters
 from .geometry import OrthoPolygon, build_grid, parse_polygon
@@ -96,15 +92,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_candidates(args) -> int:
     p = _load_polygon(args.file)
-    cands = augment_candidates(extension_set(p), p)
+    cands = edge_aligned_candidates(p.profile)
     if args.pruned:
         cands = prune_dominated(cands, p)
     print(json.dumps([t.as_input() for t in cands], indent=2))
     return EXIT_OK
-
-
-def _solution_svg(p: OrthoPolygon, sol: Solution) -> str:
-    return render_svg(p, sol.transmitters)
 
 
 def _cmd_solve(args) -> int:
@@ -115,7 +107,7 @@ def _cmd_solve(args) -> int:
         sol = exact_min_transmitters(p, args.k, args.mode, args.budget)
     _write_or_print(json.dumps(sol.to_json_dict(), indent=2), args.json)
     if args.svg:
-        Path(args.svg).write_text(_solution_svg(p, sol), encoding="utf-8")
+        Path(args.svg).write_text(render_svg(p, sol.transmitters), encoding="utf-8")
     return EXIT_OK if sol.coverage_complete else EXIT_BREACH
 
 
@@ -269,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoSolutionWithinBudget as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RuntimeError as exc:
+        print(f"error: invariant breach: {exc}", file=sys.stderr)
+        return EXIT_BREACH
 
 
 def entry() -> None:

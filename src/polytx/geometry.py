@@ -158,13 +158,6 @@ class SlabProfile:
             runs.append((start, self.xs[-1]))
         return tuple(runs)
 
-    def run_containing(self, y: int, x: int) -> Span | None:
-        """The maximal run at ordinate y whose closed x-interval contains x."""
-        for lo, hi in self.runs_at(y):
-            if lo <= x <= hi:
-                return (lo, hi)
-        return None
-
     def run_covering(self, y: int, x_lo: int, x_hi: int) -> Span | None:
         """The maximal run at ordinate y containing the whole interval [x_lo, x_hi]."""
         for lo, hi in self.runs_at(y):
@@ -424,11 +417,6 @@ def parse_polygon(text: str) -> OrthoPolygon:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InvalidPolygonError("non-integer", f"coordinate {c!r} is not an integer")
     return validate([(int(x), int(y)) for x, y in verts])
-
-
-def slab_profile(p: OrthoPolygon) -> SlabProfile:
-    """The slab decomposition of p (left-to-right, maximal slabs)."""
-    return p.profile
 
 
 def cut_right(prof: SlabProfile, x0: int) -> SlabProfile | None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .geometry import OrthoPolygon, Point, validate
+from .geometry import OrthoPolygon, Point, profile_to_ring, validate
 
 # Hand-picked shapes exercising the interesting cases: a plain box, a valley
 # forcing crossings, two staircases, and a double-notch whose 0- and
@@ -34,22 +34,6 @@ FIXTURES: dict[str, tuple[Point, ...]] = {
 def fixture(name: str) -> OrthoPolygon:
     """A named fixture polygon; raises KeyError for unknown names."""
     return validate(list(FIXTURES[name]))
-
-
-def _ring_from_columns(xs: list[int], spans: list[tuple[int, int]]) -> list[Point]:
-    """Vertex ring of a slab stack, bottom chain left-to-right then top back."""
-    ring: list[Point] = [(xs[0], spans[0][0])]
-    for i, (b, _) in enumerate(spans):
-        if ring[-1][1] != b:
-            ring.append((xs[i], b))
-        ring.append((xs[i + 1], b))
-    ring.append((xs[-1], spans[-1][1]))
-    for i in range(len(spans) - 1, -1, -1):
-        t = spans[i][1]
-        if ring[-1][1] != t:
-            ring.append((xs[i + 1], t))
-        ring.append((xs[i], t))
-    return ring  # closes back to the start along the left edge
 
 
 def random_monotone(slabs: int, max_height: int, max_width: int, seed: int) -> OrthoPolygon:
@@ -98,7 +82,7 @@ def random_monotone(slabs: int, max_height: int, max_width: int, seed: int) -> O
                 else:
                     b += 1
         spans.append((b, t))
-    return validate(_ring_from_columns(xs, spans))
+    return validate(profile_to_ring(xs, spans))
 
 
 def corpus(

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .candidates import HORIZONTAL, Transmitter, VERTICAL
+from .candidates import HORIZONTAL, Transmitter
 from .geometry import CellGrid, SlabProfile
 
 
@@ -25,13 +24,6 @@ class RectUnion:
 
     grid: CellGrid
     bits: int
-
-    def union(self, other: "RectUnion") -> "RectUnion":
-        if other.grid is not self.grid:
-            raise ValueError("regions live on different grids")
-        return RectUnion(self.grid, self.bits | other.bits)
-
-    __or__ = union
 
     def contains(self, other: "RectUnion") -> bool:
         """True when every cell of `other` is also in this region."""
@@ -50,81 +42,7 @@ class RectUnion:
 
     def cells(self) -> Iterable[tuple[int, int]]:
         """(ix, iy) pairs of member cells, column-major order."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield divmod(low.bit_length() - 1, self.grid.ny)
-            bits ^= low
-
-
-@lru_cache(maxsize=256)
-def _horizontal_edges(prof: SlabProfile) -> tuple[tuple[int, int, int], ...]:
-    """(y, x1, x2) per slab bottom and top edge.  Collinear neighbours stay
-    split at the breakpoint; open-extent tests never double count them."""
-    edges = []
-    for i, (b, t) in enumerate(prof.spans):
-        x1, x2 = prof.xs[i], prof.xs[i + 1]
-        edges.append((b, x1, x2))
-        edges.append((t, x1, x2))
-    return tuple(edges)
-
-
-def crossing_count(prof: SlabProfile, y: int, x1: int, x2: int) -> int:
-    """Vertical boundary edges strictly between x1 and x2 pierced at height y.
-
-    An edge is pierced when y lies in its open extent.  y on a horizontal
-    edge line is rejected: a sight line grazing along a wall has no
-    well-defined crossing count.
-    """
-    if y in prof.edge_ordinates:
-        raise ValueError(f"y={y} lies on a horizontal edge line")
-    lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
-    count = 0
-    for ex, e1, e2 in prof.vertical_edges:
-        if lo < ex < hi and e1 < y < e2:
-            count += 1
-    return count
-
-
-def _vertical_crossings(prof: SlabProfile, x: int, y1: int, y2: int) -> int:
-    """Horizontal boundary edges strictly between y1 and y2 pierced at x."""
-    if x in prof.xs:
-        raise ValueError(f"x={x} lies on a vertical edge line")
-    lo, hi = (y1, y2) if y1 <= y2 else (y2, y1)
-    count = 0
-    for ey, e1, e2 in _horizontal_edges(prof):
-        if lo < ey < hi and e1 < x < e2:
-            count += 1
-    return count
-
-
-def sees_point(s: Transmitter, k: int, cellrep: tuple[int, int], prof: SlabProfile) -> bool:
-    """Does s see the cell representative with at most k crossings?
-
-    The perpendicular foot must land on the closed span.  A point on the
-    segment's own line is seen iff it is on the segment.  Representatives
-    never lie on grid lines; degenerate sight lines (running along a
-    boundary edge) raise ValueError.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
-    px, py = cellrep
-    lo, hi = s.span
-    if s.orientation == VERTICAL:
-        if not lo <= py <= hi:
-            return False
-        if px == s.anchor:
-            return True
-        return crossing_count(prof, py, px, s.anchor) <= k
-    if not lo <= px <= hi:
-        return False
-    if py == s.anchor:
-        return True
-    # A vertical sight line to a horizontal segment stays inside one slab
-    # cross-section, so it can never pierce a wall.
-    crossings = _vertical_crossings(prof, px, py, s.anchor)
-    assert crossings == 0, "monotonicity: vertical sight lines are unobstructed"
-    return True
+        return self.grid.iter_cells(self.bits)
 
 
 def _require_cut(ok: bool, what: str) -> None:
@@ -183,11 +101,6 @@ def union_regions(regions: Sequence[RectUnion], grid: CellGrid | None = None) ->
     if grid is not None and grid is not base:
         raise ValueError("regions live on different grids")
     return RectUnion(base, bits)
-
-
-def contains_region(a: RectUnion, b: RectUnion) -> bool:
-    """True when region a covers region b."""
-    return a.contains(b)
 
 
 def covers_polygon(region: RectUnion) -> bool:

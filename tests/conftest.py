@@ -20,3 +20,14 @@ def small_corpus() -> list[px.OrthoPolygon]:
 def tractable_corpus() -> list[px.OrthoPolygon]:
     """Instances small enough for the dense solver (m <= 10 or so)."""
     return [p for _, p in px.corpus(100, max_slabs=4, max_height=6, max_width=3, seed0=10_000)]
+
+
+@pytest.fixture
+def stalled_finders(monkeypatch):
+    """Both greedy finders return a round whose cut stays on the left edge."""
+
+    def stalled(prof, cands, **_):
+        return px.FinderResult(cands[0], None, prof.x_min, False)
+
+    monkeypatch.setattr(px.approx, "vh_finder", stalled)
+    monkeypatch.setattr(px.approx, "hv_finder", stalled)

@@ -12,10 +12,9 @@ import pytest
 import polytx as px
 from polytx import (
     approximate_2transmitters,
-    augment_candidates,
     build_grid,
     canonicalize_solution,
-    contains_region,
+    edge_aligned_candidates,
     exact_min_transmitters,
     fixture,
     prune_dominated,
@@ -63,7 +62,7 @@ def test_criterion_2_horizontal_regions_ignore_k(certification):
     ok = True
     for p, _, _ in results:
         grid = build_grid(p.profile)
-        for s in augment_candidates((), p):
+        for s in edge_aligned_candidates(p.profile):
             if s.orientation != "h":
                 continue
             r0 = vis_region(s, 0, grid, p.profile)
@@ -136,14 +135,14 @@ def test_criterion_7_visibility_oracle():
     ok = True
     for p in polys:
         grid = build_grid(p.profile)
-        for s in augment_candidates((), p):
+        for s in edge_aligned_candidates(p.profile):
             regions = {
                 k: vis_region(s, k, grid, p.profile) for k in (0, 1, 2)
             }
             for k, r in regions.items():
                 ok = ok and r.bits == oracle_region_bits(p, s, k, grid)
-            ok = ok and contains_region(regions[1], regions[0])
-            ok = ok and contains_region(regions[2], regions[1])
+            ok = ok and regions[1].contains(regions[0])
+            ok = ok and regions[2].contains(regions[1])
             candidates += 1
     assert report(
         7, ok, f"{candidates} candidates on 50 instances match the brute-force oracle"
@@ -154,7 +153,7 @@ def test_criterion_8_pruning_soundness(certification):
     results, _ = certification
     ok = True
     for p, _, _ in results:
-        fam = augment_candidates((), p)
+        fam = edge_aligned_candidates(p.profile)
         kept = prune_dominated(fam, p)
         grid = build_grid(p.profile)
         before = union_regions([vis_region(s, 2, grid, p.profile) for s in fam])

@@ -93,6 +93,12 @@ class TestApproximate:
         assert approximate_2transmitters(polys["GAP7"]).iterations == 1
         assert approximate_2transmitters(polys["STAIR6"]).iterations == 2
 
+    def test_stalled_cut_raises(self, polys, stalled_finders):
+        # A round that does not advance the cut would repeat forever; the
+        # guard must be a real check, since python -O strips asserts.
+        with pytest.raises(RuntimeError, match="does not advance"):
+            approximate_2transmitters(polys["STAIR6"])
+
     def test_deterministic(self, polys):
         a = approximate_2transmitters(polys["STAIR6"])
         b = approximate_2transmitters(polys["STAIR6"])

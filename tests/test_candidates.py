@@ -4,18 +4,14 @@ import polytx as px
 from polytx import (
     SCALE,
     Transmitter,
-    augment_candidates,
     build_grid,
     canonical,
     canonicalize_solution,
-    extension_set,
+    edge_aligned_candidates,
     prune_dominated,
-    reflex_vertices,
     union_regions,
     vis_region,
 )
-
-from oracles import reflex_count
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
@@ -32,9 +28,6 @@ class TestTransmitter:
         v = T("v", 2, 0, 3)
         h = T("h", 1, 0, 6)
         assert v.sort_key < h.sort_key          # verticals sort first
-        assert v.left == (4, 6) and v.right == (4, 0)
-        assert h.left == (0, 2) and h.right == (12, 2)
-        assert h.length == 12
 
     def test_round_trip_through_json_dict(self):
         s = T("h", 1, 2, 12)
@@ -52,51 +45,17 @@ class TestTransmitter:
         assert canonical([a, b, a]) == (b, a)
 
 
-class TestReflexVertices:
-    def test_fixture_reflex_sets(self, polys):
-        def inputs(p):
-            return [(x // SCALE, y // SCALE) for x, y in reflex_vertices(p)]
-
-        assert inputs(polys["RECT"]) == []
-        assert inputs(polys["VALLEY"]) == [(4, 1), (2, 1)]
-        assert inputs(polys["STAIR3"]) == [(2, 1), (4, 2), (4, 3), (2, 2)]
-        assert len(inputs(polys["GAP7"])) == 6
-
-    def test_matches_turn_oracle(self, polys, small_corpus):
-        for p in list(polys.values()) + small_corpus:
-            assert len(reflex_vertices(p)) == reflex_count(p.vertices)
-
-    def test_reflex_vertices_lie_on_ring(self, small_corpus):
-        for p in small_corpus:
-            ring = set(p.vertices)
-            assert ring.issuperset(reflex_vertices(p))
-
-
 class TestExtensionSet:
-    def test_rect_has_none(self, polys):
-        assert extension_set(polys["RECT"]) == ()
-
-    def test_valley(self, polys):
-        assert extension_set(polys["VALLEY"]) == (
-            T("v", 2, 0, 3),
-            T("v", 4, 0, 3),
-            T("h", 1, 0, 6),
-        )
-
     def test_gap7_contains_key_segments(self, polys):
-        segs = set(extension_set(polys["GAP7"]))
+        # the extensions of the edges at GAP7's reflex vertices are candidates
+        segs = set(edge_aligned_candidates(polys["GAP7"].profile))
         assert T("v", 8, 0, 3) in segs
         assert T("h", 1, 2, 12) in segs
-
-    def test_subset_of_augmented(self, polys, small_corpus):
-        for p in list(polys.values()) + small_corpus:
-            ext = extension_set(p)
-            assert set(ext).issubset(augment_candidates(ext, p))
 
 
 class TestAugmentCandidates:
     def test_rect_family(self, polys):
-        fam = augment_candidates((), polys["RECT"])
+        fam = edge_aligned_candidates(polys["RECT"].profile)
         assert fam == (
             T("v", 0, 0, 3),
             T("v", 6, 0, 3),
@@ -106,7 +65,7 @@ class TestAugmentCandidates:
 
     def test_valley_family(self, polys):
         p = polys["VALLEY"]
-        fam = augment_candidates(extension_set(p), p)
+        fam = edge_aligned_candidates(p.profile)
         assert fam == (
             T("v", 0, 0, 3),
             T("v", 2, 0, 3),
@@ -119,11 +78,11 @@ class TestAugmentCandidates:
         )
 
     def test_stair3_contains_the_middle_run(self, polys):
-        fam = augment_candidates((), polys["STAIR3"])
+        fam = edge_aligned_candidates(polys["STAIR3"].profile)
         assert T("h", 2, 0, 6) in fam
 
     def test_gap7_counts(self, polys):
-        fam = augment_candidates((), polys["GAP7"])
+        fam = edge_aligned_candidates(polys["GAP7"].profile)
         verticals = [s for s in fam if s.orientation == "v"]
         assert len(fam) == 16
         assert len(verticals) == 8
@@ -132,7 +91,7 @@ class TestAugmentCandidates:
         # one more internal unit on either side leaves the closed polygon
         for p in list(polys.values()) + small_corpus[:20]:
             prof = p.profile
-            for s in augment_candidates((), p):
+            for s in edge_aligned_candidates(p.profile):
                 lo, hi = s.span
                 if s.orientation == "v":
                     assert prof.contains_point(s.anchor, lo)
@@ -147,23 +106,23 @@ class TestAugmentCandidates:
 
     def test_result_is_canonical(self, small_corpus):
         for p in small_corpus:
-            fam = augment_candidates((), p)
+            fam = edge_aligned_candidates(p.profile)
             assert fam == canonical(fam)
 
 
 class TestPruneDominated:
     def test_rect_keeps_one(self, polys):
-        fam = augment_candidates((), polys["RECT"])
+        fam = edge_aligned_candidates(polys["RECT"].profile)
         assert prune_dominated(fam, polys["RECT"]) == (T("h", 3, 0, 6),)
 
     def test_valley_keeps_the_shared_run(self, polys):
         p = polys["VALLEY"]
-        fam = augment_candidates((), p)
+        fam = edge_aligned_candidates(p.profile)
         assert prune_dominated(fam, p) == (T("h", 1, 0, 6),)
 
     def test_gap7(self, polys):
         p = polys["GAP7"]
-        kept = prune_dominated(augment_candidates((), p), p)
+        kept = prune_dominated(edge_aligned_candidates(p.profile), p)
         assert kept == (T("h", 1, 2, 12), T("h", 3, 0, 4), T("h", 3, 10, 14))
 
     def test_singleton_unchanged(self, polys):
@@ -172,7 +131,7 @@ class TestPruneDominated:
 
     def test_union_preserved_and_nonempty(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus:
-            fam = augment_candidates((), p)
+            fam = edge_aligned_candidates(p.profile)
             kept = prune_dominated(fam, p)
             assert kept
             g = build_grid(p.profile)
@@ -201,7 +160,7 @@ class TestCanonicalizeSolution:
 
     def test_never_longer(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus[:20]:
-            fam = augment_candidates((), p)
+            fam = edge_aligned_candidates(p.profile)
             out, _ = canonicalize_solution(fam, p)
             assert len(out) <= len(fam)
 

@@ -11,6 +11,7 @@ GAP7_RING = [
     [10, 1], [8, 1], [8, 3], [6, 3], [6, 1], [4, 1], [4, 3], [0, 3],
 ]
 RECT_RING = [[0, 0], [6, 0], [6, 3], [0, 3]]
+VALLEY_RING = [[0, 0], [6, 0], [6, 3], [4, 3], [4, 1], [2, 1], [2, 3], [0, 3]]
 
 
 @pytest.fixture
@@ -25,6 +26,20 @@ def rect_file(tmp_path):
     f = tmp_path / "rect.json"
     f.write_text(json.dumps({"vertices": RECT_RING}))
     return str(f)
+
+
+@pytest.fixture
+def valley_file(tmp_path):
+    f = tmp_path / "valley.json"
+    f.write_text(json.dumps({"vertices": VALLEY_RING}))
+    return str(f)
+
+
+def candidates_out(capsys, *argv) -> list[tuple]:
+    """(orientation, anchor, lo, hi) per candidate printed by the CLI."""
+    assert main(["candidates", *argv]) == 0
+    cands = json.loads(capsys.readouterr().out)
+    return [(c["orientation"], c["anchor"], *c["span"]) for c in cands]
 
 
 class TestValidate:
@@ -52,16 +67,30 @@ class TestValidate:
 
 
 class TestCandidates:
-    def test_full_family(self, rect_file, capsys):
+    def test_full_family(self, rect_file, gap7_file, valley_file, capsys):
         assert main(["candidates", rect_file]) == 0
         cands = json.loads(capsys.readouterr().out)
         assert len(cands) == 4
         assert {"orientation": "v", "anchor": 0, "span": [0, 3]} in cands
+        assert candidates_out(capsys, gap7_file) == [
+            ("v", 0, 2, 3), ("v", 2, 0, 3), ("v", 4, 0, 3), ("v", 6, 0, 3),
+            ("v", 8, 0, 3), ("v", 10, 0, 3), ("v", 12, 0, 3), ("v", 14, 2, 3),
+            ("h", 0, 2, 12), ("h", 1, 2, 12), ("h", 2, 0, 4), ("h", 2, 6, 8),
+            ("h", 2, 10, 14), ("h", 3, 0, 4), ("h", 3, 6, 8), ("h", 3, 10, 14),
+        ]
+        assert candidates_out(capsys, valley_file) == [
+            ("v", 0, 0, 3), ("v", 2, 0, 3), ("v", 4, 0, 3), ("v", 6, 0, 3),
+            ("h", 0, 0, 6), ("h", 1, 0, 6), ("h", 3, 0, 2), ("h", 3, 4, 6),
+        ]
 
-    def test_pruned(self, rect_file, capsys):
+    def test_pruned(self, rect_file, gap7_file, valley_file, capsys):
         assert main(["candidates", rect_file, "--pruned"]) == 0
         cands = json.loads(capsys.readouterr().out)
         assert cands == [{"orientation": "h", "anchor": 3, "span": [0, 6]}]
+        assert candidates_out(capsys, gap7_file, "--pruned") == [
+            ("h", 1, 2, 12), ("h", 3, 0, 4), ("h", 3, 10, 14),
+        ]
+        assert candidates_out(capsys, valley_file, "--pruned") == [("h", 1, 0, 6)]
 
 
 class TestSolve:
@@ -72,6 +101,11 @@ class TestSolve:
         assert doc["count"] == 1
         assert doc["coverage"] == "complete"
         assert doc["transmitters"] == [{"orientation": "v", "anchor": 8, "span": [0, 3]}]
+
+    def test_failed_solver_check_exits_3(self, gap7_file, stalled_finders, capsys):
+        assert main(["solve", gap7_file, "--alg", "approx", "--k", "2"]) == 3
+        assert "invariant breach" in capsys.readouterr().err
+        assert main(["compare", gap7_file]) == 3
 
     def test_exact_with_budget(self, gap7_file, capsys):
         assert main(["solve", gap7_file, "--alg", "exact", "--k", "0", "--budget", "5"]) == 0

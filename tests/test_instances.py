@@ -60,6 +60,25 @@ class TestRandomMonotone:
         a = random_monotone(slabs=5, max_height=8, max_width=4, seed=42)
         b = random_monotone(slabs=5, max_height=8, max_width=4, seed=42)
         assert a.vertices == b.vertices
+        # frozen rings: the same seed must draw the same polygon across versions
+        frozen = {
+            (5, 8, 4, 42): (
+                (0, 2), (1, 2), (1, 1), (5, 1), (5, 0), (9, 0), (9, 4), (7, 4),
+                (7, 2), (5, 2), (5, 6), (2, 6), (2, 7), (1, 7), (1, 8), (0, 8),
+            ),
+            (1, 2, 1, 0): ((0, 1), (1, 1), (1, 2), (0, 2)),
+            (3, 2, 1, 7): ((0, 0), (3, 0), (3, 1), (2, 1), (2, 2), (1, 2), (1, 1), (0, 1)),
+            (4, 3, 5, 99): (
+                (0, 0), (8, 0), (8, 1), (10, 1), (10, 2), (15, 2),
+                (15, 3), (8, 3), (8, 2), (4, 2), (4, 1), (0, 1),
+            ),
+            (7, 8, 4, 123): (
+                (0, 6), (1, 6), (1, 5), (4, 5), (4, 0), (5, 0), (5, 1), (9, 1), (9, 0), (14, 0),
+                (14, 5), (13, 5), (13, 2), (12, 2), (12, 6), (5, 6), (5, 7), (4, 7), (4, 8), (0, 8),
+            ),
+        }
+        for args, ring in frozen.items():
+            assert random_monotone(*args).input_vertices == ring
 
     def test_single_slab_is_a_rectangle(self):
         p = random_monotone(slabs=1, max_height=8, max_width=4, seed=7)

@@ -130,8 +130,6 @@ class TestSlabProfile:
         assert prof.runs_at(2) == ((4, 24),)
         # input y=2.5 leaves three separate runs
         assert prof.runs_at(5) == ((0, 8), (12, 16), (20, 28))
-        assert prof.run_containing(5, 14) == (12, 16)
-        assert prof.run_containing(5, 10) is None
         assert prof.run_covering(5, 12, 16) == (12, 16)
         assert prof.run_covering(5, 8, 16) is None
 

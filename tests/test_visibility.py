@@ -6,12 +6,9 @@ from polytx import (
     RectUnion,
     SCALE,
     Transmitter,
-    augment_candidates,
     build_grid,
-    contains_region,
     covers_polygon,
-    crossing_count,
-    sees_point,
+    edge_aligned_candidates,
     union_regions,
     vis_region,
 )
@@ -34,58 +31,40 @@ def region_for(p, s, k):
     return vis_region(s, k, grid, p.profile), grid
 
 
-class TestCrossingCount:
-    def test_valley(self, polys):
-        prof = polys["VALLEY"].profile
-        # input height 2: both notch walls block the line of sight
-        assert crossing_count(prof, 4, 0, 12) == 2
-        assert crossing_count(prof, 4, 4, 8) == 0   # between the walls
-        assert crossing_count(prof, 1, 0, 12) == 0  # below the notch
-
-    def test_gap7_and_symmetry(self, polys):
-        prof = polys["GAP7"].profile
-        assert crossing_count(prof, 5, 16, 26) == 1
-        assert crossing_count(prof, 5, 26, 16) == 1
-
-    def test_edge_ordinate_rejected(self, polys):
-        with pytest.raises(ValueError):
-            crossing_count(polys["VALLEY"].profile, 2, 0, 12)
-
-    def test_strict_between(self, polys):
-        # endpoints sitting exactly on a wall do not count it
-        prof = polys["VALLEY"].profile
-        assert crossing_count(prof, 4, 0, 4) == 0
-        assert crossing_count(prof, 4, 0, 5) == 1
+def sees(p, s, k, point):
+    """Whether vis_region covers the grid cell whose interior holds point."""
+    r, g = region_for(p, s, k)
+    px_, py_ = point
+    (cell,) = [
+        (ix, iy)
+        for ix, iy in g.iter_cells(g.inside_mask)
+        if (b := g.cell_bounds(ix, iy))[0] < px_ < b[2] and b[1] < py_ < b[3]
+    ]
+    return cell in set(r.cells())
 
 
 class TestSeesPoint:
     def test_valley_left_wall(self, polys):
-        prof = polys["VALLEY"].profile
+        p = polys["VALLEY"]
         s = T("v", 0, 0, 3)
         rep = (10, 4)  # the cell right of the notch, above its floor
-        assert sees_point(s, 2, rep, prof)
-        assert not sees_point(s, 1, rep, prof)
-        assert not sees_point(s, 0, rep, prof)
-
-    def test_rect_needs_no_crossings(self, polys):
-        prof = polys["RECT"].profile
-        for s in augment_candidates((), polys["RECT"]):
-            assert sees_point(s, 0, (6, 3), prof)
+        assert sees(p, s, 2, rep)
+        assert not sees(p, s, 1, rep)
+        assert not sees(p, s, 0, rep)
 
     def test_foot_must_be_on_the_closed_span(self, polys):
-        prof = polys["VALLEY"].profile
+        # a left-wall segment ending at y=1 sees the rows below it, none above
+        p = polys["VALLEY"]
         s = Transmitter("v", 0, (0, 2))
-        assert sees_point(s, 2, (10, 1), prof)       # py == span end: closed
-        assert not sees_point(s, 2, (10, 4), prof)   # py above the span
-
-    def test_point_on_own_line(self, polys):
-        prof = polys["VALLEY"].profile
-        assert sees_point(Transmitter("h", 4, (0, 4)), 0, (2, 4), prof)
-        assert not sees_point(Transmitter("h", 4, (0, 4)), 0, (10, 4), prof)
+        assert sees(p, s, 2, (10, 1))
+        assert not sees(p, s, 2, (10, 4))
+        r, _ = region_for(p, s, 2)
+        assert sorted(r.cells()) == [(0, 0), (1, 0), (2, 0)]
 
     def test_bad_k_rejected(self, polys):
+        g = build_grid(polys["RECT"].profile)
         with pytest.raises(ValueError):
-            sees_point(T("v", 0, 0, 3), 3, (6, 3), polys["RECT"].profile)
+            vis_region(T("v", 0, 0, 3), 3, g, polys["RECT"].profile)
 
 
 class TestVisRegion:
@@ -114,7 +93,7 @@ class TestVisRegion:
         # a horizontal segment sees the full columns it spans, at every k
         for p in list(polys.values()) + small_corpus[:20]:
             g = build_grid(p.profile)
-            for s in augment_candidates((), p):
+            for s in edge_aligned_candidates(p.profile):
                 if s.orientation != "h":
                     continue
                 expect = g.inside_mask_between(s.span[0], s.span[1])
@@ -124,18 +103,18 @@ class TestVisRegion:
     def test_k_is_monotone(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus[:20]:
             g = build_grid(p.profile)
-            for s in augment_candidates((), p):
+            for s in edge_aligned_candidates(p.profile):
                 r0 = vis_region(s, 0, g, p.profile)
                 r1 = vis_region(s, 1, g, p.profile)
                 r2 = vis_region(s, 2, g, p.profile)
-                assert contains_region(r1, r0)
-                assert contains_region(r2, r1)
+                assert r1.contains(r0)
+                assert r2.contains(r1)
 
     def test_segment_sees_itself(self, polys, small_corpus):
         # every inside cell the segment touches is visible at k=0
         for p in list(polys.values()) + small_corpus[:10]:
             g = build_grid(p.profile)
-            for s in augment_candidates((), p):
+            for s in edge_aligned_candidates(p.profile):
                 r = vis_region(s, 0, g, p.profile)
                 lo, hi = s.span
                 for ix, iy in g.iter_cells(g.inside_mask):
@@ -152,7 +131,7 @@ class TestVisRegion:
     def test_matches_brute_force_oracle(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus[:15]:
             g = build_grid(p.profile)
-            for s in augment_candidates((), p):
+            for s in edge_aligned_candidates(p.profile):
                 for k in (0, 1, 2):
                     assert vis_region(s, k, g, p.profile).bits == oracle_region_bits(
                         p, s, k, g
@@ -163,7 +142,7 @@ class TestVisRegion:
             q = mirrored(p)
             gq = build_grid(q.profile)
             gp = build_grid(p.profile)
-            for s in augment_candidates((), p):
+            for s in edge_aligned_candidates(p.profile):
                 for k in (0, 2):
                     rp = vis_region(s, k, gp, p.profile)
                     rq = vis_region(mirror_transmitter(s), k, gq, q.profile)
@@ -209,9 +188,7 @@ class TestRegions:
         a = RectUnion(g1, 1)
         b = RectUnion(g2, 1)
         with pytest.raises(ValueError):
-            a.union(b)
-        with pytest.raises(ValueError):
-            contains_region(a, b)
+            a.contains(b)
         with pytest.raises(ValueError):
             union_regions([a, b])
 
@@ -228,7 +205,7 @@ class TestRegions:
 @given(seed=st.integers(min_value=0, max_value=10**6), data=st.data())
 def test_any_candidate_matches_oracle(seed, data):
     p = px.random_monotone(slabs=4, max_height=5, max_width=3, seed=seed)
-    fam = augment_candidates((), p)
+    fam = edge_aligned_candidates(p.profile)
     s = data.draw(st.sampled_from(fam))
     k = data.draw(st.sampled_from((0, 1, 2)))
     g = build_grid(p.profile)
