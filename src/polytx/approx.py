@@ -206,7 +206,8 @@ def hv_finder(
         between = grid.inside_mask_between(ell, s.anchor)
         if between & ~regions[s].bits == 0:
             s_v = s
-    assert s_v is not None, "verticals at or left of the cut qualify vacuously"
+    if s_v is None:
+        raise ValueError("no usable vertical candidate (family needs one left of the cut)")
     uncovered = inside & ~(regions[s_h].bits | regions[s_v].bits)
     if uncovered == 0:
         return FinderResult(s_h, s_v, prof.x_max, True)

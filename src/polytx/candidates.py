@@ -67,7 +67,8 @@ def canonical(segments: Iterable[Transmitter]) -> SegmentSet:
 
 def _maximal_vertical(prof: SlabProfile, x: int) -> Transmitter:
     section = prof.cross_section(x)
-    assert section is not None, "anchor outside polygon"
+    if section is None:
+        raise ValueError(f"x={x} is outside the polygon")
     return Transmitter(VERTICAL, x, section)
 
 
@@ -142,7 +143,8 @@ def canonicalize_solution(
                 raise ValueError(f"segment {s} is not inside the closed polygon")
             y = s.anchor if s.anchor in hlines else _nearest(hlines, s.anchor)
             run = prof.run_covering(y, *s.span)
-            assert run is not None, "slide to the nearer edge line cannot leave the polygon"
+            if run is None:
+                raise ValueError(f"segment {s} leaves the polygon when slid to y={y}")
             out.append(Transmitter(HORIZONTAL, y, run))
     result = canonical(out)
     grid = build_grid(prof)

@@ -439,13 +439,16 @@ class CellGrid:
     Cuts are internal (even) coordinates; each cell is entirely inside or
     entirely outside the closed polygon.  Cells are indexed column-major
     (``ix * ny + iy``), so the lowest set bit of any cell mask is the
-    minimum-x (ties: lowest y) cell — the scan order the finders need.
+    minimum-x (ties: lowest y) cell — the scan order the finders need — and
+    a run of whole columns is one contiguous bit range (:meth:`columns`).
     Outside cells keep their indices; ``inside_mask`` marks the polygon.
+    ``row_ones`` has the bit of row 0 in every column set, so
+    ``row_ones << iy`` is row iy.
     """
 
     __slots__ = (
         "profile", "x_cuts", "y_cuts", "nx", "ny", "inside_mask",
-        "rep_xs", "rep_ys", "col_masks", "row_cells", "row_edge_xs",
+        "rep_xs", "rep_ys", "row_ones", "row_edge_xs",
         "_x_cut_set", "_y_cut_set",
     )
 
@@ -459,37 +462,19 @@ class CellGrid:
         self.ny = len(y_cuts) - 1
         self.rep_xs = tuple((a + b) // 2 for a, b in zip(x_cuts, x_cuts[1:]))
         self.rep_ys = tuple((a + b) // 2 for a, b in zip(y_cuts, y_cuts[1:]))
+        # Geometric series: the sum of 2**(ix * ny) over ix < nx.
+        self.row_ones = ((1 << self.nx * self.ny) - 1) // ((1 << self.ny) - 1)
 
         inside = 0
-        col_masks = []
         for ix in range(self.nx):
-            slab = profile.slab_index(self.rep_xs[ix])
-            lo, hi = profile.spans[slab]
-            col = 0
-            base = ix * self.ny
-            for iy in range(self.ny):
-                if lo <= y_cuts[iy] and y_cuts[iy + 1] <= hi:
-                    col |= 1 << (base + iy)
-            col_masks.append(col)
-            inside |= col
+            lo, hi = profile.spans[profile.slab_index(self.rep_xs[ix])]
+            iy_lo, iy_hi = bisect_left(y_cuts, lo), bisect_left(y_cuts, hi)
+            inside |= (1 << ix * self.ny + iy_hi) - (1 << ix * self.ny + iy_lo)
         self.inside_mask = inside
-        self.col_masks = tuple(col_masks)
-
-        row_cells = []
-        row_edge_xs = []
-        for iy in range(self.ny):
-            cells = tuple(
-                (ix, 1 << (ix * self.ny + iy))
-                for ix in range(self.nx)
-                if inside >> (ix * self.ny + iy) & 1
-            )
-            row_cells.append(cells)
-            ry = self.rep_ys[iy]
-            row_edge_xs.append(
-                tuple(x for (x, ylo, yhi) in profile.vertical_edges if ylo < ry < yhi)
-            )
-        self.row_cells = tuple(row_cells)
-        self.row_edge_xs = tuple(row_edge_xs)
+        self.row_edge_xs = tuple(
+            tuple(x for (x, ylo, yhi) in profile.vertical_edges if ylo < ry < yhi)
+            for ry in self.rep_ys
+        )
 
     @property
     def inside_count(self) -> int:
@@ -529,16 +514,17 @@ class CellGrid:
         idx = (mask & -mask).bit_length() - 1
         return divmod(idx, self.ny)
 
+    def columns(self, ix_lo: int, ix_hi: int) -> int:
+        """Every cell, inside or not, of columns ix_lo .. ix_hi - 1."""
+        return (1 << ix_hi * self.ny) - (1 << ix_lo * self.ny)
+
     def inside_mask_between(self, x_lo: int | None, x_hi: int | None) -> int:
         """Inside cells whose x-range lies within [x_lo, x_hi] (None = unbounded)."""
-        bits = 0
-        for ix in range(self.nx):
-            if x_lo is not None and self.x_cuts[ix] < x_lo:
-                continue
-            if x_hi is not None and self.x_cuts[ix + 1] > x_hi:
-                continue
-            bits |= self.col_masks[ix]
-        return bits
+        ix_lo = 0 if x_lo is None else bisect_left(self.x_cuts, x_lo)
+        ix_hi = self.nx if x_hi is None else bisect_right(self.x_cuts, x_hi) - 1
+        if ix_hi <= ix_lo:
+            return 0
+        return self.inside_mask & self.columns(ix_lo, ix_hi)
 
     def cell_area_of(self, mask: int) -> int:
         return sum(

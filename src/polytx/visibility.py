@@ -60,30 +60,30 @@ def vis_region(s: Transmitter, k: int, grid: CellGrid, prof: SlabProfile) -> Rec
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     lo, hi = s.span
-    bits = 0
     if s.orientation == HORIZONTAL:
         _require_cut(grid.has_y_cut(s.anchor), "anchor")
         _require_cut(grid.has_x_cut(lo) and grid.has_x_cut(hi), "span endpoint")
         # Full-column property: the vertical sight line from the segment to
         # any cell of a spanned column stays inside one slab cross-section,
         # so it never crosses a wall and k does not matter.
-        for ix in range(grid.nx):
-            if lo < grid.rep_xs[ix] < hi:
-                bits |= grid.col_masks[ix]
-        return RectUnion(grid, bits)
+        return RectUnion(grid, grid.inside_mask_between(lo, hi))
     _require_cut(grid.has_x_cut(s.anchor), "anchor")
     _require_cut(grid.has_y_cut(lo) and grid.has_y_cut(hi), "span endpoint")
+    # In one row the crossing count only grows with distance from the anchor,
+    # so the row's visible cells are one run of columns, bounded by the
+    # (k+1)-th wall on each side.  Walls on the anchor line are not crossed.
+    # Every wall is an x-cut, so each bound is a column boundary.
     a = s.anchor
-    for iy, ry in enumerate(grid.rep_ys):
-        if not lo < ry < hi:
-            continue
-        row = grid.row_edge_xs[iy]
-        for ix, bit in grid.row_cells[iy]:
-            px = grid.rep_xs[ix]
-            x1, x2 = (px, a) if px < a else (a, px)
-            if bisect_left(row, x2) - bisect_right(row, x1) <= k:
-                bits |= bit
-    return RectUnion(grid, bits)
+    x_cuts = grid.x_cuts
+    bits = 0
+    for iy in range(bisect_left(grid.y_cuts, lo), bisect_left(grid.y_cuts, hi)):
+        walls = grid.row_edge_xs[iy]
+        left = bisect_left(walls, a) - k - 1
+        right = bisect_right(walls, a) + k
+        ix_lo = bisect_left(x_cuts, walls[left]) if left >= 0 else 0
+        ix_hi = bisect_left(x_cuts, walls[right]) if right < len(walls) else grid.nx
+        bits |= (grid.row_ones << iy) & grid.columns(ix_lo, ix_hi)
+    return RectUnion(grid, bits & grid.inside_mask)
 
 
 def union_regions(regions: Sequence[RectUnion], grid: CellGrid | None = None) -> RectUnion:

@@ -1,12 +1,15 @@
 """Reference implementations used to cross-check the library.
 
-Everything here works on the raw vertex ring with generic segment
-arithmetic.  The point is to avoid the slab shortcuts the package
-uses internally, so agreement is meaningful.
+Almost everything here works on the raw vertex ring with generic
+segment arithmetic.  The point is to avoid the slab shortcuts the
+package uses internally, so agreement is meaningful.  The exceptions,
+percell_region_bits and percolumn_inside_between, are the grid code's
+plain cell-by-cell form, the reference at sizes brute force cannot reach.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
 from polytx import OrthoPolygon, Transmitter, validate
@@ -99,6 +102,51 @@ def oracle_region_bits(p: OrthoPolygon, s: Transmitter, k: int, grid) -> int:
     for ix, iy in grid.iter_cells(grid.inside_mask):
         if oracle_sees(p, s, k, grid.rep(ix, iy)):
             bits |= 1 << grid.cell_index(ix, iy)
+    return bits
+
+
+def percell_region_bits(s: Transmitter, k: int, grid) -> int:
+    """vis_region decided one inside cell at a time, as the library once did.
+
+    A horizontal segment sees the cells whose representative lies strictly
+    over its span.  A vertical one sees a cell of a row strictly inside its
+    span when at most k of that row's walls lie strictly between the cell's
+    representative and the anchor, counted with two binary searches.  It
+    works on the slab profile, not the ring, so unlike oracle_region_bits
+    it stays fast on grids of thousands of cells.
+    """
+    lo, hi = s.span
+    row_walls = [
+        sorted(x for x, ylo, yhi in grid.profile.vertical_edges if ylo < ry < yhi)
+        for ry in grid.rep_ys
+    ]
+    bits = 0
+    for ix, iy in grid.iter_cells(grid.inside_mask):
+        px, py = grid.rep(ix, iy)
+        if s.orientation == "h":
+            seen = lo < px < hi
+        elif lo < py < hi:
+            x1, x2 = sorted((px, s.anchor))
+            walls = row_walls[iy]
+            seen = bisect_left(walls, x2) - bisect_right(walls, x1) <= k
+        else:
+            seen = False
+        if seen:
+            bits |= 1 << grid.cell_index(ix, iy)
+    return bits
+
+
+def percolumn_inside_between(grid, x_lo, x_hi) -> int:
+    """CellGrid.inside_mask_between, one column and one cell at a time."""
+    bits = 0
+    for ix in range(grid.nx):
+        if x_lo is not None and grid.x_cuts[ix] < x_lo:
+            continue
+        if x_hi is not None and grid.x_cuts[ix + 1] > x_hi:
+            continue
+        for iy in range(grid.ny):
+            if grid.is_inside(ix, iy):
+                bits |= 1 << grid.cell_index(ix, iy)
     return bits
 
 

@@ -69,6 +69,14 @@ class TestFinders:
         with pytest.raises(ValueError):
             hv_finder(polys["RECT"].profile, ())
 
+    def test_hv_finder_without_vertical_candidates_raises(self, polys):
+        # STAIR6's left-anchored run leaves cells uncovered, so the step needs
+        # a vertical; the check must survive python -O, which strips asserts.
+        prof = polys["STAIR6"].profile
+        horizontals = [s for s in edge_aligned_candidates(prof) if s.orientation == "h"]
+        with pytest.raises(ValueError, match="no usable vertical"):
+            hv_finder(prof, horizontals)
+
 
 class TestApproximate:
     @pytest.mark.parametrize(

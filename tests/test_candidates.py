@@ -12,6 +12,7 @@ from polytx import (
     union_regions,
     vis_region,
 )
+from polytx.candidates import _maximal_vertical
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
@@ -187,6 +188,18 @@ class TestCanonicalizeSolution:
             canonicalize_solution((T("v", 5, 2, 3),), polys["GAP7"])
         with pytest.raises(ValueError):
             canonicalize_solution((T("v", 20, 0, 3),), polys["GAP7"])
+
+    def test_slide_off_the_polygon_raises(self, polys, monkeypatch):
+        # Sliding to the nearer edge line cannot leave the polygon, so a far
+        # line is forced to reach the check that guards it.
+        monkeypatch.setattr(px.candidates, "_nearest", lambda lines, v: lines[-1])
+        with pytest.raises(ValueError, match="leaves the polygon"):
+            canonicalize_solution((Transmitter("h", 1, (0, 12)),), polys["VALLEY"])
+
+    def test_maximal_vertical_outside_raises(self, polys):
+        prof = polys["RECT"].profile
+        with pytest.raises(ValueError, match="outside the polygon"):
+            _maximal_vertical(prof, prof.x_max + SCALE)
 
     def test_dense_optimum_survives_canonicalization(self):
         # tiny instances where the dense solver is affordable

@@ -19,6 +19,9 @@ from oracles import (
     mirrored,
     oracle_region_bits,
     oracle_sees,
+    percell_region_bits,
+    percolumn_inside_between,
+    point_inside,
 )
 
 
@@ -210,3 +213,56 @@ def test_any_candidate_matches_oracle(seed, data):
     k = data.draw(st.sampled_from((0, 1, 2)))
     g = build_grid(p.profile)
     assert vis_region(s, k, g, p.profile).bits == oracle_region_bits(p, s, k, g)
+
+
+def _even(lo: int, hi: int):
+    return st.integers(lo // 2, hi // 2).map(lambda v: 2 * v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), data=st.data())
+def test_refined_grid_matches_oracle(seed, data):
+    # Solution.build, dense mode and rendering run the kernel on grids refined
+    # with extra cuts, where row and column ranges end on non-wall cuts.
+    p = px.random_monotone(slabs=4, max_height=5, max_width=3, seed=seed)
+    prof = p.profile
+    extra_x = data.draw(st.lists(_even(prof.x_min, prof.x_max), max_size=3))
+    extra_y = data.draw(st.lists(_even(prof.y_min, prof.y_max), max_size=3))
+    g = build_grid(prof, extra_x, extra_y)
+    for ix in range(g.nx):
+        for iy in range(g.ny):
+            assert g.is_inside(ix, iy) == point_inside(p.vertices, *g.rep(ix, iy))
+    segs = list(edge_aligned_candidates(prof))
+    for x in extra_x:
+        lo, hi = prof.cross_section(x)
+        segs.append(Transmitter("v", x, (lo, hi)))
+        for y in extra_y:
+            if lo < y < hi:
+                segs += [Transmitter("v", x, (lo, y)), Transmitter("v", x, (y, hi))]
+    for y in extra_y:
+        segs.extend(Transmitter("h", y, run) for run in prof.runs_at(y))
+    for s in segs:
+        for k in (0, 1, 2):
+            assert vis_region(s, k, g, prof).bits == oracle_region_bits(p, s, k, g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_matches_percell_reference_at_40_slabs(seed):
+    # Brute force is too slow here; the per-cell loop is the reference.
+    p = px.random_monotone(40, 20, 4, seed=seed)
+    g = build_grid(p.profile)
+    for s in edge_aligned_candidates(p.profile):
+        for k in (0, 1, 2):
+            assert vis_region(s, k, g, p.profile).bits == percell_region_bits(s, k, g)
+
+
+def test_inside_mask_between_matches_percolumn_reference(polys, small_corpus):
+    for p in list(polys.values()) + small_corpus[:5]:
+        prof = p.profile
+        for g in (build_grid(prof), build_grid(prof, (prof.x_min + 2,), (prof.y_max - 2,))):
+            ends = [None, g.x_cuts[0] - 2, g.x_cuts[-1] + 2, *g.x_cuts, *g.rep_xs]
+            for x_lo in ends:
+                for x_hi in ends:
+                    assert g.inside_mask_between(x_lo, x_hi) == percolumn_inside_between(
+                        g, x_lo, x_hi
+                    )
