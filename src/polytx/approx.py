@@ -76,7 +76,6 @@ class Solution:
         grid is refined with every transmitter coordinate and the union of
         the k-visibility regions is compared against the whole polygon.
         """
-        prof = polygon.profile
         extra_x: list[int] = []
         extra_y: list[int] = []
         for t in transmitters:
@@ -86,8 +85,8 @@ class Solution:
             else:
                 extra_y.append(t.anchor)
                 extra_x.extend(t.span)
-        grid = build_grid(prof, extra_x, extra_y)
-        regions = [vis_region(t, k, grid, prof) for t in transmitters]
+        grid = build_grid(polygon.profile, extra_x, extra_y)
+        regions = [vis_region(t, k, grid) for t in transmitters]
         covered = covers_polygon(union_regions(regions, grid=grid))
         return Solution(transmitters, k, solver, iterations, covered)
 
@@ -102,10 +101,8 @@ class Solution:
         }
 
 
-def _regions_for(
-    cands: SegmentSet, grid: CellGrid, prof: SlabProfile
-) -> dict[Transmitter, RectUnion]:
-    return {s: vis_region(s, 2, grid, prof) for s in cands}
+def _regions_for(cands: SegmentSet, grid: CellGrid) -> dict[Transmitter, RectUnion]:
+    return {s: vis_region(s, 2, grid) for s in cands}
 
 
 def _prepare(
@@ -120,7 +117,7 @@ def _prepare(
     if grid is None:
         grid = build_grid(prof)
     if regions is None:
-        regions = _regions_for(cands, grid, prof)
+        regions = _regions_for(cands, grid)
     return cands, grid, regions
 
 
@@ -242,7 +239,7 @@ def approximate_2transmitters(p: OrthoPolygon) -> Solution:
     while current is not None:
         cands = edge_aligned_candidates(current)
         grid = build_grid(current)
-        regions = _regions_for(cands, grid, current)
+        regions = _regions_for(cands, grid)
         step = _better(
             vh_finder(current, cands, grid=grid, regions=regions),
             hv_finder(current, cands, grid=grid, regions=regions),

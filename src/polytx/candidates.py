@@ -97,9 +97,8 @@ def prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> Se
     from .visibility import vis_region
 
     cands = canonical(c)
-    prof = p.profile
-    grid = build_grid(prof)
-    bits = {s: vis_region(s, k, grid, prof).bits for s in cands}
+    grid = build_grid(p.profile)
+    bits = {s: vis_region(s, k, grid).bits for s in cands}
     kept = list(cands)
     for s in cands:
         others = 0
@@ -148,6 +147,6 @@ def canonicalize_solution(
             out.append(Transmitter(HORIZONTAL, y, run))
     result = canonical(out)
     grid = build_grid(prof)
-    regions = [vis_region(s, 2, grid, prof) for s in result]
+    regions = [vis_region(s, 2, grid) for s in result]
     feasible = covers_polygon(union_regions(regions, grid=grid))
     return result, feasible

@@ -179,7 +179,7 @@ def _cmd_render(args) -> int:
                 grid = build_grid(prof, [t.anchor], t.span)
             else:
                 grid = build_grid(prof, t.span, [t.anchor])
-            shaded = vis_region(t, k, grid, prof)
+            shaded = vis_region(t, k, grid)
     Path(args.svg).write_text(render_svg(p, transmitters, shaded), encoding="utf-8")
     return EXIT_OK
 

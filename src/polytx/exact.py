@@ -64,7 +64,7 @@ def exact_min_transmitters(
         extra_y = range(prof.y_min, prof.y_max + 1, SCALE)
         grid = build_grid(prof, extra_x, extra_y)
         solver = "exact-dense"
-    bits = [vis_region(s, k, grid, prof).bits for s in cands]
+    bits = [vis_region(s, k, grid).bits for s in cands]
     target = grid.inside_mask
     every = 0
     for b in bits:

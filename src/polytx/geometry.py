@@ -248,51 +248,81 @@ def _merge_collinear(ring: list[Point]) -> list[Point]:
 
 
 def _check_simple(ring: list[Point]) -> None:
-    """Reject any contact between non-adjacent edges (closed-segment overlap)."""
+    """Reject any contact between non-adjacent edges (closed-segment overlap).
+
+    An axis-parallel edge is its own bounding box, so two edges touch exactly
+    when their closed boxes overlap.
+    """
     n = len(ring)
-    edges = [(ring[i], ring[(i + 1) % n], i) for i in range(n)]
-
-    def _interval(a: int, b: int) -> Span:
-        return (a, b) if a <= b else (b, a)
-
-    for i in range(n):
-        (p1, q1, _) = edges[i]
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share exactly their common vertex
-            (p2, q2, _) = edges[j]
-            h1, h2 = p1[1] == q1[1], p2[1] == q2[1]
-            if h1 and h2:
-                if p1[1] == p2[1]:
-                    a1, b1 = _interval(p1[0], q1[0])
-                    a2, b2 = _interval(p2[0], q2[0])
-                    if max(a1, a2) <= min(b1, b2):
-                        raise InvalidPolygonError(
-                            "self-intersecting",
-                            f"horizontal edges {i} and {j} overlap",
-                            i,
-                        )
-            elif not h1 and not h2:
-                if p1[0] == p2[0]:
-                    a1, b1 = _interval(p1[1], q1[1])
-                    a2, b2 = _interval(p2[1], q2[1])
-                    if max(a1, a2) <= min(b1, b2):
-                        raise InvalidPolygonError(
-                            "self-intersecting",
-                            f"vertical edges {i} and {j} overlap",
-                            i,
-                        )
-            else:
-                if h1:
-                    hy, (hx1, hx2) = p1[1], _interval(p1[0], q1[0])
-                    vx, (vy1, vy2) = p2[0], _interval(p2[1], q2[1])
+    boxes = []
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
+        boxes.append((min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2), y1 == y2))
+    for i, (ax1, ax2, ay1, ay2, ah) in enumerate(boxes):
+        # Skip the two adjacent edges, which share exactly their common vertex.
+        for b in boxes[i + 2 : n - 1 if i == 0 else n]:
+            if b[0] <= ax2 and ax1 <= b[1] and b[2] <= ay2 and ay1 <= b[3]:
+                # An equal box earlier in the slice would have matched first.
+                j = boxes.index(b, i + 2)
+                if ah != b[4]:
+                    message = f"edges {i} and {j} cross or touch"
                 else:
-                    hy, (hx1, hx2) = p2[1], _interval(p2[0], q2[0])
-                    vx, (vy1, vy2) = p1[0], _interval(p1[1], q1[1])
-                if hx1 <= vx <= hx2 and vy1 <= hy <= vy2:
-                    raise InvalidPolygonError(
-                        "self-intersecting", f"edges {i} and {j} cross or touch", i
-                    )
+                    message = f"{'horizontal' if ah else 'vertical'} edges {i} and {j} overlap"
+                raise InvalidPolygonError("self-intersecting", message, i)
+
+
+def _slab_stack(ring: list[Point]) -> SlabProfile:
+    """Slab decomposition of a counter-clockwise ring, or ValueError.
+
+    Every vertical line interior to a slab must be spanned by exactly one
+    bottom and one top horizontal edge, and the slab union rebuilt from those
+    spans must be the input ring.  A ring that passes is a simple slab stack,
+    so pairwise edge checks are needed only to name why a ring failed.
+    """
+    xs = sorted({x for x, _ in ring})
+    slab_of = {x: s for s, x in enumerate(xs)}
+    # Horizontal edges as (first slab, end slab, y, index): slabs first..end-1.
+    hedges = []
+    for i, ((x1, y1), (x2, y2)) in enumerate(zip(ring, ring[1:] + ring[:1])):
+        if y1 == y2:
+            a, b = slab_of[x1], slab_of[x2]
+            hedges.append((a, b, y1, i) if a < b else (b, a, y1, i))
+    # Edges over each slab, counted with a difference array.
+    delta = [0] * len(xs)
+    for a, b, _, _ in hedges:
+        delta[a] += 1
+        delta[b] -= 1
+    over = 0
+    for s in range(len(xs) - 1):
+        over += delta[s]
+        if over != 2:
+            spanning = sorted((y, i) for a, b, y, i in hedges if a <= s < b)
+            offender = spanning[2][1] if len(spanning) > 2 else (spanning[0][1] if spanning else 0)
+            raise InvalidPolygonError(
+                "not-monotone",
+                f"a vertical line over [{xs[s] // SCALE},{xs[s + 1] // SCALE}] meets "
+                f"{len(spanning)} horizontal edges (want 2)",
+                offender,
+            )
+    ys: list[list[int]] = [[] for _ in xs[1:]]
+    for a, b, y, _ in hedges:
+        for s in range(a, b):
+            ys[s].append(y)
+    spans = [(min(pair), max(pair)) for pair in ys]
+    for (a, b), (c, d) in zip(spans, spans[1:]):
+        if max(a, c) > min(b, d):
+            raise InvalidPolygonError("not-monotone", "interior disconnects between slabs")
+
+    profile = SlabProfile(tuple(xs), tuple(spans))
+
+    # The slab union must be exactly the input region; compare canonical rings
+    # up to rotation.  Any discrepancy means the ring is not a monotone stack.
+    rebuilt = profile.to_ring()
+    if len(rebuilt) != len(ring) or set(rebuilt) != set(ring):
+        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
+    start = ring.index(rebuilt[0])
+    if ring[start:] + ring[:start] != rebuilt:
+        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
+    return profile
 
 
 def validate(vertices: Iterable[Point]) -> OrthoPolygon:
@@ -344,46 +374,13 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     if area2 < 0:
         ring.reverse()
 
-    _check_simple(ring)
-
-    # Monotonicity and slab extraction: every vertical line interior to a slab
-    # must be spanned by exactly one bottom and one top horizontal edge.
-    xs = sorted({x for x, _ in ring})
-    hedges = []
-    nr = len(ring)
-    for i in range(nr):
-        (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % nr]
-        if y1 == y2:
-            hedges.append((min(x1, x2), max(x1, x2), y1, i))
-    spans: list[Span] = []
-    for x1, x2 in zip(xs, xs[1:]):
-        spanning = sorted(
-            (y, idx) for (ex1, ex2, y, idx) in hedges if ex1 <= x1 and x2 <= ex2
-        )
-        if len(spanning) != 2:
-            offender = spanning[2][1] if len(spanning) > 2 else (spanning[0][1] if spanning else 0)
-            raise InvalidPolygonError(
-                "not-monotone",
-                f"a vertical line over [{x1 // SCALE},{x2 // SCALE}] meets "
-                f"{len(spanning)} horizontal edges (want 2)",
-                offender,
-            )
-        spans.append((spanning[0][0], spanning[1][0]))
-    for (a, b), (c, d) in zip(spans, spans[1:]):
-        if max(a, c) > min(b, d):
-            raise InvalidPolygonError("not-monotone", "interior disconnects between slabs")
-
-    profile = SlabProfile(tuple(xs), tuple(spans))
-
-    # The slab union must be exactly the input region; compare canonical rings
-    # up to rotation.  Any discrepancy means the ring is not a monotone stack.
-    rebuilt = profile.to_ring()
-    if len(rebuilt) != len(ring) or set(rebuilt) != set(ring):
-        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
-    start = ring.index(rebuilt[0])
-    if ring[start:] + ring[:start] != rebuilt:
-        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
-
+    # A self-intersecting ring is reported as such, even when it also fails
+    # as a slab stack (SlabProfile raises a plain ValueError on some).
+    try:
+        profile = _slab_stack(ring)
+    except ValueError:
+        _check_simple(ring)
+        raise
     return OrthoPolygon(tuple(ring), profile)
 
 
@@ -391,7 +388,9 @@ def parse_polygon(text: str) -> OrthoPolygon:
     """Parse a JSON document ``{"vertices": [[x, y], ...]}`` and validate it."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past Python's digit
+        # limit; RecursionError is nesting deeper than the decoder can go.
         raise InvalidPolygonError("malformed-json", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InvalidPolygonError("malformed-json", 'document must be {"vertices": [[x, y], ...]}')

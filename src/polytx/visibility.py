@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .candidates import HORIZONTAL, Transmitter
-from .geometry import CellGrid, SlabProfile
+from .geometry import CellGrid
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,12 @@ def _require_cut(ok: bool, what: str) -> None:
         raise ValueError(f"transmitter {what} is not on a grid cut; refine the grid first")
 
 
-def vis_region(s: Transmitter, k: int, grid: CellGrid, prof: SlabProfile) -> RectUnion:
+def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
     """Cells whose representative the segment sees with at most k crossings.
 
-    The segment must be grid-aligned (anchor and span endpoints on cuts);
-    then no cell straddles any of its lines and the region is exact, not
-    just a sample.
+    The polygon is the grid's own profile.  The segment must be
+    grid-aligned (anchor and span endpoints on cuts); then no cell straddles
+    any of its lines and the region is exact, not just a sample.
     """
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")

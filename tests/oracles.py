@@ -5,6 +5,8 @@ segment arithmetic.  The point is to avoid the slab shortcuts the
 package uses internally, so agreement is meaningful.  The exceptions,
 percell_region_bits and percolumn_inside_between, are the grid code's
 plain cell-by-cell form, the reference at sizes brute force cannot reach.
+reference_validate is the validator's earlier all-pairs form, the
+reference for the single slab scan.
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
-from polytx import OrthoPolygon, Transmitter, validate
+from polytx import InvalidPolygonError, OrthoPolygon, Transmitter, validate
+from polytx.geometry import (
+    COORD_LIMIT,
+    SCALE,
+    SlabProfile,
+    Span,
+    _merge_collinear,
+)
 
 Point = tuple[int, int]
 
@@ -190,3 +199,166 @@ def covered_area(p: OrthoPolygon, segs: Iterable[Transmitter], k: int) -> bool:
         if not any(oracle_sees(p, s, k, rep) for s in segs):
             return False
     return True
+
+
+def notched(ring: Sequence[Point], depth: int = 1) -> list[Point]:
+    """The ring scaled by 3, with a notch cut into its first right-boundary edge.
+
+    The notch is one unit in from both ends of that edge and `depth` units
+    deep.  At depth 1 it stays inside the last slab, so the polygon is simple
+    but not x-monotone; deeper notches may run into other edges.
+    """
+    pts = [(3 * x, 3 * y) for x, y in ring]
+    x_max = max(x for x, _ in pts)
+    n = len(pts)
+    for i in range(n):
+        (x1, y1), (x2, y2) = pts[i], pts[(i + 1) % n]
+        if x1 == x2 == x_max:
+            step = 1 if y2 > y1 else -1
+            a, b, x = y1 + step, y2 - step, x_max - depth
+            return pts[: i + 1] + [(x_max, a), (x, a), (x, b), (x_max, b)] + pts[i + 1 :]
+    raise ValueError("ring has no vertical edge on its right boundary")
+
+
+def reference_check_simple(ring: list[Point]) -> None:
+    """Reject any contact between non-adjacent edges (closed-segment overlap)."""
+    n = len(ring)
+    edges = [(ring[i], ring[(i + 1) % n], i) for i in range(n)]
+
+    def _interval(a: int, b: int) -> Span:
+        return (a, b) if a <= b else (b, a)
+
+    for i in range(n):
+        (p1, q1, _) = edges[i]
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue  # adjacent edges share exactly their common vertex
+            (p2, q2, _) = edges[j]
+            h1, h2 = p1[1] == q1[1], p2[1] == q2[1]
+            if h1 and h2:
+                if p1[1] == p2[1]:
+                    a1, b1 = _interval(p1[0], q1[0])
+                    a2, b2 = _interval(p2[0], q2[0])
+                    if max(a1, a2) <= min(b1, b2):
+                        raise InvalidPolygonError(
+                            "self-intersecting",
+                            f"horizontal edges {i} and {j} overlap",
+                            i,
+                        )
+            elif not h1 and not h2:
+                if p1[0] == p2[0]:
+                    a1, b1 = _interval(p1[1], q1[1])
+                    a2, b2 = _interval(p2[1], q2[1])
+                    if max(a1, a2) <= min(b1, b2):
+                        raise InvalidPolygonError(
+                            "self-intersecting",
+                            f"vertical edges {i} and {j} overlap",
+                            i,
+                        )
+            else:
+                if h1:
+                    hy, (hx1, hx2) = p1[1], _interval(p1[0], q1[0])
+                    vx, (vy1, vy2) = p2[0], _interval(p2[1], q2[1])
+                else:
+                    hy, (hx1, hx2) = p2[1], _interval(p2[0], q2[0])
+                    vx, (vy1, vy2) = p1[0], _interval(p1[1], q1[1])
+                if hx1 <= vx <= hx2 and vy1 <= hy <= vy2:
+                    raise InvalidPolygonError(
+                        "self-intersecting", f"edges {i} and {j} cross or touch", i
+                    )
+
+
+def reference_validate(vertices: Iterable[Point]) -> OrthoPolygon:
+    """polytx.validate as it was before the single slab scan.
+
+    It checks every pair of edges for contact on every input, then scans
+    all horizontal edges once per slab.  Both steps are O(n^2).
+
+    Accepts either orientation (clockwise input is reversed), merges collinear
+    vertices, and tolerates an explicitly repeated closing vertex.  Raises
+    :class:`InvalidPolygonError` naming the violated property and an offending
+    vertex index otherwise.
+    """
+    pts = [tuple(v) for v in vertices]
+    for i, pt in enumerate(pts):
+        if len(pt) != 2 or not all(isinstance(c, int) and not isinstance(c, bool) for c in pt):
+            raise InvalidPolygonError("non-integer", f"vertex {i} is not an integer pair", i)
+        if any(abs(c) > COORD_LIMIT for c in pt):
+            raise InvalidPolygonError("out-of-range", f"vertex {i} exceeds |c| <= {COORD_LIMIT}", i)
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+
+    ring: list[Point] = [(x * SCALE, y * SCALE) for x, y in pts]
+    n = len(ring)
+    for i in range(n):
+        if ring[i] == ring[(i + 1) % n]:
+            raise InvalidPolygonError("degenerate-edge", f"zero-length edge at vertex {i}", i)
+    for i in range(n):
+        (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % n]
+        if x1 != x2 and y1 != y2:
+            raise InvalidPolygonError(
+                "non-orthogonal", f"edge from vertex {i} is not axis-parallel", i
+            )
+    if n < 4:
+        raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {n}")
+
+    ring = _merge_collinear(ring)
+    if len(ring) < 4:
+        raise InvalidPolygonError("degenerate-edge", "polygon collapses after merging collinear runs")
+
+    seen: dict[Point, int] = {}
+    for i, pt in enumerate(ring):
+        if pt in seen:
+            raise InvalidPolygonError(
+                "duplicate-vertex", f"vertex {i} repeats vertex {seen[pt]}", i
+            )
+        seen[pt] = i
+
+    area2 = shoelace2(ring)
+    if area2 == 0:
+        raise InvalidPolygonError("self-intersecting", "ring encloses zero area")
+    if area2 < 0:
+        ring.reverse()
+
+    reference_check_simple(ring)
+
+    # Monotonicity and slab extraction: every vertical line interior to a slab
+    # must be spanned by exactly one bottom and one top horizontal edge.
+    xs = sorted({x for x, _ in ring})
+    hedges = []
+    nr = len(ring)
+    for i in range(nr):
+        (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % nr]
+        if y1 == y2:
+            hedges.append((min(x1, x2), max(x1, x2), y1, i))
+    spans: list[Span] = []
+    for x1, x2 in zip(xs, xs[1:]):
+        spanning = sorted(
+            (y, idx) for (ex1, ex2, y, idx) in hedges if ex1 <= x1 and x2 <= ex2
+        )
+        if len(spanning) != 2:
+            offender = spanning[2][1] if len(spanning) > 2 else (spanning[0][1] if spanning else 0)
+            raise InvalidPolygonError(
+                "not-monotone",
+                f"a vertical line over [{x1 // SCALE},{x2 // SCALE}] meets "
+                f"{len(spanning)} horizontal edges (want 2)",
+                offender,
+            )
+        spans.append((spanning[0][0], spanning[1][0]))
+    for (a, b), (c, d) in zip(spans, spans[1:]):
+        if max(a, c) > min(b, d):
+            raise InvalidPolygonError("not-monotone", "interior disconnects between slabs")
+
+    profile = SlabProfile(tuple(xs), tuple(spans))
+
+    # The slab union must be exactly the input region; compare canonical rings
+    # up to rotation.  Any discrepancy means the ring is not a monotone stack.
+    rebuilt = profile.to_ring()
+    if len(rebuilt) != len(ring) or set(rebuilt) != set(ring):
+        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
+    start = ring.index(rebuilt[0])
+    if ring[start:] + ring[:start] != rebuilt:
+        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
+
+    return OrthoPolygon(tuple(ring), profile)
+

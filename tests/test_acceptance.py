@@ -65,8 +65,8 @@ def test_criterion_2_horizontal_regions_ignore_k(certification):
         for s in edge_aligned_candidates(p.profile):
             if s.orientation != "h":
                 continue
-            r0 = vis_region(s, 0, grid, p.profile)
-            r2 = vis_region(s, 2, grid, p.profile)
+            r0 = vis_region(s, 0, grid)
+            r2 = vis_region(s, 2, grid)
             ok = ok and r0.bits == r2.bits
             checked += 1
     assert report(2, ok, f"{checked} horizontal candidates: k=0 region == k=2 region")
@@ -137,7 +137,7 @@ def test_criterion_7_visibility_oracle():
         grid = build_grid(p.profile)
         for s in edge_aligned_candidates(p.profile):
             regions = {
-                k: vis_region(s, k, grid, p.profile) for k in (0, 1, 2)
+                k: vis_region(s, k, grid) for k in (0, 1, 2)
             }
             for k, r in regions.items():
                 ok = ok and r.bits == oracle_region_bits(p, s, k, grid)
@@ -156,7 +156,7 @@ def test_criterion_8_pruning_soundness(certification):
         fam = edge_aligned_candidates(p.profile)
         kept = prune_dominated(fam, p)
         grid = build_grid(p.profile)
-        before = union_regions([vis_region(s, 2, grid, p.profile) for s in fam])
-        after = union_regions([vis_region(s, 2, grid, p.profile) for s in kept])
+        before = union_regions([vis_region(s, 2, grid) for s in fam])
+        after = union_regions([vis_region(s, 2, grid) for s in kept])
         ok = ok and before.bits == after.bits and len(kept) >= 1
     assert report(8, ok, "pruning preserves the covered region on 500 instances")

@@ -136,8 +136,8 @@ class TestPruneDominated:
             kept = prune_dominated(fam, p)
             assert kept
             g = build_grid(p.profile)
-            before = union_regions([vis_region(s, 2, g, p.profile) for s in fam])
-            after = union_regions([vis_region(s, 2, g, p.profile) for s in kept])
+            before = union_regions([vis_region(s, 2, g) for s in fam])
+            after = union_regions([vis_region(s, 2, g) for s in kept])
             assert before.bits == after.bits
 
 

@@ -4,9 +4,9 @@ import pytest
 
 import polytx as px
 from polytx import InvalidPolygonError, SCALE, build_grid, cut_right, validate
-from polytx.geometry import profile_to_ring
+from polytx.geometry import _slab_stack, profile_to_ring
 
-from oracles import point_inside, shoelace2
+from oracles import notched, point_inside, shoelace2
 
 RECT_RING = [(0, 0), (6, 0), (6, 3), (0, 3)]
 VALLEY_RING = [(0, 0), (6, 0), (6, 3), (4, 3), (4, 1), (2, 1), (2, 3), (0, 3)]
@@ -67,6 +67,94 @@ class TestValidate:
         with pytest.raises(InvalidPolygonError) as exc:
             validate([(0, 0), (6, 0), (8, 0), (6, 0), (6, 3), (0, 3)])
         assert exc.value.index == 2
+
+
+# Diagnoses frozen from the all-pairs validator (oracles.reference_validate).
+# validate now runs the slab scan first and the pairwise edge check only when
+# the scan rejects, so every ring here fails the scan (scan_message) and must
+# still report what the old order reported.  The scan's disconnect and ring
+# comparison messages only ever fire on rings that also self-intersect.
+DIAGNOSES = [
+    pytest.param(
+        [(2, 1), (9, 1), (9, 2), (0, 2), (0, 1), (4, 1), (4, 0), (2, 0)],
+        "a vertical line over [2,4] meets 4 horizontal edges (want 2)",
+        "self-intersecting", 0, "horizontal edges 0 and 4 overlap",
+        id="horizontal-overlap",
+    ),
+    pytest.param(
+        [(0, 1), (0, 5), (3, 5), (3, 6), (0, 6), (0, 0), (3, 0), (3, 1)],
+        "a vertical line over [0,3] meets 4 horizontal edges (want 2)",
+        "self-intersecting", 0, "vertical edges 0 and 4 overlap",
+        id="vertical-overlap",
+    ),
+    pytest.param(
+        [(-5, 1), (-5, 0), (3, 0), (3, 2), (4, 2), (4, 1)],
+        "region is not a left-to-right slab stack",
+        "self-intersecting", 2, "edges 2 and 5 cross or touch",
+        id="cross-or-touch",
+    ),
+    pytest.param(
+        [(0, 6), (3, 6), (3, 7), (1, 7), (1, 8), (3, 8), (3, 9), (0, 9)],
+        "a vertical line over [1,3] meets 4 horizontal edges (want 2)",
+        "not-monotone", 4, "a vertical line over [1,3] meets 4 horizontal edges (want 2)",
+        id="wrong-spanning-count",
+    ),
+    pytest.param(
+        [(1, 4), (1, 0), (4, 0), (4, 3), (1, 3), (1, 5), (0, 5), (0, 4)],
+        "interior disconnects between slabs",
+        "self-intersecting", 0, "edges 0 and 3 cross or touch",
+        id="interior-disconnects",
+    ),
+    pytest.param(
+        [(1, 4), (1, 2), (5, 2), (5, 1), (3, 1), (3, 4)],
+        "region is not a left-to-right slab stack",
+        "self-intersecting", 1, "edges 1 and 4 cross or touch",
+        id="not-a-slab-stack",
+    ),
+    pytest.param(
+        # SlabProfile itself raises a plain ValueError on the scanned spans.
+        [(0, 0), (3, 0), (3, 5), (5, 5), (5, 3), (8, 3), (8, 5), (0, 5)],
+        "slab span must have positive height",
+        "self-intersecting", 1, "edges 1 and 6 cross or touch",
+        id="zero-height-span",
+    ),
+    pytest.param(
+        [(0, 9), (3, 9), (3, 10), (-1, 10), (-1, 11), (3, 11), (3, 12), (0, 12)],
+        "a vertical line over [0,3] meets 4 horizontal edges (want 2)",
+        "self-intersecting", 2, "edges 2 and 7 cross or touch",
+        id="self-intersecting-and-not-monotone",
+    ),
+]
+
+
+class TestDiagnoses:
+    @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
+    def test_reason_index_and_message(self, ring, scan_message, reason, index, message):
+        with pytest.raises(InvalidPolygonError) as exc:
+            validate(ring)
+        assert (exc.value.reason, exc.value.index, str(exc.value)) == (reason, index, message)
+
+    @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
+    def test_slab_scan_rejects_first(self, ring, scan_message, reason, index, message):
+        # Counter-clockwise rings with no collinear vertices: validate hands
+        # _slab_stack the doubled ring unchanged.
+        with pytest.raises(ValueError) as exc:
+            _slab_stack([(x * SCALE, y * SCALE) for x, y in ring])
+        assert str(exc.value) == scan_message
+
+    def test_400_slabs_accepted_and_notched_copy_rejected(self):
+        p = px.random_monotone(400, 20, 4, seed=1)
+        ring = list(p.input_vertices)
+        again = validate(ring)
+        assert len(again.vertices) == 1406
+        assert (again.vertices, again.profile) == (p.vertices, p.profile)
+        with pytest.raises(InvalidPolygonError) as exc:
+            validate(notched(ring))
+        assert (exc.value.reason, exc.value.index, str(exc.value)) == (
+            "not-monotone",
+            746,
+            "a vertical line over [2957,2958] meets 4 horizontal edges (want 2)",
+        )
 
 
 class TestParsePolygon:

@@ -31,7 +31,7 @@ def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
 
 def region_for(p, s, k):
     grid = build_grid(p.profile)
-    return vis_region(s, k, grid, p.profile), grid
+    return vis_region(s, k, grid), grid
 
 
 def sees(p, s, k, point):
@@ -67,7 +67,7 @@ class TestSeesPoint:
     def test_bad_k_rejected(self, polys):
         g = build_grid(polys["RECT"].profile)
         with pytest.raises(ValueError):
-            vis_region(T("v", 0, 0, 3), 3, g, polys["RECT"].profile)
+            vis_region(T("v", 0, 0, 3), 3, g)
 
 
 class TestVisRegion:
@@ -101,15 +101,15 @@ class TestVisRegion:
                     continue
                 expect = g.inside_mask_between(s.span[0], s.span[1])
                 for k in (0, 1, 2):
-                    assert vis_region(s, k, g, p.profile).bits == expect
+                    assert vis_region(s, k, g).bits == expect
 
     def test_k_is_monotone(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus[:20]:
             g = build_grid(p.profile)
             for s in edge_aligned_candidates(p.profile):
-                r0 = vis_region(s, 0, g, p.profile)
-                r1 = vis_region(s, 1, g, p.profile)
-                r2 = vis_region(s, 2, g, p.profile)
+                r0 = vis_region(s, 0, g)
+                r1 = vis_region(s, 1, g)
+                r2 = vis_region(s, 2, g)
                 assert r1.contains(r0)
                 assert r2.contains(r1)
 
@@ -118,7 +118,7 @@ class TestVisRegion:
         for p in list(polys.values()) + small_corpus[:10]:
             g = build_grid(p.profile)
             for s in edge_aligned_candidates(p.profile):
-                r = vis_region(s, 0, g, p.profile)
+                r = vis_region(s, 0, g)
                 lo, hi = s.span
                 for ix, iy in g.iter_cells(g.inside_mask):
                     x1, y1, x2, y2 = g.cell_bounds(ix, iy)
@@ -136,7 +136,7 @@ class TestVisRegion:
             g = build_grid(p.profile)
             for s in edge_aligned_candidates(p.profile):
                 for k in (0, 1, 2):
-                    assert vis_region(s, k, g, p.profile).bits == oracle_region_bits(
+                    assert vis_region(s, k, g).bits == oracle_region_bits(
                         p, s, k, g
                     )
 
@@ -147,8 +147,8 @@ class TestVisRegion:
             gp = build_grid(p.profile)
             for s in edge_aligned_candidates(p.profile):
                 for k in (0, 2):
-                    rp = vis_region(s, k, gp, p.profile)
-                    rq = vis_region(mirror_transmitter(s), k, gq, q.profile)
+                    rp = vis_region(s, k, gp)
+                    rq = vis_region(mirror_transmitter(s), k, gq)
                     flipped = {
                         (-x2, y1, -x1, y2) for (x1, y1, x2, y2) in cell_rects(rp)
                     }
@@ -157,14 +157,14 @@ class TestVisRegion:
     def test_unaligned_segment_rejected(self, polys):
         g = build_grid(polys["RECT"].profile)
         with pytest.raises(ValueError):
-            vis_region(Transmitter("v", 6, (0, 6)), 2, g, polys["RECT"].profile)
+            vis_region(Transmitter("v", 6, (0, 6)), 2, g)
         with pytest.raises(ValueError):
-            vis_region(Transmitter("h", 0, (0, 6)), 2, g, polys["RECT"].profile)
+            vis_region(Transmitter("h", 0, (0, 6)), 2, g)
 
     def test_bad_k_rejected(self, polys):
         g = build_grid(polys["RECT"].profile)
         with pytest.raises(ValueError):
-            vis_region(T("v", 0, 0, 3), -1, g, polys["RECT"].profile)
+            vis_region(T("v", 0, 0, 3), -1, g)
 
 
 class TestRegions:
@@ -172,7 +172,7 @@ class TestRegions:
         p = polys["VALLEY"]
         g = build_grid(p.profile)
         segs = [T("v", 0, 0, 3), T("v", 6, 0, 3)]
-        regions = [vis_region(s, 0, g, p.profile) for s in segs]
+        regions = [vis_region(s, 0, g) for s in segs]
         assert not any(covers_polygon(r) for r in regions)
         assert covers_polygon(union_regions(regions))
 
@@ -212,7 +212,7 @@ def test_any_candidate_matches_oracle(seed, data):
     s = data.draw(st.sampled_from(fam))
     k = data.draw(st.sampled_from((0, 1, 2)))
     g = build_grid(p.profile)
-    assert vis_region(s, k, g, p.profile).bits == oracle_region_bits(p, s, k, g)
+    assert vis_region(s, k, g).bits == oracle_region_bits(p, s, k, g)
 
 
 def _even(lo: int, hi: int):
@@ -243,7 +243,7 @@ def test_refined_grid_matches_oracle(seed, data):
         segs.extend(Transmitter("h", y, run) for run in prof.runs_at(y))
     for s in segs:
         for k in (0, 1, 2):
-            assert vis_region(s, k, g, prof).bits == oracle_region_bits(p, s, k, g)
+            assert vis_region(s, k, g).bits == oracle_region_bits(p, s, k, g)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -253,7 +253,7 @@ def test_matches_percell_reference_at_40_slabs(seed):
     g = build_grid(p.profile)
     for s in edge_aligned_candidates(p.profile):
         for k in (0, 1, 2):
-            assert vis_region(s, k, g, p.profile).bits == percell_region_bits(s, k, g)
+            assert vis_region(s, k, g).bits == percell_region_bits(s, k, g)
 
 
 def test_inside_mask_between_matches_percolumn_reference(polys, small_corpus):
