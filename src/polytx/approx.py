@@ -9,7 +9,9 @@ least one in any optimal cover gives the factor-2 guarantee.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 from .candidates import (
     HORIZONTAL,
@@ -20,7 +22,7 @@ from .candidates import (
     edge_aligned_candidates,
 )
 from .geometry import CellGrid, OrthoPolygon, SlabProfile, build_grid, cut_right
-from .visibility import RectUnion, covers_polygon, union_regions, vis_region
+from .visibility import covers_polygon, union_regions, vis_region
 
 
 @dataclass(frozen=True)
@@ -101,32 +103,33 @@ class Solution:
         }
 
 
-def _regions_for(cands: SegmentSet, grid: CellGrid) -> dict[Transmitter, RectUnion]:
-    return {s: vis_region(s, 2, grid) for s in cands}
+def _regions_for(cands: Sequence[Transmitter], grid: CellGrid) -> list[int]:
+    return [vis_region(s, 2, grid).bits for s in cands]
 
 
 def _prepare(
     prof: SlabProfile,
-    cands: SegmentSet,
+    cands: Sequence[Transmitter],
     grid: CellGrid | None,
-    regions: dict[Transmitter, RectUnion] | None,
-) -> tuple[SegmentSet, CellGrid, dict[Transmitter, RectUnion]]:
-    cands = canonical(cands)
+    regions: Sequence[int] | None,
+) -> tuple[CellGrid, Sequence[int]]:
     if not cands:
         raise ValueError("finder needs a nonempty candidate set")
     if grid is None:
         grid = build_grid(prof)
     if regions is None:
         regions = _regions_for(cands, grid)
-    return cands, grid, regions
+    elif len(regions) != len(cands):
+        raise ValueError(f"{len(regions)} regions for {len(cands)} candidates")
+    return grid, regions
 
 
 def vh_finder(
     prof: SlabProfile,
-    cands: SegmentSet,
+    cands: Sequence[Transmitter],
     *,
     grid: CellGrid | None = None,
-    regions: dict[Transmitter, RectUnion] | None = None,
+    regions: Sequence[int] | None = None,
 ) -> FinderResult:
     """Vertical-first step.
 
@@ -135,44 +138,48 @@ def vh_finder(
     is left over, the first uncovered cell is patched with the horizontal
     candidate over it that reaches furthest right (ties: lowest line); the
     cut is that segment's right end.
+
+    ``regions`` holds the k=2 region bits of each candidate, parallel to
+    ``cands``, on ``grid``; whatever lies outside ``grid.inside_mask`` is
+    ignored.  Without them both are built from ``prof``.
     """
-    cands, grid, regions = _prepare(prof, cands, grid, regions)
+    grid, regions = _prepare(prof, cands, grid, regions)
     inside = grid.inside_mask
-    s_v = None
-    for s in cands:
+    s_v = v_bits = None
+    for s, bits in zip(cands, regions):
         if s.orientation != VERTICAL:
             continue
         if s_v is not None and s.anchor <= s_v.anchor:
             continue
         left = grid.inside_mask_between(None, s.anchor)
-        if left & ~regions[s].bits == 0:
-            s_v = s
+        if left & bits == left:  # cheaper than left & ~bits == 0 on wide grids
+            s_v, v_bits = s, bits
     if s_v is None:
         raise ValueError("no usable vertical candidate (family must span the left edge)")
-    uncovered = inside & ~regions[s_v].bits
+    uncovered = inside & ~v_bits
     if uncovered == 0:
         return FinderResult(s_v, None, prof.x_max, True)
     ix, _ = grid.first_cell(uncovered)
     px = grid.rep_xs[ix]
-    s_h = None
-    for s in cands:
+    s_h = h_bits = None
+    for s, bits in zip(cands, regions):
         if s.orientation != HORIZONTAL or not s.span[0] < px < s.span[1]:
             continue
         if s_h is None or (s.span[1], -s.anchor) > (s_h.span[1], -s_h.anchor):
-            s_h = s
+            s_h, h_bits = s, bits
     if s_h is None:
         raise ValueError("no horizontal candidate over the first uncovered cell")
-    if uncovered & ~regions[s_h].bits == 0:
+    if uncovered & ~h_bits == 0:
         return FinderResult(s_v, s_h, prof.x_max, True)
     return FinderResult(s_v, s_h, s_h.span[1], False)
 
 
 def hv_finder(
     prof: SlabProfile,
-    cands: SegmentSet,
+    cands: Sequence[Transmitter],
     *,
     grid: CellGrid | None = None,
-    regions: dict[Transmitter, RectUnion] | None = None,
+    regions: Sequence[int] | None = None,
 ) -> FinderResult:
     """Horizontal-first step.
 
@@ -180,37 +187,39 @@ def hv_finder(
     (ties: lowest line), then the rightmost vertical candidate that sees
     everything between that segment's right end and its own line.  The cut
     is the last breakpoint with nothing uncovered left of it.
+
+    ``grid`` and ``regions`` are as for :func:`vh_finder`.
     """
-    cands, grid, regions = _prepare(prof, cands, grid, regions)
+    grid, regions = _prepare(prof, cands, grid, regions)
     inside = grid.inside_mask
-    s_h = None
-    for s in cands:
-        if s.orientation != HORIZONTAL or s.span[0] != prof.x_min:
+    x_min = prof.x_min
+    s_h = h_bits = None
+    for s, bits in zip(cands, regions):
+        if s.orientation != HORIZONTAL or s.span[0] != x_min:
             continue
         if s_h is None or (s.span[1], -s.anchor) > (s_h.span[1], -s_h.anchor):
-            s_h = s
+            s_h, h_bits = s, bits
     if s_h is None:
         raise ValueError("no left-anchored horizontal candidate")
     ell = s_h.span[1]
-    if inside & ~regions[s_h].bits == 0:
+    if inside & ~h_bits == 0:
         return FinderResult(s_h, None, prof.x_max, True)
-    s_v = None
-    for s in cands:
+    s_v = v_bits = None
+    for s, bits in zip(cands, regions):
         if s.orientation != VERTICAL:
             continue
         if s_v is not None and s.anchor <= s_v.anchor:
             continue
         between = grid.inside_mask_between(ell, s.anchor)
-        if between & ~regions[s].bits == 0:
-            s_v = s
+        if between & bits == between:
+            s_v, v_bits = s, bits
     if s_v is None:
         raise ValueError("no usable vertical candidate (family needs one left of the cut)")
-    uncovered = inside & ~(regions[s_h].bits | regions[s_v].bits)
+    uncovered = inside & ~(h_bits | v_bits)
     if uncovered == 0:
         return FinderResult(s_h, s_v, prof.x_max, True)
     ix, _ = grid.first_cell(uncovered)
-    cell_left = grid.x_cuts[ix]
-    cut = max(x for x in prof.xs if x <= cell_left)
+    cut = prof.xs[bisect_right(prof.xs, grid.x_cuts[ix]) - 1]
     return FinderResult(s_h, s_v, cut, False)
 
 
@@ -224,25 +233,77 @@ def _better(a: FinderResult, b: FinderResult) -> FinderResult:
     return b
 
 
+class _SweepFamily:
+    """The polygon's edge-aligned family and k=2 regions, built once per solve.
+
+    Each round's remainder family is derived from these tables: only the
+    vertical on the cut is new, because that line is shorter on the
+    remainder.  Every other region is the whole polygon's, which agrees with
+    the remainder's on the columns right of the cut (walls left of the cut
+    are never reached, walls on it are not crossed).
+    """
+
+    def __init__(self, prof: SlabProfile, grid: CellGrid):
+        family = edge_aligned_candidates(prof)
+        bits = _regions_for(family[1:], grid)
+        nv = len(prof.xs)
+        # Verticals right of the left edge, by anchor.
+        self.verticals = family[1:nv]
+        self.vertical_bits = bits[: nv - 1]
+        # Ordinate -> (right ends, runs, region bits), the runs sorted by lo.
+        self.runs: dict[int, tuple[list[int], list[Transmitter], list[int]]] = {}
+        for s, b in zip(family[nv:], bits[nv - 1 :]):
+            his, segs, regs = self.runs.setdefault(s.anchor, ([], [], []))
+            his.append(s.span[1])
+            segs.append(s)
+            regs.append(b)
+
+    def at(self, current: SlabProfile, grid: CellGrid) -> tuple[list[Transmitter], list[int]]:
+        """The canonical family of `current`, a cut_right remainder of the
+        whole profile, and its regions on `grid` (a view at the cut)."""
+        cut = current.x_min
+        edge = Transmitter(VERTICAL, cut, current.spans[0])
+        right = 1 - len(current.xs)  # the verticals strictly right of the cut
+        cands = [edge, *self.verticals[right:]]
+        regions = [vis_region(edge, 2, grid).bits, *self.vertical_bits[right:]]
+        # Runs at one ordinate are disjoint, so clipping the first one that
+        # reaches past the cut keeps them in canonical order.
+        for y in current.edge_ordinates:
+            his, segs, regs = self.runs[y]
+            j = bisect_right(his, cut)
+            if j < len(segs) and segs[j].span[0] < cut:
+                cands.append(Transmitter(HORIZONTAL, y, (cut, his[j])))
+                regions.append(regs[j])
+                j += 1
+            cands += segs[j:]
+            regions += regs[j:]
+        return cands, regions
+
+
 def approximate_2transmitters(p: OrthoPolygon) -> Solution:
     """Factor-2 approximation of the minimum 2-transmitter cover.
 
-    Recomputes the edge-aligned candidate family on each remaining part, so
-    every chosen segment is maximal there; coverage of the original polygon
-    is re-verified at the end rather than inferred from the loop.  Raises
-    RuntimeError when a round fails to advance the cut or the round and size
-    bounds behind the factor-2 guarantee are broken.
+    The candidate family, the cell grid and the k=2 regions are built once,
+    on the whole polygon.  Each round sees the remainder right of the cut
+    through a view of that grid and a family clipped at the cut, so every
+    chosen segment is maximal on the remainder; only the vertical on the cut
+    gets a new region.  Coverage of the original polygon is re-verified at
+    the end rather than inferred from the loop.  Raises RuntimeError when a
+    round fails to advance the cut or the round and size bounds behind the
+    factor-2 guarantee are broken.
     """
+    prof = p.profile
+    grid = build_grid(prof)
+    family = _SweepFamily(prof, grid)
     chosen: list[Transmitter] = []
-    current: SlabProfile | None = p.profile
+    current: SlabProfile | None = prof
     iterations = 0
     while current is not None:
-        cands = edge_aligned_candidates(current)
-        grid = build_grid(current)
-        regions = _regions_for(cands, grid)
+        view = grid.right_of(current.x_min)
+        cands, regions = family.at(current, view)
         step = _better(
-            vh_finder(current, cands, grid=grid, regions=regions),
-            hv_finder(current, cands, grid=grid, regions=regions),
+            vh_finder(current, cands, grid=view, regions=regions),
+            hv_finder(current, cands, grid=view, regions=regions),
         )
         chosen.extend(step.transmitters)
         iterations += 1

@@ -525,6 +525,19 @@ class CellGrid:
             return 0
         return self.inside_mask & self.columns(ix_lo, ix_hi)
 
+    def right_of(self, x: int) -> "CellGrid":
+        """Shallow copy whose inside cells are only the columns at or right of x.
+
+        Every table is shared; on those columns, inside_mask_between and
+        first_cell answer as the grid of cut_right(profile, x) would.
+        """
+        view = object.__new__(CellGrid)
+        for name in CellGrid.__slots__:
+            setattr(view, name, getattr(self, name))
+        shift = bisect_left(self.x_cuts, x) * self.ny
+        view.inside_mask = self.inside_mask >> shift << shift
+        return view
+
     def cell_area_of(self, mask: int) -> int:
         return sum(
             (self.x_cuts[ix + 1] - self.x_cuts[ix]) * (self.y_cuts[iy + 1] - self.y_cuts[iy])

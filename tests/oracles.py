@@ -6,7 +6,8 @@ package uses internally, so agreement is meaningful.  The exceptions,
 percell_region_bits and percolumn_inside_between, are the grid code's
 plain cell-by-cell form, the reference at sizes brute force cannot reach.
 reference_validate is the validator's earlier all-pairs form, the
-reference for the single slab scan.
+reference for the single slab scan, and reference_approximate is the greedy
+sweep's earlier per-remainder loop, the reference for the one-grid sweep.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
-from polytx import InvalidPolygonError, OrthoPolygon, Transmitter, validate
+from polytx import InvalidPolygonError, OrthoPolygon, Solution, Transmitter, validate
+from polytx.approx import _better, hv_finder, vh_finder
+from polytx.candidates import canonical, edge_aligned_candidates
 from polytx.geometry import (
     COORD_LIMIT,
     SCALE,
     SlabProfile,
     Span,
     _merge_collinear,
+    cut_right,
 )
 
 Point = tuple[int, int]
@@ -362,3 +366,29 @@ def reference_validate(vertices: Iterable[Point]) -> OrthoPolygon:
 
     return OrthoPolygon(tuple(ring), profile)
 
+
+def reference_approximate(p: OrthoPolygon) -> Solution:
+    """approximate_2transmitters as it was before the one-grid sweep.
+
+    Every round rebuilds the edge-aligned family on the cut_right remainder,
+    and each finder builds its own grid and regions from it.
+    """
+    chosen: list[Transmitter] = []
+    current: SlabProfile | None = p.profile
+    iterations = 0
+    while current is not None:
+        cands = edge_aligned_candidates(current)
+        step = _better(vh_finder(current, cands), hv_finder(current, cands))
+        chosen.extend(step.transmitters)
+        iterations += 1
+        if step.done:
+            break
+        if step.cut_x <= current.x_min:
+            raise RuntimeError(f"cut at x={step.cut_x} does not advance past x={current.x_min}")
+        current = cut_right(current, step.cut_x)
+    transmitters = canonical(chosen)
+    if len(transmitters) > 2 * iterations:
+        raise RuntimeError(f"{len(transmitters)} transmitters from {iterations} rounds")
+    if iterations > p.m:
+        raise RuntimeError(f"{iterations} rounds exceed m = {p.m} vertical edges")
+    return Solution.build(p, transmitters, 2, "approx", iterations)

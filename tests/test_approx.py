@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import polytx as px
@@ -11,7 +13,7 @@ from polytx import (
 )
 from polytx.candidates import edge_aligned_candidates
 
-from oracles import covered_area
+from oracles import covered_area, reference_approximate
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
@@ -69,6 +71,13 @@ class TestFinders:
         with pytest.raises(ValueError):
             hv_finder(polys["RECT"].profile, ())
 
+    def test_regions_must_parallel_candidates(self, polys):
+        prof = polys["STAIR6"].profile
+        cands = edge_aligned_candidates(prof)
+        for finder in (vh_finder, hv_finder):
+            with pytest.raises(ValueError, match="regions for"):
+                finder(prof, cands, regions=[0] * (len(cands) - 1))
+
     def test_hv_finder_without_vertical_candidates_raises(self, polys):
         # STAIR6's left-anchored run leaves cells uncovered, so the step needs
         # a vertical; the check must survive python -O, which strips asserts.
@@ -120,6 +129,50 @@ class TestApproximate:
             assert sol.iterations <= p.m
             # cross-check coverage with the brute-force oracle
             assert covered_area(p, sol.transmitters, 2)
+
+
+class TestSweep:
+    """The one-grid sweep against the per-remainder loop it replaced."""
+
+    def test_matches_reference_on_fixtures(self, polys):
+        for p in polys.values():
+            assert approximate_2transmitters(p) == reference_approximate(p)
+
+    def test_matches_reference_on_corpus(self):
+        for _, p in px.corpus(300):
+            assert approximate_2transmitters(p) == reference_approximate(p)
+
+    @pytest.mark.parametrize("height, width", [(20, 4), (8, 4), (300, 1)])
+    @pytest.mark.parametrize("slabs", [5, 10, 40, 160])
+    def test_matches_reference_on_random_shapes(self, slabs, height, width):
+        # one shape at 160 slabs: the reference takes over a second on the tall one
+        for seed in range(1 if slabs == 160 else 4):
+            p = px.random_monotone(slabs, height, width, seed=seed)
+            assert approximate_2transmitters(p) == reference_approximate(p)
+
+    @pytest.mark.parametrize("name", ["random40", "STAIR6"])
+    def test_work_per_solve(self, monkeypatch, name):
+        p = px.random_monotone(40, 20, 4, seed=1) if name == "random40" else px.fixture(name)
+        family = len(edge_aligned_candidates(p.profile))
+        calls = Counter()
+
+        def counted(attr):
+            fn = getattr(px.approx, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(px.approx, attr, wrapper)
+
+        for attr in ("build_grid", "edge_aligned_candidates", "vis_region"):
+            counted(attr)
+        sol = approximate_2transmitters(p)
+        # the sweep grid, then Solution.build's refined grid
+        assert calls["build_grid"] == 2
+        assert calls["edge_aligned_candidates"] == 1
+        # the family once, the vertical on each round's cut, then the check
+        assert calls["vis_region"] <= family + sol.iterations + sol.count
 
 
 class TestSolution:
