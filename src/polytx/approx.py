@@ -103,33 +103,19 @@ class Solution:
         }
 
 
-def _regions_for(cands: Sequence[Transmitter], grid: CellGrid) -> list[int]:
-    return [vis_region(s, 2, grid).bits for s in cands]
-
-
-def _prepare(
-    prof: SlabProfile,
-    cands: Sequence[Transmitter],
-    grid: CellGrid | None,
-    regions: Sequence[int] | None,
-) -> tuple[CellGrid, Sequence[int]]:
+def _check_inputs(cands: Sequence[Transmitter], regions: Sequence[int]) -> None:
     if not cands:
         raise ValueError("finder needs a nonempty candidate set")
-    if grid is None:
-        grid = build_grid(prof)
-    if regions is None:
-        regions = _regions_for(cands, grid)
-    elif len(regions) != len(cands):
+    if len(regions) != len(cands):
         raise ValueError(f"{len(regions)} regions for {len(cands)} candidates")
-    return grid, regions
 
 
 def vh_finder(
     prof: SlabProfile,
     cands: Sequence[Transmitter],
     *,
-    grid: CellGrid | None = None,
-    regions: Sequence[int] | None = None,
+    grid: CellGrid,
+    regions: Sequence[int],
 ) -> FinderResult:
     """Vertical-first step.
 
@@ -141,9 +127,9 @@ def vh_finder(
 
     ``regions`` holds the k=2 region bits of each candidate, parallel to
     ``cands``, on ``grid``; whatever lies outside ``grid.inside_mask`` is
-    ignored.  Without them both are built from ``prof``.
+    ignored.
     """
-    grid, regions = _prepare(prof, cands, grid, regions)
+    _check_inputs(cands, regions)
     inside = grid.inside_mask
     s_v = v_bits = None
     for s, bits in zip(cands, regions):
@@ -178,8 +164,8 @@ def hv_finder(
     prof: SlabProfile,
     cands: Sequence[Transmitter],
     *,
-    grid: CellGrid | None = None,
-    regions: Sequence[int] | None = None,
+    grid: CellGrid,
+    regions: Sequence[int],
 ) -> FinderResult:
     """Horizontal-first step.
 
@@ -190,7 +176,7 @@ def hv_finder(
 
     ``grid`` and ``regions`` are as for :func:`vh_finder`.
     """
-    grid, regions = _prepare(prof, cands, grid, regions)
+    _check_inputs(cands, regions)
     inside = grid.inside_mask
     x_min = prof.x_min
     s_h = h_bits = None
@@ -245,7 +231,7 @@ class _SweepFamily:
 
     def __init__(self, prof: SlabProfile, grid: CellGrid):
         family = edge_aligned_candidates(prof)
-        bits = _regions_for(family[1:], grid)
+        bits = [vis_region(s, 2, grid).bits for s in family[1:]]
         nv = len(prof.xs)
         # Verticals right of the left edge, by anchor.
         self.verticals = family[1:nv]

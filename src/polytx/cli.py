@@ -1,4 +1,4 @@
-"""Command-line surface: validate, candidates, solve, compare, gen, bench, render.
+"""Command-line surface: validate, candidates, solve, compare, gen, render.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 invariant breach
 (approximation ratio above 2, incomplete coverage, or a failed solver
@@ -8,10 +8,8 @@ check), 4 budget exhausted.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-import time
 from pathlib import Path
 
 from .approx import approximate_2transmitters
@@ -19,7 +17,7 @@ from .candidates import Transmitter, edge_aligned_candidates, prune_dominated
 from .errors import InvalidPolygonError, NoSolutionWithinBudget
 from .exact import exact_min_transmitters
 from .geometry import OrthoPolygon, build_grid, parse_polygon
-from .instances import corpus, random_monotone
+from .instances import random_monotone
 from .svg import render_svg
 from .visibility import vis_region
 
@@ -68,11 +66,18 @@ def _load_solution(path: str) -> tuple[int, list[Transmitter]]:
     return k, txs
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_or_print(text: str, path: str | None) -> None:
     if path is None:
         print(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_text(path, text)
 
 
 def _cmd_validate(args) -> int:
@@ -104,17 +109,17 @@ def _cmd_solve(args) -> int:
     if args.alg == "approx":
         sol = approximate_2transmitters(p)
     else:
-        sol = exact_min_transmitters(p, args.k, args.mode, args.budget)
+        sol = exact_min_transmitters(p, args.k, budget=args.budget)
     _write_or_print(json.dumps(sol.to_json_dict(), indent=2), args.json)
     if args.svg:
-        Path(args.svg).write_text(render_svg(p, sol.transmitters), encoding="utf-8")
+        _write_text(args.svg, render_svg(p, sol.transmitters))
     return EXIT_OK if sol.coverage_complete else EXIT_BREACH
 
 
 def _cmd_compare(args) -> int:
     p = _load_polygon(args.file)
     a = approximate_2transmitters(p)
-    e = exact_min_transmitters(p, 2, "standard", args.budget)
+    e = exact_min_transmitters(p, 2, budget=args.budget)
     ratio = a.count / e.count
     print(f"approx {a.count}, exact {e.count}, ratio {ratio}")
     breach = ratio > 2 or not a.coverage_complete or not e.coverage_complete
@@ -128,37 +133,6 @@ def _cmd_gen(args) -> int:
         raise _InputError(str(exc)) from exc
     doc = {"vertices": [list(v) for v in p.input_vertices]}
     _write_or_print(json.dumps(doc, indent=2), args.out)
-    return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    out = sys.stdout if args.csv is None else open(args.csv, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["seed", "n", "m", "approx_size", "exact_size", "ratio", "approx_ms", "exact_ms"]
-        )
-        for seed, p in corpus(args.count, max_slabs=args.slabs, seed0=args.seed):
-            t0 = time.perf_counter()
-            a = approximate_2transmitters(p)
-            t1 = time.perf_counter()
-            e = exact_min_transmitters(p, 2, "standard", args.budget)
-            t2 = time.perf_counter()
-            writer.writerow(
-                [
-                    seed,
-                    len(p.vertices),
-                    p.m,
-                    a.count,
-                    e.count,
-                    f"{a.count / e.count:.4f}",
-                    f"{(t1 - t0) * 1000:.3f}",
-                    f"{(t2 - t1) * 1000:.3f}",
-                ]
-            )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -176,11 +150,16 @@ def _cmd_render(args) -> int:
             t = transmitters[args.vis]
             prof = p.profile
             if t.orientation == "v":
-                grid = build_grid(prof, [t.anchor], t.span)
+                section = prof.cross_section(t.anchor)
+                inside = section is not None and section[0] <= t.span[0] < t.span[1] <= section[1]
+                cuts = ([t.anchor], t.span)
             else:
-                grid = build_grid(prof, t.span, [t.anchor])
-            shaded = vis_region(t, k, grid)
-    Path(args.svg).write_text(render_svg(p, transmitters, shaded), encoding="utf-8")
+                inside = prof.run_covering(t.anchor, *t.span) is not None
+                cuts = (t.span, [t.anchor])
+            if not inside:
+                raise _InputError(f"--vis transmitter {args.vis} is not inside the closed polygon")
+            shaded = vis_region(t, k, build_grid(prof, *cuts))
+    _write_text(args.svg, render_svg(p, transmitters, shaded))
     return EXIT_OK
 
 
@@ -208,7 +187,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("file")
     sp.add_argument("--alg", required=True, choices=("approx", "exact"))
     sp.add_argument("--k", required=True, type=int, choices=(0, 1, 2))
-    sp.add_argument("--mode", choices=("standard", "dense"), default="standard")
     sp.add_argument("--budget", type=_positive_int, default=8)
     sp.add_argument("--json", metavar="OUT", help="write Solution JSON here instead of stdout")
     sp.add_argument("--svg", metavar="OUT", help="also render the solution to this SVG file")
@@ -226,14 +204,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seed", required=True, type=int)
     sp.add_argument("--out", metavar="FILE")
     sp.set_defaults(func=_cmd_gen)
-
-    sp = sub.add_parser("bench", help="generate instances, solve both ways, emit CSV")
-    sp.add_argument("--count", required=True, type=_positive_int)
-    sp.add_argument("--slabs", required=True, type=_positive_int)
-    sp.add_argument("--seed", required=True, type=int)
-    sp.add_argument("--budget", type=_positive_int, default=8)
-    sp.add_argument("--csv", metavar="OUT")
-    sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("render", help="render polygon and optional solution to SVG")
     sp.add_argument("file")

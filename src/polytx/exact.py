@@ -2,8 +2,8 @@
 
 Sliding any segment of an optimal cover onto the nearest edge-supporting
 line keeps it inside the polygon and only grows what it sees, so searching
-the edge-aligned family alone is lossless.  The dense mode searches every
-unit-lattice line instead and exists to check exactly that claim.
+the edge-aligned family alone is lossless.  The test suite checks that claim
+against a search over every unit-lattice line (``tests/oracles.dense_exact``).
 """
 
 from __future__ import annotations
@@ -11,30 +11,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from .approx import Solution
-from .candidates import (
-    HORIZONTAL,
-    Transmitter,
-    VERTICAL,
-    canonical,
-    edge_aligned_candidates,
-)
+from .candidates import edge_aligned_candidates
 from .errors import NoSolutionWithinBudget
-from .geometry import OrthoPolygon, SCALE, build_grid
+from .geometry import OrthoPolygon, build_grid
 from .visibility import vis_region
-
-
-def _dense_family(p: OrthoPolygon) -> tuple[Transmitter, ...]:
-    """Maximal segments on every input-unit lattice line meeting the polygon."""
-    prof = p.profile
-    segs = []
-    for x in range(prof.x_min, prof.x_max + 1, SCALE):
-        section = prof.cross_section(x)
-        if section is not None:
-            segs.append(Transmitter(VERTICAL, x, section))
-    for y in range(prof.y_min, prof.y_max + 1, SCALE):
-        for run in prof.runs_at(y):
-            segs.append(Transmitter(HORIZONTAL, y, run))
-    return canonical(segs)
 
 
 def exact_min_transmitters(
@@ -42,28 +22,20 @@ def exact_min_transmitters(
 ) -> Solution:
     """Smallest k-transmitter cover, by cardinality-first lexicographic search.
 
-    Subsets of the candidate family are tried in increasing size and, within
-    a size, in the family's canonical order, so the reported optimum is the
-    lexicographically least witness.  `iterations` counts subsets evaluated.
-    Raises NoSolutionWithinBudget when no subset of size <= budget covers.
+    Subsets of the edge-aligned family are tried in increasing size and,
+    within a size, in the family's canonical order, so the reported optimum
+    is the lexicographically least witness.  `iterations` counts subsets
+    evaluated.  `mode` accepts only "standard".  Raises
+    NoSolutionWithinBudget when no subset of size <= budget covers.
     """
-    if mode not in ("standard", "dense"):
-        raise ValueError(f"mode must be 'standard' or 'dense', got {mode!r}")
+    if mode != "standard":
+        raise ValueError(f"mode must be 'standard', got {mode!r}")
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    prof = p.profile
-    if mode == "standard":
-        cands = edge_aligned_candidates(prof)
-        grid = build_grid(prof)
-        solver = "exact"
-    else:
-        cands = _dense_family(p)
-        extra_x = range(prof.x_min, prof.x_max + 1, SCALE)
-        extra_y = range(prof.y_min, prof.y_max + 1, SCALE)
-        grid = build_grid(prof, extra_x, extra_y)
-        solver = "exact-dense"
+    cands = edge_aligned_candidates(p.profile)
+    grid = build_grid(p.profile)
     bits = [vis_region(s, k, grid).bits for s in cands]
     target = grid.inside_mask
     every = 0
@@ -81,5 +53,5 @@ def exact_min_transmitters(
                 acc |= bits[i]
             if acc & target == target:
                 chosen = tuple(cands[i] for i in combo)
-                return Solution.build(p, chosen, k, solver, iterations)
+                return Solution.build(p, chosen, k, "exact", iterations)
     raise NoSolutionWithinBudget(budget)

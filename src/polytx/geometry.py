@@ -84,13 +84,6 @@ class SlabProfile:
     def y_max(self) -> int:
         return max(hi for _, hi in self.spans)
 
-    @property
-    def area(self) -> int:
-        return sum(
-            (x2 - x1) * (hi - lo)
-            for x1, x2, (lo, hi) in zip(self.xs, self.xs[1:], self.spans)
-        )
-
     @cached_property
     def vertical_edges(self) -> tuple[tuple[int, int, int], ...]:
         """All vertical boundary edges as (x, y_lo, y_hi), by x then lower y."""
@@ -138,10 +131,6 @@ class SlabProfile:
             (a, b), (c, d) = self.spans[i - 1], self.spans[i]
             return (min(a, c), max(b, d))
         return self.spans[i - 1]
-
-    def contains_point(self, x: int, y: int) -> bool:
-        section = self.cross_section(x)
-        return section is not None and section[0] <= y <= section[1]
 
     def runs_at(self, y: int) -> tuple[Span, ...]:
         """Maximal x-intervals the horizontal line at y crosses inside the polygon."""
@@ -308,10 +297,6 @@ def _slab_stack(ring: list[Point]) -> SlabProfile:
         for s in range(a, b):
             ys[s].append(y)
     spans = [(min(pair), max(pair)) for pair in ys]
-    for (a, b), (c, d) in zip(spans, spans[1:]):
-        if max(a, c) > min(b, d):
-            raise InvalidPolygonError("not-monotone", "interior disconnects between slabs")
-
     profile = SlabProfile(tuple(xs), tuple(spans))
 
     # The slab union must be exactly the input region; compare canonical rings
@@ -375,12 +360,18 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
         ring.reverse()
 
     # A self-intersecting ring is reported as such, even when it also fails
-    # as a slab stack (SlabProfile raises a plain ValueError on some).
+    # as a slab stack.  InvalidPolygonError subclasses ValueError, so the
+    # plain ValueError that SlabProfile raises on the scanned spans is the
+    # only one turned into a not-monotone rejection.
     try:
         profile = _slab_stack(ring)
-    except ValueError:
+    except ValueError as exc:
         _check_simple(ring)
-        raise
+        if isinstance(exc, InvalidPolygonError):
+            raise
+        raise InvalidPolygonError(
+            "not-monotone", "region is not a left-to-right slab stack"
+        ) from exc
     return OrthoPolygon(tuple(ring), profile)
 
 
@@ -475,10 +466,6 @@ class CellGrid:
             for ry in self.rep_ys
         )
 
-    @property
-    def inside_count(self) -> int:
-        return self.inside_mask.bit_count()
-
     def has_x_cut(self, x: int) -> bool:
         return x in self._x_cut_set
 
@@ -488,15 +475,9 @@ class CellGrid:
     def cell_index(self, ix: int, iy: int) -> int:
         return ix * self.ny + iy
 
-    def is_inside(self, ix: int, iy: int) -> bool:
-        return bool(self.inside_mask >> self.cell_index(ix, iy) & 1)
-
     def cell_bounds(self, ix: int, iy: int) -> tuple[int, int, int, int]:
         """(x_lo, y_lo, x_hi, y_hi) of the cell, internal units."""
         return (self.x_cuts[ix], self.y_cuts[iy], self.x_cuts[ix + 1], self.y_cuts[iy + 1])
-
-    def rep(self, ix: int, iy: int) -> Point:
-        return (self.rep_xs[ix], self.rep_ys[iy])
 
     def iter_cells(self, mask: int):
         """Yield (ix, iy) of every cell in mask, in column-major order."""
@@ -537,12 +518,6 @@ class CellGrid:
         shift = bisect_left(self.x_cuts, x) * self.ny
         view.inside_mask = self.inside_mask >> shift << shift
         return view
-
-    def cell_area_of(self, mask: int) -> int:
-        return sum(
-            (self.x_cuts[ix + 1] - self.x_cuts[ix]) * (self.y_cuts[iy + 1] - self.y_cuts[iy])
-            for ix, iy in self.iter_cells(mask)
-        )
 
 
 def build_grid(

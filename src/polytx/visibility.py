@@ -25,21 +25,6 @@ class RectUnion:
     grid: CellGrid
     bits: int
 
-    def contains(self, other: "RectUnion") -> bool:
-        """True when every cell of `other` is also in this region."""
-        if other.grid is not self.grid:
-            raise ValueError("regions live on different grids")
-        return other.bits & ~self.bits == 0
-
-    @property
-    def cell_count(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def area(self) -> int:
-        """Total area in internal (doubled) units squared."""
-        return self.grid.cell_area_of(self.bits)
-
     def cells(self) -> Iterable[tuple[int, int]]:
         """(ix, iy) pairs of member cells, column-major order."""
         return self.grid.iter_cells(self.bits)

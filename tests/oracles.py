@@ -6,21 +6,36 @@ package uses internally, so agreement is meaningful.  The exceptions,
 percell_region_bits and percolumn_inside_between, are the grid code's
 plain cell-by-cell form, the reference at sizes brute force cannot reach.
 reference_validate is the validator's earlier all-pairs form, the
-reference for the single slab scan, and reference_approximate is the greedy
-sweep's earlier per-remainder loop, the reference for the one-grid sweep.
+reference for the single slab scan, reference_approximate is the greedy
+sweep's earlier per-remainder loop, the reference for the one-grid sweep,
+and dense_exact is the exact search over every unit-lattice line, the
+reference for the edge-aligned family.  The small grid and profile helpers
+(cell_rep, is_inside, cell_area, profile_area, contains_point) are what the
+checks need of a CellGrid or SlabProfile beyond what the solvers use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from polytx import InvalidPolygonError, OrthoPolygon, Solution, Transmitter, validate
+from polytx import (
+    InvalidPolygonError,
+    NoSolutionWithinBudget,
+    OrthoPolygon,
+    Solution,
+    Transmitter,
+    build_grid,
+    validate,
+    vis_region,
+)
 from polytx.approx import _better, hv_finder, vh_finder
 from polytx.candidates import canonical, edge_aligned_candidates
 from polytx.geometry import (
     COORD_LIMIT,
     SCALE,
+    CellGrid,
     SlabProfile,
     Span,
     _merge_collinear,
@@ -28,6 +43,36 @@ from polytx.geometry import (
 )
 
 Point = tuple[int, int]
+
+
+def cell_rep(grid: CellGrid, ix: int, iy: int) -> Point:
+    """The cell's integer midpoint, where every predicate is evaluated."""
+    return (grid.rep_xs[ix], grid.rep_ys[iy])
+
+
+def is_inside(grid: CellGrid, ix: int, iy: int) -> bool:
+    return bool(grid.inside_mask >> grid.cell_index(ix, iy) & 1)
+
+
+def cell_area(grid: CellGrid, mask: int) -> int:
+    """Total area of the cells in mask, internal (doubled) units squared."""
+    total = 0
+    for ix, iy in grid.iter_cells(mask):
+        x1, y1, x2, y2 = grid.cell_bounds(ix, iy)
+        total += (x2 - x1) * (y2 - y1)
+    return total
+
+
+def profile_area(prof: SlabProfile) -> int:
+    return sum(
+        (x2 - x1) * (hi - lo) for x1, x2, (lo, hi) in zip(prof.xs, prof.xs[1:], prof.spans)
+    )
+
+
+def contains_point(prof: SlabProfile, x: int, y: int) -> bool:
+    """Whether (x, y) lies in the closed polygon."""
+    section = prof.cross_section(x)
+    return section is not None and section[0] <= y <= section[1]
 
 
 def shoelace2(ring: Sequence[Point]) -> int:
@@ -113,7 +158,7 @@ def oracle_sees(p: OrthoPolygon, s: Transmitter, k: int, rep: Point) -> bool:
 def oracle_region_bits(p: OrthoPolygon, s: Transmitter, k: int, grid) -> int:
     bits = 0
     for ix, iy in grid.iter_cells(grid.inside_mask):
-        if oracle_sees(p, s, k, grid.rep(ix, iy)):
+        if oracle_sees(p, s, k, cell_rep(grid, ix, iy)):
             bits |= 1 << grid.cell_index(ix, iy)
     return bits
 
@@ -135,7 +180,7 @@ def percell_region_bits(s: Transmitter, k: int, grid) -> int:
     ]
     bits = 0
     for ix, iy in grid.iter_cells(grid.inside_mask):
-        px, py = grid.rep(ix, iy)
+        px, py = cell_rep(grid, ix, iy)
         if s.orientation == "h":
             seen = lo < px < hi
         elif lo < py < hi:
@@ -158,7 +203,7 @@ def percolumn_inside_between(grid, x_lo, x_hi) -> int:
         if x_hi is not None and grid.x_cuts[ix + 1] > x_hi:
             continue
         for iy in range(grid.ny):
-            if grid.is_inside(ix, iy):
+            if is_inside(grid, ix, iy):
                 bits |= 1 << grid.cell_index(ix, iy)
     return bits
 
@@ -183,8 +228,6 @@ def cell_rects(region, grid=None) -> set[tuple[int, int, int, int]]:
 
 def covered_area(p: OrthoPolygon, segs: Iterable[Transmitter], k: int) -> bool:
     """Independent full-coverage check on a fresh grid refined by segs."""
-    from polytx import build_grid
-
     extra_x: list[int] = []
     extra_y: list[int] = []
     for s in segs:
@@ -199,7 +242,7 @@ def covered_area(p: OrthoPolygon, segs: Iterable[Transmitter], k: int) -> bool:
     extra_y = [y for y in extra_y if bb.y_min <= y <= bb.y_max]
     grid = build_grid(p.profile, extra_x, extra_y)
     for ix, iy in grid.iter_cells(grid.inside_mask):
-        rep = grid.rep(ix, iy)
+        rep = cell_rep(grid, ix, iy)
         if not any(oracle_sees(p, s, k, rep) for s in segs):
             return False
     return True
@@ -367,18 +410,26 @@ def reference_validate(vertices: Iterable[Point]) -> OrthoPolygon:
     return OrthoPolygon(tuple(ring), profile)
 
 
+def finder_tables(prof: SlabProfile, cands: Sequence[Transmitter]) -> dict:
+    """A fresh grid on prof and the k=2 regions of cands on it, as the
+    finders' ``grid`` and ``regions`` keywords."""
+    grid = build_grid(prof)
+    return {"grid": grid, "regions": [vis_region(s, 2, grid).bits for s in cands]}
+
+
 def reference_approximate(p: OrthoPolygon) -> Solution:
     """approximate_2transmitters as it was before the one-grid sweep.
 
     Every round rebuilds the edge-aligned family on the cut_right remainder,
-    and each finder builds its own grid and regions from it.
+    and a grid and regions of its own for the finders.
     """
     chosen: list[Transmitter] = []
     current: SlabProfile | None = p.profile
     iterations = 0
     while current is not None:
         cands = edge_aligned_candidates(current)
-        step = _better(vh_finder(current, cands), hv_finder(current, cands))
+        tables = finder_tables(current, cands)
+        step = _better(vh_finder(current, cands, **tables), hv_finder(current, cands, **tables))
         chosen.extend(step.transmitters)
         iterations += 1
         if step.done:
@@ -392,3 +443,42 @@ def reference_approximate(p: OrthoPolygon) -> Solution:
     if iterations > p.m:
         raise RuntimeError(f"{iterations} rounds exceed m = {p.m} vertical edges")
     return Solution.build(p, transmitters, 2, "approx", iterations)
+
+
+def dense_exact(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
+    """exact_min_transmitters over every input-unit lattice line.
+
+    The family is the maximal segment on each lattice line meeting the
+    polygon, and the grid is refined with all those lines; the search is the
+    same cardinality-first enumeration in canonical order.  A smaller
+    optimum here than on the edge-aligned family would disprove the claim
+    that searching the edge-aligned family is lossless.
+    """
+    prof = p.profile
+    segs = []
+    for x in range(prof.x_min, prof.x_max + 1, SCALE):
+        section = prof.cross_section(x)
+        if section is not None:
+            segs.append(Transmitter("v", x, section))
+    for y in range(prof.y_min, prof.y_max + 1, SCALE):
+        for run in prof.runs_at(y):
+            segs.append(Transmitter("h", y, run))
+    cands = canonical(segs)
+    grid = build_grid(
+        prof,
+        range(prof.x_min, prof.x_max + 1, SCALE),
+        range(prof.y_min, prof.y_max + 1, SCALE),
+    )
+    bits = [vis_region(s, k, grid).bits for s in cands]
+    target = grid.inside_mask
+    iterations = 0
+    for size in range(1, budget + 1):
+        for combo in combinations(range(len(cands)), size):
+            iterations += 1
+            acc = 0
+            for i in combo:
+                acc |= bits[i]
+            if acc & target == target:
+                chosen = tuple(cands[i] for i in combo)
+                return Solution.build(p, chosen, k, "exact-dense", iterations)
+    raise NoSolutionWithinBudget(budget)

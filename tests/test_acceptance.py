@@ -22,7 +22,7 @@ from polytx import (
     vis_region,
 )
 
-from oracles import oracle_region_bits
+from oracles import dense_exact, oracle_region_bits
 
 
 def report(num: int, ok: bool, text: str) -> bool:
@@ -120,7 +120,7 @@ def test_criterion_6_standard_form(tractable_corpus):
     ok = True
     for p in tractable_corpus:
         std = exact_min_transmitters(p, 2)
-        dense = exact_min_transmitters(p, 2, mode="dense")
+        dense = dense_exact(p, 2)
         ok = ok and std.count == dense.count
         slid, feasible = canonicalize_solution(dense.transmitters, p)
         ok = ok and feasible and len(slid) <= dense.count
@@ -141,8 +141,8 @@ def test_criterion_7_visibility_oracle():
             }
             for k, r in regions.items():
                 ok = ok and r.bits == oracle_region_bits(p, s, k, grid)
-            ok = ok and regions[1].contains(regions[0])
-            ok = ok and regions[2].contains(regions[1])
+            ok = ok and regions[0].bits & ~regions[1].bits == 0
+            ok = ok and regions[1].bits & ~regions[2].bits == 0
             candidates += 1
     assert report(
         7, ok, f"{candidates} candidates on 50 instances match the brute-force oracle"

@@ -8,12 +8,13 @@ from polytx import (
     Solution,
     Transmitter,
     approximate_2transmitters,
+    build_grid,
     hv_finder,
     vh_finder,
 )
 from polytx.candidates import edge_aligned_candidates
 
-from oracles import covered_area, reference_approximate
+from oracles import covered_area, finder_tables, reference_approximate
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
@@ -22,7 +23,8 @@ def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
 
 def finders_for(p):
     cands = edge_aligned_candidates(p.profile)
-    return vh_finder(p.profile, cands), hv_finder(p.profile, cands)
+    tables = finder_tables(p.profile, cands)
+    return vh_finder(p.profile, cands, **tables), hv_finder(p.profile, cands, **tables)
 
 
 class TestFinders:
@@ -66,17 +68,19 @@ class TestFinders:
         assert single.count == 1
 
     def test_empty_candidates_rejected(self, polys):
+        prof = polys["RECT"].profile
         with pytest.raises(ValueError):
-            vh_finder(polys["RECT"].profile, ())
+            vh_finder(prof, (), **finder_tables(prof, ()))
         with pytest.raises(ValueError):
-            hv_finder(polys["RECT"].profile, ())
+            hv_finder(prof, (), **finder_tables(prof, ()))
 
     def test_regions_must_parallel_candidates(self, polys):
         prof = polys["STAIR6"].profile
         cands = edge_aligned_candidates(prof)
+        grid = build_grid(prof)
         for finder in (vh_finder, hv_finder):
             with pytest.raises(ValueError, match="regions for"):
-                finder(prof, cands, regions=[0] * (len(cands) - 1))
+                finder(prof, cands, grid=grid, regions=[0] * (len(cands) - 1))
 
     def test_hv_finder_without_vertical_candidates_raises(self, polys):
         # STAIR6's left-anchored run leaves cells uncovered, so the step needs
@@ -84,7 +88,7 @@ class TestFinders:
         prof = polys["STAIR6"].profile
         horizontals = [s for s in edge_aligned_candidates(prof) if s.orientation == "h"]
         with pytest.raises(ValueError, match="no usable vertical"):
-            hv_finder(prof, horizontals)
+            hv_finder(prof, horizontals, **finder_tables(prof, horizontals))
 
 
 class TestApproximate:

@@ -1,15 +1,21 @@
-"""The benchmark tracer wraps polytx functions by name; every name must resolve.
+"""The benchmark calls and wraps polytx functions; every call must still bind.
 
 bench/spans.py reports a missing target as a null metric rather than an
 error, so a refactor that drops a traced call site would otherwise go
-unnoticed until someone reads a trace.
+unnoticed until someone reads a trace.  bench/run.py's solver calls fail
+only when the benchmark runs, which the test suite does not do.
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+import polytx as px
+from polytx.approx import approximate_2transmitters
+from polytx.exact import exact_min_transmitters
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -34,3 +40,11 @@ def test_every_trace_target_resolves(wraps):
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}.{dotted}")
     assert wraps and missing == []
+
+
+def test_bench_solver_calls_bind():
+    # The argument forms bench/run.py uses; a dropped keyword would break
+    # only the benchmark run.
+    p = px.fixture("RECT")
+    inspect.signature(exact_min_transmitters).bind(p, 0, mode="standard", budget=8)
+    inspect.signature(approximate_2transmitters).bind(p)

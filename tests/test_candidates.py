@@ -14,6 +14,8 @@ from polytx import (
 )
 from polytx.candidates import _maximal_vertical
 
+from oracles import contains_point, dense_exact
+
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
     """Transmitter in input units."""
@@ -54,7 +56,7 @@ class TestExtensionSet:
         assert T("h", 1, 2, 12) in segs
 
 
-class TestAugmentCandidates:
+class TestEdgeAlignedFamily:
     def test_rect_family(self, polys):
         fam = edge_aligned_candidates(polys["RECT"].profile)
         assert fam == (
@@ -95,15 +97,15 @@ class TestAugmentCandidates:
             for s in edge_aligned_candidates(p.profile):
                 lo, hi = s.span
                 if s.orientation == "v":
-                    assert prof.contains_point(s.anchor, lo)
-                    assert prof.contains_point(s.anchor, hi)
-                    assert not prof.contains_point(s.anchor, lo - 1)
-                    assert not prof.contains_point(s.anchor, hi + 1)
+                    assert contains_point(prof, s.anchor, lo)
+                    assert contains_point(prof, s.anchor, hi)
+                    assert not contains_point(prof, s.anchor, lo - 1)
+                    assert not contains_point(prof, s.anchor, hi + 1)
                 else:
-                    assert prof.contains_point(lo, s.anchor)
-                    assert prof.contains_point(hi, s.anchor)
-                    assert not prof.contains_point(lo - 1, s.anchor)
-                    assert not prof.contains_point(hi + 1, s.anchor)
+                    assert contains_point(prof, lo, s.anchor)
+                    assert contains_point(prof, hi, s.anchor)
+                    assert not contains_point(prof, lo - 1, s.anchor)
+                    assert not contains_point(prof, hi + 1, s.anchor)
 
     def test_result_is_canonical(self, small_corpus):
         for p in small_corpus:
@@ -204,7 +206,7 @@ class TestCanonicalizeSolution:
     def test_dense_optimum_survives_canonicalization(self):
         # tiny instances where the dense solver is affordable
         for _, p in px.corpus(40, max_slabs=3, max_height=4, max_width=2, seed0=30_000):
-            best = px.exact_min_transmitters(p, 2, mode="dense")
+            best = dense_exact(p, 2)
             out, ok = canonicalize_solution(best.transmitters, p)
             assert ok is True
             assert len(out) <= best.count

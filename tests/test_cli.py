@@ -137,10 +137,6 @@ class TestSolve:
             main(["solve", gap7_file, "--alg", "approx", "--k", "0"])
         assert exc.value.code == 1
 
-    def test_dense_mode(self, rect_file, capsys):
-        assert main(["solve", rect_file, "--alg", "exact", "--k", "2", "--mode", "dense"]) == 0
-        assert json.loads(capsys.readouterr().out)["solver"] == "exact-dense"
-
 
 class TestCompare:
     def test_gap7(self, gap7_file, capsys):
@@ -180,26 +176,6 @@ class TestGen:
         assert exc.value.code == 1
 
 
-class TestBench:
-    def test_stdout_csv(self, capsys):
-        assert main(["bench", "--count", "3", "--slabs", "4", "--seed", "9"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "seed,n,m,approx_size,exact_size,ratio,approx_ms,exact_ms"
-        assert len(lines) == 4
-        seeds = [int(line.split(",")[0]) for line in lines[1:]]
-        assert seeds == [9, 10, 11]
-
-    def test_csv_file(self, tmp_path):
-        f = tmp_path / "bench.csv"
-        assert main(["bench", "--count", "2", "--slabs", "3", "--seed", "0",
-                     "--csv", str(f)]) == 0
-        rows = f.read_text().strip().splitlines()
-        assert len(rows) == 3
-        for row in rows[1:]:
-            ratio = float(row.split(",")[5])
-            assert 1.0 <= ratio <= 2.0
-
-
 class TestRender:
     def test_polygon_only(self, gap7_file, tmp_path):
         out = tmp_path / "p.svg"
@@ -230,12 +206,43 @@ class TestRender:
         assert code == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_vis_transmitter_outside_polygon(self, rect_file, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        for t in (
+            {"orientation": "v", "anchor": 9, "span": [0, 3]},   # right of the polygon
+            {"orientation": "v", "anchor": 3, "span": [0, 4]},   # pokes out of the top
+            {"orientation": "h", "anchor": 1, "span": [-1, 6]},  # pokes out of the left
+        ):
+            sol.write_text(json.dumps({"k": 2, "transmitters": [t]}))
+            code = main(["render", rect_file, "--solution", str(sol),
+                         "--vis", "0", "--svg", str(tmp_path / "x.svg")])
+            assert code == 2
+            assert "not inside the closed polygon" in capsys.readouterr().err
+
     def test_malformed_solution_file(self, gap7_file, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         sol.write_text('{"k": 9, "transmitters": []}')
         code = main(["render", gap7_file, "--solution", str(sol),
                      "--svg", str(tmp_path / "x.svg")])
         assert code == 2
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{poly}", "--alg", "approx", "--k", "2", "--json", "{out}"],
+            ["solve", "{poly}", "--alg", "approx", "--k", "2", "--svg", "{out}"],
+            ["gen", "--slabs", "3", "--max-h", "4", "--max-w", "2", "--seed", "0", "--out", "{out}"],
+            ["render", "{poly}", "--svg", "{out}"],
+        ],
+        ids=["solve-json", "solve-svg", "gen-out", "render-svg"],
+    )
+    def test_exits_2_with_a_message(self, argv, rect_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main([a.format(poly=rect_file, out=out) for a in argv])
+        assert code == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -9,7 +9,7 @@ from polytx import (
     exact_min_transmitters,
 )
 
-from oracles import covered_area
+from oracles import covered_area, dense_exact
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
@@ -78,8 +78,10 @@ class TestBudget:
 
 class TestArguments:
     def test_bad_mode_rejected(self, polys):
-        with pytest.raises(ValueError):
-            exact_min_transmitters(polys["RECT"], 2, mode="fast")
+        # the dense search lives in oracles.dense_exact, not behind a mode
+        for mode in ("fast", "dense"):
+            with pytest.raises(ValueError):
+                exact_min_transmitters(polys["RECT"], 2, mode=mode)
 
     @pytest.mark.parametrize("k", [-1, 3, 7])
     def test_bad_k_rejected(self, polys, k):
@@ -90,7 +92,7 @@ class TestArguments:
 class TestDenseMode:
     def test_gap7_agrees_with_standard(self, polys):
         std = exact_min_transmitters(polys["GAP7"], 2)
-        dense = exact_min_transmitters(polys["GAP7"], 2, mode="dense")
+        dense = dense_exact(polys["GAP7"], 2)
         assert dense.count == std.count == 1
         assert dense.solver == "exact-dense"
 
@@ -98,7 +100,7 @@ class TestDenseMode:
         # the edge-aligned family already contains an optimal solution
         for p in tractable_corpus[:30]:
             std = exact_min_transmitters(p, 2)
-            dense = exact_min_transmitters(p, 2, mode="dense")
+            dense = dense_exact(p, 2)
             assert std.count == dense.count
 
 

@@ -6,7 +6,16 @@ import polytx as px
 from polytx import InvalidPolygonError, SCALE, build_grid, cut_right, validate
 from polytx.geometry import _slab_stack, profile_to_ring
 
-from oracles import notched, point_inside, shoelace2
+from oracles import (
+    cell_area,
+    cell_rep,
+    contains_point,
+    is_inside,
+    notched,
+    point_inside,
+    profile_area,
+    shoelace2,
+)
 
 RECT_RING = [(0, 0), (6, 0), (6, 3), (0, 3)]
 VALLEY_RING = [(0, 0), (6, 0), (6, 3), (4, 3), (4, 1), (2, 1), (2, 3), (0, 3)]
@@ -72,8 +81,9 @@ class TestValidate:
 # Diagnoses frozen from the all-pairs validator (oracles.reference_validate).
 # validate now runs the slab scan first and the pairwise edge check only when
 # the scan rejects, so every ring here fails the scan (scan_message) and must
-# still report what the old order reported.  The scan's disconnect and ring
-# comparison messages only ever fire on rings that also self-intersect.
+# still report what the old order reported.  The scan's span checks (made by
+# SlabProfile) and ring comparison only ever fire on rings that also
+# self-intersect.
 DIAGNOSES = [
     pytest.param(
         [(2, 1), (9, 1), (9, 2), (0, 2), (0, 1), (4, 1), (4, 0), (2, 0)],
@@ -100,8 +110,9 @@ DIAGNOSES = [
         id="wrong-spanning-count",
     ),
     pytest.param(
+        # SlabProfile rejects the scanned spans here too.
         [(1, 4), (1, 0), (4, 0), (4, 3), (1, 3), (1, 5), (0, 5), (0, 4)],
-        "interior disconnects between slabs",
+        "adjacent slab spans must intersect",
         "self-intersecting", 0, "edges 0 and 3 cross or touch",
         id="interior-disconnects",
     ),
@@ -141,6 +152,21 @@ class TestDiagnoses:
         with pytest.raises(ValueError) as exc:
             _slab_stack([(x * SCALE, y * SCALE) for x, y in ring])
         assert str(exc.value) == scan_message
+
+    def test_plain_value_error_becomes_not_monotone(self, monkeypatch):
+        # No known simple ring makes the scan raise a plain ValueError, but
+        # validate's documented error type must hold if one ever does.
+        def scan(ring):
+            raise ValueError("adjacent slab spans must differ")
+
+        monkeypatch.setattr(px.geometry, "_slab_stack", scan)
+        with pytest.raises(InvalidPolygonError) as exc:
+            validate(RECT_RING)
+        assert (exc.value.reason, exc.value.index, str(exc.value)) == (
+            "not-monotone",
+            None,
+            "region is not a left-to-right slab stack",
+        )
 
     def test_400_slabs_accepted_and_notched_copy_rejected(self):
         p = px.random_monotone(400, 20, 4, seed=1)
@@ -223,10 +249,10 @@ class TestSlabProfile:
 
     def test_contains_point_is_closed(self, polys):
         prof = polys["VALLEY"].profile
-        assert prof.contains_point(0, 0)
-        assert prof.contains_point(6, 2)   # on the notch bottom edge
-        assert not prof.contains_point(6, 4)
-        assert not prof.contains_point(-1, 0)
+        assert contains_point(prof, 0, 0)
+        assert contains_point(prof, 6, 2)   # on the notch bottom edge
+        assert not contains_point(prof, 6, 4)
+        assert not contains_point(prof, -1, 0)
 
 
 class TestCutRight:
@@ -256,24 +282,24 @@ class TestCellGrid:
     def test_rect_single_cell(self, polys):
         g = build_grid(polys["RECT"].profile)
         assert (g.nx, g.ny) == (1, 1)
-        assert g.inside_count == 1
-        assert g.rep(0, 0) == (6, 3)
+        assert g.inside_mask.bit_count() == 1
+        assert cell_rep(g, 0, 0) == (6, 3)
 
     def test_valley_has_one_outside_cell(self, polys):
         g = build_grid(polys["VALLEY"].profile)
         assert (g.nx, g.ny) == (3, 2)
-        assert g.inside_count == 5
-        assert not g.is_inside(1, 1)
+        assert g.inside_mask.bit_count() == 5
+        assert not is_inside(g, 1, 1)
 
     def test_gap7_counts(self, polys):
         g = build_grid(polys["GAP7"].profile)
         assert g.nx * g.ny == 21
-        assert g.inside_count == 13
+        assert g.inside_mask.bit_count() == 13
 
     def test_refinement(self, polys):
         g = build_grid(polys["RECT"].profile, extra_x=(6,), extra_y=(2, 4))
         assert (g.nx, g.ny) == (2, 3)
-        assert g.inside_count == 6
+        assert g.inside_mask.bit_count() == 6
         assert g.has_x_cut(6) and g.has_y_cut(4)
 
     def test_odd_cut_rejected(self, polys):
@@ -302,8 +328,8 @@ class TestCellGrid:
     def test_area_consistency(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus:
             g = build_grid(p.profile)
-            internal = g.cell_area_of(g.inside_mask)
-            assert internal == p.profile.area
+            internal = cell_area(g, g.inside_mask)
+            assert internal == profile_area(p.profile)
             assert internal == shoelace2(p.vertices) // 2
             assert internal == shoelace2(p.input_vertices) // 2 * SCALE * SCALE
 
@@ -312,8 +338,8 @@ class TestCellGrid:
             g = build_grid(p.profile)
             for ix in range(g.nx):
                 for iy in range(g.ny):
-                    rx, ry = g.rep(ix, iy)
-                    assert g.is_inside(ix, iy) == point_inside(p.vertices, rx, ry)
+                    rx, ry = cell_rep(g, ix, iy)
+                    assert is_inside(g, ix, iy) == point_inside(p.vertices, rx, ry)
 
 
 class TestRoundTrip:

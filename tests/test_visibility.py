@@ -14,7 +14,10 @@ from polytx import (
 )
 
 from oracles import (
+    cell_area,
+    cell_rep,
     cell_rects,
+    is_inside,
     mirror_transmitter,
     mirrored,
     oracle_region_bits,
@@ -22,6 +25,7 @@ from oracles import (
     percell_region_bits,
     percolumn_inside_between,
     point_inside,
+    profile_area,
 )
 
 
@@ -75,7 +79,7 @@ class TestVisRegion:
         p = polys["VALLEY"]
         r, g = region_for(p, T("v", 0, 0, 3), 0)
         assert sorted(r.cells()) == [(0, 0), (0, 1), (1, 0), (2, 0)]
-        assert r.area == 40  # internal units: everything but the right wall's top
+        assert cell_area(g, r.bits) == 40  # internal units: everything but the right wall's top
         assert not covers_polygon(r)
 
     def test_valley_k2_sees_everything(self, polys):
@@ -88,9 +92,9 @@ class TestVisRegion:
         counts = {}
         for k in (0, 1, 2):
             r, g = region_for(p, T("v", 8, 0, 3), k)
-            counts[k] = r.cell_count
+            counts[k] = r.bits.bit_count()
         assert counts == {0: 7, 1: 10, 2: 13}
-        assert g.inside_count == 13
+        assert g.inside_mask.bit_count() == 13
 
     def test_horizontal_covers_exactly_its_columns(self, polys, small_corpus):
         # a horizontal segment sees the full columns it spans, at every k
@@ -110,8 +114,8 @@ class TestVisRegion:
                 r0 = vis_region(s, 0, g)
                 r1 = vis_region(s, 1, g)
                 r2 = vis_region(s, 2, g)
-                assert r1.contains(r0)
-                assert r2.contains(r1)
+                assert r0.bits & ~r1.bits == 0
+                assert r1.bits & ~r2.bits == 0
 
     def test_segment_sees_itself(self, polys, small_corpus):
         # every inside cell the segment touches is visible at k=0
@@ -179,7 +183,7 @@ class TestRegions:
     def test_empty_union_needs_a_grid(self, polys):
         g = build_grid(polys["RECT"].profile)
         empty = union_regions([], grid=g)
-        assert empty.cell_count == 0
+        assert empty.bits == 0
         assert not covers_polygon(empty)
         with pytest.raises(ValueError):
             union_regions([])
@@ -191,16 +195,16 @@ class TestRegions:
         a = RectUnion(g1, 1)
         b = RectUnion(g2, 1)
         with pytest.raises(ValueError):
-            a.contains(b)
-        with pytest.raises(ValueError):
             union_regions([a, b])
+        with pytest.raises(ValueError):
+            union_regions([a], grid=g2)
 
     def test_area_and_cells(self, polys):
         p = polys["VALLEY"]
         g = build_grid(p.profile)
         full = RectUnion(g, g.inside_mask)
-        assert full.area == p.profile.area
-        assert full.cell_count == 5
+        assert cell_area(g, full.bits) == profile_area(p.profile)
+        assert full.bits.bit_count() == 5
         assert len(list(full.cells())) == 5
 
 
@@ -222,7 +226,7 @@ def _even(lo: int, hi: int):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), data=st.data())
 def test_refined_grid_matches_oracle(seed, data):
-    # Solution.build, dense mode and rendering run the kernel on grids refined
+    # Solution.build, rendering and oracles.dense_exact run the kernel on grids refined
     # with extra cuts, where row and column ranges end on non-wall cuts.
     p = px.random_monotone(slabs=4, max_height=5, max_width=3, seed=seed)
     prof = p.profile
@@ -231,7 +235,7 @@ def test_refined_grid_matches_oracle(seed, data):
     g = build_grid(prof, extra_x, extra_y)
     for ix in range(g.nx):
         for iy in range(g.ny):
-            assert g.is_inside(ix, iy) == point_inside(p.vertices, *g.rep(ix, iy))
+            assert is_inside(g, ix, iy) == point_inside(p.vertices, *cell_rep(g, ix, iy))
     segs = list(edge_aligned_candidates(prof))
     for x in extra_x:
         lo, hi = prof.cross_section(x)
