@@ -2,7 +2,7 @@
 
 Exact integer geometry throughout: polygons become slab profiles, visibility
 becomes bitsets over a cell grid, and both the factor-2 approximation and the
-exhaustive exact solver work on a finite edge-aligned candidate family.
+exact solver work on a finite edge-aligned candidate family.
 """
 
 from .approx import (

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import OrthoPolygon, SCALE, SlabProfile, Span, build_grid
+from .geometry import OrthoPolygon, SCALE, SlabProfile, Span, build_grid, input_int
 
 VERTICAL = "v"
 HORIZONTAL = "h"
@@ -53,8 +53,9 @@ class Transmitter:
 
     @classmethod
     def from_input(cls, d: dict) -> "Transmitter":
-        lo, hi = d["span"]
-        return cls(d["orientation"], int(d["anchor"]) * SCALE, (int(lo) * SCALE, int(hi) * SCALE))
+        """Read a transmitter in input units, with integers as parse_polygon takes them."""
+        lo, hi = (input_int(c) for c in d["span"])
+        return cls(d["orientation"], input_int(d["anchor"]) * SCALE, (lo * SCALE, hi * SCALE))
 
 
 SegmentSet = tuple[Transmitter, ...]

@@ -399,14 +399,21 @@ def parse_polygon(text: str) -> OrthoPolygon:
                     "non-orthogonal", f"edge from vertex {i} is not axis-parallel", i
                 )
         raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {len(verts)}")
-    for v in verts:
-        for c in v:
-            if isinstance(c, float) and c.is_integer():
-                # JSON "6.0" is accepted as the integer 6.
-                continue
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise InvalidPolygonError("non-integer", f"coordinate {c!r} is not an integer")
-    return validate([(int(x), int(y)) for x, y in verts])
+    try:
+        ring = [(input_int(x), input_int(y)) for x, y in verts]
+    except ValueError as exc:
+        raise InvalidPolygonError("non-integer", f"coordinate {exc}") from exc
+    return validate(ring)
+
+
+def input_int(c: object) -> int:
+    """c as an input-unit integer: a non-bool int, or a float with an integral
+    value (JSON "6.0" is the integer 6).  Anything else raises ValueError."""
+    if isinstance(c, float) and c.is_integer():
+        return int(c)
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise ValueError(f"{c!r} is not an integer")
+    return c
 
 
 def cut_right(prof: SlabProfile, x0: int) -> SlabProfile | None:

@@ -8,6 +8,8 @@ plain cell-by-cell form, the reference at sizes brute force cannot reach.
 reference_validate is the validator's earlier all-pairs form, the
 reference for the single slab scan, reference_approximate is the greedy
 sweep's earlier per-remainder loop, the reference for the one-grid sweep,
+reference_exact is the exact solver's earlier subset enumeration, the
+reference for the depth-first search and its closed-form iteration count,
 and dense_exact is the exact search over every unit-lattice line, the
 reference for the edge-aligned family.  The small grid and profile helpers
 (cell_rep, is_inside, cell_area, profile_area, contains_point) are what the
@@ -481,4 +483,38 @@ def dense_exact(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
             if acc & target == target:
                 chosen = tuple(cands[i] for i in combo)
                 return Solution.build(p, chosen, k, "exact-dense", iterations)
+    raise NoSolutionWithinBudget(budget)
+
+
+def reference_exact(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
+    """exact_min_transmitters as it was before the depth-first search.
+
+    Subsets of the edge-aligned family are tried in increasing size and,
+    within a size, in the family's canonical order; `iterations` counts the
+    subsets evaluated, which the library reports in closed form.
+    """
+    if k not in (0, 1, 2):
+        raise ValueError("k must be 0, 1 or 2")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    cands = edge_aligned_candidates(p.profile)
+    grid = build_grid(p.profile)
+    bits = [vis_region(s, k, grid).bits for s in cands]
+    target = grid.inside_mask
+    every = 0
+    for b in bits:
+        every |= b
+    if every & target != target:
+        raise NoSolutionWithinBudget(budget)
+    order = range(len(cands))
+    iterations = 0
+    for size in range(1, budget + 1):
+        for combo in combinations(order, size):
+            iterations += 1
+            acc = 0
+            for i in combo:
+                acc |= bits[i]
+            if acc & target == target:
+                chosen = tuple(cands[i] for i in combo)
+                return Solution.build(p, chosen, k, "exact", iterations)
     raise NoSolutionWithinBudget(budget)

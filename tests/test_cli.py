@@ -226,6 +226,24 @@ class TestRender:
                      "--svg", str(tmp_path / "x.svg")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            {"orientation": "v", "anchor": 2.7, "span": [0, 3]},
+            {"orientation": "v", "anchor": 2, "span": [True, 3]},
+            {"orientation": "v", "anchor": "1", "span": [0, 3]},
+        ],
+        ids=["float", "bool", "string"],
+    )
+    def test_non_integer_solution_values(self, rect_file, tmp_path, capsys, t):
+        # read as parse_polygon reads coordinates, never coerced with int()
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"k": 2, "transmitters": [t]}))
+        code = main(["render", rect_file, "--solution", str(sol),
+                     "--svg", str(tmp_path / "x.svg")])
+        assert code == 2
+        assert "not a solution document" in capsys.readouterr().err
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize(

@@ -1,3 +1,7 @@
+import importlib
+from itertools import combinations
+from math import comb
+
 import pytest
 
 import polytx as px
@@ -6,10 +10,13 @@ from polytx import (
     SCALE,
     Transmitter,
     approximate_2transmitters,
+    edge_aligned_candidates,
     exact_min_transmitters,
 )
 
-from oracles import covered_area, dense_exact
+from oracles import covered_area, dense_exact, reference_exact
+
+exact_mod = importlib.import_module("polytx.exact")
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
@@ -53,7 +60,7 @@ class TestFixtureOptima:
                 assert covered_area(p, sol.transmitters, k)
 
     def test_witness_is_lexicographically_first(self, polys):
-        # enumeration is in canonical candidate order, so reruns agree
+        # the lex-least witness in canonical order; 189 is the enumerator's count
         a = exact_min_transmitters(polys["GAP7"], 0)
         b = exact_min_transmitters(polys["GAP7"], 0)
         assert a.transmitters == b.transmitters
@@ -74,6 +81,93 @@ class TestBudget:
     def test_bad_budget_rejected(self, polys, budget):
         with pytest.raises(ValueError):
             exact_min_transmitters(polys["RECT"], 2, budget=budget)
+
+    @pytest.mark.parametrize("name,k", [("STAIR6", 2), ("GAP7", 0)])
+    def test_huge_budget_same_as_default(self, polys, name, k):
+        p = polys[name]
+        assert exact_min_transmitters(p, k, budget=10**6) == exact_min_transmitters(p, k)
+
+    @pytest.mark.parametrize("name,k", [("STAIR6", 2), ("GAP7", 1)])
+    def test_budget_one_below_optimum_raises(self, polys, name, k):
+        opt = exact_min_transmitters(polys[name], k).count
+        assert opt >= 2
+        with pytest.raises(NoSolutionWithinBudget) as exc:
+            exact_min_transmitters(polys[name], k, budget=opt - 1)
+        assert exc.value.budget == opt - 1
+
+    def test_recursion_depth_bounded(self, polys, monkeypatch):
+        # _covers recurses through the module global, so the wrapper sees
+        # every level of the search
+        inner = exact_mod._covers
+        depth = peak = 0
+
+        def counted(*args):
+            nonlocal depth, peak
+            depth += 1
+            peak = max(peak, depth)
+            try:
+                return inner(*args)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(exact_mod, "_covers", counted)
+        cases = [(polys["GAP7"], 0, b) for b in (1, 2, 3, 8, 10**6)]
+        cases += [(px.random_monotone(18, 8, 4, 16), 0, b) for b in (3, 10**6)]
+        for p, k, budget in cases:
+            peak = 0
+            try:
+                exact_min_transmitters(p, k, budget=budget)
+            except NoSolutionWithinBudget:
+                pass
+            assert 0 < peak <= min(budget, len(edge_aligned_candidates(p.profile)))
+
+
+class TestAgainstReferenceEnumerator:
+    """The search returns the enumerator's Solution, iterations included."""
+
+    @staticmethod
+    def outcome(solver, p, k, budget):
+        try:
+            return solver(p, k, budget=budget)
+        except NoSolutionWithinBudget as exc:
+            return ("no solution within", exc.budget)
+
+    @pytest.mark.parametrize("budget", [1, 2, 8])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_corpus(self, k, budget):
+        for _, p in px.corpus(300):
+            assert self.outcome(exact_min_transmitters, p, k, budget) == self.outcome(
+                reference_exact, p, k, budget
+            )
+
+    @pytest.mark.parametrize("slabs", [14, 17, 20])
+    def test_random_monotone(self, slabs):
+        for seed in range(6):
+            p = px.random_monotone(slabs, 8, 4, seed)
+            for k in (0, 1, 2):
+                assert exact_min_transmitters(p, k) == reference_exact(p, k)
+
+    def test_worst_enumeration_case_pinned(self):
+        # 2.2 M subsets for the enumerator; iterations is its count, unchanged
+        sol = exact_min_transmitters(px.random_monotone(18, 8, 4, 16), 0)
+        assert sol.iterations == 2_223_737
+        assert sol.transmitters == (
+            T("v", 14, 0, 8),
+            T("v", 24, 0, 7),
+            T("v", 48, 2, 7),
+            T("h", 2, 0, 11),
+            T("h", 2, 32, 46),
+        )
+
+
+class TestEnumerationCount:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_cardinality_first_enumeration(self, n):
+        # every smaller size first, then the rank among combinations of size r
+        for r in range(1, n + 1):
+            before = sum(comb(n, s) for s in range(1, r))
+            for rank, combo in enumerate(combinations(range(n), r)):
+                assert exact_mod.enumeration_count(combo, n) == before + rank + 1
 
 
 class TestArguments:
