@@ -8,6 +8,7 @@ exact solver work on a finite edge-aligned candidate family.
 from .approx import (
     FinderResult,
     Solution,
+    SweepTables,
     approximate_2transmitters,
     hv_finder,
     vh_finder,
@@ -59,6 +60,7 @@ __all__ = [
     "SlabProfile",
     "Solution",
     "Span",
+    "SweepTables",
     "Transmitter",
     "approximate_2transmitters",
     "build_grid",

@@ -9,9 +9,8 @@ least one in any optimal cover gives the factor-2 guarantee.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
 
 from .candidates import (
     HORIZONTAL,
@@ -21,7 +20,7 @@ from .candidates import (
     canonical,
     edge_aligned_candidates,
 )
-from .geometry import CellGrid, OrthoPolygon, SlabProfile, build_grid, cut_right
+from .geometry import OrthoPolygon, SlabProfile, build_grid, cut_right
 from .visibility import covers_polygon, union_regions, vis_region
 
 
@@ -103,110 +102,139 @@ class Solution:
         }
 
 
-def _check_inputs(cands: Sequence[Transmitter], regions: Sequence[int]) -> None:
-    if not cands:
-        raise ValueError("finder needs a nonempty candidate set")
-    if len(regions) != len(cands):
-        raise ValueError(f"{len(regions)} regions for {len(cands)} candidates")
+class SweepTables:
+    """What the greedy finders read of a polygon, built once per solve.
 
+    ``grid`` is ``build_grid(prof)``, so grid column c is slab c, between
+    ``prof.xs[c]`` and ``prof.xs[c + 1]``.  Of the edge-aligned family it
+    keeps:
 
-def vh_finder(
-    prof: SlabProfile,
-    cands: Sequence[Transmitter],
-    *,
-    grid: CellGrid,
-    regions: Sequence[int],
-) -> FinderResult:
-    """Vertical-first step.
+    - the vertical at ``prof.xs[j]`` (``verticals[j]``) and, for j >= 1, its
+      k=2 region bits and ``reach[j]``: one past the rightmost column left
+      of its anchor that holds an inside cell the region misses, or 0.  So
+      the vertical sees every inside cell of columns col .. j-1 exactly when
+      ``reach[j] <= col``.  The left edge's region is never needed (the
+      vertical at ``xs[1]`` always beats it).
+    - per edge ordinate y: the last slab whose span ends on y, and the
+      maximal runs at y as sorted ``lo`` and ``hi`` lists.  These runs get
+      no regions; a run's region is the inside cells of the columns it
+      spans (full-column property, see :mod:`polytx.visibility`).
 
-    Takes the rightmost vertical candidate that still sees every cell weakly
-    left of its own line (the left edge qualifies vacuously).  If something
-    is left over, the first uncovered cell is patched with the horizontal
-    candidate over it that reaches furthest right (ties: lowest line); the
-    cut is that segment's right end.
-
-    ``regions`` holds the k=2 region bits of each candidate, parallel to
-    ``cands``, on ``grid``; whatever lies outside ``grid.inside_mask`` is
-    ignored.
+    A region on the whole polygon agrees with the region on any
+    ``cut_right`` remainder on the columns right of the cut: walls left of
+    the cut are never reached and walls on it are not crossed.
     """
-    _check_inputs(cands, regions)
-    inside = grid.inside_mask
-    s_v = v_bits = None
-    for s, bits in zip(cands, regions):
-        if s.orientation != VERTICAL:
-            continue
-        if s_v is not None and s.anchor <= s_v.anchor:
-            continue
-        left = grid.inside_mask_between(None, s.anchor)
-        if left & bits == left:  # cheaper than left & ~bits == 0 on wide grids
-            s_v, v_bits = s, bits
-    if s_v is None:
-        raise ValueError("no usable vertical candidate (family must span the left edge)")
-    uncovered = inside & ~v_bits
+
+    def __init__(self, prof: SlabProfile):
+        self.prof = prof
+        self.grid = grid = build_grid(prof)
+        family = edge_aligned_candidates(prof)
+        n = len(prof.xs)
+        self.verticals = family[:n]
+        self.vertical_bits = [0]
+        self.reach = [0]
+        for j in range(1, n):
+            bits = vis_region(family[j], 2, grid).bits
+            missed = (grid.inside_mask ^ bits) & grid.columns(0, j)
+            self.vertical_bits.append(bits)
+            # one past the column of the highest missed cell; 0 when none
+            self.reach.append((missed.bit_length() + grid.ny - 1) // grid.ny)
+        last = {}
+        for i, span in enumerate(prof.spans):
+            for y in span:
+                last[y] = i
+        runs: dict[int, tuple[list[int], list[int]]] = {}
+        for s in family[n:]:
+            los, his = runs.setdefault(s.anchor, ([], []))
+            los.append(s.span[0])
+            his.append(s.span[1])
+        # (last slab, y, los, his), latest first: the ordinates of the
+        # remainder at column c are a prefix, those with last >= c.
+        self.ordinates = sorted(((last[y], y, *lh) for y, lh in runs.items()), reverse=True)
+
+    def column(self, cut: int) -> int:
+        """The slab index of breakpoint ``cut``."""
+        xs = self.prof.xs
+        c = bisect_left(xs, cut)
+        if c == len(xs) or xs[c] != cut:
+            raise ValueError(f"x={cut} is not a breakpoint of the profile")
+        return c
+
+    def rightmost_vertical(self, c: int, col: int) -> int:
+        """The largest j > c whose vertical sees every inside cell of
+        columns col .. j-1."""
+        reach = self.reach
+        for j in range(len(reach) - 1, c, -1):
+            if reach[j] <= col:
+                return j
+        raise ValueError(f"no usable vertical right of x={self.prof.xs[c]}")
+
+    def furthest_run(self, c: int, x: int) -> Transmitter | None:
+        """Among the runs of the remainder at column c with lo <= x < hi,
+        the one reaching furthest right (ties: lowest line), clipped to the
+        cut."""
+        best = None
+        for last, y, los, his in self.ordinates:
+            if last < c:
+                break
+            i = bisect_right(his, x)
+            if i < len(his) and los[i] <= x and (best is None or (his[i], -y) > (best[2], -best[0])):
+                best = (y, los[i], his[i])
+        if best is None:
+            return None
+        y, lo, hi = best
+        return Transmitter(HORIZONTAL, y, (max(lo, self.prof.xs[c]), hi))
+
+
+def vh_finder(sweep: SweepTables, cut: int) -> FinderResult:
+    """Vertical-first step on the remainder right of breakpoint ``cut``.
+
+    Takes the rightmost vertical that still sees every cell of the
+    remainder weakly left of its own line.  If something is left over, the
+    first uncovered cell is patched with the horizontal over it that reaches
+    furthest right (ties: lowest line); the cut is that segment's right end.
+    """
+    c = sweep.column(cut)
+    grid = sweep.grid
+    inside = grid.inside_mask_between(cut, None)
+    j = sweep.rightmost_vertical(c, c)
+    s_v = sweep.verticals[j]
+    uncovered = inside & ~sweep.vertical_bits[j]
     if uncovered == 0:
-        return FinderResult(s_v, None, prof.x_max, True)
+        return FinderResult(s_v, None, sweep.prof.x_max, True)
     ix, _ = grid.first_cell(uncovered)
-    px = grid.rep_xs[ix]
-    s_h = h_bits = None
-    for s, bits in zip(cands, regions):
-        if s.orientation != HORIZONTAL or not s.span[0] < px < s.span[1]:
-            continue
-        if s_h is None or (s.span[1], -s.anchor) > (s_h.span[1], -s_h.anchor):
-            s_h, h_bits = s, bits
+    s_h = sweep.furthest_run(c, grid.rep_xs[ix])
     if s_h is None:
         raise ValueError("no horizontal candidate over the first uncovered cell")
-    if uncovered & ~h_bits == 0:
-        return FinderResult(s_v, s_h, prof.x_max, True)
+    if uncovered & ~grid.inside_mask_between(*s_h.span) == 0:
+        return FinderResult(s_v, s_h, sweep.prof.x_max, True)
     return FinderResult(s_v, s_h, s_h.span[1], False)
 
 
-def hv_finder(
-    prof: SlabProfile,
-    cands: Sequence[Transmitter],
-    *,
-    grid: CellGrid,
-    regions: Sequence[int],
-) -> FinderResult:
-    """Horizontal-first step.
+def hv_finder(sweep: SweepTables, cut: int) -> FinderResult:
+    """Horizontal-first step on the remainder right of breakpoint ``cut``.
 
-    Takes the left-anchored horizontal candidate reaching furthest right
-    (ties: lowest line), then the rightmost vertical candidate that sees
-    everything between that segment's right end and its own line.  The cut
-    is the last breakpoint with nothing uncovered left of it.
-
-    ``grid`` and ``regions`` are as for :func:`vh_finder`.
+    Takes the horizontal starting on the cut that reaches furthest right
+    (ties: lowest line), then the rightmost vertical that sees everything
+    between that segment's right end and its own line.  The cut is the last
+    breakpoint with nothing uncovered left of it.
     """
-    _check_inputs(cands, regions)
-    inside = grid.inside_mask
-    x_min = prof.x_min
-    s_h = h_bits = None
-    for s, bits in zip(cands, regions):
-        if s.orientation != HORIZONTAL or s.span[0] != x_min:
-            continue
-        if s_h is None or (s.span[1], -s.anchor) > (s_h.span[1], -s_h.anchor):
-            s_h, h_bits = s, bits
+    c = sweep.column(cut)
+    grid = sweep.grid
+    inside = grid.inside_mask_between(cut, None)
+    s_h = sweep.furthest_run(c, cut)
     if s_h is None:
         raise ValueError("no left-anchored horizontal candidate")
     ell = s_h.span[1]
+    h_bits = grid.inside_mask_between(cut, ell)
     if inside & ~h_bits == 0:
-        return FinderResult(s_h, None, prof.x_max, True)
-    s_v = v_bits = None
-    for s, bits in zip(cands, regions):
-        if s.orientation != VERTICAL:
-            continue
-        if s_v is not None and s.anchor <= s_v.anchor:
-            continue
-        between = grid.inside_mask_between(ell, s.anchor)
-        if between & bits == between:
-            s_v, v_bits = s, bits
-    if s_v is None:
-        raise ValueError("no usable vertical candidate (family needs one left of the cut)")
-    uncovered = inside & ~(h_bits | v_bits)
+        return FinderResult(s_h, None, sweep.prof.x_max, True)
+    j = sweep.rightmost_vertical(c, sweep.column(ell))
+    uncovered = inside & ~(h_bits | sweep.vertical_bits[j])
     if uncovered == 0:
-        return FinderResult(s_h, s_v, prof.x_max, True)
+        return FinderResult(s_h, sweep.verticals[j], sweep.prof.x_max, True)
     ix, _ = grid.first_cell(uncovered)
-    cut = prof.xs[bisect_right(prof.xs, grid.x_cuts[ix]) - 1]
-    return FinderResult(s_h, s_v, cut, False)
+    return FinderResult(s_h, sweep.verticals[j], sweep.prof.xs[ix], False)
 
 
 def _better(a: FinderResult, b: FinderResult) -> FinderResult:
@@ -219,78 +247,26 @@ def _better(a: FinderResult, b: FinderResult) -> FinderResult:
     return b
 
 
-class _SweepFamily:
-    """The polygon's edge-aligned family and k=2 regions, built once per solve.
-
-    Each round's remainder family is derived from these tables: only the
-    vertical on the cut is new, because that line is shorter on the
-    remainder.  Every other region is the whole polygon's, which agrees with
-    the remainder's on the columns right of the cut (walls left of the cut
-    are never reached, walls on it are not crossed).
-    """
-
-    def __init__(self, prof: SlabProfile, grid: CellGrid):
-        family = edge_aligned_candidates(prof)
-        bits = [vis_region(s, 2, grid).bits for s in family[1:]]
-        nv = len(prof.xs)
-        # Verticals right of the left edge, by anchor.
-        self.verticals = family[1:nv]
-        self.vertical_bits = bits[: nv - 1]
-        # Ordinate -> (right ends, runs, region bits), the runs sorted by lo.
-        self.runs: dict[int, tuple[list[int], list[Transmitter], list[int]]] = {}
-        for s, b in zip(family[nv:], bits[nv - 1 :]):
-            his, segs, regs = self.runs.setdefault(s.anchor, ([], [], []))
-            his.append(s.span[1])
-            segs.append(s)
-            regs.append(b)
-
-    def at(self, current: SlabProfile, grid: CellGrid) -> tuple[list[Transmitter], list[int]]:
-        """The canonical family of `current`, a cut_right remainder of the
-        whole profile, and its regions on `grid` (a view at the cut)."""
-        cut = current.x_min
-        edge = Transmitter(VERTICAL, cut, current.spans[0])
-        right = 1 - len(current.xs)  # the verticals strictly right of the cut
-        cands = [edge, *self.verticals[right:]]
-        regions = [vis_region(edge, 2, grid).bits, *self.vertical_bits[right:]]
-        # Runs at one ordinate are disjoint, so clipping the first one that
-        # reaches past the cut keeps them in canonical order.
-        for y in current.edge_ordinates:
-            his, segs, regs = self.runs[y]
-            j = bisect_right(his, cut)
-            if j < len(segs) and segs[j].span[0] < cut:
-                cands.append(Transmitter(HORIZONTAL, y, (cut, his[j])))
-                regions.append(regs[j])
-                j += 1
-            cands += segs[j:]
-            regions += regs[j:]
-        return cands, regions
-
-
 def approximate_2transmitters(p: OrthoPolygon) -> Solution:
     """Factor-2 approximation of the minimum 2-transmitter cover.
 
-    The candidate family, the cell grid and the k=2 regions are built once,
-    on the whole polygon.  Each round sees the remainder right of the cut
-    through a view of that grid and a family clipped at the cut, so every
-    chosen segment is maximal on the remainder; only the vertical on the cut
-    gets a new region.  Coverage of the original polygon is re-verified at
-    the end rather than inferred from the loop.  Raises RuntimeError when a
-    round fails to advance the cut or the round and size bounds behind the
-    factor-2 guarantee are broken.
+    The candidate family, the cell grid and the k=2 regions of the
+    verticals are built once, on the whole polygon (:class:`SweepTables`).
+    Each round runs both finders on the remainder right of the cut, so
+    every chosen segment is maximal on the remainder; a round costs one
+    integer test per vertical it passes and one bisection per live
+    ordinate, and forms only the chosen horizontal's bits.  Coverage of the
+    original polygon is re-verified at the end rather than inferred from the
+    loop.  Raises RuntimeError when a round fails to advance the cut or the
+    round and size bounds behind the factor-2 guarantee are broken.
     """
     prof = p.profile
-    grid = build_grid(prof)
-    family = _SweepFamily(prof, grid)
+    sweep = SweepTables(prof)
     chosen: list[Transmitter] = []
     current: SlabProfile | None = prof
     iterations = 0
     while current is not None:
-        view = grid.right_of(current.x_min)
-        cands, regions = family.at(current, view)
-        step = _better(
-            vh_finder(current, cands, grid=view, regions=regions),
-            hv_finder(current, cands, grid=view, regions=regions),
-        )
+        step = _better(vh_finder(sweep, current.x_min), hv_finder(sweep, current.x_min))
         chosen.extend(step.transmitters)
         iterations += 1
         if step.done:

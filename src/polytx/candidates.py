@@ -85,7 +85,9 @@ def edge_aligned_candidates(prof: SlabProfile) -> SegmentSet:
     for y in prof.edge_ordinates:
         for run in prof.runs_at(y):
             segs.append(Transmitter(HORIZONTAL, y, run))
-    return canonical(segs)
+    # Built in canonical order (verticals by x, then runs by y and lo), and
+    # without duplicates, so canonical() would return it unchanged.
+    return tuple(segs)
 
 
 def prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> SegmentSet:

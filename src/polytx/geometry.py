@@ -468,10 +468,13 @@ class CellGrid:
             iy_lo, iy_hi = bisect_left(y_cuts, lo), bisect_left(y_cuts, hi)
             inside |= (1 << ix * self.ny + iy_hi) - (1 << ix * self.ny + iy_lo)
         self.inside_mask = inside
-        self.row_edge_xs = tuple(
-            tuple(x for (x, ylo, yhi) in profile.vertical_edges if ylo < ry < yhi)
-            for ry in self.rep_ys
-        )
+        # Row iy's walls: the vertical edges with ylo < rep_ys[iy] < yhi.  The
+        # edges come sorted by x, so every row's list is too.
+        rows: list[list[int]] = [[] for _ in self.rep_ys]
+        for x, ylo, yhi in profile.vertical_edges:
+            for iy in range(bisect_right(self.rep_ys, ylo), bisect_left(self.rep_ys, yhi)):
+                rows[iy].append(x)
+        self.row_edge_xs = tuple(map(tuple, rows))
 
     def has_x_cut(self, x: int) -> bool:
         return x in self._x_cut_set
@@ -512,19 +515,6 @@ class CellGrid:
         if ix_hi <= ix_lo:
             return 0
         return self.inside_mask & self.columns(ix_lo, ix_hi)
-
-    def right_of(self, x: int) -> "CellGrid":
-        """Shallow copy whose inside cells are only the columns at or right of x.
-
-        Every table is shared; on those columns, inside_mask_between and
-        first_cell answer as the grid of cut_right(profile, x) would.
-        """
-        view = object.__new__(CellGrid)
-        for name in CellGrid.__slots__:
-            setattr(view, name, getattr(self, name))
-        shift = bisect_left(self.x_cuts, x) * self.ny
-        view.inside_mask = self.inside_mask >> shift << shift
-        return view
 
 
 def build_grid(

@@ -26,8 +26,8 @@ def tractable_corpus() -> list[px.OrthoPolygon]:
 def stalled_finders(monkeypatch):
     """Both greedy finders return a round whose cut stays on the left edge."""
 
-    def stalled(prof, cands, **_):
-        return px.FinderResult(cands[0], None, prof.x_min, False)
+    def stalled(sweep, cut):
+        return px.FinderResult(sweep.verticals[0], None, cut, False)
 
     monkeypatch.setattr(px.approx, "vh_finder", stalled)
     monkeypatch.setattr(px.approx, "hv_finder", stalled)

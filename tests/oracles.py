@@ -8,10 +8,13 @@ plain cell-by-cell form, the reference at sizes brute force cannot reach.
 reference_validate is the validator's earlier all-pairs form, the
 reference for the single slab scan, reference_approximate is the greedy
 sweep's earlier per-remainder loop, the reference for the one-grid sweep,
+reference_vh_finder and reference_hv_finder are the finders' earlier
+candidate-list scans, the reference for the per-vertical reach tables,
 reference_exact is the exact solver's earlier subset enumeration, the
 reference for the depth-first search and its closed-form iteration count,
-and dense_exact is the exact search over every unit-lattice line, the
-reference for the edge-aligned family.  The small grid and profile helpers
+dense_exact is the exact search over every unit-lattice line, the
+reference for the edge-aligned family, and reference_row_edge_xs is the
+grid's per-row wall table as a scan of every edge per row.  The small grid and profile helpers
 (cell_rep, is_inside, cell_area, profile_area, contains_point) are what the
 checks need of a CellGrid or SlabProfile beyond what the solvers use.
 """
@@ -32,8 +35,8 @@ from polytx import (
     validate,
     vis_region,
 )
-from polytx.approx import _better, hv_finder, vh_finder
-from polytx.candidates import canonical, edge_aligned_candidates
+from polytx.approx import FinderResult, _better
+from polytx.candidates import HORIZONTAL, VERTICAL, canonical, edge_aligned_candidates
 from polytx.geometry import (
     COORD_LIMIT,
     SCALE,
@@ -208,6 +211,14 @@ def percolumn_inside_between(grid, x_lo, x_hi) -> int:
             if is_inside(grid, ix, iy):
                 bits |= 1 << grid.cell_index(ix, iy)
     return bits
+
+
+def reference_row_edge_xs(grid: CellGrid) -> tuple[tuple[int, ...], ...]:
+    """CellGrid.row_edge_xs as a scan of every vertical edge per row."""
+    return tuple(
+        tuple(x for (x, ylo, yhi) in grid.profile.vertical_edges if ylo < ry < yhi)
+        for ry in grid.rep_ys
+    )
 
 
 def mirrored(p: OrthoPolygon) -> OrthoPolygon:
@@ -414,16 +425,109 @@ def reference_validate(vertices: Iterable[Point]) -> OrthoPolygon:
 
 def finder_tables(prof: SlabProfile, cands: Sequence[Transmitter]) -> dict:
     """A fresh grid on prof and the k=2 regions of cands on it, as the
-    finders' ``grid`` and ``regions`` keywords."""
+    reference finders' ``grid`` and ``regions`` keywords."""
     grid = build_grid(prof)
     return {"grid": grid, "regions": [vis_region(s, 2, grid).bits for s in cands]}
+
+
+def _check_finder_inputs(cands: Sequence[Transmitter], regions: Sequence[int]) -> None:
+    if not cands:
+        raise ValueError("finder needs a nonempty candidate set")
+    if len(regions) != len(cands):
+        raise ValueError(f"{len(regions)} regions for {len(cands)} candidates")
+
+
+def reference_vh_finder(
+    prof: SlabProfile,
+    cands: Sequence[Transmitter],
+    *,
+    grid: CellGrid,
+    regions: Sequence[int],
+) -> FinderResult:
+    """vh_finder as it was before the per-vertical reach tables: a scan of
+    the candidate list, one region test per vertical.
+
+    ``regions`` holds the k=2 region bits of each candidate, parallel to
+    ``cands``, on ``grid`` (see :func:`finder_tables`).
+    """
+    _check_finder_inputs(cands, regions)
+    inside = grid.inside_mask
+    s_v = v_bits = None
+    for s, bits in zip(cands, regions):
+        if s.orientation != VERTICAL:
+            continue
+        if s_v is not None and s.anchor <= s_v.anchor:
+            continue
+        left = grid.inside_mask_between(None, s.anchor)
+        if left & bits == left:
+            s_v, v_bits = s, bits
+    if s_v is None:
+        raise ValueError("no usable vertical candidate (family must span the left edge)")
+    uncovered = inside & ~v_bits
+    if uncovered == 0:
+        return FinderResult(s_v, None, prof.x_max, True)
+    ix, _ = grid.first_cell(uncovered)
+    px = grid.rep_xs[ix]
+    s_h = h_bits = None
+    for s, bits in zip(cands, regions):
+        if s.orientation != HORIZONTAL or not s.span[0] < px < s.span[1]:
+            continue
+        if s_h is None or (s.span[1], -s.anchor) > (s_h.span[1], -s_h.anchor):
+            s_h, h_bits = s, bits
+    if s_h is None:
+        raise ValueError("no horizontal candidate over the first uncovered cell")
+    if uncovered & ~h_bits == 0:
+        return FinderResult(s_v, s_h, prof.x_max, True)
+    return FinderResult(s_v, s_h, s_h.span[1], False)
+
+
+def reference_hv_finder(
+    prof: SlabProfile,
+    cands: Sequence[Transmitter],
+    *,
+    grid: CellGrid,
+    regions: Sequence[int],
+) -> FinderResult:
+    """hv_finder as it was before the per-vertical reach tables; arguments
+    as for :func:`reference_vh_finder`."""
+    _check_finder_inputs(cands, regions)
+    inside = grid.inside_mask
+    x_min = prof.x_min
+    s_h = h_bits = None
+    for s, bits in zip(cands, regions):
+        if s.orientation != HORIZONTAL or s.span[0] != x_min:
+            continue
+        if s_h is None or (s.span[1], -s.anchor) > (s_h.span[1], -s_h.anchor):
+            s_h, h_bits = s, bits
+    if s_h is None:
+        raise ValueError("no left-anchored horizontal candidate")
+    ell = s_h.span[1]
+    if inside & ~h_bits == 0:
+        return FinderResult(s_h, None, prof.x_max, True)
+    s_v = v_bits = None
+    for s, bits in zip(cands, regions):
+        if s.orientation != VERTICAL:
+            continue
+        if s_v is not None and s.anchor <= s_v.anchor:
+            continue
+        between = grid.inside_mask_between(ell, s.anchor)
+        if between & bits == between:
+            s_v, v_bits = s, bits
+    if s_v is None:
+        raise ValueError("no usable vertical candidate (family needs one left of the cut)")
+    uncovered = inside & ~(h_bits | v_bits)
+    if uncovered == 0:
+        return FinderResult(s_h, s_v, prof.x_max, True)
+    ix, _ = grid.first_cell(uncovered)
+    cut = prof.xs[bisect_right(prof.xs, grid.x_cuts[ix]) - 1]
+    return FinderResult(s_h, s_v, cut, False)
 
 
 def reference_approximate(p: OrthoPolygon) -> Solution:
     """approximate_2transmitters as it was before the one-grid sweep.
 
     Every round rebuilds the edge-aligned family on the cut_right remainder,
-    and a grid and regions of its own for the finders.
+    and a grid and regions of its own for the reference finders.
     """
     chosen: list[Transmitter] = []
     current: SlabProfile | None = p.profile
@@ -431,7 +535,10 @@ def reference_approximate(p: OrthoPolygon) -> Solution:
     while current is not None:
         cands = edge_aligned_candidates(current)
         tables = finder_tables(current, cands)
-        step = _better(vh_finder(current, cands, **tables), hv_finder(current, cands, **tables))
+        step = _better(
+            reference_vh_finder(current, cands, **tables),
+            reference_hv_finder(current, cands, **tables),
+        )
         chosen.extend(step.transmitters)
         iterations += 1
         if step.done:

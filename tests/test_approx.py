@@ -5,16 +5,24 @@ import pytest
 import polytx as px
 from polytx import (
     SCALE,
+    CellGrid,
     Solution,
+    SweepTables,
     Transmitter,
     approximate_2transmitters,
-    build_grid,
+    cut_right,
     hv_finder,
     vh_finder,
 )
 from polytx.candidates import edge_aligned_candidates
 
-from oracles import covered_area, finder_tables, reference_approximate
+from oracles import (
+    covered_area,
+    finder_tables,
+    reference_approximate,
+    reference_hv_finder,
+    reference_vh_finder,
+)
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
@@ -22,9 +30,8 @@ def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
 
 
 def finders_for(p):
-    cands = edge_aligned_candidates(p.profile)
-    tables = finder_tables(p.profile, cands)
-    return vh_finder(p.profile, cands, **tables), hv_finder(p.profile, cands, **tables)
+    sweep = SweepTables(p.profile)
+    return vh_finder(sweep, p.profile.x_min), hv_finder(sweep, p.profile.x_min)
 
 
 class TestFinders:
@@ -67,28 +74,57 @@ class TestFinders:
         assert single.transmitters == (single.first,)
         assert single.count == 1
 
-    def test_empty_candidates_rejected(self, polys):
+    def test_empty_remainder_rejected(self, polys):
+        # right of the last breakpoint there is nothing to cover and no candidate
         prof = polys["RECT"].profile
-        with pytest.raises(ValueError):
-            vh_finder(prof, (), **finder_tables(prof, ()))
-        with pytest.raises(ValueError):
-            hv_finder(prof, (), **finder_tables(prof, ()))
+        sweep = SweepTables(prof)
+        with pytest.raises(ValueError, match="no usable vertical"):
+            vh_finder(sweep, prof.x_max)
+        with pytest.raises(ValueError, match="no left-anchored horizontal"):
+            hv_finder(sweep, prof.x_max)
 
-    def test_regions_must_parallel_candidates(self, polys):
+    def test_cut_must_be_a_breakpoint(self, polys):
         prof = polys["STAIR6"].profile
-        cands = edge_aligned_candidates(prof)
-        grid = build_grid(prof)
+        sweep = SweepTables(prof)
         for finder in (vh_finder, hv_finder):
-            with pytest.raises(ValueError, match="regions for"):
-                finder(prof, cands, grid=grid, regions=[0] * (len(cands) - 1))
+            for cut in (prof.xs[1] + SCALE, prof.x_min - SCALE, prof.x_max + SCALE):
+                with pytest.raises(ValueError, match="not a breakpoint"):
+                    finder(sweep, cut)
 
     def test_hv_finder_without_vertical_candidates_raises(self, polys):
         # STAIR6's left-anchored run leaves cells uncovered, so the step needs
         # a vertical; the check must survive python -O, which strips asserts.
+        # On a real profile the vertical right of the cut always qualifies, so
+        # the tables are made to say that none sees back to the run's end.
         prof = polys["STAIR6"].profile
-        horizontals = [s for s in edge_aligned_candidates(prof) if s.orientation == "h"]
-        with pytest.raises(ValueError, match="no usable vertical"):
-            hv_finder(prof, horizontals, **finder_tables(prof, horizontals))
+        sweep = SweepTables(prof)
+        sweep.reach = [len(prof.xs)] * len(prof.xs)
+        for finder in (vh_finder, hv_finder):
+            with pytest.raises(ValueError, match="no usable vertical"):
+                finder(sweep, prof.x_min)
+
+    @pytest.mark.parametrize("shapes", ["fixtures+corpus", "random"])
+    def test_match_reference_finders_at_every_cut(self, polys, shapes):
+        # Every breakpoint is a possible round start, so this covers every
+        # round of every sweep over these shapes and more.
+        if shapes == "random":
+            todo = [
+                px.random_monotone(slabs, h, w, seed=seed)
+                for slabs in (5, 10, 40)
+                for h, w in ((20, 4), (8, 4), (300, 1))
+                for seed in range(3 if slabs < 40 else 1)
+            ]
+        else:
+            todo = list(polys.values()) + [p for _, p in px.corpus(300)]
+        for p in todo:
+            prof = p.profile
+            sweep = SweepTables(prof)
+            for cut in prof.xs[:-1]:
+                current = cut_right(prof, cut)
+                cands = edge_aligned_candidates(current)
+                tables = finder_tables(current, cands)
+                assert vh_finder(sweep, cut) == reference_vh_finder(current, cands, **tables)
+                assert hv_finder(sweep, cut) == reference_hv_finder(current, cands, **tables)
 
 
 class TestApproximate:
@@ -157,26 +193,30 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["random40", "STAIR6"])
     def test_work_per_solve(self, monkeypatch, name):
         p = px.random_monotone(40, 20, 4, seed=1) if name == "random40" else px.fixture(name)
-        family = len(edge_aligned_candidates(p.profile))
         calls = Counter()
 
-        def counted(attr):
-            fn = getattr(px.approx, attr)
+        def counted(owner, attr):
+            fn = getattr(owner, attr)
 
             def wrapper(*args, **kwargs):
                 calls[attr] += 1
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(px.approx, attr, wrapper)
+            monkeypatch.setattr(owner, attr, wrapper)
 
         for attr in ("build_grid", "edge_aligned_candidates", "vis_region"):
-            counted(attr)
+            counted(px.approx, attr)
+        counted(CellGrid, "inside_mask_between")
         sol = approximate_2transmitters(p)
         # the sweep grid, then Solution.build's refined grid
         assert calls["build_grid"] == 2
         assert calls["edge_aligned_candidates"] == 1
-        # the family once, the vertical on each round's cut, then the check
-        assert calls["vis_region"] <= family + sol.iterations + sol.count
+        # the verticals right of the left edge once, then the check; no
+        # horizontal and no vertical on a cut gets a region in the sweep
+        assert calls["vis_region"] <= len(p.profile.xs) - 1 + sol.count
+        # per round: each finder's remainder and its chosen horizontal's
+        # columns; then one per horizontal in the check
+        assert calls["inside_mask_between"] <= 4 * sol.iterations + sol.count
 
 
 class TestSolution:

@@ -108,7 +108,15 @@ class TestEdgeAlignedFamily:
                     assert not contains_point(prof, hi + 1, s.anchor)
 
     def test_result_is_canonical(self, small_corpus):
-        for p in small_corpus:
+        # built in canonical order, so the builder does not sort
+        shapes = small_corpus + [p for _, p in px.corpus(300)]
+        shapes += [
+            px.random_monotone(slabs, h, w, seed=seed)
+            for slabs in (5, 10, 40, 160)
+            for h, w in ((20, 4), (8, 4), (300, 1))
+            for seed in range(2)
+        ]
+        for p in shapes:
             fam = edge_aligned_candidates(p.profile)
             assert fam == canonical(fam)
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from oracles import (
     notched,
     point_inside,
     profile_area,
+    reference_row_edge_xs,
     shoelace2,
 )
 
@@ -341,6 +343,21 @@ class TestCellGrid:
                     rx, ry = cell_rep(g, ix, iy)
                     assert is_inside(g, ix, iy) == point_inside(p.vertices, rx, ry)
 
+
+    def test_row_walls_match_per_row_scan(self, polys):
+        shapes = list(polys.values()) + [p for _, p in px.corpus(300)]
+        shapes += [px.random_monotone(slabs, 20, 4, seed=1) for slabs in (40, 160)]
+        rng = random.Random(0)
+        for p in shapes:
+            prof = p.profile
+            g = build_grid(prof)
+            assert g.row_edge_xs == reference_row_edge_xs(g)
+            # refined with extra even cuts, as Solution.build refines it with
+            # its transmitters' coordinates
+            xs = range(prof.x_min, prof.x_max + 1, 2)
+            ys = range(prof.y_min, prof.y_max + 1, 2)
+            refined = build_grid(prof, rng.sample(xs, min(4, len(xs))), rng.sample(ys, min(4, len(ys))))
+            assert refined.row_edge_xs == reference_row_edge_xs(refined)
 
 class TestRoundTrip:
     def test_profile_ring_profile_identity(self, small_corpus):
