@@ -105,20 +105,21 @@ class Solution:
 class SweepTables:
     """What the greedy finders read of a polygon, built once per solve.
 
-    ``grid`` is ``build_grid(prof)``, so grid column c is slab c, between
-    ``prof.xs[c]`` and ``prof.xs[c + 1]``.  Of the edge-aligned family it
-    keeps:
+    Every entry is a slab index: column c is slab c, between ``prof.xs[c]``
+    and ``prof.xs[c + 1]``, and column c of ``build_grid(prof)``, the grid
+    the table is computed on.  Of the edge-aligned family it keeps:
 
-    - the vertical at ``prof.xs[j]`` (``verticals[j]``) and, for j >= 1, its
-      k=2 region bits and ``reach[j]``: one past the rightmost column left
-      of its anchor that holds an inside cell the region misses, or 0.  So
-      the vertical sees every inside cell of columns col .. j-1 exactly when
-      ``reach[j] <= col``.  The left edge's region is never needed (the
-      vertical at ``xs[1]`` always beats it).
+    - the vertical at ``prof.xs[j]`` (``verticals[j]``) and, for j >= 1,
+      three columns holding inside cells its k=2 region misses: ``reach[j]``
+      is one past the rightmost such column left of j, or 0, so the
+      vertical sees every inside cell of columns col .. j-1 exactly when
+      ``reach[j] <= col``; ``miss_lo[j]`` and ``miss_hi[j]`` are the first
+      and last such column >= j, or None.  The left edge's entries are never
+      read (the vertical at ``xs[1]`` always beats it).
     - per edge ordinate y: the last slab whose span ends on y, and the
-      maximal runs at y as sorted ``lo`` and ``hi`` lists.  These runs get
-      no regions; a run's region is the inside cells of the columns it
-      spans (full-column property, see :mod:`polytx.visibility`).
+      maximal runs at y as sorted ``lo`` and ``hi`` column lists.  A run's
+      region is the inside cells of the columns it spans (full-column
+      property, see :mod:`polytx.visibility`).
 
     A region on the whole polygon agrees with the region on any
     ``cut_right`` remainder on the columns right of the cut: walls left of
@@ -127,27 +128,29 @@ class SweepTables:
 
     def __init__(self, prof: SlabProfile):
         self.prof = prof
-        self.grid = grid = build_grid(prof)
+        grid = build_grid(prof)
         family = edge_aligned_candidates(prof)
-        n = len(prof.xs)
+        n, ny = len(prof.xs), grid.ny
         self.verticals = family[:n]
-        self.vertical_bits = [0]
-        self.reach = [0]
+        self.reach, self.miss_lo, self.miss_hi = [0], [None], [None]
         for j in range(1, n):
-            bits = vis_region(family[j], 2, grid).bits
-            missed = (grid.inside_mask ^ bits) & grid.columns(0, j)
-            self.vertical_bits.append(bits)
-            # one past the column of the highest missed cell; 0 when none
-            self.reach.append((missed.bit_length() + grid.ny - 1) // grid.ny)
+            # one XOR: vis_region already masks its bits with inside_mask
+            missed = grid.inside_mask ^ vis_region(family[j], 2, grid).bits
+            left, right = missed & grid.columns(0, j), missed >> j * ny
+            # bit b is a cell of column b // ny
+            self.reach.append((left.bit_length() + ny - 1) // ny)
+            self.miss_lo.append(j + ((right & -right).bit_length() - 1) // ny if right else None)
+            self.miss_hi.append((missed.bit_length() - 1) // ny if right else None)
         last = {}
         for i, span in enumerate(prof.spans):
             for y in span:
                 last[y] = i
+        col = {x: i for i, x in enumerate(prof.xs)}
         runs: dict[int, tuple[list[int], list[int]]] = {}
         for s in family[n:]:
             los, his = runs.setdefault(s.anchor, ([], []))
-            los.append(s.span[0])
-            his.append(s.span[1])
+            los.append(col[s.span[0]])
+            his.append(col[s.span[1]])
         # (last slab, y, los, his), latest first: the ordinates of the
         # remainder at column c are a prefix, those with last >= c.
         self.ordinates = sorted(((last[y], y, *lh) for y, lh in runs.items()), reverse=True)
@@ -169,21 +172,22 @@ class SweepTables:
                 return j
         raise ValueError(f"no usable vertical right of x={self.prof.xs[c]}")
 
-    def furthest_run(self, c: int, x: int) -> Transmitter | None:
-        """Among the runs of the remainder at column c with lo <= x < hi,
-        the one reaching furthest right (ties: lowest line), clipped to the
-        cut."""
+    def furthest_run(self, c: int, ix: int) -> tuple[Transmitter, int] | None:
+        """Among the runs of the remainder at column c over column ix, the
+        one reaching furthest right (ties: lowest line), clipped to the cut,
+        and its end column."""
         best = None
         for last, y, los, his in self.ordinates:
             if last < c:
                 break
-            i = bisect_right(his, x)
-            if i < len(his) and los[i] <= x and (best is None or (his[i], -y) > (best[2], -best[0])):
+            i = bisect_right(his, ix)
+            if i < len(his) and los[i] <= ix and (best is None or (his[i], -y) > (best[2], -best[0])):
                 best = (y, los[i], his[i])
         if best is None:
             return None
         y, lo, hi = best
-        return Transmitter(HORIZONTAL, y, (max(lo, self.prof.xs[c]), hi))
+        xs = self.prof.xs
+        return Transmitter(HORIZONTAL, y, (xs[max(lo, c)], xs[hi])), hi
 
 
 def vh_finder(sweep: SweepTables, cut: int) -> FinderResult:
@@ -195,18 +199,17 @@ def vh_finder(sweep: SweepTables, cut: int) -> FinderResult:
     furthest right (ties: lowest line); the cut is that segment's right end.
     """
     c = sweep.column(cut)
-    grid = sweep.grid
-    inside = grid.inside_mask_between(cut, None)
     j = sweep.rightmost_vertical(c, c)
     s_v = sweep.verticals[j]
-    uncovered = inside & ~sweep.vertical_bits[j]
-    if uncovered == 0:
+    first = sweep.miss_lo[j]
+    if first is None:
         return FinderResult(s_v, None, sweep.prof.x_max, True)
-    ix, _ = grid.first_cell(uncovered)
-    s_h = sweep.furthest_run(c, grid.rep_xs[ix])
-    if s_h is None:
+    run = sweep.furthest_run(c, first)
+    if run is None:
         raise ValueError("no horizontal candidate over the first uncovered cell")
-    if uncovered & ~grid.inside_mask_between(*s_h.span) == 0:
+    s_h, end = run
+    # the vertical's misses lie in columns miss_lo .. miss_hi; a run covers whole columns
+    if sweep.miss_hi[j] < end:
         return FinderResult(s_v, s_h, sweep.prof.x_max, True)
     return FinderResult(s_v, s_h, s_h.span[1], False)
 
@@ -220,21 +223,19 @@ def hv_finder(sweep: SweepTables, cut: int) -> FinderResult:
     breakpoint with nothing uncovered left of it.
     """
     c = sweep.column(cut)
-    grid = sweep.grid
-    inside = grid.inside_mask_between(cut, None)
-    s_h = sweep.furthest_run(c, cut)
-    if s_h is None:
+    run = sweep.furthest_run(c, c)
+    if run is None:
         raise ValueError("no left-anchored horizontal candidate")
-    ell = s_h.span[1]
-    h_bits = grid.inside_mask_between(cut, ell)
-    if inside & ~h_bits == 0:
+    s_h, end = run
+    # every column holds an inside cell: the run covers the rest iff it
+    # ends on the last breakpoint
+    if s_h.span[1] == sweep.prof.x_max:
         return FinderResult(s_h, None, sweep.prof.x_max, True)
-    j = sweep.rightmost_vertical(c, sweep.column(ell))
-    uncovered = inside & ~(h_bits | sweep.vertical_bits[j])
-    if uncovered == 0:
+    j = sweep.rightmost_vertical(c, end)
+    first = sweep.miss_lo[j]
+    if first is None:
         return FinderResult(s_h, sweep.verticals[j], sweep.prof.x_max, True)
-    ix, _ = grid.first_cell(uncovered)
-    return FinderResult(s_h, sweep.verticals[j], sweep.prof.xs[ix], False)
+    return FinderResult(s_h, sweep.verticals[j], sweep.prof.xs[first], False)
 
 
 def _better(a: FinderResult, b: FinderResult) -> FinderResult:
@@ -250,15 +251,15 @@ def _better(a: FinderResult, b: FinderResult) -> FinderResult:
 def approximate_2transmitters(p: OrthoPolygon) -> Solution:
     """Factor-2 approximation of the minimum 2-transmitter cover.
 
-    The candidate family, the cell grid and the k=2 regions of the
-    verticals are built once, on the whole polygon (:class:`SweepTables`).
+    The candidate family and a slab-indexed table of the verticals' k=2
+    regions are built once, on the whole polygon (:class:`SweepTables`).
     Each round runs both finders on the remainder right of the cut, so
     every chosen segment is maximal on the remainder; a round costs one
     integer test per vertical it passes and one bisection per live
-    ordinate, and forms only the chosen horizontal's bits.  Coverage of the
-    original polygon is re-verified at the end rather than inferred from the
-    loop.  Raises RuntimeError when a round fails to advance the cut or the
-    round and size bounds behind the factor-2 guarantee are broken.
+    ordinate, with no bitset work.  Coverage of the original polygon is
+    re-verified at the end rather than inferred from the loop.  Raises
+    RuntimeError when a round fails to advance the cut or the round and
+    size bounds behind the factor-2 guarantee are broken.
     """
     prof = p.profile
     sweep = SweepTables(prof)

@@ -16,7 +16,7 @@ from .approx import approximate_2transmitters
 from .candidates import Transmitter, edge_aligned_candidates, prune_dominated
 from .errors import InvalidPolygonError, NoSolutionWithinBudget
 from .exact import exact_min_transmitters
-from .geometry import OrthoPolygon, build_grid, parse_polygon
+from .geometry import OrthoPolygon, build_grid, input_int, parse_polygon
 from .instances import random_monotone
 from .svg import render_svg
 from .visibility import vis_region
@@ -57,7 +57,7 @@ def _load_polygon(path: str) -> OrthoPolygon:
 def _load_solution(path: str) -> tuple[int, list[Transmitter]]:
     try:
         doc = json.loads(_read_text(path))
-        k = doc["k"]
+        k = input_int(doc["k"])
         txs = [Transmitter.from_input(d) for d in doc["transmitters"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise _InputError(f"{path}: not a solution document: {exc}") from exc

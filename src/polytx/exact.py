@@ -74,7 +74,7 @@ def exact_min_transmitters(
     """
     if mode != "standard":
         raise ValueError(f"mode must be 'standard', got {mode!r}")
-    if k not in (0, 1, 2):
+    if type(k) is not int or k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -436,8 +436,8 @@ class CellGrid:
     Cuts are internal (even) coordinates; each cell is entirely inside or
     entirely outside the closed polygon.  Cells are indexed column-major
     (``ix * ny + iy``), so the lowest set bit of any cell mask is the
-    minimum-x (ties: lowest y) cell — the scan order the finders need — and
-    a run of whole columns is one contiguous bit range (:meth:`columns`).
+    minimum-x (ties: lowest y) cell and a run of whole columns is one
+    contiguous bit range (:meth:`columns`).
     Outside cells keep their indices; ``inside_mask`` marks the polygon.
     ``row_ones`` has the bit of row 0 in every column set, so
     ``row_ones << iy`` is row iy.
@@ -496,13 +496,6 @@ class CellGrid:
             idx = low.bit_length() - 1
             yield divmod(idx, self.ny)
             mask ^= low
-
-    def first_cell(self, mask: int) -> tuple[int, int] | None:
-        """Minimum-x (ties: lowest y) cell of mask, or None when empty."""
-        if mask == 0:
-            return None
-        idx = (mask & -mask).bit_length() - 1
-        return divmod(idx, self.ny)
 
     def columns(self, ix_lo: int, ix_hi: int) -> int:
         """Every cell, inside or not, of columns ix_lo .. ix_hi - 1."""

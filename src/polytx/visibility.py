@@ -42,7 +42,7 @@ def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
     grid-aligned (anchor and span endpoints on cuts); then no cell straddles
     any of its lines and the region is exact, not just a sample.
     """
-    if k not in (0, 1, 2):
+    if type(k) is not int or k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     lo, hi = s.span
     if s.orientation == HORIZONTAL:

@@ -15,8 +15,8 @@ reference for the depth-first search and its closed-form iteration count,
 dense_exact is the exact search over every unit-lattice line, the
 reference for the edge-aligned family, and reference_row_edge_xs is the
 grid's per-row wall table as a scan of every edge per row.  The small grid and profile helpers
-(cell_rep, is_inside, cell_area, profile_area, contains_point) are what the
-checks need of a CellGrid or SlabProfile beyond what the solvers use.
+(cell_rep, is_inside, first_cell, cell_area, profile_area, contains_point) are
+what the checks need of a CellGrid or SlabProfile beyond what the solvers use.
 """
 
 from __future__ import annotations
@@ -57,6 +57,14 @@ def cell_rep(grid: CellGrid, ix: int, iy: int) -> Point:
 
 def is_inside(grid: CellGrid, ix: int, iy: int) -> bool:
     return bool(grid.inside_mask >> grid.cell_index(ix, iy) & 1)
+
+
+def first_cell(grid: CellGrid, mask: int) -> tuple[int, int] | None:
+    """Minimum-x (ties: lowest y) cell of mask, or None when empty."""
+    if mask == 0:
+        return None
+    idx = (mask & -mask).bit_length() - 1
+    return divmod(idx, grid.ny)
 
 
 def cell_area(grid: CellGrid, mask: int) -> int:
@@ -466,7 +474,7 @@ def reference_vh_finder(
     uncovered = inside & ~v_bits
     if uncovered == 0:
         return FinderResult(s_v, None, prof.x_max, True)
-    ix, _ = grid.first_cell(uncovered)
+    ix, _ = first_cell(grid, uncovered)
     px = grid.rep_xs[ix]
     s_h = h_bits = None
     for s, bits in zip(cands, regions):
@@ -518,7 +526,7 @@ def reference_hv_finder(
     uncovered = inside & ~(h_bits | v_bits)
     if uncovered == 0:
         return FinderResult(s_h, s_v, prof.x_max, True)
-    ix, _ = grid.first_cell(uncovered)
+    ix, _ = first_cell(grid, uncovered)
     cut = prof.xs[bisect_right(prof.xs, grid.x_cuts[ix]) - 1]
     return FinderResult(s_h, s_v, cut, False)
 

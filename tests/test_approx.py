@@ -10,6 +10,7 @@ from polytx import (
     SweepTables,
     Transmitter,
     approximate_2transmitters,
+    build_grid,
     cut_right,
     hv_finder,
     vh_finder,
@@ -19,6 +20,7 @@ from polytx.candidates import edge_aligned_candidates
 from oracles import (
     covered_area,
     finder_tables,
+    oracle_region_bits,
     reference_approximate,
     reference_hv_finder,
     reference_vh_finder,
@@ -214,9 +216,34 @@ class TestSweep:
         # the verticals right of the left edge once, then the check; no
         # horizontal and no vertical on a cut gets a region in the sweep
         assert calls["vis_region"] <= len(p.profile.xs) - 1 + sol.count
-        # per round: each finder's remainder and its chosen horizontal's
-        # columns; then one per horizontal in the check
-        assert calls["inside_mask_between"] <= 4 * sol.iterations + sol.count
+        # the finders do no grid work: only the check's horizontals call it
+        assert calls["inside_mask_between"] <= sol.count
+
+    @pytest.mark.parametrize("shapes", ["fixtures+corpus", "random"])
+    def test_tables_match_oracle_regions(self, polys, shapes):
+        # The three columns per vertical against the brute-force ring
+        # oracle's region, and the run lists against runs_at in slab indices.
+        if shapes == "random":
+            todo = [px.random_monotone(40, h, w, seed=0) for h, w in ((20, 4), (300, 1))]
+        else:
+            todo = list(polys.values()) + [p for _, p in px.corpus(300)]
+        for p in todo:
+            prof = p.profile
+            sweep = SweepTables(prof)
+            grid = build_grid(prof)
+            for j in range(1, len(prof.xs)):
+                seen = oracle_region_bits(p, sweep.verticals[j], 2, grid)
+                cols = {ix for ix, _ in grid.iter_cells(grid.inside_mask & ~seen)}
+                left = [ix for ix in cols if ix < j]
+                right = [ix for ix in cols if ix >= j]
+                assert sweep.reach[j] == (max(left) + 1 if left else 0)
+                assert sweep.miss_lo[j] == (min(right) if right else None)
+                assert sweep.miss_hi[j] == (max(right) if right else None)
+            ordinates = {v for span in prof.spans for v in span}
+            assert {y for _, y, _, _ in sweep.ordinates} == ordinates
+            for _, y, los, his in sweep.ordinates:
+                expected = [(sweep.column(lo), sweep.column(hi)) for lo, hi in prof.runs_at(y)]
+                assert list(zip(los, his)) == expected
 
 
 class TestSolution:

@@ -244,6 +244,27 @@ class TestRender:
         assert code == 2
         assert "not a solution document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [True, "1", 2.5], ids=["bool", "string", "fraction"])
+    def test_non_integer_solution_k(self, rect_file, tmp_path, capsys, k):
+        # k is read with the transmitter fields' rule; --vis would index with it
+        sol = tmp_path / "sol.json"
+        t = {"orientation": "v", "anchor": 3, "span": [0, 3]}
+        sol.write_text(json.dumps({"k": k, "transmitters": [t]}))
+        code = main(["render", rect_file, "--solution", str(sol),
+                     "--vis", "0", "--svg", str(tmp_path / "x.svg")])
+        assert code == 2
+        assert "not a solution document" in capsys.readouterr().err
+
+    def test_integral_float_solution_k(self, valley_file, tmp_path):
+        # JSON 1.0 is the integer 1, as for coordinates; the left wall's
+        # region indexes the row walls with k
+        sol = tmp_path / "sol.json"
+        t = {"orientation": "v", "anchor": 0, "span": [0, 3]}
+        sol.write_text(json.dumps({"k": 1.0, "transmitters": [t]}))
+        code = main(["render", valley_file, "--solution", str(sol),
+                     "--vis", "0", "--svg", str(tmp_path / "x.svg")])
+        assert code == 0
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize(

@@ -177,7 +177,7 @@ class TestArguments:
             with pytest.raises(ValueError):
                 exact_min_transmitters(polys["RECT"], 2, mode=mode)
 
-    @pytest.mark.parametrize("k", [-1, 3, 7])
+    @pytest.mark.parametrize("k", [-1, 3, 7, 1.0, True])
     def test_bad_k_rejected(self, polys, k):
         with pytest.raises(ValueError):
             exact_min_transmitters(polys["RECT"], k)

@@ -11,6 +11,7 @@ from oracles import (
     cell_area,
     cell_rep,
     contains_point,
+    first_cell,
     is_inside,
     notched,
     point_inside,
@@ -324,8 +325,8 @@ class TestCellGrid:
 
     def test_first_cell_prefers_min_x_then_min_y(self, polys):
         g = build_grid(polys["VALLEY"].profile)
-        assert g.first_cell(g.inside_mask) == (0, 0)
-        assert g.first_cell(0) is None
+        assert first_cell(g, g.inside_mask) == (0, 0)
+        assert first_cell(g, 0) is None
 
     def test_area_consistency(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus:

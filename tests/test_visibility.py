@@ -167,8 +167,9 @@ class TestVisRegion:
 
     def test_bad_k_rejected(self, polys):
         g = build_grid(polys["RECT"].profile)
-        with pytest.raises(ValueError):
-            vis_region(T("v", 0, 0, 3), -1, g)
+        for k in (-1, 1.0, True):
+            with pytest.raises(ValueError, match="k must be 0, 1 or 2"):
+                vis_region(T("v", 0, 0, 3), k, g)
 
 
 class TestRegions:
