@@ -11,17 +11,16 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
-from .candidates import (
-    HORIZONTAL,
-    SegmentSet,
-    Transmitter,
-    VERTICAL,
-    canonical,
-    edge_aligned_candidates,
-)
-from .geometry import OrthoPolygon, SlabProfile, build_grid, cut_right
-from .visibility import covers_polygon, union_regions, vis_region
+from .candidates import HORIZONTAL, SegmentSet, Transmitter, VERTICAL, canonical
+from .geometry import OrthoPolygon, SlabProfile
+from .visibility import segments_cover
+
+# Not called here: bench/spans.py traces these names in this module's namespace.
+from .candidates import edge_aligned_candidates  # noqa: F401
+from .geometry import build_grid, cut_right  # noqa: F401
+from .visibility import vis_region  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -74,21 +73,11 @@ class Solution:
         """Re-verify coverage on the polygon before packaging.
 
         Coverage is never trusted from the solver that produced the set: the
-        grid is refined with every transmitter coordinate and the union of
-        the k-visibility regions is compared against the whole polygon.
+        union of the transmitters' k-visibility regions is compared against
+        the whole polygon, band by band (:func:`~polytx.visibility.segments_cover`),
+        from the polygon and the transmitters alone.
         """
-        extra_x: list[int] = []
-        extra_y: list[int] = []
-        for t in transmitters:
-            if t.orientation == VERTICAL:
-                extra_x.append(t.anchor)
-                extra_y.extend(t.span)
-            else:
-                extra_y.append(t.anchor)
-                extra_x.extend(t.span)
-        grid = build_grid(polygon.profile, extra_x, extra_y)
-        regions = [vis_region(t, k, grid) for t in transmitters]
-        covered = covers_polygon(union_regions(regions, grid=grid))
+        covered = segments_cover(polygon.profile, transmitters, k)
         return Solution(transmitters, k, solver, iterations, covered)
 
     def to_json_dict(self) -> dict:
@@ -106,8 +95,7 @@ class SweepTables:
     """What the greedy finders read of a polygon, built once per solve.
 
     Every entry is a slab index: column c is slab c, between ``prof.xs[c]``
-    and ``prof.xs[c + 1]``, and column c of ``build_grid(prof)``, the grid
-    the table is computed on.  Of the edge-aligned family it keeps:
+    and ``prof.xs[c + 1]``.  Of the edge-aligned family it keeps:
 
     - the vertical at ``prof.xs[j]`` (``verticals[j]``) and, for j >= 1,
       three columns holding inside cells its k=2 region misses: ``reach[j]``
@@ -121,6 +109,12 @@ class SweepTables:
       region is the inside cells of the columns it spans (full-column
       property, see :mod:`polytx.visibility`).
 
+    Everything comes from the profile's spans and per-row walls
+    (``prof.row_walls``) in small integers.  A vertical misses every inside
+    cell of a row outside its cross-section, which the nearest slabs whose
+    span leaves the section give; in a row inside it, the vertical sees
+    the columns between its third wall on each side.
+
     A region on the whole polygon agrees with the region on any
     ``cut_right`` remainder on the columns right of the cut: walls left of
     the cut are never reached and walls on it are not crossed.
@@ -128,32 +122,76 @@ class SweepTables:
 
     def __init__(self, prof: SlabProfile):
         self.prof = prof
-        grid = build_grid(prof)
-        family = edge_aligned_candidates(prof)
-        n, ny = len(prof.xs), grid.ny
-        self.verticals = family[:n]
+        xs, spans, rows = prof.xs, prof.spans, prof.row_walls
+        n, cols = len(xs), len(spans)  # column cols stands for "none"
+        row = {y: r for r, y in enumerate(prof.edge_ordinates)}
+        self.verticals = tuple(Transmitter(VERTICAL, x, prof.cross_section(x)) for x in xs)
+
+        tops = [hi for _, hi in spans]
+        downs = [-lo for lo, _ in spans]
+        up_before, up_after = _nearest_greater(tops)
+        down_before, down_after = _nearest_greater(downs)
+        # end_below[r] / end_above[r]: the last inside column of rows < r / >= r
+        ends = [walls[-1] - 1 for walls in rows]
+        end_below, end_above = [-1], [-1]
+        for e, f in zip(ends, reversed(ends)):
+            end_below.append(max(end_below[-1], e))
+            end_above.append(max(end_above[-1], f))
+        end_above.reverse()
+
         self.reach, self.miss_lo, self.miss_hi = [0], [None], [None]
         for j in range(1, n):
-            # one XOR: vis_region already masks its bits with inside_mask
-            missed = grid.inside_mask ^ vis_region(family[j], 2, grid).bits
-            left, right = missed & grid.columns(0, j), missed >> j * ny
-            # bit b is a cell of column b // ny
-            self.reach.append((left.bit_length() + ny - 1) // ny)
-            self.miss_lo.append(j + ((right & -right).bit_length() - 1) // ny if right else None)
-            self.miss_hi.append((missed.bit_length() - 1) // ny if right else None)
-        last = {}
-        for i, span in enumerate(prof.spans):
+            lo_y, hi_y = self.verticals[j].span
+            r_lo, r_hi = row[lo_y], row[hi_y]
+            # Rows outside the section: the nearest slabs whose span leaves
+            # it, seen from the slab that holds the section's top (bottom)
+            # of the two the section joins (a = b at the right edge).
+            a, b = j - 1, min(j, cols - 1)
+            t = a if tops[a] >= tops[b] else b
+            d = a if downs[a] >= downs[b] else b
+            reach = max(up_before[t], down_before[d]) + 1
+            first = min(up_after[t], down_after[d])
+            last = max(end_below[r_lo], end_above[r_hi])
+            # Rows inside it: left of the third wall left of j, and from the
+            # third wall right of j on.  Walls at even positions enter.
+            for walls in rows[r_lo:r_hi]:
+                i = bisect_left(walls, j)
+                if i >= 4 and walls[i - 4 | 1] > reach:
+                    reach = walls[i - 4 | 1]
+                i = bisect_right(walls, j) + 3 & ~1
+                if i < len(walls):
+                    if walls[i] < first:
+                        first = walls[i]
+                    if walls[-1] - 1 > last:
+                        last = walls[-1] - 1
+            self.reach.append(reach)
+            self.miss_lo.append(first if first < cols else None)
+            self.miss_hi.append(last if first < cols else None)
+
+        last_slab = {}
+        for i, span in enumerate(spans):
             for y in span:
-                last[y] = i
-        col = {x: i for i, x in enumerate(prof.xs)}
-        runs: dict[int, tuple[list[int], list[int]]] = {}
-        for s in family[n:]:
-            los, his = runs.setdefault(s.anchor, ([], []))
-            los.append(col[s.span[0]])
-            his.append(col[s.span[1]])
+                last_slab[y] = i
+        ordinates = []
+        for r, y in enumerate(prof.edge_ordinates):
+            # a slab's span holds y exactly when the slab is inside the row
+            # below y or the row above it
+            runs = []
+            for walls in rows[max(r - 1, 0) : r + 1]:
+                runs += zip(walls[::2], walls[1::2])
+            runs.sort()
+            los, his = [], []
+            for lo, hi in runs:
+                if his and lo <= his[-1]:
+                    if hi > his[-1]:
+                        his[-1] = hi
+                else:
+                    los.append(lo)
+                    his.append(hi)
+            ordinates.append((last_slab[y], y, los, his))
         # (last slab, y, los, his), latest first: the ordinates of the
         # remainder at column c are a prefix, those with last >= c.
-        self.ordinates = sorted(((last[y], y, *lh) for y, lh in runs.items()), reverse=True)
+        self.ordinates = sorted(ordinates, reverse=True)
 
     def column(self, cut: int) -> int:
         """The slab index of breakpoint ``cut``."""
@@ -188,6 +226,22 @@ class SweepTables:
         y, lo, hi = best
         xs = self.prof.xs
         return Transmitter(HORIZONTAL, y, (xs[max(lo, c)], xs[hi])), hi
+
+
+def _nearest_greater(values: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Per index i, the nearest index before i and the nearest after i whose
+    value is strictly greater than values[i]; -1 and len(values) if none."""
+    n = len(values)
+    before, after = [-1] * n, [n] * n
+    for order, out in ((range(n), before), (range(n - 1, -1, -1), after)):
+        stack: list[int] = []
+        for i in order:
+            while stack and values[stack[-1]] <= values[i]:
+                stack.pop()
+            if stack:
+                out[i] = stack[-1]
+            stack.append(i)
+    return before, after
 
 
 def vh_finder(sweep: SweepTables, cut: int) -> FinderResult:
@@ -251,31 +305,32 @@ def _better(a: FinderResult, b: FinderResult) -> FinderResult:
 def approximate_2transmitters(p: OrthoPolygon) -> Solution:
     """Factor-2 approximation of the minimum 2-transmitter cover.
 
-    The candidate family and a slab-indexed table of the verticals' k=2
-    regions are built once, on the whole polygon (:class:`SweepTables`).
-    Each round runs both finders on the remainder right of the cut, so
-    every chosen segment is maximal on the remainder; a round costs one
-    integer test per vertical it passes and one bisection per live
-    ordinate, with no bitset work.  Coverage of the original polygon is
-    re-verified at the end rather than inferred from the loop.  Raises
-    RuntimeError when a round fails to advance the cut or the round and
-    size bounds behind the factor-2 guarantee are broken.
+    A slab-indexed table of the edge-aligned verticals' k=2 misses and of
+    the horizontal runs is built once, on the whole polygon, from its walls
+    (:class:`SweepTables`).  Each round runs both finders on the remainder
+    right of the cut column, so every chosen segment is maximal on the
+    remainder; a round costs one integer test per vertical it passes and
+    one bisection per live ordinate.  No cell grid, bitset or remainder
+    profile is built.  Coverage of the original polygon is re-verified at
+    the end rather than inferred from the loop.  Raises RuntimeError when a
+    round fails to advance the cut or the round and size bounds behind the
+    factor-2 guarantee are broken.
     """
     prof = p.profile
     sweep = SweepTables(prof)
+    xs = prof.xs
     chosen: list[Transmitter] = []
-    current: SlabProfile | None = prof
-    iterations = 0
-    while current is not None:
-        step = _better(vh_finder(sweep, current.x_min), hv_finder(sweep, current.x_min))
+    c = iterations = 0
+    while c < len(xs) - 1:
+        step = _better(vh_finder(sweep, xs[c]), hv_finder(sweep, xs[c]))
         chosen.extend(step.transmitters)
         iterations += 1
         if step.done:
             break
         # Not an assert: python -O strips those, and a stalled cut loops forever.
-        if step.cut_x <= current.x_min:
-            raise RuntimeError(f"cut at x={step.cut_x} does not advance past x={current.x_min}")
-        current = cut_right(current, step.cut_x)
+        if step.cut_x <= xs[c]:
+            raise RuntimeError(f"cut at x={step.cut_x} does not advance past x={xs[c]}")
+        c = sweep.column(step.cut_x)
     transmitters = canonical(chosen)
     if len(transmitters) > 2 * iterations:
         raise RuntimeError(f"{len(transmitters)} transmitters from {iterations} rounds")

@@ -128,7 +128,7 @@ def canonicalize_solution(
     assumed).  Raises ValueError when an input segment leaves the closed
     polygon.
     """
-    from .visibility import union_regions, covers_polygon, vis_region
+    from .visibility import segments_cover
 
     prof = p.profile
     vlines = prof.xs
@@ -149,7 +149,4 @@ def canonicalize_solution(
                 raise ValueError(f"segment {s} leaves the polygon when slid to y={y}")
             out.append(Transmitter(HORIZONTAL, y, run))
     result = canonical(out)
-    grid = build_grid(prof)
-    regions = [vis_region(s, 2, grid) for s in result]
-    feasible = covers_polygon(union_regions(regions, grid=grid))
-    return result, feasible
+    return result, segments_cover(prof, result, 2)

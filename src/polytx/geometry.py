@@ -107,6 +107,26 @@ class SlabProfile:
         """Sorted distinct y-coordinates of horizontal boundary edges."""
         return tuple(sorted({v for span in self.spans for v in span}))
 
+    @cached_property
+    def row_walls(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the breakpoint indices of its walls, increasing.
+
+        Row r is the band between ``edge_ordinates[r]`` and
+        ``edge_ordinates[r + 1]``; its walls are the vertical edges across
+        the whole band.  Walls alternate entering and leaving the polygon,
+        so the row's inside slabs are ``w0 .. w1 - 1``, ``w2 .. w3 - 1``,
+        and so on.
+        """
+        row = {y: r for r, y in enumerate(self.edge_ordinates)}
+        col = {x: i for i, x in enumerate(self.xs)}
+        rows: list[list[int]] = [[] for _ in self.edge_ordinates[1:]]
+        # The edges come sorted by x, so every row's list is too.
+        for x, ylo, yhi in self.vertical_edges:
+            i = col[x]
+            for r in range(row[ylo], row[yhi]):
+                rows[r].append(i)
+        return tuple(map(tuple, rows))
+
     def slab_index(self, x: int) -> int:
         """Index of the slab whose open x-interval contains x (x not a breakpoint)."""
         i = bisect_right(self.xs, x) - 1
@@ -520,6 +540,17 @@ def build_grid(
     Extra cuts must be even (internal) coordinates inside the bounding box;
     evenness is what keeps every cell representative an exact integer.
     """
+    ex, ey = checked_cuts(prof, extra_x, extra_y)
+    x_cuts = tuple(sorted(set(prof.xs) | ex))
+    y_cuts = tuple(sorted({v for span in prof.spans for v in span} | ey))
+    return CellGrid(prof, x_cuts, y_cuts)
+
+
+def checked_cuts(
+    prof: SlabProfile, extra_x: Iterable[int], extra_y: Iterable[int]
+) -> tuple[set[int], set[int]]:
+    """The extra cut lines as sets, or ValueError for one that is odd or
+    outside prof's bounding box."""
     ex, ey = set(extra_x), set(extra_y)
     for v in ex | ey:
         if v % 2:
@@ -530,6 +561,4 @@ def build_grid(
     for v in ey:
         if not prof.y_min <= v <= prof.y_max:
             raise ValueError(f"extra y-cut {v} outside [{prof.y_min}, {prof.y_max}]")
-    x_cuts = tuple(sorted(set(prof.xs) | ex))
-    y_cuts = tuple(sorted({v for span in prof.spans for v in span} | ey))
-    return CellGrid(prof, x_cuts, y_cuts)
+    return ex, ey

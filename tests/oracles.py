@@ -13,8 +13,10 @@ candidate-list scans, the reference for the per-vertical reach tables,
 reference_exact is the exact solver's earlier subset enumeration, the
 reference for the depth-first search and its closed-form iteration count,
 dense_exact is the exact search over every unit-lattice line, the
-reference for the edge-aligned family, and reference_row_edge_xs is the
-grid's per-row wall table as a scan of every edge per row.  The small grid and profile helpers
+reference for the edge-aligned family, reference_row_edge_xs is the
+grid's per-row wall table as a scan of every edge per row, and
+reference_covers is Solution.build's coverage check as it was before the
+band check: a refined grid and the union of the regions' bitsets.  The small grid and profile helpers
 (cell_rep, is_inside, first_cell, cell_area, profile_area, contains_point) are
 what the checks need of a CellGrid or SlabProfile beyond what the solvers use.
 """
@@ -32,6 +34,8 @@ from polytx import (
     Solution,
     Transmitter,
     build_grid,
+    covers_polygon,
+    union_regions,
     validate,
     vis_region,
 )
@@ -227,6 +231,25 @@ def reference_row_edge_xs(grid: CellGrid) -> tuple[tuple[int, ...], ...]:
         tuple(x for (x, ylo, yhi) in grid.profile.vertical_edges if ylo < ry < yhi)
         for ry in grid.rep_ys
     )
+
+
+def reference_covers(p: OrthoPolygon, transmitters: Sequence[Transmitter], k: int) -> bool:
+    """Solution.build's coverage flag from bitsets: the grid refined with
+    every transmitter coordinate, and the union of the transmitters'
+    vis_region bits compared with the inside cells.  Raises the ValueError
+    build_grid raises for an odd or out-of-box coordinate."""
+    extra_x: list[int] = []
+    extra_y: list[int] = []
+    for t in transmitters:
+        if t.orientation == VERTICAL:
+            extra_x.append(t.anchor)
+            extra_y.extend(t.span)
+        else:
+            extra_y.append(t.anchor)
+            extra_x.extend(t.span)
+    grid = build_grid(p.profile, extra_x, extra_y)
+    regions = [vis_region(t, k, grid) for t in transmitters]
+    return covers_polygon(union_regions(regions, grid=grid))
 
 
 def mirrored(p: OrthoPolygon) -> OrthoPolygon:

@@ -1,3 +1,5 @@
+import random
+import re
 from collections import Counter
 
 import pytest
@@ -6,22 +8,27 @@ import polytx as px
 from polytx import (
     SCALE,
     CellGrid,
+    SlabProfile,
     Solution,
     SweepTables,
     Transmitter,
     approximate_2transmitters,
     build_grid,
+    canonicalize_solution,
     cut_right,
+    exact_min_transmitters,
     hv_finder,
     vh_finder,
 )
 from polytx.candidates import edge_aligned_candidates
+from polytx.visibility import segments_cover
 
 from oracles import (
     covered_area,
     finder_tables,
     oracle_region_bits,
     reference_approximate,
+    reference_covers,
     reference_hv_finder,
     reference_vh_finder,
 )
@@ -29,6 +36,27 @@ from oracles import (
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
     return Transmitter(o, anchor * SCALE, (lo * SCALE, hi * SCALE))
+
+
+def off_family(p, rng: random.Random) -> tuple[Transmitter, ...]:
+    """Segments the family does not hold, on even lines in the bounding box:
+    a vertical and a horizontal inside the polygon with short spans, usually
+    off every edge line, and a vertical and a horizontal anywhere."""
+    prof = p.profile
+
+    def short(lo, hi):
+        a = rng.randrange(lo, hi, SCALE)
+        return a, rng.randrange(a + SCALE, hi + 1, SCALE)
+
+    x = rng.randrange(prof.x_min, prof.x_max + 1, SCALE)
+    y = rng.randrange(prof.y_min, prof.y_max + 1, SCALE)
+    run = rng.choice(prof.runs_at(y))
+    return (
+        Transmitter("v", x, short(*prof.cross_section(x))),
+        Transmitter("h", y, short(*run)),
+        Transmitter("v", x, short(prof.y_min, prof.y_max)),
+        Transmitter("h", y, short(prof.x_min, prof.x_max)),
+    )
 
 
 def finders_for(p):
@@ -194,6 +222,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", ["random40", "STAIR6"])
     def test_work_per_solve(self, monkeypatch, name):
+        # The tables and the check read the profile's walls in small
+        # integers: no cell grid, region bitset, candidate family or
+        # remainder profile is built, through any module's binding.
         p = px.random_monotone(40, 20, 4, seed=1) if name == "random40" else px.fixture(name)
         calls = Counter()
 
@@ -201,23 +232,20 @@ class TestSweep:
             fn = getattr(owner, attr)
 
             def wrapper(*args, **kwargs):
-                calls[attr] += 1
+                calls[f"{owner.__name__}.{attr}"] += 1
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(owner, attr, wrapper)
 
-        for attr in ("build_grid", "edge_aligned_candidates", "vis_region"):
-            counted(px.approx, attr)
-        counted(CellGrid, "inside_mask_between")
+        for module in (px.approx, px.candidates, px.exact, px.geometry, px.visibility):
+            for attr in ("build_grid", "cut_right", "edge_aligned_candidates", "vis_region"):
+                if hasattr(module, attr):
+                    counted(module, attr)
+        counted(CellGrid, "__init__")
+        counted(SlabProfile, "__post_init__")
         sol = approximate_2transmitters(p)
-        # the sweep grid, then Solution.build's refined grid
-        assert calls["build_grid"] == 2
-        assert calls["edge_aligned_candidates"] == 1
-        # the verticals right of the left edge once, then the check; no
-        # horizontal and no vertical on a cut gets a region in the sweep
-        assert calls["vis_region"] <= len(p.profile.xs) - 1 + sol.count
-        # the finders do no grid work: only the check's horizontals call it
-        assert calls["inside_mask_between"] <= sol.count
+        assert sol.coverage_complete
+        assert not calls, calls
 
     @pytest.mark.parametrize("shapes", ["fixtures+corpus", "random"])
     def test_tables_match_oracle_regions(self, polys, shapes):
@@ -225,6 +253,9 @@ class TestSweep:
         # oracle's region, and the run lists against runs_at in slab indices.
         if shapes == "random":
             todo = [px.random_monotone(40, h, w, seed=0) for h, w in ((20, 4), (300, 1))]
+            # tall and narrow: each slab brings its own ordinates, so most
+            # rows lie outside any one vertical's cross-section
+            todo.append(px.random_monotone(20, 3000, 1, seed=0))
         else:
             todo = list(polys.values()) + [p for _, p in px.corpus(300)]
         for p in todo:
@@ -262,6 +293,61 @@ class TestSolution:
         assert mid.coverage_complete
         short = Solution.build(p, (T("v", 3, 1, 2),), 0, "approx", 1)
         assert not short.coverage_complete
+
+    @pytest.mark.parametrize("shapes", ["fixtures+corpus", "random"])
+    def test_band_check_matches_bitset_oracle(self, polys, shapes):
+        # Every solution, with segments off the family's lines added, and
+        # every drop-one subset of it, at each k: complete and incomplete
+        # sets alike.  canonicalize_solution's flag uses the same check.
+        rng = random.Random(11)
+        if shapes == "random":
+            todo = [
+                px.random_monotone(slabs, h, w, seed)
+                for slabs in (10, 40)
+                for h, w in ((20, 4), (300, 1))
+                for seed in range(2)
+            ]
+        else:
+            todo = list(polys.values()) + [p for _, p in px.corpus(300)]
+        for p in todo:
+            sols = [approximate_2transmitters(p).transmitters]
+            if shapes != "random":
+                sols += [exact_min_transmitters(p, k).transmitters for k in (0, 2)]
+            for sol in sols:
+                canon, feasible = canonicalize_solution(sol, p)
+                assert feasible == reference_covers(p, canon, 2)
+                full = sol + off_family(p, rng)
+                for subset in [full] + [full[:i] + full[i + 1 :] for i in range(len(full))]:
+                    for k in (0, 1, 2):
+                        want = reference_covers(p, subset, k)
+                        assert segments_cover(p.profile, subset, k) == want, (subset, k)
+                        assert Solution.build(p, subset, k, "approx", 1).coverage_complete == want
+
+    def test_band_check_rejects_what_the_grid_rejects(self, polys):
+        p = polys["STAIR6"]
+        ok = T("v", 8, 3, 6)
+        bad = [
+            Transmitter("v", 9, (6, 12)),  # odd anchor
+            Transmitter("h", 4, (1, 8)),  # odd span end
+            Transmitter("v", 8, (6, 30)),  # above the box
+            Transmitter("h", -2, (0, 8)),  # below the box
+            Transmitter("h", 4, (0, 40)),  # right of the box
+            Transmitter("v", -4, (2, 4)),  # left of the box
+        ]
+        for s in bad:
+            for segs in ((s,), (ok, s), (s, ok)):
+                with pytest.raises(ValueError) as want:
+                    reference_covers(p, segs, 2)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                    Solution.build(p, segs, 2, "approx", 1)
+        for k in (3, -1, True, 2.0):
+            with pytest.raises(ValueError, match="k must be 0, 1 or 2"):
+                reference_covers(p, (ok,), k)
+            with pytest.raises(ValueError, match="k must be 0, 1 or 2"):
+                Solution.build(p, (ok,), k, "approx", 1)
+            # no region is computed, so nothing reads k
+            assert not Solution.build(p, (), k, "approx", 1).coverage_complete
+            assert not reference_covers(p, (), k)
 
     def test_json_dict(self, polys):
         sol = approximate_2transmitters(polys["STAIR6"])
