@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .candidates import HORIZONTAL, SegmentSet, Transmitter, VERTICAL, canonical
@@ -133,11 +134,8 @@ class SweepTables:
         down_before, down_after = _nearest_greater(downs)
         # end_below[r] / end_above[r]: the last inside column of rows < r / >= r
         ends = [walls[-1] - 1 for walls in rows]
-        end_below, end_above = [-1], [-1]
-        for e, f in zip(ends, reversed(ends)):
-            end_below.append(max(end_below[-1], e))
-            end_above.append(max(end_above[-1], f))
-        end_above.reverse()
+        end_below = [-1, *accumulate(ends, max)]
+        end_above = [*accumulate(reversed(ends), max)][::-1] + [-1]
 
         self.reach, self.miss_lo, self.miss_hi = [0], [None], [None]
         for j in range(1, n):
