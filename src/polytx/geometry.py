@@ -18,9 +18,11 @@ entirely outside the closed polygon.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, starmap
+from operator import eq, ge, gt, mul, ne, not_, or_
 from typing import Iterable, Sequence
 
 from .errors import InvalidPolygonError
@@ -34,10 +36,8 @@ Span = tuple[int, int]
 
 def _shoelace2(ring: Sequence[Point]) -> int:
     """Twice the signed area of the ring (positive for counter-clockwise)."""
-    total = 0
-    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + [ring[0]]):
-        total += x1 * y2 - x2 * y1
-    return total
+    xs, ys = [x for x, _ in ring], [y for _, y in ring]
+    return sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys))
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,22 @@ class SlabProfile:
     def __post_init__(self) -> None:
         if len(self.xs) != len(self.spans) + 1 or not self.spans:
             raise ValueError("profile needs n+1 breakpoints for n >= 1 slabs")
-        if any(a >= b for a, b in zip(self.xs, self.xs[1:])):
+        if any(map(ge, self.xs, self.xs[1:])):
             raise ValueError("breakpoints must increase strictly")
-        for lo, hi in self.spans:
-            if lo >= hi:
-                raise ValueError("slab span must have positive height")
-        for (a, b), (c, d) in zip(self.spans, self.spans[1:]):
-            if max(a, c) > min(b, d):
-                raise ValueError("adjacent slab spans must intersect")
-            if (a, b) == (c, d):
-                raise ValueError("adjacent slab spans must differ")
+        if any(starmap(ge, self.spans)):
+            raise ValueError("slab span must have positive height")
+        # Spans with lo < hi intersect unless one starts above the other's end.
+        los, his = [lo for lo, _ in self.spans], [hi for _, hi in self.spans]
+        if (
+            any(map(gt, los, his[1:]))
+            or any(map(gt, los[1:], his))
+            or any(map(eq, self.spans, self.spans[1:]))
+        ):
+            for (a, b), (c, d) in zip(self.spans, self.spans[1:]):
+                if max(a, c) > min(b, d):
+                    raise ValueError("adjacent slab spans must intersect")
+                if (a, b) == (c, d):
+                    raise ValueError("adjacent slab spans must differ")
 
     @property
     def x_min(self) -> int:
@@ -76,11 +82,11 @@ class SlabProfile:
     def x_max(self) -> int:
         return self.xs[-1]
 
-    @property
+    @cached_property
     def y_min(self) -> int:
         return min(lo for lo, _ in self.spans)
 
-    @property
+    @cached_property
     def y_max(self) -> int:
         return max(hi for _, hi in self.spans)
 
@@ -234,33 +240,26 @@ class OrthoPolygon:
 def _merge_collinear(ring: list[Point]) -> list[Point]:
     """Drop vertices interior to straight runs; reject boundary spikes."""
     n = len(ring)
-    axes = []
-    for i in range(n):
-        (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % n]
-        axes.append("h" if y1 == y2 else "v")
-    merged: list[Point] = []
-    for i in range(n):
-        prev_axis, next_axis = axes[i - 1], axes[i]
-        if prev_axis != next_axis:
-            merged.append(ring[i])
-            continue
-        # Same axis on both sides: straight run or spike.
+    ys = [y for _, y in ring]
+    horizontal = list(map(eq, ys, ys[1:] + ys[:1]))  # edge i leaves vertex i
+    turns = list(map(ne, horizontal[-1:] + horizontal[:-1], horizontal))
+    # Same axis on both sides of a vertex: straight run (dropped) or spike.
+    for i in compress(range(n), map(not_, turns)):
         a, v, b = ring[i - 1], ring[i], ring[(i + 1) % n]
-        d1 = (v[0] - a[0], v[1] - a[1])
-        d2 = (b[0] - v[0], b[1] - v[1])
-        if d1[0] * d2[0] + d1[1] * d2[1] < 0:
+        if (v[0] - a[0]) * (b[0] - v[0]) + (v[1] - a[1]) * (b[1] - v[1]) < 0:
             raise InvalidPolygonError(
                 "self-intersecting", f"boundary reverses onto itself at vertex {i}", i
             )
-        # forward continuation: drop the middle vertex
-    return merged
+    return list(compress(ring, turns))
 
 
 def _check_simple(ring: list[Point]) -> None:
     """Reject any contact between non-adjacent edges (closed-segment overlap).
 
     An axis-parallel edge is its own bounding box, so two edges touch exactly
-    when their closed boxes overlap.
+    when their closed boxes overlap.  The pairwise scan is O(n^2); it names
+    the first pair in index order, so :func:`validate` runs it only after
+    :func:`_touches` has found that some pair exists.
     """
     n = len(ring)
     boxes = []
@@ -277,6 +276,49 @@ def _check_simple(ring: list[Point]) -> None:
                 else:
                     message = f"{'horizontal' if ah else 'vertical'} edges {i} and {j} overlap"
                 raise InvalidPolygonError("self-intersecting", message, i)
+
+
+def _touches(ring: list[Point]) -> bool:
+    """Whether any two non-adjacent edges of the ring touch, in O(n log n).
+
+    The ring's edges alternate between horizontal and vertical, as after
+    :func:`_merge_collinear`, so two edges of one axis are never adjacent.
+    They touch when they lie on one line and their closed ranges overlap,
+    and then some pair of neighbours in (line, lo) order does too.  A
+    vertical edge always meets its two ring neighbours, so a sweep in x
+    counts the horizontals active at its abscissa whose ordinate lies in
+    its closed y-range, and a third one touches it.
+    """
+    hs, vs = [], []
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
+        if y1 == y2:
+            hs.append((y1, x1, x2) if x1 < x2 else (y1, x2, x1))
+        else:
+            vs.append((x1, y1, y2) if y1 < y2 else (x1, y2, y1))
+    if len(hs) != len(vs):
+        return True
+    for edges in (hs, vs):
+        edges.sort()
+        for (line, _, hi), (line2, lo2, _) in zip(edges, edges[1:]):
+            if line == line2 and lo2 <= hi:
+                return True
+    # At one abscissa: insert the horizontals that start there, then query
+    # the verticals, then remove the horizontals that end there.
+    events = sorted(
+        [(lo, 0, y, y) for y, lo, _ in hs]
+        + [(x, 1, lo, hi) for x, lo, hi in vs]
+        + [(hi, 2, y, y) for y, _, hi in hs]
+    )
+    active: list[int] = []
+    for _, kind, lo, hi in events:
+        if kind == 0:
+            insort(active, lo)
+        elif kind == 1:
+            if bisect_right(active, hi) - bisect_left(active, lo) > 2:
+                return True
+        else:
+            del active[bisect_left(active, lo)]
+    return False
 
 
 def _slab_stack(ring: list[Point]) -> SlabProfile:
@@ -337,27 +379,45 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     vertices, and tolerates an explicitly repeated closing vertex.  Raises
     :class:`InvalidPolygonError` naming the violated property and an offending
     vertex index otherwise.
+
+    The per-vertex checks run on the whole ring at once and fall back to a
+    loop only to name the first offender.  A ring the slab scan rejects is
+    swept for edge contact (:func:`_touches`); only a ring with contact
+    pays the O(n^2) pairwise scan that names the pair, and every other
+    input is decided in O(n log n).
     """
-    pts = [tuple(v) for v in vertices]
-    for i, pt in enumerate(pts):
-        if len(pt) != 2 or not all(isinstance(c, int) and not isinstance(c, bool) for c in pt):
-            raise InvalidPolygonError("non-integer", f"vertex {i} is not an integer pair", i)
-        if any(abs(c) > COORD_LIMIT for c in pt):
-            raise InvalidPolygonError("out-of-range", f"vertex {i} exceeds |c| <= {COORD_LIMIT}", i)
+    pts = list(map(tuple, vertices))
+    flat = list(chain.from_iterable(pts))
+    # type() is exact: bools and int subclasses take the loop, which judges
+    # them one by one.
+    if not (
+        set(map(len, pts)) <= {2}
+        and set(map(type, flat)) <= {int}
+        and (not flat or -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT)
+    ):
+        for i, pt in enumerate(pts):
+            if len(pt) != 2 or not all(isinstance(c, int) and not isinstance(c, bool) for c in pt):
+                raise InvalidPolygonError("non-integer", f"vertex {i} is not an integer pair", i)
+            if any(abs(c) > COORD_LIMIT for c in pt):
+                raise InvalidPolygonError("out-of-range", f"vertex {i} exceeds |c| <= {COORD_LIMIT}", i)
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
 
     ring: list[Point] = [(x * SCALE, y * SCALE) for x, y in pts]
     n = len(ring)
-    for i in range(n):
-        if ring[i] == ring[(i + 1) % n]:
-            raise InvalidPolygonError("degenerate-edge", f"zero-length edge at vertex {i}", i)
-    for i in range(n):
-        (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % n]
-        if x1 != x2 and y1 != y2:
-            raise InvalidPolygonError(
-                "non-orthogonal", f"edge from vertex {i} is not axis-parallel", i
-            )
+    following = ring[1:] + ring[:1]
+    if any(map(eq, ring, following)):
+        for i in range(n):
+            if ring[i] == following[i]:
+                raise InvalidPolygonError("degenerate-edge", f"zero-length edge at vertex {i}", i)
+    xs, ys = [x for x, _ in ring], [y for _, y in ring]
+    if not all(map(or_, map(eq, xs, xs[1:] + xs[:1]), map(eq, ys, ys[1:] + ys[:1]))):
+        for i in range(n):
+            (x1, y1), (x2, y2) = ring[i], following[i]
+            if x1 != x2 and y1 != y2:
+                raise InvalidPolygonError(
+                    "non-orthogonal", f"edge from vertex {i} is not axis-parallel", i
+                )
     if n < 4:
         raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {n}")
 
@@ -365,13 +425,14 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     if len(ring) < 4:
         raise InvalidPolygonError("degenerate-edge", "polygon collapses after merging collinear runs")
 
-    seen: dict[Point, int] = {}
-    for i, pt in enumerate(ring):
-        if pt in seen:
-            raise InvalidPolygonError(
-                "duplicate-vertex", f"vertex {i} repeats vertex {seen[pt]}", i
-            )
-        seen[pt] = i
+    if len(set(ring)) < len(ring):
+        seen: dict[Point, int] = {}
+        for i, pt in enumerate(ring):
+            if pt in seen:
+                raise InvalidPolygonError(
+                    "duplicate-vertex", f"vertex {i} repeats vertex {seen[pt]}", i
+                )
+            seen[pt] = i
 
     area2 = _shoelace2(ring)
     if area2 == 0:
@@ -386,7 +447,8 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     try:
         profile = _slab_stack(ring)
     except ValueError as exc:
-        _check_simple(ring)
+        if _touches(ring):
+            _check_simple(ring)
         if isinstance(exc, InvalidPolygonError):
             raise
         raise InvalidPolygonError(
@@ -406,8 +468,9 @@ def parse_polygon(text: str) -> OrthoPolygon:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InvalidPolygonError("malformed-json", 'document must be {"vertices": [[x, y], ...]}')
     verts = doc["vertices"]
-    if not isinstance(verts, list) or any(
-        not isinstance(v, (list, tuple)) or len(v) != 2 for v in verts
+    if not isinstance(verts, list) or not (
+        (set(map(type, verts)) <= {list} and set(map(len, verts)) <= {2})
+        or all(isinstance(v, (list, tuple)) and len(v) == 2 for v in verts)
     ):
         raise InvalidPolygonError("malformed-json", "vertices must be a list of [x, y] pairs")
     if len(verts) < 4:
@@ -419,6 +482,8 @@ def parse_polygon(text: str) -> OrthoPolygon:
                     "non-orthogonal", f"edge from vertex {i} is not axis-parallel", i
                 )
         raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {len(verts)}")
+    if set(map(type, chain.from_iterable(verts))) <= {int}:
+        return validate(verts)
     try:
         ring = [(input_int(x), input_int(y)) for x, y in verts]
     except ValueError as exc:

@@ -5,8 +5,9 @@ segment arithmetic.  The point is to avoid the slab shortcuts the
 package uses internally, so agreement is meaningful.  The exceptions,
 percell_region_bits and percolumn_inside_between, are the grid code's
 plain cell-by-cell form, the reference at sizes brute force cannot reach.
-reference_validate is the validator's earlier all-pairs form, the
-reference for the single slab scan, reference_approximate is the greedy
+reference_validate is the validator's earlier all-pairs form, with its
+per-vertex loops and collinear merge, the reference for the single slab
+scan, the contact sweep and the whole-ring checks, reference_approximate is the greedy
 sweep's earlier per-remainder loop, the reference for the one-grid sweep,
 reference_vh_finder and reference_hv_finder are the finders' earlier
 candidate-list scans, the reference for the per-vertical reach tables,
@@ -47,7 +48,6 @@ from polytx.geometry import (
     CellGrid,
     SlabProfile,
     Span,
-    _merge_collinear,
     cut_right,
 )
 
@@ -311,6 +311,31 @@ def notched(ring: Sequence[Point], depth: int = 1) -> list[Point]:
     raise ValueError("ring has no vertical edge on its right boundary")
 
 
+def reference_merge_collinear(ring: list[Point]) -> list[Point]:
+    """Drop vertices interior to straight runs; reject boundary spikes."""
+    n = len(ring)
+    axes = []
+    for i in range(n):
+        (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % n]
+        axes.append("h" if y1 == y2 else "v")
+    merged: list[Point] = []
+    for i in range(n):
+        prev_axis, next_axis = axes[i - 1], axes[i]
+        if prev_axis != next_axis:
+            merged.append(ring[i])
+            continue
+        # Same axis on both sides: straight run or spike.
+        a, v, b = ring[i - 1], ring[i], ring[(i + 1) % n]
+        d1 = (v[0] - a[0], v[1] - a[1])
+        d2 = (b[0] - v[0], b[1] - v[1])
+        if d1[0] * d2[0] + d1[1] * d2[1] < 0:
+            raise InvalidPolygonError(
+                "self-intersecting", f"boundary reverses onto itself at vertex {i}", i
+            )
+        # forward continuation: drop the middle vertex
+    return merged
+
+
 def reference_check_simple(ring: list[Point]) -> None:
     """Reject any contact between non-adjacent edges (closed-segment overlap)."""
     n = len(ring)
@@ -393,7 +418,7 @@ def reference_validate(vertices: Iterable[Point]) -> OrthoPolygon:
     if n < 4:
         raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {n}")
 
-    ring = _merge_collinear(ring)
+    ring = reference_merge_collinear(ring)
     if len(ring) < 4:
         raise InvalidPolygonError("degenerate-edge", "polygon collapses after merging collinear runs")
 

@@ -141,6 +141,19 @@ DIAGNOSES = [
 ]
 
 
+def count_pairwise_scans(monkeypatch) -> list[int]:
+    """Count validate's calls of the all-pairs naming scan, in a one-item list."""
+    calls = [0]
+    scan = px.geometry._check_simple
+
+    def counting(ring):
+        calls[0] += 1
+        return scan(ring)
+
+    monkeypatch.setattr(px.geometry, "_check_simple", counting)
+    return calls
+
+
 class TestDiagnoses:
     @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
     def test_reason_index_and_message(self, ring, scan_message, reason, index, message):
@@ -155,6 +168,24 @@ class TestDiagnoses:
         with pytest.raises(ValueError) as exc:
             _slab_stack([(x * SCALE, y * SCALE) for x, y in ring])
         assert str(exc.value) == scan_message
+
+    @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
+    def test_pairwise_scan_runs_only_on_contact(
+        self, monkeypatch, ring, scan_message, reason, index, message
+    ):
+        calls = count_pairwise_scans(monkeypatch)
+        with pytest.raises(InvalidPolygonError) as exc:
+            validate(ring)
+        assert (exc.value.reason, exc.value.index, str(exc.value)) == (reason, index, message)
+        assert calls == [1 if reason == "self-intersecting" else 0]
+
+    def test_notched_400_slabs_skips_the_pairwise_scan(self, monkeypatch):
+        calls = count_pairwise_scans(monkeypatch)
+        ring = notched(list(px.random_monotone(400, 20, 4, seed=1).input_vertices))
+        with pytest.raises(InvalidPolygonError) as exc:
+            validate(ring)
+        assert exc.value.reason == "not-monotone"
+        assert calls == [0]
 
     def test_plain_value_error_becomes_not_monotone(self, monkeypatch):
         # No known simple ring makes the scan raise a plain ValueError, but

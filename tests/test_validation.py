@@ -3,18 +3,22 @@
 Rings start as random slab stacks, some with a notch cut into the right
 edge, and are then mutated: vertices dragged, runs of vertices translated,
 vertices deleted or duplicated, chunks of the ring reversed.  Every outcome,
-accepted or rejected, must match oracles.reference_validate exactly.
+accepted or rejected, must match oracles.reference_validate exactly.  The
+contact sweep that gates the pairwise naming scan must agree with
+oracles.reference_check_simple on every ring that reaches it.
 """
 
 import json
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import polytx as px
-from polytx import InvalidPolygonError, validate
+from polytx import InvalidPolygonError, SlabProfile, validate
+from polytx.geometry import COORD_LIMIT, _touches
 
-from oracles import notched, reference_validate
+from oracles import notched, reference_check_simple, reference_validate
 
 # Every reason validate itself raises (malformed-json is parse_polygon's).
 VALIDATE_REASONS = {
@@ -146,6 +150,141 @@ def test_mutated_rings_reach_every_reason():
             reasons.add(got[1])
     assert reasons == VALIDATE_REASONS
     assert accepted > 100
+
+
+# -- the contact sweep against the all-pairs reference -------------------------
+
+
+def simplicity_inputs(monkeypatch, rings) -> list:
+    """The rings validate hands its slab scan, which are the rings that
+    reach the simplicity check (merged, counter-clockwise)."""
+    seen = []
+    scan = px.geometry._slab_stack
+
+    def recording(ring):
+        seen.append(list(ring))
+        return scan(ring)
+
+    monkeypatch.setattr(px.geometry, "_slab_stack", recording)
+    for ring in rings:
+        try:
+            validate(ring)
+        except InvalidPolygonError:
+            pass
+    monkeypatch.undo()
+    return seen
+
+
+def touches_by_reference(ring) -> bool:
+    try:
+        reference_check_simple(ring)
+    except InvalidPolygonError:
+        return True
+    return False
+
+
+def test_touches_matches_reference_on_mutated_rings(monkeypatch):
+    rings = [mutated_ring(random.Random(seed)) for seed in range(3000)]
+    scanned = simplicity_inputs(monkeypatch, rings)
+    assert len(scanned) > 1000
+    verdicts = [(_touches(r), touches_by_reference(r)) for r in scanned]
+    assert [got for got, want in verdicts if got != want] == []
+    assert 100 < sum(got for got, _ in verdicts) < len(verdicts) - 100
+
+
+@pytest.mark.parametrize("slabs, seeds", [(40, range(10)), (400, range(2))])
+def test_touches_matches_reference_on_large_rings(monkeypatch, slabs, seeds):
+    rings = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        base = list(px.random_monotone(slabs, 20, 4, seed).input_vertices)
+        rings += [notched(base), notched(base, depth=3 * slabs)]
+        for _ in range(6):
+            ring = notched(base, depth=rng.choice((1, 2, 3))) if rng.random() < 0.5 else base
+            for _ in range(rng.randint(1, 3)):
+                ring = rng.choice((_drag, _translate_run))(ring, rng)
+            rings.append(ring)
+    scanned = simplicity_inputs(monkeypatch, rings)
+    assert len(scanned) > 2 * len(seeds)
+    verdicts = [(_touches(r), touches_by_reference(r)) for r in scanned]
+    assert all(got == want for got, want in verdicts)
+    assert any(got for got, _ in verdicts) and not all(got for got, _ in verdicts)
+
+
+def test_touches_says_yes_on_a_ring_that_does_not_alternate():
+    # Three horizontal edges against two vertical ones: the sweep's premise
+    # fails, so it defers to the pairwise scan.
+    assert _touches([(0, 0), (6, 0), (12, 0), (12, 6), (0, 6)])
+
+
+# -- the per-vertex fast paths judge edge cases as the loops did ---------------
+
+
+class Int(int):
+    pass
+
+
+L = COORD_LIMIT
+RECT = [(0, 0), (6, 0), (6, 3), (0, 3)]
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        pytest.param([(0, 0), (6, 0), (6, 3), (0, True)], id="bool-last"),
+        pytest.param([(True, 0), (6, 0), (6, 3), (0, 3)], id="bool-first"),
+        pytest.param([(Int(0), 0), (6, 0), (6, Int(3)), (0, 3)], id="int-subclass"),
+        pytest.param([(-L, -L), (L, -L), (L, L), (-L, L)], id="at-limit"),
+        pytest.param([(-L - 1, 0), (L, 0), (L, 3), (-L - 1, 3)], id="below-limit"),
+        pytest.param([(0, 0), (L + 1, 0), (L + 1, 3), (0, 3)], id="above-limit"),
+        pytest.param([(0, -L - 1), (0.5, 0), (6, 3), (0, 3)], id="range-before-type"),
+        pytest.param([(0.5, 0), (0, -L - 1), (6, 3), (0, 3)], id="type-before-range"),
+        pytest.param([(0, 0, 0), (6, 0), (6, 3), (0, 3)], id="3-tuple"),
+        pytest.param([(0, 0), (6,), (6, 3), (0, 3)], id="1-tuple"),
+        pytest.param([(0, 0), (6, 0), (6, 3), (0, 3), (0, 3)], id="zero-length-last"),
+        pytest.param([(0, 0), (6, 0), (6, 3), (0, 3), (0, 0), (0, 0)], id="closed-twice"),
+        pytest.param([(0, 0), (6, 0), (6, 3), (1, 3)], id="diagonal-closing-edge"),
+        pytest.param([(0, 0), (6, 0), (6, 3), (1, 3), (1, 3)], id="zero-length-and-diagonal"),
+        pytest.param([(0, 0), (6, 0), (6, 3), (0, 3), (0, 0)], id="closed-once"),
+        pytest.param([], id="empty"),
+        pytest.param([(0, 0)], id="one-vertex"),
+        pytest.param([(0, 0), (6, 0), (3, 0), (3, 3), (0, 3)], id="spike"),
+        pytest.param([(0, 0), (6, 0), (6, 3), (0, 3), (0, 6), (6, 6), (6, 3), (0, 3)], id="repeat"),
+    ],
+)
+def test_fast_paths_match_reference(ring):
+    assert outcome(validate, ring) == outcome(reference_validate, ring)
+
+
+@pytest.mark.parametrize(
+    "spans, message",
+    [
+        (((0, 2), (0, 2), (4, 6)), "adjacent slab spans must differ"),
+        (((0, 2), (4, 6), (4, 6)), "adjacent slab spans must intersect"),
+        (((4, 6), (0, 2), (0, 4)), "adjacent slab spans must intersect"),
+        (((0, 2), (2, 4), (2, 4)), "adjacent slab spans must differ"),
+        (((0, 2), (3, 5)), "adjacent slab spans must intersect"),
+        (((3, 5), (0, 2)), "adjacent slab spans must intersect"),
+        (((0, 2), (2, 2)), "slab span must have positive height"),
+    ],
+)
+def test_profile_reports_the_first_bad_pair(spans, message):
+    with pytest.raises(ValueError) as exc:
+        SlabProfile(tuple(range(0, 2 * len(spans) + 1, 2)), spans)
+    assert str(exc.value) == message
+
+
+def test_parse_polygon_reads_mixed_int_and_float_coordinates_as_before():
+    mixed = px.parse_polygon('{"vertices": [[0, 0], [6, 0.0], [6.0, 3], [0, 3]]}')
+    assert (mixed.vertices, mixed.profile) == (validate(RECT).vertices, validate(RECT).profile)
+    for text, message in (
+        ('{"vertices": [[0, 0], [6, 0.5], [6.0, 3], [0, 3]]}', "coordinate 0.5 is not an integer"),
+        ('{"vertices": [[0, 0], [6, 0], [6.0, 3], [true, 3]]}', "coordinate True is not an integer"),
+        ('{"vertices": [[0, 0], [6, 0], [6, 3], [0, 3, 1]]}', "vertices must be a list of [x, y] pairs"),
+    ):
+        with pytest.raises(InvalidPolygonError) as exc:
+            px.parse_polygon(text)
+        assert str(exc.value) == message
 
 
 # -- parse_polygon: any JSON document ends in a polygon or a typed error ------
