@@ -21,8 +21,8 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, starmap
-from operator import eq, ge, gt, mul, ne, not_, or_
+from itertools import chain, compress
+from operator import eq, ne, not_, or_
 from typing import Iterable, Sequence
 
 from .errors import InvalidPolygonError
@@ -36,8 +36,10 @@ Span = tuple[int, int]
 
 def _shoelace2(ring: Sequence[Point]) -> int:
     """Twice the signed area of the ring (positive for counter-clockwise)."""
-    xs, ys = [x for x, _ in ring], [y for _, y in ring]
-    return sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys))
+    total = 0
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + [ring[0]]):
+        total += x1 * y2 - x2 * y1
+    return total
 
 
 @dataclass(frozen=True)
@@ -57,22 +59,16 @@ class SlabProfile:
     def __post_init__(self) -> None:
         if len(self.xs) != len(self.spans) + 1 or not self.spans:
             raise ValueError("profile needs n+1 breakpoints for n >= 1 slabs")
-        if any(map(ge, self.xs, self.xs[1:])):
+        if any(a >= b for a, b in zip(self.xs, self.xs[1:])):
             raise ValueError("breakpoints must increase strictly")
-        if any(starmap(ge, self.spans)):
-            raise ValueError("slab span must have positive height")
-        # Spans with lo < hi intersect unless one starts above the other's end.
-        los, his = [lo for lo, _ in self.spans], [hi for _, hi in self.spans]
-        if (
-            any(map(gt, los, his[1:]))
-            or any(map(gt, los[1:], his))
-            or any(map(eq, self.spans, self.spans[1:]))
-        ):
-            for (a, b), (c, d) in zip(self.spans, self.spans[1:]):
-                if max(a, c) > min(b, d):
-                    raise ValueError("adjacent slab spans must intersect")
-                if (a, b) == (c, d):
-                    raise ValueError("adjacent slab spans must differ")
+        for lo, hi in self.spans:
+            if lo >= hi:
+                raise ValueError("slab span must have positive height")
+        for (a, b), (c, d) in zip(self.spans, self.spans[1:]):
+            if max(a, c) > min(b, d):
+                raise ValueError("adjacent slab spans must intersect")
+            if (a, b) == (c, d):
+                raise ValueError("adjacent slab spans must differ")
 
     @property
     def x_min(self) -> int:
@@ -279,15 +275,18 @@ def _check_simple(ring: list[Point]) -> None:
 
 
 def _touches(ring: list[Point]) -> bool:
-    """Whether any two non-adjacent edges of the ring touch, in O(n log n).
+    """Whether any two non-adjacent edges of the ring touch.
 
     The ring's edges alternate between horizontal and vertical, as after
     :func:`_merge_collinear`, so two edges of one axis are never adjacent.
     They touch when they lie on one line and their closed ranges overlap,
-    and then some pair of neighbours in (line, lo) order does too.  A
-    vertical edge always meets its two ring neighbours, so a sweep in x
-    counts the horizontals active at its abscissa whose ordinate lies in
-    its closed y-range, and a third one touches it.
+    and then some pair of neighbours in (line, lo) order does too; that
+    check also says yes on a ring that does not alternate.  A vertical edge
+    always meets its two ring neighbours, so a sweep in x counts the
+    horizontals active at its abscissa whose ordinate lies in its closed
+    y-range, and a third one touches it.  The sorts and bisections make
+    O(n log n) comparisons; the active list's insertions and removals are
+    memmoves, O(n) each in the worst case.
     """
     hs, vs = [], []
     for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
@@ -295,8 +294,6 @@ def _touches(ring: list[Point]) -> bool:
             hs.append((y1, x1, x2) if x1 < x2 else (y1, x2, x1))
         else:
             vs.append((x1, y1, y2) if y1 < y2 else (x1, y2, y1))
-    if len(hs) != len(vs):
-        return True
     for edges in (hs, vs):
         edges.sort()
         for (line, _, hi), (line2, lo2, _) in zip(edges, edges[1:]):
@@ -383,8 +380,9 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     The per-vertex checks run on the whole ring at once and fall back to a
     loop only to name the first offender.  A ring the slab scan rejects is
     swept for edge contact (:func:`_touches`); only a ring with contact
-    pays the O(n^2) pairwise scan that names the pair, and every other
-    input is decided in O(n log n).
+    pays the O(n^2) pairwise scan that names the pair.  Every other input
+    is decided in O(n log n) comparisons (the sweep's list insertions are
+    memmoves).
     """
     pts = list(map(tuple, vertices))
     flat = list(chain.from_iterable(pts))
@@ -469,8 +467,7 @@ def parse_polygon(text: str) -> OrthoPolygon:
         raise InvalidPolygonError("malformed-json", 'document must be {"vertices": [[x, y], ...]}')
     verts = doc["vertices"]
     if not isinstance(verts, list) or not (
-        (set(map(type, verts)) <= {list} and set(map(len, verts)) <= {2})
-        or all(isinstance(v, (list, tuple)) and len(v) == 2 for v in verts)
+        set(map(type, verts)) <= {list} and set(map(len, verts)) <= {2}
     ):
         raise InvalidPolygonError("malformed-json", "vertices must be a list of [x, y] pairs")
     if len(verts) < 4:

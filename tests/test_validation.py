@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polytx as px
-from polytx import InvalidPolygonError, SlabProfile, validate
+from polytx import InvalidPolygonError, validate
 from polytx.geometry import COORD_LIMIT, _touches
 
 from oracles import notched, reference_check_simple, reference_validate
@@ -211,12 +211,6 @@ def test_touches_matches_reference_on_large_rings(monkeypatch, slabs, seeds):
     assert any(got for got, _ in verdicts) and not all(got for got, _ in verdicts)
 
 
-def test_touches_says_yes_on_a_ring_that_does_not_alternate():
-    # Three horizontal edges against two vertical ones: the sweep's premise
-    # fails, so it defers to the pairwise scan.
-    assert _touches([(0, 0), (6, 0), (12, 0), (12, 6), (0, 6)])
-
-
 # -- the per-vertex fast paths judge edge cases as the loops did ---------------
 
 
@@ -254,24 +248,6 @@ RECT = [(0, 0), (6, 0), (6, 3), (0, 3)]
 )
 def test_fast_paths_match_reference(ring):
     assert outcome(validate, ring) == outcome(reference_validate, ring)
-
-
-@pytest.mark.parametrize(
-    "spans, message",
-    [
-        (((0, 2), (0, 2), (4, 6)), "adjacent slab spans must differ"),
-        (((0, 2), (4, 6), (4, 6)), "adjacent slab spans must intersect"),
-        (((4, 6), (0, 2), (0, 4)), "adjacent slab spans must intersect"),
-        (((0, 2), (2, 4), (2, 4)), "adjacent slab spans must differ"),
-        (((0, 2), (3, 5)), "adjacent slab spans must intersect"),
-        (((3, 5), (0, 2)), "adjacent slab spans must intersect"),
-        (((0, 2), (2, 2)), "slab span must have positive height"),
-    ],
-)
-def test_profile_reports_the_first_bad_pair(spans, message):
-    with pytest.raises(ValueError) as exc:
-        SlabProfile(tuple(range(0, 2 * len(spans) + 1, 2)), spans)
-    assert str(exc.value) == message
 
 
 def test_parse_polygon_reads_mixed_int_and_float_coordinates_as_before():
