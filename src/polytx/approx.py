@@ -96,25 +96,26 @@ class SweepTables:
     """What the greedy finders read of a polygon, built once per solve.
 
     Every entry is a slab index: column c is slab c, between ``prof.xs[c]``
-    and ``prof.xs[c + 1]``.  Of the edge-aligned family it keeps:
+    and ``prof.xs[c + 1]``.  Of the edge-aligned family it answers for:
 
-    - the vertical at ``prof.xs[j]`` (``verticals[j]``) and, for j >= 1,
-      three columns holding inside cells its k=2 region misses: ``reach[j]``
-      is one past the rightmost such column left of j, or 0, so the
-      vertical sees every inside cell of columns col .. j-1 exactly when
-      ``reach[j] <= col``; ``miss_lo[j]`` and ``miss_hi[j]`` are the first
-      and last such column >= j, or None.  The left edge's entries are never
-      read (the vertical at ``xs[1]`` always beats it).
-    - per edge ordinate y: the last slab whose span ends on y, and the
-      maximal runs at y as sorted ``lo`` and ``hi`` column lists.  A run's
-      region is the inside cells of the columns it spans (full-column
-      property, see :mod:`polytx.visibility`).
+    - the vertical at ``prof.xs[j]`` (:meth:`vertical`) and, for j >= 1,
+      three columns holding inside cells its k=2 region misses
+      (:meth:`misses`): ``reach`` is one past the rightmost such column
+      left of j, or 0, so the vertical sees every inside cell of columns
+      col .. j-1 exactly when ``reach <= col``; ``miss_lo`` and ``miss_hi``
+      are the first and last such column >= j, or None.  They are never
+      asked for at j = 0 (the vertical at ``xs[1]`` always beats it).
+    - the maximal horizontal runs, found by walking the slab spans
+      (:meth:`furthest_run`).  A run's region is the inside cells of the
+      columns it spans (full-column property, see :mod:`polytx.visibility`).
 
-    Everything comes from the profile's spans and per-row walls
-    (``prof.row_walls``) in small integers.  A vertical misses every inside
-    cell of a row outside its cross-section, which the nearest slabs whose
-    span leaves the section give; in a row inside it, the vertical sees
-    the columns between its third wall on each side.
+    A vertical misses every inside cell of a row outside its cross-section,
+    which the nearest slabs whose span leaves the section give.  Those
+    tables, linear in slabs and rows, are built up front, and with them
+    ``bound[j]``, the reach over those rows alone, so ``bound[j] <= reach``.
+    In a row inside the section the vertical sees the columns between its
+    third wall on each side (``prof.row_walls``); that scan runs only for a
+    vertical whose bound lets a finder pick it, once per vertical.
 
     A region on the whole polygon agrees with the region on any
     ``cut_right`` remainder on the columns right of the cut: walls left of
@@ -123,73 +124,27 @@ class SweepTables:
 
     def __init__(self, prof: SlabProfile):
         self.prof = prof
-        xs, spans, rows = prof.xs, prof.spans, prof.row_walls
-        n, cols = len(xs), len(spans)  # column cols stands for "none"
-        row = {y: r for r, y in enumerate(prof.edge_ordinates)}
-        self.verticals = tuple(Transmitter(VERTICAL, x, prof.cross_section(x)) for x in xs)
-
-        tops = [hi for _, hi in spans]
-        downs = [-lo for lo, _ in spans]
-        up_before, up_after = _nearest_greater(tops)
-        down_before, down_after = _nearest_greater(downs)
+        spans, rows = prof.spans, prof.row_walls
+        self._tops = tops = [hi for _, hi in spans]
+        self._downs = downs = [-lo for lo, _ in spans]
+        up_before, self._up_after = _nearest_greater(tops)
+        down_before, self._down_after = _nearest_greater(downs)
         # end_below[r] / end_above[r]: the last inside column of rows < r / >= r
         ends = [walls[-1] - 1 for walls in rows]
-        end_below = [-1, *accumulate(ends, max)]
-        end_above = [*accumulate(reversed(ends), max)][::-1] + [-1]
-
-        self.reach, self.miss_lo, self.miss_hi = [0], [None], [None]
-        for j in range(1, n):
-            lo_y, hi_y = self.verticals[j].span
-            r_lo, r_hi = row[lo_y], row[hi_y]
-            # Rows outside the section: the nearest slabs whose span leaves
-            # it, seen from the slab that holds the section's top (bottom)
-            # of the two the section joins (a = b at the right edge).
-            a, b = j - 1, min(j, cols - 1)
+        self._end_below = [-1, *accumulate(ends, max)]
+        self._end_above = [*accumulate(reversed(ends), max)][::-1] + [-1]
+        # Per vertical j >= 1, of the two slabs its section joins (a = b at
+        # the right edge), the one holding the section's top (bottom).
+        self._top, self._bottom, self.bound = [0], [0], [0]
+        for a in range(len(spans)):
+            b = a + 1 if a + 1 < len(spans) else a
             t = a if tops[a] >= tops[b] else b
             d = a if downs[a] >= downs[b] else b
-            reach = max(up_before[t], down_before[d]) + 1
-            first = min(up_after[t], down_after[d])
-            last = max(end_below[r_lo], end_above[r_hi])
-            # Rows inside it: left of the third wall left of j, and from the
-            # third wall right of j on.  Walls at even positions enter.
-            for walls in rows[r_lo:r_hi]:
-                i = bisect_left(walls, j)
-                if i >= 4 and walls[i - 4 | 1] > reach:
-                    reach = walls[i - 4 | 1]
-                i = bisect_right(walls, j) + 3 & ~1
-                if i < len(walls):
-                    if walls[i] < first:
-                        first = walls[i]
-                    if walls[-1] - 1 > last:
-                        last = walls[-1] - 1
-            self.reach.append(reach)
-            self.miss_lo.append(first if first < cols else None)
-            self.miss_hi.append(last if first < cols else None)
-
-        last_slab = {}
-        for i, span in enumerate(spans):
-            for y in span:
-                last_slab[y] = i
-        ordinates = []
-        for r, y in enumerate(prof.edge_ordinates):
-            # a slab's span holds y exactly when the slab is inside the row
-            # below y or the row above it
-            runs = []
-            for walls in rows[max(r - 1, 0) : r + 1]:
-                runs += zip(walls[::2], walls[1::2])
-            runs.sort()
-            los, his = [], []
-            for lo, hi in runs:
-                if his and lo <= his[-1]:
-                    if hi > his[-1]:
-                        his[-1] = hi
-                else:
-                    los.append(lo)
-                    his.append(hi)
-            ordinates.append((last_slab[y], y, los, his))
-        # (last slab, y, los, his), latest first: the ordinates of the
-        # remainder at column c are a prefix, those with last >= c.
-        self.ordinates = sorted(ordinates, reverse=True)
+            self._top.append(t)
+            self._bottom.append(d)
+            # Rows outside the section: the nearest slabs whose span leaves it.
+            self.bound.append(max(up_before[t], down_before[d]) + 1)
+        self._misses: list[tuple[int, int | None, int | None] | None] = [None] * len(prof.xs)
 
     def column(self, cut: int) -> int:
         """The slab index of breakpoint ``cut``."""
@@ -199,31 +154,83 @@ class SweepTables:
             raise ValueError(f"x={cut} is not a breakpoint of the profile")
         return c
 
+    def vertical(self, j: int) -> Transmitter:
+        """The edge-aligned vertical at breakpoint j."""
+        x = self.prof.xs[j]
+        return Transmitter(VERTICAL, x, self.prof.cross_section(x))
+
+    def misses(self, j: int) -> tuple[int, int | None, int | None]:
+        """``(reach, miss_lo, miss_hi)`` of the vertical at breakpoint
+        j >= 1, scanned on first use."""
+        known = self._misses[j]
+        if known is None:
+            known = self._misses[j] = self._scan(j)
+        return known
+
+    def _scan(self, j: int) -> tuple[int, int | None, int | None]:
+        prof = self.prof
+        cols, ords = len(prof.spans), prof.edge_ordinates
+        t, d = self._top[j], self._bottom[j]
+        r_lo = bisect_left(ords, -self._downs[d])
+        r_hi = bisect_left(ords, self._tops[t])
+        reach = self.bound[j]
+        first = min(self._up_after[t], self._down_after[d])
+        last = max(self._end_below[r_lo], self._end_above[r_hi])
+        # Rows inside the section: left of the third wall left of j, and
+        # from the third wall right of j on.  Walls at even positions enter.
+        for walls in prof.row_walls[r_lo:r_hi]:
+            i = bisect_left(walls, j)
+            if i >= 4 and walls[i - 4 | 1] > reach:
+                reach = walls[i - 4 | 1]
+            i = bisect_right(walls, j) + 3 & ~1
+            if i < len(walls):
+                if walls[i] < first:
+                    first = walls[i]
+                if walls[-1] - 1 > last:
+                    last = walls[-1] - 1
+        if first < cols:
+            return reach, first, last
+        return reach, None, None
+
     def rightmost_vertical(self, c: int, col: int) -> int:
         """The largest j > c whose vertical sees every inside cell of
-        columns col .. j-1."""
-        reach = self.reach
-        for j in range(len(reach) - 1, c, -1):
-            if reach[j] <= col:
+        columns col .. j-1.  A vertical whose bound rules it out is not
+        scanned."""
+        bound = self.bound
+        for j in range(len(bound) - 1, c, -1):
+            if bound[j] <= col and self.misses(j)[0] <= col:
                 return j
         raise ValueError(f"no usable vertical right of x={self.prof.xs[c]}")
 
     def furthest_run(self, c: int, ix: int) -> tuple[Transmitter, int] | None:
-        """Among the runs of the remainder at column c over column ix, the
-        one reaching furthest right (ties: lowest line), clipped to the cut,
-        and its end column."""
-        best = None
-        for last, y, los, his in self.ordinates:
-            if last < c:
-                break
-            i = bisect_right(his, ix)
-            if i < len(his) and los[i] <= ix and (best is None or (his[i], -y) > (best[2], -best[0])):
-                best = (y, los[i], his[i])
-        if best is None:
+        """Among the runs of the remainder at column c <= ix over column ix,
+        the one reaching furthest right (ties: lowest line), clipped to the
+        cut, and its end column.
+
+        Walking right from ix, the lines whose run still goes on are the
+        intersection of the spans passed; the run ends at the first slab
+        that empties it, and its line is the intersection's bottom, the
+        lowest edge ordinate left.  Walking back left to c finds its start.
+        """
+        spans = self.prof.spans
+        if ix >= len(spans):
             return None
-        y, lo, hi = best
+        y, top = spans[ix]
+        end = ix + 1
+        while end < len(spans):
+            lo, hi = spans[end]
+            if lo > top or hi < y:
+                break
+            if lo > y:
+                y = lo
+            if hi < top:
+                top = hi
+            end += 1
+        start = ix
+        while start > c and spans[start - 1][0] <= y <= spans[start - 1][1]:
+            start -= 1
         xs = self.prof.xs
-        return Transmitter(HORIZONTAL, y, (xs[max(lo, c)], xs[hi])), hi
+        return Transmitter(HORIZONTAL, y, (xs[start], xs[end])), end
 
 
 def _nearest_greater(values: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -252,16 +259,14 @@ def vh_finder(sweep: SweepTables, cut: int) -> FinderResult:
     """
     c = sweep.column(cut)
     j = sweep.rightmost_vertical(c, c)
-    s_v = sweep.verticals[j]
-    first = sweep.miss_lo[j]
+    s_v = sweep.vertical(j)
+    _, first, last = sweep.misses(j)
     if first is None:
         return FinderResult(s_v, None, sweep.prof.x_max, True)
-    run = sweep.furthest_run(c, first)
-    if run is None:
-        raise ValueError("no horizontal candidate over the first uncovered cell")
-    s_h, end = run
+    # c <= first < len(prof.spans), so there is always a run over it
+    s_h, end = sweep.furthest_run(c, first)
     # the vertical's misses lie in columns miss_lo .. miss_hi; a run covers whole columns
-    if sweep.miss_hi[j] < end:
+    if last < end:
         return FinderResult(s_v, s_h, sweep.prof.x_max, True)
     return FinderResult(s_v, s_h, s_h.span[1], False)
 
@@ -284,10 +289,10 @@ def hv_finder(sweep: SweepTables, cut: int) -> FinderResult:
     if s_h.span[1] == sweep.prof.x_max:
         return FinderResult(s_h, None, sweep.prof.x_max, True)
     j = sweep.rightmost_vertical(c, end)
-    first = sweep.miss_lo[j]
+    _, first, _ = sweep.misses(j)
     if first is None:
-        return FinderResult(s_h, sweep.verticals[j], sweep.prof.x_max, True)
-    return FinderResult(s_h, sweep.verticals[j], sweep.prof.xs[first], False)
+        return FinderResult(s_h, sweep.vertical(j), sweep.prof.x_max, True)
+    return FinderResult(s_h, sweep.vertical(j), sweep.prof.xs[first], False)
 
 
 def _better(a: FinderResult, b: FinderResult) -> FinderResult:
@@ -303,16 +308,16 @@ def _better(a: FinderResult, b: FinderResult) -> FinderResult:
 def approximate_2transmitters(p: OrthoPolygon) -> Solution:
     """Factor-2 approximation of the minimum 2-transmitter cover.
 
-    A slab-indexed table of the edge-aligned verticals' k=2 misses and of
-    the horizontal runs is built once, on the whole polygon, from its walls
-    (:class:`SweepTables`).  Each round runs both finders on the remainder
-    right of the cut column, so every chosen segment is maximal on the
-    remainder; a round costs one integer test per vertical it passes and
-    one bisection per live ordinate.  No cell grid, bitset or remainder
-    profile is built.  Coverage of the original polygon is re-verified at
-    the end rather than inferred from the loop.  Raises RuntimeError when a
-    round fails to advance the cut or the round and size bounds behind the
-    factor-2 guarantee are broken.
+    Slab-indexed tables of the polygon's spans and walls are built once, on
+    the whole polygon (:class:`SweepTables`).  Each round runs both finders
+    on the remainder right of the cut column, so every chosen segment is
+    maximal on the remainder; a round costs one integer test per vertical
+    it passes, a row scan for each vertical whose bound lets it through
+    (once per solve), and a walk over the slabs of the runs it reads.  No
+    cell grid, bitset or remainder profile is built.  Coverage of the
+    original polygon is re-verified at the end rather than inferred from
+    the loop.  Raises RuntimeError when a round fails to advance the cut or
+    the round and size bounds behind the factor-2 guarantee are broken.
     """
     prof = p.profile
     sweep = SweepTables(prof)

@@ -69,15 +69,16 @@ def exact_min_transmitters(
     `iterations` is the number of subsets a cardinality-first enumeration in
     that order tries up to and including the witness, in closed form
     (`enumeration_count`); it is not the work the search did.  Recursion is
-    at most min(budget, family size) deep.  `mode` accepts only "standard".
-    Raises NoSolutionWithinBudget when no subset of size <= budget covers.
+    at most min(budget, family size) deep.  `mode` accepts only "standard",
+    and `budget` only an int (not a bool) of at least 1.  Raises
+    NoSolutionWithinBudget when no subset of size <= budget covers.
     """
     if mode != "standard":
         raise ValueError(f"mode must be 'standard', got {mode!r}")
     if type(k) is not int or k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    if type(budget) is not int or budget < 1:
+        raise ValueError("budget must be an integer of at least 1")
     cands = edge_aligned_candidates(p.profile)
     grid = build_grid(p.profile)
     bits = [vis_region(s, k, grid).bits for s in cands]

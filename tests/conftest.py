@@ -27,7 +27,7 @@ def stalled_finders(monkeypatch):
     """Both greedy finders return a round whose cut stays on the left edge."""
 
     def stalled(sweep, cut):
-        return px.FinderResult(sweep.verticals[0], None, cut, False)
+        return px.FinderResult(sweep.vertical(0), None, cut, False)
 
     monkeypatch.setattr(px.approx, "vh_finder", stalled)
     monkeypatch.setattr(px.approx, "hv_finder", stalled)

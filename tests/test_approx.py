@@ -125,10 +125,10 @@ class TestFinders:
         # STAIR6's left-anchored run leaves cells uncovered, so the step needs
         # a vertical; the check must survive python -O, which strips asserts.
         # On a real profile the vertical right of the cut always qualifies, so
-        # the tables are made to say that none sees back to the run's end.
+        # the bounds are made to say that none sees back to the run's end.
         prof = polys["STAIR6"].profile
         sweep = SweepTables(prof)
-        sweep.reach = [len(prof.xs)] * len(prof.xs)
+        sweep.bound = [len(prof.xs)] * len(prof.xs)
         for finder in (vh_finder, hv_finder):
             with pytest.raises(ValueError, match="no usable vertical"):
                 finder(sweep, prof.x_min)
@@ -191,6 +191,60 @@ class TestApproximate:
         b = approximate_2transmitters(polys["STAIR6"])
         assert a == b
 
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (
+                26,
+                {
+                    "k": 2,
+                    "solver": "approx",
+                    "count": 7,
+                    "transmitters": [
+                        {"orientation": "v", "anchor": 9, "span": [2, 8]},
+                        {"orientation": "v", "anchor": 39, "span": [1, 8]},
+                        {"orientation": "v", "anchor": 81, "span": [0, 8]},
+                        {"orientation": "h", "anchor": 1, "span": [0, 4]},
+                        {"orientation": "h", "anchor": 2, "span": [94, 97]},
+                        {"orientation": "h", "anchor": 3, "span": [57, 80]},
+                        {"orientation": "h", "anchor": 6, "span": [22, 33]},
+                    ],
+                    "coverage": "complete",
+                    "iterations": 4,
+                },
+            ),
+            (
+                14,
+                {
+                    "k": 2,
+                    "solver": "approx",
+                    "count": 6,
+                    "transmitters": [
+                        {"orientation": "v", "anchor": 12, "span": [1, 8]},
+                        {"orientation": "v", "anchor": 52, "span": [0, 5]},
+                        {"orientation": "v", "anchor": 91, "span": [0, 8]},
+                        {"orientation": "h", "anchor": 6, "span": [17, 47]},
+                        {"orientation": "h", "anchor": 6, "span": [59, 72]},
+                        {"orientation": "h", "anchor": 7, "span": [72, 85]},
+                    ],
+                    "coverage": "complete",
+                    "iterations": 3,
+                },
+            ),
+        ],
+    )
+    def test_greedy_above_the_optimum(self, seed, expected):
+        # The first 40-slab shapes where the greedy is not optimal (ratios
+        # 7/4 and 6/4): the whole answer is frozen, and the exact optimum
+        # checks the factor-2 bound and one round per optimal segment.
+        p = px.random_monotone(40, 8, 4, seed)
+        sol = approximate_2transmitters(p)
+        assert sol.to_json_dict() == expected
+        opt = exact_min_transmitters(p, 2).count
+        assert opt == 4
+        assert opt < sol.count <= 2 * opt
+        assert sol.iterations <= opt
+
     def test_corpus_invariants(self, small_corpus):
         for p in small_corpus:
             sol = approximate_2transmitters(p)
@@ -247,10 +301,31 @@ class TestSweep:
         assert sol.coverage_complete
         assert not calls, calls
 
+    @pytest.mark.parametrize("slabs, seed", [(40, 0), (40, 1), (40, 2), (40, 3), (400, 1)])
+    def test_rows_scanned_only_for_verticals_the_bound_lets_through(
+        self, monkeypatch, slabs, seed
+    ):
+        # A vertical's in-section rows are read at most once per solve, and
+        # only when its bound does not already rule it out: on these
+        # ladders that is fewer than half the verticals.
+        scanned = Counter()
+        scan = SweepTables._scan
+
+        def counted(sweep, j):
+            scanned[j] += 1
+            return scan(sweep, j)
+
+        monkeypatch.setattr(SweepTables, "_scan", counted)
+        sol = approximate_2transmitters(px.random_monotone(slabs, 20, 4, seed))
+        assert sol.coverage_complete
+        assert set(scanned.values()) == {1}
+        assert len(scanned) < slabs / 2
+
     @pytest.mark.parametrize("shapes", ["fixtures+corpus", "random"])
     def test_tables_match_oracle_regions(self, polys, shapes):
         # The three columns per vertical against the brute-force ring
-        # oracle's region, and the run lists against runs_at in slab indices.
+        # oracle's region, and the run walk against runs_at at every column
+        # pair.
         if shapes == "random":
             todo = [px.random_monotone(40, h, w, seed=0) for h, w in ((20, 4), (300, 1))]
             # tall and narrow: each slab brings its own ordinates, so most
@@ -263,18 +338,26 @@ class TestSweep:
             sweep = SweepTables(prof)
             grid = build_grid(prof)
             for j in range(1, len(prof.xs)):
-                seen = oracle_region_bits(p, sweep.verticals[j], 2, grid)
+                seen = oracle_region_bits(p, sweep.vertical(j), 2, grid)
                 cols = {ix for ix, _ in grid.iter_cells(grid.inside_mask & ~seen)}
                 left = [ix for ix in cols if ix < j]
                 right = [ix for ix in cols if ix >= j]
-                assert sweep.reach[j] == (max(left) + 1 if left else 0)
-                assert sweep.miss_lo[j] == (min(right) if right else None)
-                assert sweep.miss_hi[j] == (max(right) if right else None)
-            ordinates = {v for span in prof.spans for v in span}
-            assert {y for _, y, _, _ in sweep.ordinates} == ordinates
-            for _, y, los, his in sweep.ordinates:
-                expected = [(sweep.column(lo), sweep.column(hi)) for lo, hi in prof.runs_at(y)]
-                assert list(zip(los, his)) == expected
+                reach, miss_lo, miss_hi = sweep.misses(j)
+                assert reach == (max(left) + 1 if left else 0)
+                assert miss_lo == (min(right) if right else None)
+                assert miss_hi == (max(right) if right else None)
+                assert sweep.bound[j] <= reach
+            runs = {y: prof.runs_at(y) for y in prof.edge_ordinates}
+            xs = prof.xs
+            for c in range(len(prof.spans)):
+                live = {y for span in prof.spans[c:] for y in span}
+                for ix in range(c, len(prof.spans)):
+                    y, lo, hi = max(
+                        ((y, lo, hi) for y in live for lo, hi in runs[y] if lo <= xs[ix] < hi),
+                        key=lambda run: (run[2], -run[0]),
+                    )
+                    run = Transmitter("h", y, (max(lo, xs[c]), hi))
+                    assert sweep.furthest_run(c, ix) == (run, sweep.column(hi))
 
 
 class TestSolution:

@@ -77,9 +77,10 @@ class TestBudget:
         sol = exact_min_transmitters(polys["GAP7"], 0, budget=3)
         assert sol.count == 3
 
-    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("budget", [0, -1, True, False, 2.5, 3.0, "3", None])
     def test_bad_budget_rejected(self, polys, budget):
-        with pytest.raises(ValueError):
+        # a bool is not read as 1 or 0, nor a float or a string coerced
+        with pytest.raises(ValueError, match="budget must be"):
             exact_min_transmitters(polys["RECT"], 2, budget=budget)
 
     @pytest.mark.parametrize("name,k", [("STAIR6", 2), ("GAP7", 0)])
