@@ -39,12 +39,7 @@ from .geometry import (
 )
 from .instances import FIXTURES, corpus, fixture, random_monotone
 from .svg import render_svg
-from .visibility import (
-    RectUnion,
-    covers_polygon,
-    union_regions,
-    vis_region,
-)
+from .visibility import RectUnion, vis_region
 
 __version__ = "0.1.0"
 
@@ -69,7 +64,6 @@ __all__ = [
     "canonical",
     "canonicalize_solution",
     "corpus",
-    "covers_polygon",
     "cut_right",
     "edge_aligned_candidates",
     "exact_min_transmitters",
@@ -79,7 +73,6 @@ __all__ = [
     "prune_dominated",
     "random_monotone",
     "render_svg",
-    "union_regions",
     "validate",
     "vh_finder",
     "vis_region",

@@ -66,6 +66,14 @@ def canonical(segments: Iterable[Transmitter]) -> SegmentSet:
     return tuple(sorted(set(segments), key=lambda s: s.sort_key))
 
 
+def segment_inside(prof: SlabProfile, s: Transmitter) -> bool:
+    """Whether the segment lies in the closed polygon."""
+    if s.orientation == VERTICAL:
+        section = prof.cross_section(s.anchor)
+        return section is not None and section[0] <= s.span[0] and s.span[1] <= section[1]
+    return prof.run_covering(s.anchor, *s.span) is not None
+
+
 def _maximal_vertical(prof: SlabProfile, x: int) -> Transmitter:
     section = prof.cross_section(x)
     if section is None:
@@ -135,14 +143,11 @@ def canonicalize_solution(
     hlines = prof.edge_ordinates
     out: list[Transmitter] = []
     for s in sol:
+        if not segment_inside(prof, s):
+            raise ValueError(f"segment {s} is not inside the closed polygon")
         if s.orientation == VERTICAL:
-            section = prof.cross_section(s.anchor)
-            if section is None or s.span[0] < section[0] or s.span[1] > section[1]:
-                raise ValueError(f"segment {s} is not inside the closed polygon")
             out.append(_maximal_vertical(prof, _nearest(vlines, s.anchor)))
         else:
-            if prof.run_covering(s.anchor, *s.span) is None:
-                raise ValueError(f"segment {s} is not inside the closed polygon")
             y = s.anchor if s.anchor in hlines else _nearest(hlines, s.anchor)
             run = prof.run_covering(y, *s.span)
             if run is None:

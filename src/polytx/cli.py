@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .approx import approximate_2transmitters
-from .candidates import Transmitter, edge_aligned_candidates, prune_dominated
+from .candidates import Transmitter, edge_aligned_candidates, prune_dominated, segment_inside
 from .errors import InvalidPolygonError, NoSolutionWithinBudget
 from .exact import exact_min_transmitters
 from .geometry import OrthoPolygon, build_grid, input_int, parse_polygon
@@ -148,17 +148,10 @@ def _cmd_render(args) -> int:
                     f"--vis index {args.vis} out of range 0..{len(transmitters) - 1}"
                 )
             t = transmitters[args.vis]
-            prof = p.profile
-            if t.orientation == "v":
-                section = prof.cross_section(t.anchor)
-                inside = section is not None and section[0] <= t.span[0] < t.span[1] <= section[1]
-                cuts = ([t.anchor], t.span)
-            else:
-                inside = prof.run_covering(t.anchor, *t.span) is not None
-                cuts = (t.span, [t.anchor])
-            if not inside:
+            if not segment_inside(p.profile, t):
                 raise _InputError(f"--vis transmitter {args.vis} is not inside the closed polygon")
-            shaded = vis_region(t, k, build_grid(prof, *cuts))
+            cuts = ([t.anchor], t.span) if t.orientation == "v" else (t.span, [t.anchor])
+            shaded = vis_region(t, k, build_grid(p.profile, *cuts))
     _write_text(args.svg, render_svg(p, transmitters, shaded))
     return EXIT_OK
 

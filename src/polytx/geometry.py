@@ -522,12 +522,13 @@ class CellGrid:
     contiguous bit range (:meth:`columns`).
     Outside cells keep their indices; ``inside_mask`` marks the polygon.
     ``row_ones`` has the bit of row 0 in every column set, so
-    ``row_ones << iy`` is row iy.
+    ``row_ones << iy`` is row iy.  The cuts include every breakpoint and
+    edge ordinate, so each row lies in one band of ``profile.row_walls``.
     """
 
     __slots__ = (
         "profile", "x_cuts", "y_cuts", "nx", "ny", "inside_mask",
-        "rep_xs", "rep_ys", "row_ones", "row_edge_xs",
+        "rep_xs", "row_ones",
         "_x_cut_set", "_y_cut_set",
     )
 
@@ -540,7 +541,6 @@ class CellGrid:
         self.nx = len(x_cuts) - 1
         self.ny = len(y_cuts) - 1
         self.rep_xs = tuple((a + b) // 2 for a, b in zip(x_cuts, x_cuts[1:]))
-        self.rep_ys = tuple((a + b) // 2 for a, b in zip(y_cuts, y_cuts[1:]))
         # Geometric series: the sum of 2**(ix * ny) over ix < nx.
         self.row_ones = ((1 << self.nx * self.ny) - 1) // ((1 << self.ny) - 1)
 
@@ -550,22 +550,12 @@ class CellGrid:
             iy_lo, iy_hi = bisect_left(y_cuts, lo), bisect_left(y_cuts, hi)
             inside |= (1 << ix * self.ny + iy_hi) - (1 << ix * self.ny + iy_lo)
         self.inside_mask = inside
-        # Row iy's walls: the vertical edges with ylo < rep_ys[iy] < yhi.  The
-        # edges come sorted by x, so every row's list is too.
-        rows: list[list[int]] = [[] for _ in self.rep_ys]
-        for x, ylo, yhi in profile.vertical_edges:
-            for iy in range(bisect_right(self.rep_ys, ylo), bisect_left(self.rep_ys, yhi)):
-                rows[iy].append(x)
-        self.row_edge_xs = tuple(map(tuple, rows))
 
     def has_x_cut(self, x: int) -> bool:
         return x in self._x_cut_set
 
     def has_y_cut(self, y: int) -> bool:
         return y in self._y_cut_set
-
-    def cell_index(self, ix: int, iy: int) -> int:
-        return ix * self.ny + iy
 
     def cell_bounds(self, ix: int, iy: int) -> tuple[int, int, int, int]:
         """(x_lo, y_lo, x_hi, y_hi) of the cell, internal units."""
@@ -583,10 +573,10 @@ class CellGrid:
         """Every cell, inside or not, of columns ix_lo .. ix_hi - 1."""
         return (1 << ix_hi * self.ny) - (1 << ix_lo * self.ny)
 
-    def inside_mask_between(self, x_lo: int | None, x_hi: int | None) -> int:
-        """Inside cells whose x-range lies within [x_lo, x_hi] (None = unbounded)."""
-        ix_lo = 0 if x_lo is None else bisect_left(self.x_cuts, x_lo)
-        ix_hi = self.nx if x_hi is None else bisect_right(self.x_cuts, x_hi) - 1
+    def inside_mask_between(self, x_lo: int, x_hi: int) -> int:
+        """Inside cells whose x-range lies within [x_lo, x_hi]."""
+        ix_lo = bisect_left(self.x_cuts, x_lo)
+        ix_hi = bisect_right(self.x_cuts, x_hi) - 1
         if ix_hi <= ix_lo:
             return 0
         return self.inside_mask & self.columns(ix_lo, ix_hi)
@@ -604,7 +594,7 @@ def build_grid(
     """
     ex, ey = checked_cuts(prof, extra_x, extra_y)
     x_cuts = tuple(sorted(set(prof.xs) | ex))
-    y_cuts = tuple(sorted({v for span in prof.spans for v in span} | ey))
+    y_cuts = tuple(sorted(ey.union(prof.edge_ordinates)))
     return CellGrid(prof, x_cuts, y_cuts)
 
 

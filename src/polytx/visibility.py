@@ -7,7 +7,9 @@ bitsets over a CellGrid; a region computed on a grid refined with the
 segment's own coordinates is uniform across each cell, so the cell
 representative decides the whole cell.  :func:`segments_cover` decides
 whether a set of regions covers the polygon from the same rules as
-x-intervals per row band, with no grid.
+x-intervals per row band, with no grid.  Both read one wall table, the
+profile's ``row_walls``: in each row, a vertical sees up to the (k+1)-th
+wall on each side of its line.
 """
 
 from __future__ import annotations
@@ -60,40 +62,23 @@ def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
     # so the row's visible cells are one run of columns, bounded by the
     # (k+1)-th wall on each side.  Walls on the anchor line are not crossed.
     # Every wall is an x-cut, so each bound is a column boundary.
-    a = s.anchor
-    x_cuts = grid.x_cuts
+    prof = grid.profile
+    xs, ords, rows = prof.xs, prof.edge_ordinates, prof.row_walls
+    x_cuts, y_cuts = grid.x_cuts, grid.y_cuts
+    # breakpoints left of the line, and up to the line
+    before, upto = bisect_left(xs, s.anchor), bisect_right(xs, s.anchor)
+    r = bisect_right(ords, lo) - 1  # the band holding the current row
     bits = 0
-    for iy in range(bisect_left(grid.y_cuts, lo), bisect_left(grid.y_cuts, hi)):
-        walls = grid.row_edge_xs[iy]
-        left = bisect_left(walls, a) - k - 1
-        right = bisect_right(walls, a) + k
-        ix_lo = bisect_left(x_cuts, walls[left]) if left >= 0 else 0
-        ix_hi = bisect_left(x_cuts, walls[right]) if right < len(walls) else grid.nx
+    for iy in range(bisect_left(y_cuts, lo), bisect_left(y_cuts, hi)):
+        if y_cuts[iy] == ords[r + 1]:
+            r += 1
+        walls = rows[r]
+        left = bisect_left(walls, before) - k - 1
+        right = bisect_left(walls, upto) + k
+        ix_lo = bisect_left(x_cuts, xs[walls[left]]) if left >= 0 else 0
+        ix_hi = bisect_left(x_cuts, xs[walls[right]]) if right < len(walls) else grid.nx
         bits |= (grid.row_ones << iy) & grid.columns(ix_lo, ix_hi)
     return RectUnion(grid, bits & grid.inside_mask)
-
-
-def union_regions(regions: Sequence[RectUnion], grid: CellGrid | None = None) -> RectUnion:
-    """Union, or the empty region on `grid` when the sequence is empty."""
-    if not regions:
-        if grid is None:
-            raise ValueError("empty union needs an explicit grid")
-        return RectUnion(grid, 0)
-    bits = 0
-    base = regions[0].grid
-    for r in regions:
-        if r.grid is not base:
-            raise ValueError("regions live on different grids")
-        bits |= r.bits
-    if grid is not None and grid is not base:
-        raise ValueError("regions live on different grids")
-    return RectUnion(base, bits)
-
-
-def covers_polygon(region: RectUnion) -> bool:
-    """True when the region includes every inside cell of its grid."""
-    inside = region.grid.inside_mask
-    return region.bits & inside == inside
 
 
 def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -> bool:

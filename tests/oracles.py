@@ -2,24 +2,30 @@
 
 Almost everything here works on the raw vertex ring with generic
 segment arithmetic.  The point is to avoid the slab shortcuts the
-package uses internally, so agreement is meaningful.  The exceptions,
-percell_region_bits and percolumn_inside_between, are the grid code's
-plain cell-by-cell form, the reference at sizes brute force cannot reach.
-reference_validate is the validator's earlier all-pairs form, with its
-per-vertex loops and collinear merge, the reference for the single slab
-scan, the contact sweep and the whole-ring checks, reference_approximate is the greedy
-sweep's earlier per-remainder loop, the reference for the one-grid sweep,
-reference_vh_finder and reference_hv_finder are the finders' earlier
-candidate-list scans, the reference for the per-vertical reach tables,
-reference_exact is the exact solver's earlier subset enumeration, the
-reference for the depth-first search and its closed-form iteration count,
-dense_exact is the exact search over every unit-lattice line, the
-reference for the edge-aligned family, reference_row_edge_xs is the
-grid's per-row wall table as a scan of every edge per row, and
-reference_covers is Solution.build's coverage check as it was before the
-band check: a refined grid and the union of the regions' bitsets.  The small grid and profile helpers
-(cell_rep, is_inside, first_cell, cell_area, profile_area, contains_point) are
-what the checks need of a CellGrid or SlabProfile beyond what the solvers use.
+package uses internally, so agreement is meaningful.  The exceptions:
+
+- percell_region_bits and percolumn_inside_between are the grid code's
+  plain cell-by-cell form, the reference at sizes brute force cannot reach.
+- reference_validate is the validator's earlier all-pairs form, with its
+  per-vertex loops and collinear merge, the reference for the single slab
+  scan, the contact sweep and the whole-ring checks.
+- reference_approximate is the greedy sweep's earlier per-remainder loop,
+  the reference for the one-grid sweep; reference_vh_finder and
+  reference_hv_finder are the finders' earlier candidate-list scans, the
+  reference for the per-vertical reach tables.
+- reference_exact is the exact solver's earlier subset enumeration, the
+  reference for the depth-first search and its closed-form iteration count;
+  dense_exact is the exact search over every unit-lattice line, the
+  reference for the edge-aligned family.
+- reference_row_walls is SlabProfile.row_walls, the one wall table that
+  vis_region, the sweep and segments_cover read, as a scan of every edge
+  per ordinate.
+- reference_covers is Solution.build's coverage check as it was before the
+  band check: a refined grid and the OR of the regions' bitsets.
+
+The small grid and profile helpers (row_reps, cell_rep, cell_index,
+is_inside, first_cell, cell_area, profile_area, contains_point) are what
+the checks need of a CellGrid or SlabProfile beyond what the solvers use.
 """
 
 from __future__ import annotations
@@ -35,8 +41,6 @@ from polytx import (
     Solution,
     Transmitter,
     build_grid,
-    covers_polygon,
-    union_regions,
     validate,
     vis_region,
 )
@@ -54,13 +58,23 @@ from polytx.geometry import (
 Point = tuple[int, int]
 
 
+def row_reps(grid: CellGrid) -> tuple[int, ...]:
+    """Each grid row's integer mid-height."""
+    return tuple((a + b) // 2 for a, b in zip(grid.y_cuts, grid.y_cuts[1:]))
+
+
 def cell_rep(grid: CellGrid, ix: int, iy: int) -> Point:
     """The cell's integer midpoint, where every predicate is evaluated."""
-    return (grid.rep_xs[ix], grid.rep_ys[iy])
+    return (grid.rep_xs[ix], (grid.y_cuts[iy] + grid.y_cuts[iy + 1]) // 2)
+
+
+def cell_index(grid: CellGrid, ix: int, iy: int) -> int:
+    """The cell's bit in a region mask (column-major)."""
+    return ix * grid.ny + iy
 
 
 def is_inside(grid: CellGrid, ix: int, iy: int) -> bool:
-    return bool(grid.inside_mask >> grid.cell_index(ix, iy) & 1)
+    return bool(grid.inside_mask >> cell_index(grid, ix, iy) & 1)
 
 
 def first_cell(grid: CellGrid, mask: int) -> tuple[int, int] | None:
@@ -176,7 +190,7 @@ def oracle_region_bits(p: OrthoPolygon, s: Transmitter, k: int, grid) -> int:
     bits = 0
     for ix, iy in grid.iter_cells(grid.inside_mask):
         if oracle_sees(p, s, k, cell_rep(grid, ix, iy)):
-            bits |= 1 << grid.cell_index(ix, iy)
+            bits |= 1 << cell_index(grid, ix, iy)
     return bits
 
 
@@ -193,7 +207,7 @@ def percell_region_bits(s: Transmitter, k: int, grid) -> int:
     lo, hi = s.span
     row_walls = [
         sorted(x for x, ylo, yhi in grid.profile.vertical_edges if ylo < ry < yhi)
-        for ry in grid.rep_ys
+        for ry in row_reps(grid)
     ]
     bits = 0
     for ix, iy in grid.iter_cells(grid.inside_mask):
@@ -207,7 +221,7 @@ def percell_region_bits(s: Transmitter, k: int, grid) -> int:
         else:
             seen = False
         if seen:
-            bits |= 1 << grid.cell_index(ix, iy)
+            bits |= 1 << cell_index(grid, ix, iy)
     return bits
 
 
@@ -215,21 +229,22 @@ def percolumn_inside_between(grid, x_lo, x_hi) -> int:
     """CellGrid.inside_mask_between, one column and one cell at a time."""
     bits = 0
     for ix in range(grid.nx):
-        if x_lo is not None and grid.x_cuts[ix] < x_lo:
-            continue
-        if x_hi is not None and grid.x_cuts[ix + 1] > x_hi:
+        if grid.x_cuts[ix] < x_lo or grid.x_cuts[ix + 1] > x_hi:
             continue
         for iy in range(grid.ny):
             if is_inside(grid, ix, iy):
-                bits |= 1 << grid.cell_index(ix, iy)
+                bits |= 1 << cell_index(grid, ix, iy)
     return bits
 
 
-def reference_row_edge_xs(grid: CellGrid) -> tuple[tuple[int, ...], ...]:
-    """CellGrid.row_edge_xs as a scan of every vertical edge per row."""
+def reference_row_walls(prof: SlabProfile, ys: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Per ordinate y, the breakpoint indices of the vertical edges with
+    ylo < y < yhi, as a scan of every edge; at the band midpoints this is
+    SlabProfile.row_walls."""
+    col = {x: i for i, x in enumerate(prof.xs)}
     return tuple(
-        tuple(x for (x, ylo, yhi) in grid.profile.vertical_edges if ylo < ry < yhi)
-        for ry in grid.rep_ys
+        tuple(col[x] for (x, ylo, yhi) in prof.vertical_edges if ylo < y < yhi)
+        for y in ys
     )
 
 
@@ -248,8 +263,10 @@ def reference_covers(p: OrthoPolygon, transmitters: Sequence[Transmitter], k: in
             extra_y.append(t.anchor)
             extra_x.extend(t.span)
     grid = build_grid(p.profile, extra_x, extra_y)
-    regions = [vis_region(t, k, grid) for t in transmitters]
-    return covers_polygon(union_regions(regions, grid=grid))
+    bits = 0
+    for t in transmitters:
+        bits |= vis_region(t, k, grid).bits
+    return bits & grid.inside_mask == grid.inside_mask
 
 
 def mirrored(p: OrthoPolygon) -> OrthoPolygon:
@@ -514,7 +531,7 @@ def reference_vh_finder(
             continue
         if s_v is not None and s.anchor <= s_v.anchor:
             continue
-        left = grid.inside_mask_between(None, s.anchor)
+        left = grid.inside_mask_between(grid.x_cuts[0], s.anchor)
         if left & bits == left:
             s_v, v_bits = s, bits
     if s_v is None:

@@ -6,6 +6,8 @@ once per session.
 """
 
 import time
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -18,7 +20,6 @@ from polytx import (
     exact_min_transmitters,
     fixture,
     prune_dominated,
-    union_regions,
     vis_region,
 )
 
@@ -156,7 +157,7 @@ def test_criterion_8_pruning_soundness(certification):
         fam = edge_aligned_candidates(p.profile)
         kept = prune_dominated(fam, p)
         grid = build_grid(p.profile)
-        before = union_regions([vis_region(s, 2, grid) for s in fam])
-        after = union_regions([vis_region(s, 2, grid) for s in kept])
-        ok = ok and before.bits == after.bits and len(kept) >= 1
+        before = reduce(or_, (vis_region(s, 2, grid).bits for s in fam))
+        after = reduce(or_, (vis_region(s, 2, grid).bits for s in kept))
+        ok = ok and before == after and len(kept) >= 1
     assert report(8, ok, "pruning preserves the covered region on 500 instances")

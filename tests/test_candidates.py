@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import or_
+
 import pytest
 
 import polytx as px
@@ -9,7 +12,6 @@ from polytx import (
     canonicalize_solution,
     edge_aligned_candidates,
     prune_dominated,
-    union_regions,
     vis_region,
 )
 from polytx.candidates import _maximal_vertical
@@ -146,9 +148,9 @@ class TestPruneDominated:
             kept = prune_dominated(fam, p)
             assert kept
             g = build_grid(p.profile)
-            before = union_regions([vis_region(s, 2, g) for s in fam])
-            after = union_regions([vis_region(s, 2, g) for s in kept])
-            assert before.bits == after.bits
+            before = reduce(or_, (vis_region(s, 2, g).bits for s in fam))
+            after = reduce(or_, (vis_region(s, 2, g).bits for s in kept))
+            assert before == after
 
 
 class TestCanonicalizeSolution:

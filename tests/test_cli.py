@@ -12,6 +12,45 @@ GAP7_RING = [
 ]
 RECT_RING = [[0, 0], [6, 0], [6, 3], [0, 3]]
 VALLEY_RING = [[0, 0], [6, 0], [6, 3], [4, 3], [4, 1], [2, 1], [2, 3], [0, 3]]
+# Two notches over a floor: edge heights 0, 2 and 4, so the band from 2 to 4
+# is two grid rows once a transmitter's span ends at 3.
+COMB_RING = [
+    [0, 0], [10, 0], [10, 4], [8, 4], [8, 2], [6, 2], [6, 4], [4, 4],
+    [4, 2], [2, 2], [2, 4], [0, 4],
+]
+
+# render --vis output, byte for byte.  GAP7_X6_K0_SVG: the family vertical
+# at x=6 on GAP7 at k=0, on the unrefined grid.  COMB_X1_K2_SVG: the vertical
+# at x=1 from y=0 to 3 on COMB_RING at k=2, off the family, so the grid gains
+# the cuts x=1 and y=3 and the band from 2 to 4 holds two rows.
+GAP7_X6_K0_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="600" height="160" viewBox="0 0 600 160">
+  <path d="M 20.0 60.0 H 100.0 V 140.0 H 500.0 V 60.0 H 580.0 V 20.0 H 420.0 V 100.0 H 340.0 V 20.0 H 260.0 V 100.0 H 180.0 V 20.0 H 20.0 Z" fill="#f7f5ef" stroke="#1a1a1a" stroke-width="1.5"/>
+  <rect x="100.0" y="100.0" width="80.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="180.0" y="100.0" width="80.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="260.0" y="100.0" width="80.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="260.0" y="60.0" width="80.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="260.0" y="20.0" width="80.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="340.0" y="100.0" width="80.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="420.0" y="100.0" width="80.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <line x1="260.0" y1="140.0" x2="260.0" y2="20.0" stroke="#2266aa" stroke-width="3" stroke-linecap="round"/>
+</svg>
+"""
+COMB_X1_K2_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="440" height="200" viewBox="0 0 440 200">
+  <path d="M 20.0 180.0 H 420.0 V 20.0 H 340.0 V 100.0 H 260.0 V 20.0 H 180.0 V 100.0 H 100.0 V 20.0 H 20.0 Z" fill="#f7f5ef" stroke="#1a1a1a" stroke-width="1.5"/>
+  <rect x="20.0" y="100.0" width="40.0" height="80.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="20.0" y="60.0" width="40.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="60.0" y="100.0" width="40.0" height="80.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="60.0" y="60.0" width="40.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="100.0" y="100.0" width="80.0" height="80.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="180.0" y="100.0" width="80.0" height="80.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="180.0" y="60.0" width="80.0" height="40.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="260.0" y="100.0" width="80.0" height="80.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <rect x="340.0" y="100.0" width="80.0" height="80.0" fill="#7fb2d9" fill-opacity="0.4"/>
+  <line x1="60.0" y1="180.0" x2="60.0" y2="60.0" stroke="#2266aa" stroke-width="3" stroke-linecap="round"/>
+</svg>
+"""
 
 
 @pytest.fixture
@@ -192,6 +231,22 @@ class TestRender:
                      "--vis", "0", "--svg", str(out)]) == 0
         svg = out.read_text()
         assert "<line" in svg and "<rect" in svg
+
+    @pytest.mark.parametrize(
+        "ring, t, k, expected",
+        [
+            (GAP7_RING, {"orientation": "v", "anchor": 6, "span": [0, 3]}, 0, GAP7_X6_K0_SVG),
+            (COMB_RING, {"orientation": "v", "anchor": 1, "span": [0, 3]}, 2, COMB_X1_K2_SVG),
+        ],
+        ids=["gap7-family-k0", "comb-off-family-k2"],
+    )
+    def test_vis_output_bytes(self, ring, t, k, expected, tmp_path):
+        poly, sol, out = tmp_path / "p.json", tmp_path / "s.json", tmp_path / "r.svg"
+        poly.write_text(json.dumps({"vertices": ring}))
+        sol.write_text(json.dumps({"k": k, "transmitters": [t]}))
+        assert main(["render", str(poly), "--solution", str(sol),
+                     "--vis", "0", "--svg", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_vis_needs_solution(self, gap7_file, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import json
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -16,7 +17,8 @@ from oracles import (
     notched,
     point_inside,
     profile_area,
-    reference_row_edge_xs,
+    reference_row_walls,
+    row_reps,
     shoelace2,
 )
 
@@ -346,12 +348,12 @@ class TestCellGrid:
 
     def test_inside_mask_between(self, polys):
         g = build_grid(polys["VALLEY"].profile)
-        left = g.inside_mask_between(None, 4)
+        left = g.inside_mask_between(g.x_cuts[0], 4)
         assert {g.cell_bounds(ix, iy) for ix, iy in g.iter_cells(left)} == {
             (0, 0, 4, 2),
             (0, 2, 4, 6),
         }
-        assert g.inside_mask_between(None, None) == g.inside_mask
+        assert g.inside_mask_between(g.x_cuts[0], g.x_cuts[-1]) == g.inside_mask
         assert g.inside_mask_between(4, 4) == 0
 
     def test_first_cell_prefers_min_x_then_min_y(self, polys):
@@ -382,14 +384,17 @@ class TestCellGrid:
         rng = random.Random(0)
         for p in shapes:
             prof = p.profile
-            g = build_grid(prof)
-            assert g.row_edge_xs == reference_row_edge_xs(g)
-            # refined with extra even cuts, as Solution.build refines it with
-            # its transmitters' coordinates
+            ords = prof.edge_ordinates
+            mids = [(a + b) // 2 for a, b in zip(ords, ords[1:])]
+            assert prof.row_walls == reference_row_walls(prof, mids)
+            # a grid refined with extra even cuts, as render --vis refines it
+            # with its transmitter's coordinates: each row's walls are those
+            # of the band holding it
             xs = range(prof.x_min, prof.x_max + 1, 2)
             ys = range(prof.y_min, prof.y_max + 1, 2)
-            refined = build_grid(prof, rng.sample(xs, min(4, len(xs))), rng.sample(ys, min(4, len(ys))))
-            assert refined.row_edge_xs == reference_row_edge_xs(refined)
+            g = build_grid(prof, rng.sample(xs, min(4, len(xs))), rng.sample(ys, min(4, len(ys))))
+            bands = [prof.row_walls[bisect_right(ords, y) - 1] for y in g.y_cuts[:-1]]
+            assert tuple(bands) == reference_row_walls(prof, row_reps(g))
 
 class TestRoundTrip:
     def test_profile_ring_profile_identity(self, small_corpus):
@@ -406,6 +411,6 @@ class TestRoundTrip:
             g = build_grid(p.profile)
             for rx in g.rep_xs:
                 rows = [
-                    iy for iy in range(g.ny) if point_inside(p.vertices, rx, g.rep_ys[iy])
+                    iy for iy, ry in enumerate(row_reps(g)) if point_inside(p.vertices, rx, ry)
                 ]
                 assert rows == list(range(rows[0], rows[0] + len(rows)))

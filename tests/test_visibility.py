@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,9 +9,7 @@ from polytx import (
     SCALE,
     Transmitter,
     build_grid,
-    covers_polygon,
     edge_aligned_candidates,
-    union_regions,
     vis_region,
 )
 
@@ -80,12 +80,12 @@ class TestVisRegion:
         r, g = region_for(p, T("v", 0, 0, 3), 0)
         assert sorted(r.cells()) == [(0, 0), (0, 1), (1, 0), (2, 0)]
         assert cell_area(g, r.bits) == 40  # internal units: everything but the right wall's top
-        assert not covers_polygon(r)
+        assert r.bits != g.inside_mask
 
     def test_valley_k2_sees_everything(self, polys):
         p = polys["VALLEY"]
-        r, _ = region_for(p, T("v", 0, 0, 3), 2)
-        assert covers_polygon(r)
+        r, g = region_for(p, T("v", 0, 0, 3), 2)
+        assert r.bits == g.inside_mask
 
     def test_gap7_center_column(self, polys):
         p = polys["GAP7"]
@@ -122,7 +122,7 @@ class TestVisRegion:
         for p in list(polys.values()) + small_corpus[:10]:
             g = build_grid(p.profile)
             for s in edge_aligned_candidates(p.profile):
-                r = vis_region(s, 0, g)
+                cells = set(vis_region(s, 0, g).cells())
                 lo, hi = s.span
                 for ix, iy in g.iter_cells(g.inside_mask):
                     x1, y1, x2, y2 = g.cell_bounds(ix, iy)
@@ -131,9 +131,7 @@ class TestVisRegion:
                     else:
                         touches = y1 <= s.anchor <= y2 and x1 < hi and x2 > lo
                     if touches:
-                        assert g.cell_index(ix, iy) in [
-                            g.cell_index(cx, cy) for cx, cy in r.cells()
-                        ]
+                        assert (ix, iy) in cells
 
     def test_matches_brute_force_oracle(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus[:15]:
@@ -173,33 +171,6 @@ class TestVisRegion:
 
 
 class TestRegions:
-    def test_union_and_covers(self, polys):
-        p = polys["VALLEY"]
-        g = build_grid(p.profile)
-        segs = [T("v", 0, 0, 3), T("v", 6, 0, 3)]
-        regions = [vis_region(s, 0, g) for s in segs]
-        assert not any(covers_polygon(r) for r in regions)
-        assert covers_polygon(union_regions(regions))
-
-    def test_empty_union_needs_a_grid(self, polys):
-        g = build_grid(polys["RECT"].profile)
-        empty = union_regions([], grid=g)
-        assert empty.bits == 0
-        assert not covers_polygon(empty)
-        with pytest.raises(ValueError):
-            union_regions([])
-
-    def test_grid_mismatch_rejected(self, polys):
-        p = polys["RECT"]
-        g1 = build_grid(p.profile)
-        g2 = build_grid(p.profile)
-        a = RectUnion(g1, 1)
-        b = RectUnion(g2, 1)
-        with pytest.raises(ValueError):
-            union_regions([a, b])
-        with pytest.raises(ValueError):
-            union_regions([a], grid=g2)
-
     def test_area_and_cells(self, polys):
         p = polys["VALLEY"]
         g = build_grid(p.profile)
@@ -227,8 +198,9 @@ def _even(lo: int, hi: int):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), data=st.data())
 def test_refined_grid_matches_oracle(seed, data):
-    # Solution.build, rendering and oracles.dense_exact run the kernel on grids refined
-    # with extra cuts, where row and column ranges end on non-wall cuts.
+    # render --vis, oracles.dense_exact and oracles.reference_covers run the
+    # kernel on grids refined with extra cuts, where row and column ranges
+    # end on non-wall cuts and a band of row_walls holds several rows.
     p = px.random_monotone(slabs=4, max_height=5, max_width=3, seed=seed)
     prof = p.profile
     extra_x = data.draw(st.lists(_even(prof.x_min, prof.x_max), max_size=3))
@@ -255,8 +227,21 @@ def test_refined_grid_matches_oracle(seed, data):
 def test_matches_percell_reference_at_40_slabs(seed):
     # Brute force is too slow here; the per-cell loop is the reference.
     p = px.random_monotone(40, 20, 4, seed=seed)
-    g = build_grid(p.profile)
-    for s in edge_aligned_candidates(p.profile):
+    prof = p.profile
+    g = build_grid(prof)
+    for s in edge_aligned_candidates(prof):
+        for k in (0, 1, 2):
+            assert vis_region(s, k, g).bits == percell_region_bits(s, k, g)
+    # Refined with random even cuts, each band holds several rows, and
+    # verticals off the family start and end inside bands.
+    rng = random.Random(seed)
+    xs = range(prof.x_min, prof.x_max + 1, 2)
+    ys = range(prof.y_min, prof.y_max + 1, 2)
+    g = build_grid(prof, rng.sample(xs, 20), rng.sample(ys, min(10, len(ys))))
+    for x in g.x_cuts:
+        lo, hi = prof.cross_section(x)
+        inner = [y for y in g.y_cuts if lo <= y <= hi]
+        s = Transmitter("v", x, tuple(sorted(rng.sample(inner, 2))))
         for k in (0, 1, 2):
             assert vis_region(s, k, g).bits == percell_region_bits(s, k, g)
 
@@ -265,7 +250,7 @@ def test_inside_mask_between_matches_percolumn_reference(polys, small_corpus):
     for p in list(polys.values()) + small_corpus[:5]:
         prof = p.profile
         for g in (build_grid(prof), build_grid(prof, (prof.x_min + 2,), (prof.y_max - 2,))):
-            ends = [None, g.x_cuts[0] - 2, g.x_cuts[-1] + 2, *g.x_cuts, *g.rep_xs]
+            ends = [g.x_cuts[0] - 2, g.x_cuts[-1] + 2, *g.x_cuts, *g.rep_xs]
             for x_lo in ends:
                 for x_hi in ends:
                     assert g.inside_mask_between(x_lo, x_hi) == percolumn_inside_between(
