@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 invariant breach
 (approximation ratio above 2, incomplete coverage, or a failed solver
-check), 4 budget exhausted.
+check), 4 budget exhausted.  Output cut short because the reader closed
+standard output exits 2, like any other failed write.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -227,6 +229,13 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: invariant breach: {exc}", file=sys.stderr)
         return EXIT_BREACH
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null device,
+        # so the interpreter's flush at exit does not raise again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_INPUT
 
 
 def entry() -> None:

@@ -10,6 +10,12 @@ within a size in canonical order, would answer: the optimum size and the
 lexicographically least witness of that size.  It reports the enumerator's
 count of subsets tried in closed form instead of trying them
 (``tests/oracles.reference_exact`` is the enumerator, kept as the reference).
+
+One solve shares a failure memo across every deepening level and every
+witness position, so a mask shown uncoverable is not searched again at the
+same or a smaller size, and the witness starts from the cover the search
+found instead of a fresh search per position (``tests/oracles.reference_dfs`` is
+the search without either, kept as the reference).
 """
 
 from __future__ import annotations
@@ -24,20 +30,35 @@ from .geometry import OrthoPolygon, build_grid
 from .visibility import vis_region
 
 
-def _covers(bits: Sequence[int], uncovered: int, r: int, lo: int) -> bool:
-    """Whether at most r of bits[lo:] together cover the nonzero mask uncovered.
+def _covers(
+    bits: Sequence[int], uncovered: int, r: int, lo: int, failed: dict[tuple[int, int], int]
+) -> tuple[int, ...] | None:
+    """Indices of at most r of bits[lo:] that together cover the nonzero mask
+    uncovered, or None if there are none.
 
     Some chosen set must cover the lowest uncovered cell, so the search
-    branches only on its coverers.  Recursion depth is at most r.
+    branches only on its coverers.  Recursion depth is at most r.  failed
+    maps (uncovered, lo) to the largest r proven to fail.  A failure holds
+    for every smaller r and every larger lo, so one memo serves every call
+    on the same bits, and an entry at lo = 0 answers for any lo.  Each entry
+    is one node the search expanded and failed.
     """
+    key = (uncovered, lo)
+    if failed.get(key, 0) >= r or (lo and failed.get((uncovered, 0), 0) >= r):
+        return None
     low = uncovered & -uncovered
     for i in range(lo, len(bits)):
         b = bits[i]
         if b & low:
             rest = uncovered & ~b
-            if not rest or (r > 1 and _covers(bits, rest, r - 1, lo)):
-                return True
-    return False
+            if not rest:
+                return (i,)
+            if r > 1:
+                found = _covers(bits, rest, r - 1, lo, failed)
+                if found is not None:
+                    return (i, *found)
+    failed[key] = r
+    return None
 
 
 def enumeration_count(combo: Sequence[int], n: int) -> int:
@@ -65,12 +86,17 @@ def exact_min_transmitters(
     The optimum size OPT is found by iterative deepening over r = 1, 2, ...,
     and the witness is the lexicographically least covering OPT-subset in
     the family's canonical order, built one position at a time: each takes
-    the smallest index after which the rest can still be covered.
-    `iterations` is the number of subsets a cardinality-first enumeration in
-    that order tries up to and including the witness, in closed form
-    (`enumeration_count`); it is not the work the search did.  Recursion is
-    at most min(budget, family size) deep.  `mode` accepts only "standard",
-    and `budget` only an int (not a bool) of at least 1.  Raises
+    the smallest index after which the rest can still be covered.  The
+    r = OPT search returns a cover F, sorted; the witness is never above F,
+    so each position tries only the indices below F's entry there, and a
+    cover found by such a try becomes the new F.  Every search of the solve
+    shares one failure memo, dropped on return.  It holds one entry per node
+    the search expanded and failed, so its memory grows no faster than the
+    search's time.  `iterations` is the number of subsets a cardinality-first
+    enumeration in that order tries up to and including the witness, in
+    closed form (`enumeration_count`); it is not the work the search did.
+    Recursion is at most min(budget, family size) deep.  `mode` accepts only
+    "standard", and `budget` only an int (not a bool) of at least 1.  Raises
     NoSolutionWithinBudget when no subset of size <= budget covers.
     """
     if mode != "standard":
@@ -89,19 +115,27 @@ def exact_min_transmitters(
         every |= b
     if every & target != target:
         raise NoSolutionWithinBudget(budget)
+    failed: dict[tuple[int, int], int] = {}
     for opt in range(1, min(budget, n) + 1):
-        if _covers(bits, target, opt, 0):
+        found = _covers(bits, target, opt, 0, failed)
+        if found is not None:
             break
     else:
         raise NoSolutionWithinBudget(budget)
-    witness: list[int] = []
+    witness = sorted(found)
     uncovered, lo = target, 0
-    for left in range(opt - 1, -1, -1):
-        for i in range(lo, n):
+    for pos in range(opt):
+        left = opt - 1 - pos
+        for i in range(lo, witness[pos]):
             rest = uncovered & ~bits[i]
-            if not rest or (left and _covers(bits, rest, left, i + 1)):
+            if left:
+                found = _covers(bits, rest, left, i + 1, failed)
+            else:
+                found = None if rest else ()
+            if found is not None:
+                witness[pos:] = [i, *sorted(found)]
                 break
-        witness.append(i)
-        uncovered, lo = rest, i + 1
+        uncovered &= ~bits[witness[pos]]
+        lo = witness[pos] + 1
     chosen = tuple(cands[i] for i in witness)
     return Solution.build(p, chosen, k, "exact", enumeration_count(witness, n))

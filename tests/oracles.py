@@ -15,8 +15,10 @@ package uses internally, so agreement is meaningful.  The exceptions:
   reference for the per-vertical reach tables.
 - reference_exact is the exact solver's earlier subset enumeration, the
   reference for the depth-first search and its closed-form iteration count;
-  dense_exact is the exact search over every unit-lattice line, the
-  reference for the edge-aligned family.
+  reference_dfs is that search before its failure memo, with the witness
+  rebuilt by a fresh search at every position, the reference at sizes the
+  enumerator cannot reach; dense_exact is the exact search over every
+  unit-lattice line, the reference for the edge-aligned family.
 - reference_row_walls is SlabProfile.row_walls, the one wall table that
   vis_region, the sweep and segments_cover read, as a scan of every edge
   per ordinate.
@@ -46,6 +48,7 @@ from polytx import (
 )
 from polytx.approx import FinderResult, _better
 from polytx.candidates import HORIZONTAL, VERTICAL, canonical, edge_aligned_candidates
+from polytx.exact import enumeration_count
 from polytx.geometry import (
     COORD_LIMIT,
     SCALE,
@@ -698,3 +701,50 @@ def reference_exact(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
                 chosen = tuple(cands[i] for i in combo)
                 return Solution.build(p, chosen, k, "exact", iterations)
     raise NoSolutionWithinBudget(budget)
+
+
+def _dfs_covers(bits: Sequence[int], uncovered: int, r: int, lo: int) -> bool:
+    """Whether at most r of bits[lo:] together cover the nonzero mask uncovered."""
+    low = uncovered & -uncovered
+    for i in range(lo, len(bits)):
+        b = bits[i]
+        if b & low:
+            rest = uncovered & ~b
+            if not rest or (r > 1 and _dfs_covers(bits, rest, r - 1, lo)):
+                return True
+    return False
+
+
+def reference_dfs(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
+    """exact_min_transmitters as it was before the failure memo.
+
+    Iterative deepening finds the optimum with no memory between levels,
+    and the lexicographically least witness is built one position at a time
+    by a fresh search for each index tried.
+    """
+    cands = edge_aligned_candidates(p.profile)
+    grid = build_grid(p.profile)
+    bits = [vis_region(s, k, grid).bits for s in cands]
+    target = grid.inside_mask
+    n = len(bits)
+    every = 0
+    for b in bits:
+        every |= b
+    if every & target != target:
+        raise NoSolutionWithinBudget(budget)
+    for opt in range(1, min(budget, n) + 1):
+        if _dfs_covers(bits, target, opt, 0):
+            break
+    else:
+        raise NoSolutionWithinBudget(budget)
+    witness: list[int] = []
+    uncovered, lo = target, 0
+    for left in range(opt - 1, -1, -1):
+        for i in range(lo, n):
+            rest = uncovered & ~bits[i]
+            if not rest or (left and _dfs_covers(bits, rest, left, i + 1)):
+                break
+        witness.append(i)
+        uncovered, lo = rest, i + 1
+    chosen = tuple(cands[i] for i in witness)
+    return Solution.build(p, chosen, k, "exact", enumeration_count(witness, n))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -337,6 +338,42 @@ class TestUnwritableOutput:
         code = main([a.format(poly=rect_file, out=out) for a in argv])
         assert code == 2
         assert f"cannot write {out}" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    def test_exits_2_and_silences_stdout(self, rect_file, tmp_path, monkeypatch, capsys):
+        # the reader closed stdout: exit 2 with no traceback, and stdout's
+        # descriptor now points at the null device
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["validate", rect_file]) == 2
+            os.write(sink.fileno(), b"discarded")
+        assert (tmp_path / "stdout").read_bytes() == b""
+        assert capsys.readouterr().err == ""
+
+    def test_reader_gone_before_output(self):
+        # 0.6 MB of JSON fills the pipe, so the write fails whatever the timing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polytx.cli", "gen",
+             "--slabs", "5000", "--max-h", "20", "--max-w", "4", "--seed", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
 
 
 class TestUsage:

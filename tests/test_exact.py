@@ -14,7 +14,7 @@ from polytx import (
     exact_min_transmitters,
 )
 
-from oracles import covered_area, dense_exact, reference_exact
+from oracles import covered_area, dense_exact, reference_dfs, reference_exact
 
 exact_mod = importlib.import_module("polytx.exact")
 
@@ -159,6 +159,45 @@ class TestAgainstReferenceEnumerator:
             T("h", 2, 0, 11),
             T("h", 2, 32, 46),
         )
+
+
+class TestAgainstReferenceSearch:
+    """The memoised search returns the earlier search's Solution at sizes the
+    enumerator cannot reach; budget 8 stops at 24 slabs, where the earlier
+    search's witness rebuild starts to take seconds."""
+
+    CASES = [(slabs, 3) for slabs in range(20, 31)] + [(slabs, 8) for slabs in range(20, 25)]
+
+    @pytest.mark.parametrize("slabs,budget", CASES)
+    def test_random_monotone(self, slabs, budget):
+        outcome = TestAgainstReferenceEnumerator.outcome
+        for seed in range(10):
+            p = px.random_monotone(slabs, 8, 4, seed)
+            for k in (0, 1, 2):
+                assert outcome(exact_min_transmitters, p, k, budget) == outcome(
+                    reference_dfs, p, k, budget
+                )
+
+
+class TestHardInstances:
+    """The two shapes where the search without a failure memo took 35 s and
+    2 minutes; the witnesses are family indices, pinned from that search."""
+
+    @pytest.mark.parametrize(
+        "shape,k,indices",
+        [
+            ((40, 8, 4, 8), 0, (11, 20, 32, 63, 90, 92, 93, 94)),
+            ((60, 8, 4, 0), 2, (19, 27, 33, 42, 48, 59, 101)),
+        ],
+        ids=["40-slabs-k0", "60-slabs-k2"],
+    )
+    def test_witness_pinned(self, shape, k, indices):
+        p = px.random_monotone(*shape)
+        family = edge_aligned_candidates(p.profile)
+        sol = exact_min_transmitters(p, k)
+        assert sol.coverage_complete
+        assert sol.transmitters == tuple(family[i] for i in indices)
+        assert sol.iterations == exact_mod.enumeration_count(indices, len(family))
 
 
 class TestEnumerationCount:
