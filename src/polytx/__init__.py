@@ -1,10 +1,10 @@
 """Guarding x-monotone orthogonal polygons with few 2-transmitters.
 
 Exact integer geometry throughout: polygons become slab profiles, visibility
-becomes bitsets over a cell grid for the exact solver and intervals per row
-for the greedy sweep and the coverage check, and both the factor-2
-approximation and the exact solver work on a finite edge-aligned candidate
-family.
+becomes bitsets over (slab, band) cells for the exact solver and intervals
+per row for the greedy sweep and the coverage check, both read from the
+profile's wall table, and both the factor-2 approximation and the exact
+solver work on a finite edge-aligned candidate family.
 """
 
 from .approx import (

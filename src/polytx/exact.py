@@ -5,6 +5,12 @@ line keeps it inside the polygon and only grows what it sees, so searching
 the edge-aligned family alone is lossless.  The test suite checks that claim
 against a search over every unit-lattice line (``tests/oracles.dense_exact``).
 
+Each candidate's region is a bitset with one bit per (slab, band) cell,
+built straight from the profile's wall table
+(:func:`~polytx.visibility.family_bits`) with no cell grid.  The numbering
+is the plain grid's, ``slab * bands + band``, so the lowest set bit of a
+mask is its leftmost, then lowest, cell.
+
 The search answers what enumerating subsets of the family by size, and
 within a size in canonical order, would answer: the optimum size and the
 lexicographically least witness of that size.  It reports the enumerator's
@@ -26,8 +32,12 @@ from typing import Sequence
 from .approx import Solution
 from .candidates import edge_aligned_candidates
 from .errors import NoSolutionWithinBudget
-from .geometry import OrthoPolygon, build_grid
-from .visibility import vis_region
+from .geometry import OrthoPolygon
+from .visibility import family_bits
+
+# Not called here: bench/spans.py traces these names in this module's namespace.
+from .geometry import build_grid  # noqa: F401
+from .visibility import vis_region  # noqa: F401
 
 
 def _covers(
@@ -83,6 +93,9 @@ def exact_min_transmitters(
 ) -> Solution:
     """Smallest k-transmitter cover from the edge-aligned family.
 
+    The family's regions and the inside cells are (slab, band) bitsets from
+    ``family_bits``; no grid is built.
+
     The optimum size OPT is found by iterative deepening over r = 1, 2, ...,
     and the witness is the lexicographically least covering OPT-subset in
     the family's canonical order, built one position at a time: each takes
@@ -106,9 +119,7 @@ def exact_min_transmitters(
     if type(budget) is not int or budget < 1:
         raise ValueError("budget must be an integer of at least 1")
     cands = edge_aligned_candidates(p.profile)
-    grid = build_grid(p.profile)
-    bits = [vis_region(s, k, grid).bits for s in cands]
-    target = grid.inside_mask
+    bits, target = family_bits(p.profile, cands, k)
     n = len(bits)
     every = 0
     for b in bits:

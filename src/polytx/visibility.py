@@ -1,15 +1,18 @@
-"""Visibility with up to k wall crossings, evaluated on a cell grid.
+"""Visibility with up to k wall crossings, as bitsets and as intervals.
 
 Sight lines are axis-parallel: a segment sees a point iff the perpendicular
 from the point lands on the closed segment and crosses at most k boundary
-edges on the way.  All predicates are exact integer arithmetic.  Regions are
-bitsets over a CellGrid; a region computed on a grid refined with the
-segment's own coordinates is uniform across each cell, so the cell
-representative decides the whole cell.  :func:`segments_cover` decides
-whether a set of regions covers the polygon from the same rules as
-x-intervals per row band, with no grid.  Both read one wall table, the
-profile's ``row_walls``: in each row, a vertical sees up to the (k+1)-th
-wall on each side of its line.
+edges on the way.  All predicates are exact integer arithmetic.  Everything
+here reads one wall table, the profile's ``row_walls``: in each row band, a
+vertical sees up to the (k+1)-th wall on each side of its line
+(:func:`reach`).  :func:`family_bits` builds the exact solver's bitsets
+straight from that table, one bit per (slab, band) cell in column-major
+order, with no grid.  :func:`vis_region` gives one region as a bitset over
+a CellGrid, for ``render --vis``, ``prune_dominated`` and the test oracles;
+the grid may be refined with the segment's own coordinates, each cell is
+then uniform, and the cell representative decides the whole cell.
+:func:`segments_cover` decides whether a set of regions covers the polygon
+from the same rules as x-intervals per row band, with no grid.
 """
 
 from __future__ import annotations
@@ -58,27 +61,78 @@ def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
         return RectUnion(grid, grid.inside_mask_between(lo, hi))
     _require_cut(grid.has_x_cut(s.anchor), "anchor")
     _require_cut(grid.has_y_cut(lo) and grid.has_y_cut(hi), "span endpoint")
-    # In one row the crossing count only grows with distance from the anchor,
-    # so the row's visible cells are one run of columns, bounded by the
-    # (k+1)-th wall on each side.  Walls on the anchor line are not crossed.
-    # Every wall is an x-cut, so each bound is a column boundary.
+    # Every wall is an x-cut, so each bound of reach is a column boundary.
     prof = grid.profile
     xs, ords, rows = prof.xs, prof.edge_ordinates, prof.row_walls
     x_cuts, y_cuts = grid.x_cuts, grid.y_cuts
-    # breakpoints left of the line, and up to the line
     before, upto = bisect_left(xs, s.anchor), bisect_right(xs, s.anchor)
     r = bisect_right(ords, lo) - 1  # the band holding the current row
     bits = 0
     for iy in range(bisect_left(y_cuts, lo), bisect_left(y_cuts, hi)):
         if y_cuts[iy] == ords[r + 1]:
             r += 1
-        walls = rows[r]
-        left = bisect_left(walls, before) - k - 1
-        right = bisect_left(walls, upto) + k
-        ix_lo = bisect_left(x_cuts, xs[walls[left]]) if left >= 0 else 0
-        ix_hi = bisect_left(x_cuts, xs[walls[right]]) if right < len(walls) else grid.nx
+        a, b = reach(rows[r], before, upto, k, len(prof.spans))
+        ix_lo, ix_hi = bisect_left(x_cuts, xs[a]), bisect_left(x_cuts, xs[b])
         bits |= (grid.row_ones << iy) & grid.columns(ix_lo, ix_hi)
     return RectUnion(grid, bits & grid.inside_mask)
+
+
+def reach(walls: Sequence[int], before: int, upto: int, k: int, end: int) -> tuple[int, int]:
+    """The slabs a vertical sees in one row band, as a range a .. b - 1.
+
+    walls is the band's ``row_walls`` entry; the vertical's line has
+    ``before`` breakpoints left of it and ``upto`` at or left of it.  In one
+    band the crossing count only grows with distance from the line, so the
+    vertical sees up to the (k+1)-th wall on each side; walls on the line
+    are not crossed.  With fewer walls on a side the range runs to slab 0 or
+    to end, the slab count.
+    """
+    left = bisect_left(walls, before) - k - 1
+    right = bisect_left(walls, upto) + k
+    return (walls[left] if left >= 0 else 0, walls[right] if right < len(walls) else end)
+
+
+def family_bits(
+    prof: SlabProfile, family: Sequence[Transmitter], k: int
+) -> tuple[list[int], int]:
+    """Each segment's k-visibility region as a bitset, and the inside mask.
+
+    Bit ``slab * bands + band`` is the cell of that slab and row band (the
+    band between consecutive ``edge_ordinates``), so the cells are
+    vis_region's on ``build_grid(prof)`` with the same numbering, and no
+    grid is built.  Every anchor and span end must be a breakpoint or edge
+    ordinate, as in the edge-aligned family (KeyError otherwise).  A
+    horizontal sees the inside cells of its spanned slabs (full-column
+    property).  A vertical sees, in each band of its section, the slabs
+    :func:`reach` gives; consecutive bands with the same slabs are one block.
+    k must be 0, 1 or 2.
+    """
+    xs, ords, rows, spans = prof.xs, prof.edge_ordinates, prof.row_walls, prof.spans
+    slabs, bands = len(spans), len(ords) - 1
+    col = {x: i for i, x in enumerate(xs)}
+    band = {y: r for r, y in enumerate(ords)}
+    # Geometric series: the bit of band 0 in every slab.
+    row_ones = ((1 << slabs * bands) - 1) // ((1 << bands) - 1)
+    inside = 0
+    for i, (lo, hi) in enumerate(spans):
+        inside |= (1 << i * bands + band[hi]) - (1 << i * bands + band[lo])
+    bits: list[int] = []
+    for t in family:
+        lo, hi = t.span
+        if t.orientation == HORIZONTAL:
+            bits.append(inside & (1 << col[hi] * bands) - (1 << col[lo] * bands))
+            continue
+        j = col[t.anchor]
+        r, stop = band[lo], band[hi]
+        seen, ab = 0, reach(rows[r], j, j + 1, k, slabs)
+        while r < stop:
+            start, (a, b) = r, ab
+            r += 1
+            while r < stop and (ab := reach(rows[r], j, j + 1, k, slabs)) == (a, b):
+                r += 1
+            seen |= ((1 << r) - (1 << start)) * row_ones & (1 << b * bands) - (1 << a * bands)
+        bits.append(seen & inside)
+    return bits, inside
 
 
 def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -> bool:
@@ -121,6 +175,8 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
         seen = list(everywhere)
         for lo, hi, before, upto in verticals:
             if lo <= y0 and y1 <= hi:
+                # reach's rule, inline: this check is on the greedy's path,
+                # and calling reach here made it about 10% slower.
                 left = bisect_left(walls, before) - k - 1
                 right = bisect_left(walls, upto) + k
                 seen.append((

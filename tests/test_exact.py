@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 
 import polytx as px
 from polytx import (
+    CellGrid,
     NoSolutionWithinBudget,
     SCALE,
     Transmitter,
@@ -65,6 +67,30 @@ class TestFixtureOptima:
         b = exact_min_transmitters(polys["GAP7"], 0)
         assert a.transmitters == b.transmitters
         assert a.iterations == b.iterations == 189
+
+    @pytest.mark.parametrize("name", ["GAP7", "STAIR6"])
+    def test_no_grid_per_solve(self, polys, monkeypatch, name):
+        # The bitsets come from the profile's wall table: no cell grid is
+        # built and no region is computed one vis_region call at a time.
+        calls = Counter()
+
+        def counted(owner, attr):
+            fn = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[f"{owner.__name__}.{attr}"] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for module in (px.candidates, px.exact, px.geometry, px.visibility):
+            for attr in ("build_grid", "vis_region"):
+                if hasattr(module, attr):
+                    counted(module, attr)
+        counted(CellGrid, "__init__")
+        for k in (0, 1, 2):
+            assert exact_min_transmitters(polys[name], k).coverage_complete
+        assert not calls, calls
 
 
 class TestBudget:

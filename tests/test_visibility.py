@@ -12,6 +12,7 @@ from polytx import (
     edge_aligned_candidates,
     vis_region,
 )
+from polytx.visibility import family_bits
 
 from oracles import (
     cell_area,
@@ -256,3 +257,23 @@ def test_inside_mask_between_matches_percolumn_reference(polys, small_corpus):
                     assert g.inside_mask_between(x_lo, x_hi) == percolumn_inside_between(
                         g, x_lo, x_hi
                     )
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_family_bits_match_vis_region_on_the_plain_grid(k):
+    # The exact solver's grid-free bitsets, cell for cell, against one
+    # vis_region per family member on build_grid's (slab, band) cells.
+    shapes = [px.fixture(name) for name in px.FIXTURES]
+    shapes += [p for _, p in px.corpus(200)]
+    shapes += [
+        px.random_monotone(slabs, 8, 4, seed)
+        for slabs in (14, 20, 40, 80)
+        for seed in range(4)
+    ]
+    for p in shapes:
+        prof = p.profile
+        family = edge_aligned_candidates(prof)
+        grid = build_grid(prof)
+        bits, inside = family_bits(prof, family, k)
+        assert bits == [vis_region(t, k, grid).bits for t in family]
+        assert inside == grid.inside_mask
