@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import OrthoPolygon, SCALE, SlabProfile, Span, build_grid, input_int
+from .geometry import OrthoPolygon, SCALE, SlabProfile, Span, input_int
 
 VERTICAL = "v"
 HORIZONTAL = "h"
@@ -103,13 +103,22 @@ def prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> Se
 
     A candidate is removed when its visibility region is contained in the
     union over the *currently remaining* other candidates, so the union of
-    regions over the result equals the union over the input exactly.
+    regions over the result equals the union over the input exactly.  The
+    regions are ``family_bits``' (slab, band) bitsets, so every candidate
+    must lie on the edge-aligned lines (ValueError otherwise).
     """
-    from .visibility import vis_region
+    from .visibility import family_bits
 
     cands = canonical(c)
-    grid = build_grid(p.profile)
-    bits = {s: vis_region(s, k, grid).bits for s in cands}
+    if cands and (type(k) is not int or k not in (0, 1, 2)):
+        raise ValueError("k must be 0, 1 or 2")
+    try:
+        regions, _ = family_bits(p.profile, cands, k)
+    except KeyError as exc:
+        raise ValueError(
+            f"candidate coordinate {exc.args[0]} is not a breakpoint or edge ordinate"
+        ) from None
+    bits = dict(zip(cands, regions))
     kept = list(cands)
     for s in cands:
         others = 0

@@ -249,73 +249,70 @@ def _merge_collinear(ring: list[Point]) -> list[Point]:
     return list(compress(ring, turns))
 
 
-def _check_simple(ring: list[Point]) -> None:
-    """Reject any contact between non-adjacent edges (closed-segment overlap).
-
-    An axis-parallel edge is its own bounding box, so two edges touch exactly
-    when their closed boxes overlap.  The pairwise scan is O(n^2); it names
-    the first pair in index order, so :func:`validate` runs it only after
-    :func:`_touches` has found that some pair exists.
-    """
-    n = len(ring)
-    boxes = []
-    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
-        boxes.append((min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2), y1 == y2))
-    for i, (ax1, ax2, ay1, ay2, ah) in enumerate(boxes):
-        # Skip the two adjacent edges, which share exactly their common vertex.
-        for b in boxes[i + 2 : n - 1 if i == 0 else n]:
-            if b[0] <= ax2 and ax1 <= b[1] and b[2] <= ay2 and ay1 <= b[3]:
-                # An equal box earlier in the slice would have matched first.
-                j = boxes.index(b, i + 2)
-                if ah != b[4]:
-                    message = f"edges {i} and {j} cross or touch"
-                else:
-                    message = f"{'horizontal' if ah else 'vertical'} edges {i} and {j} overlap"
-                raise InvalidPolygonError("self-intersecting", message, i)
-
-
-def _touches(ring: list[Point]) -> bool:
-    """Whether any two non-adjacent edges of the ring touch.
-
-    The ring's edges alternate between horizontal and vertical, as after
-    :func:`_merge_collinear`, so two edges of one axis are never adjacent.
-    They touch when they lie on one line and their closed ranges overlap,
-    and then some pair of neighbours in (line, lo) order does too; that
-    check also says yes on a ring that does not alternate.  A vertical edge
-    always meets its two ring neighbours, so a sweep in x counts the
-    horizontals active at its abscissa whose ordinate lies in its closed
-    y-range, and a third one touches it.  The sorts and bisections make
-    O(n log n) comparisons; the active list's insertions and removals are
-    memmoves, O(n) each in the worst case.
-    """
-    hs, vs = [], []
-    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
-        if y1 == y2:
-            hs.append((y1, x1, x2) if x1 < x2 else (y1, x2, x1))
-        else:
-            vs.append((x1, y1, y2) if y1 < y2 else (x1, y2, y1))
-    for edges in (hs, vs):
-        edges.sort()
-        for (line, _, hi), (line2, lo2, _) in zip(edges, edges[1:]):
-            if line == line2 and lo2 <= hi:
-                return True
-    # At one abscissa: insert the horizontals that start there, then query
-    # the verticals, then remove the horizontals that end there.
+def _crowded(lines, queries) -> list[int]:
+    """Indices of the queries, edges (line, lo, hi, index) on the other axis
+    from the lines, that meet more than two lines.  At each position the
+    sweep adds the lines starting there, counts the active ones in each
+    query's closed range, then drops the lines ending there."""
     events = sorted(
-        [(lo, 0, y, y) for y, lo, _ in hs]
-        + [(x, 1, lo, hi) for x, lo, hi in vs]
-        + [(hi, 2, y, y) for y, _, hi in hs]
+        [(lo, 0, line, line, i) for line, lo, _, i in lines]
+        + [(line, 1, lo, hi, i) for line, lo, hi, i in queries]
+        + [(hi, 2, line, line, i) for line, _, hi, i in lines]
     )
     active: list[int] = []
-    for _, kind, lo, hi in events:
+    hit = []
+    for _, kind, lo, hi, i in events:
         if kind == 0:
             insort(active, lo)
         elif kind == 1:
             if bisect_right(active, hi) - bisect_left(active, lo) > 2:
-                return True
+                hit.append(i)
         else:
             del active[bisect_left(active, lo)]
-    return False
+    return hit
+
+
+def _check_simple(ring: list[Point]) -> None:
+    """Reject any contact between non-adjacent edges of a merged ring.
+
+    Edges alternate between the axes and each meets its two neighbours, so
+    a third edge of the other axis that meets it touches it.  Every contact
+    gives some vertical a third horizontal, at a crossing or at one end of a
+    collinear overlap, so one x-sweep decides whether any exists.  Only then
+    is every touching edge flagged, by the swapped sweep and by a running
+    maximum along each line.  The least flagged edge i touches no earlier
+    one, and a scan of the later edges finds its first partner j.
+    """
+    hs, vs = [], []
+    for i, ((x1, y1), (x2, y2)) in enumerate(zip(ring, ring[1:] + ring[:1])):
+        if y1 == y2:
+            hs.append((y1, x1, x2, i) if x1 < x2 else (y1, x2, x1, i))
+        else:
+            vs.append((x1, y1, y2, i) if y1 < y2 else (x1, y2, y1, i))
+    flagged = _crowded(hs, vs)
+    if not flagged:
+        return
+    flagged += _crowded(vs, hs)
+    for edges in (hs, vs):
+        far = (None, 0, 0)  # (line, hi, index) of the farthest-reaching edge so far
+        for line, lo, hi, i in sorted(edges):
+            if line == far[0] and lo <= far[1]:
+                flagged += (i, far[2])
+            if line != far[0] or hi > far[1]:
+                far = (line, hi, i)
+    i = min(flagged)
+    box = {i: (lo, hi, y, y) for y, lo, hi, i in hs} | {i: (x, x, lo, hi) for x, lo, hi, i in vs}
+    ax1, ax2, ay1, ay2 = box[i]
+    # Skip the two adjacent edges, which share exactly their common vertex.
+    for j in range(i + 2, len(ring) - (i == 0)):
+        bx1, bx2, by1, by2 = box[j]
+        if bx1 <= ax2 and ax1 <= bx2 and by1 <= ay2 and ay1 <= by2:
+            break
+    if (ay1 == ay2) != (by1 == by2):
+        message = f"edges {i} and {j} cross or touch"
+    else:
+        message = f"{'horizontal' if ay1 == ay2 else 'vertical'} edges {i} and {j} overlap"
+    raise InvalidPolygonError("self-intersecting", message, i)
 
 
 def _slab_stack(ring: list[Point]) -> SlabProfile:
@@ -324,7 +321,7 @@ def _slab_stack(ring: list[Point]) -> SlabProfile:
     Every vertical line interior to a slab must be spanned by exactly one
     bottom and one top horizontal edge, and the slab union rebuilt from those
     spans must be the input ring.  A ring that passes is a simple slab stack,
-    so pairwise edge checks are needed only to name why a ring failed.
+    so the contact sweep is needed only to tell why a ring failed.
     """
     xs = sorted({x for x, _ in ring})
     slab_of = {x: s for s, x in enumerate(xs)}
@@ -379,10 +376,9 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
 
     The per-vertex checks run on the whole ring at once and fall back to a
     loop only to name the first offender.  A ring the slab scan rejects is
-    swept for edge contact (:func:`_touches`); only a ring with contact
-    pays the O(n^2) pairwise scan that names the pair.  Every other input
-    is decided in O(n log n) comparisons (the sweep's list insertions are
-    memmoves).
+    swept once for edge contact (:func:`_check_simple`), which also names
+    the first touching pair.  Every input is decided in O(n log n)
+    comparisons (the sweep's list insertions are memmoves).
     """
     pts = list(map(tuple, vertices))
     flat = list(chain.from_iterable(pts))
@@ -445,8 +441,7 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     try:
         profile = _slab_stack(ring)
     except ValueError as exc:
-        if _touches(ring):
-            _check_simple(ring)
+        _check_simple(ring)
         if isinstance(exc, InvalidPolygonError):
             raise
         raise InvalidPolygonError(

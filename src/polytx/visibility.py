@@ -8,7 +8,7 @@ vertical sees up to the (k+1)-th wall on each side of its line
 (:func:`reach`).  :func:`family_bits` builds the exact solver's bitsets
 straight from that table, one bit per (slab, band) cell in column-major
 order, with no grid.  :func:`vis_region` gives one region as a bitset over
-a CellGrid, for ``render --vis``, ``prune_dominated`` and the test oracles;
+a CellGrid, for ``render --vis`` and the test oracles;
 the grid may be refined with the segment's own coordinates, each cell is
 then uniform, and the cell representative decides the whole cell.
 :func:`segments_cover` decides whether a set of regions covers the polygon
@@ -120,6 +120,8 @@ def family_bits(
     for t in family:
         lo, hi = t.span
         if t.orientation == HORIZONTAL:
+            if t.anchor not in band:
+                raise KeyError(t.anchor)
             bits.append(inside & (1 << col[hi] * bands) - (1 << col[lo] * bands))
             continue
         j = col[t.anchor]

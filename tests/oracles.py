@@ -8,7 +8,9 @@ package uses internally, so agreement is meaningful.  The exceptions:
   plain cell-by-cell form, the reference at sizes brute force cannot reach.
 - reference_validate is the validator's earlier all-pairs form, with its
   per-vertex loops and collinear merge, the reference for the single slab
-  scan, the contact sweep and the whole-ring checks.
+  scan and the whole-ring checks; its reference_check_simple, which tries
+  every pair of edges, is the reference for the contact sweep and the pair
+  it names.
 - reference_approximate is the greedy sweep's earlier per-remainder loop,
   the reference for the one-grid sweep; reference_vh_finder and
   reference_hv_finder are the finders' earlier candidate-list scans, the

@@ -142,6 +142,15 @@ class TestPruneDominated:
         fam = (T("v", 0, 0, 3),)
         assert prune_dominated(fam, polys["RECT"]) == fam
 
+    @pytest.mark.parametrize(
+        "stray",
+        [T("v", 3, 0, 3), T("v", 7, 0, 3), T("h", 1, 0, 6), T("h", 3, 1, 6)],
+        ids=["vertical-inside", "vertical-outside", "horizontal-off-edge", "span-end"],
+    )
+    def test_candidate_off_the_edge_lines_is_a_value_error(self, polys, stray):
+        with pytest.raises(ValueError, match="not a breakpoint or edge ordinate"):
+            prune_dominated((T("v", 0, 0, 3), stray), polys["RECT"])
+
     def test_union_preserved_and_nonempty(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus:
             fam = edge_aligned_candidates(p.profile)

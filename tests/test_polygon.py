@@ -84,8 +84,8 @@ class TestValidate:
 
 
 # Diagnoses frozen from the all-pairs validator (oracles.reference_validate).
-# validate now runs the slab scan first and the pairwise edge check only when
-# the scan rejects, so every ring here fails the scan (scan_message) and must
+# validate now runs the slab scan first and the contact check only when the
+# scan rejects, so every ring here fails the scan (scan_message) and must
 # still report what the old order reported.  The scan's span checks (made by
 # SlabProfile) and ring comparison only ever fire on rings that also
 # self-intersect.
@@ -144,15 +144,23 @@ DIAGNOSES = [
 
 
 def count_pairwise_scans(monkeypatch) -> list[int]:
-    """Count validate's calls of the all-pairs naming scan, in a one-item list."""
-    calls = [0]
-    scan = px.geometry._check_simple
+    """Count validate's contact checks and the sweeps they make, as
+    [checks, sweeps].  A check sweeps once to find whether any pair of
+    edges touches, and names the pair (a second sweep, then a scan for the
+    partner) only when one does."""
+    calls = [0, 0]
+    check, sweep = px.geometry._check_simple, px.geometry._crowded
 
-    def counting(ring):
+    def counting_check(ring):
         calls[0] += 1
-        return scan(ring)
+        return check(ring)
 
-    monkeypatch.setattr(px.geometry, "_check_simple", counting)
+    def counting_sweep(lines, queries):
+        calls[1] += 1
+        return sweep(lines, queries)
+
+    monkeypatch.setattr(px.geometry, "_check_simple", counting_check)
+    monkeypatch.setattr(px.geometry, "_crowded", counting_sweep)
     return calls
 
 
@@ -179,7 +187,7 @@ class TestDiagnoses:
         with pytest.raises(InvalidPolygonError) as exc:
             validate(ring)
         assert (exc.value.reason, exc.value.index, str(exc.value)) == (reason, index, message)
-        assert calls == [1 if reason == "self-intersecting" else 0]
+        assert calls == [1, 2 if reason == "self-intersecting" else 1]
 
     def test_notched_400_slabs_skips_the_pairwise_scan(self, monkeypatch):
         calls = count_pairwise_scans(monkeypatch)
@@ -187,7 +195,19 @@ class TestDiagnoses:
         with pytest.raises(InvalidPolygonError) as exc:
             validate(ring)
         assert exc.value.reason == "not-monotone"
-        assert calls == [0]
+        assert calls == [1, 1]
+
+    def test_notched_4000_slabs_names_the_first_contact(self):
+        # Frozen from the earlier all-pairs scan; the reference is quadratic here.
+        ring = notched(list(px.random_monotone(4000, 20, 4, seed=1).input_vertices), depth=12000)
+        assert len(ring) == 14082
+        with pytest.raises(InvalidPolygonError) as exc:
+            validate(ring)
+        assert (exc.value.reason, exc.value.index, str(exc.value)) == (
+            "self-intersecting",
+            4437,
+            "edges 4437 and 7346 cross or touch",
+        )
 
     def test_plain_value_error_becomes_not_monotone(self, monkeypatch):
         # No known simple ring makes the scan raise a plain ValueError, but

@@ -4,8 +4,8 @@ Rings start as random slab stacks, some with a notch cut into the right
 edge, and are then mutated: vertices dragged, runs of vertices translated,
 vertices deleted or duplicated, chunks of the ring reversed.  Every outcome,
 accepted or rejected, must match oracles.reference_validate exactly.  The
-contact sweep that gates the pairwise naming scan must agree with
-oracles.reference_check_simple on every ring that reaches it.
+contact sweep must name the same pair, with the same reason, index and
+message, as oracles.reference_check_simple on every ring that reaches it.
 """
 
 import json
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import polytx as px
 from polytx import InvalidPolygonError, validate
-from polytx.geometry import COORD_LIMIT, _touches
+from polytx.geometry import COORD_LIMIT, _check_simple
 
 from oracles import notched, reference_check_simple, reference_validate
 
@@ -175,21 +175,24 @@ def simplicity_inputs(monkeypatch, rings) -> list:
     return seen
 
 
-def touches_by_reference(ring) -> bool:
+def diagnosis(check, ring) -> tuple | None:
+    """(reason, index, message) of the check's rejection, or None."""
     try:
-        reference_check_simple(ring)
-    except InvalidPolygonError:
-        return True
-    return False
+        check(ring)
+    except InvalidPolygonError as exc:
+        return (exc.reason, exc.index, str(exc))
+    return None
 
 
 def test_touches_matches_reference_on_mutated_rings(monkeypatch):
     rings = [mutated_ring(random.Random(seed)) for seed in range(3000)]
     scanned = simplicity_inputs(monkeypatch, rings)
     assert len(scanned) > 1000
-    verdicts = [(_touches(r), touches_by_reference(r)) for r in scanned]
-    assert [got for got, want in verdicts if got != want] == []
-    assert 100 < sum(got for got, _ in verdicts) < len(verdicts) - 100
+    verdicts = [
+        (diagnosis(_check_simple, r), diagnosis(reference_check_simple, r)) for r in scanned
+    ]
+    assert [(got, want) for got, want in verdicts if got != want] == []
+    assert 100 < sum(got is not None for got, _ in verdicts) < len(verdicts) - 100
 
 
 @pytest.mark.parametrize("slabs, seeds", [(40, range(10)), (400, range(2))])
@@ -206,9 +209,12 @@ def test_touches_matches_reference_on_large_rings(monkeypatch, slabs, seeds):
             rings.append(ring)
     scanned = simplicity_inputs(monkeypatch, rings)
     assert len(scanned) > 2 * len(seeds)
-    verdicts = [(_touches(r), touches_by_reference(r)) for r in scanned]
+    verdicts = [
+        (diagnosis(_check_simple, r), diagnosis(reference_check_simple, r)) for r in scanned
+    ]
     assert all(got == want for got, want in verdicts)
-    assert any(got for got, _ in verdicts) and not all(got for got, _ in verdicts)
+    contact = [got is not None for got, _ in verdicts]
+    assert any(contact) and not all(contact)
 
 
 # -- the per-vertex fast paths judge edge cases as the loops did ---------------
