@@ -21,8 +21,8 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
-from operator import eq, ne, not_, or_
+from itertools import chain, compress, count, repeat
+from operator import and_, eq, ge, itemgetter, le, lt, mul, ne, not_, or_, sub
 from typing import Iterable, Sequence
 
 from .errors import InvalidPolygonError
@@ -32,14 +32,13 @@ COORD_LIMIT = 10**6
 
 Point = tuple[int, int]
 Span = tuple[int, int]
+Edge = tuple[int, int, int, int]  # (line, lo, hi, index), see _axis_edges
 
 
-def _shoelace2(ring: Sequence[Point]) -> int:
-    """Twice the signed area of the ring (positive for counter-clockwise)."""
-    total = 0
-    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + [ring[0]]):
-        total += x1 * y2 - x2 * y1
-    return total
+def _shoelace2(xs: list[int], ys: list[int]) -> int:
+    """Twice the signed area of the ring with these vertex coordinates
+    (positive for counter-clockwise)."""
+    return sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys))
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,21 @@ class SlabProfile:
     spans: tuple[Span, ...]
 
     def __post_init__(self) -> None:
-        if len(self.xs) != len(self.spans) + 1 or not self.spans:
+        xs, spans = self.xs, self.spans
+        if len(xs) != len(spans) + 1 or not spans:
             raise ValueError("profile needs n+1 breakpoints for n >= 1 slabs")
+        los, his = [lo for lo, _ in spans], [hi for _, hi in spans]
+        # The whole profile at once; the loops below only name the fault.
+        # With positive heights, two spans meet iff each starts below the
+        # other's end.
+        if (
+            all(map(lt, xs, xs[1:]))
+            and all(map(lt, los, his))
+            and all(map(le, los[1:], his))
+            and all(map(le, los, his[1:]))
+            and all(map(ne, spans, spans[1:]))
+        ):
+            return
         if any(a >= b for a, b in zip(self.xs, self.xs[1:])):
             raise ValueError("breakpoints must increase strictly")
         for lo, hi in self.spans:
@@ -120,12 +132,20 @@ class SlabProfile:
         and so on.
         """
         row = {y: r for r, y in enumerate(self.edge_ordinates)}
-        col = {x: i for i, x in enumerate(self.xs)}
         rows: list[list[int]] = [[] for _ in self.edge_ordinates[1:]]
-        # The edges come sorted by x, so every row's list is too.
-        for x, ylo, yhi in self.vertical_edges:
-            i = col[x]
-            for r in range(row[ylo], row[yhi]):
+        spans = self.spans
+        # Walk the breakpoints left to right, so every row's list is sorted.
+        # At an inner breakpoint the bottom and the top chain may each step;
+        # the step runs between the two spans' ends on that side.
+        walls = [(0, *spans[0])]
+        for i, (pb, pt), (cb, ct) in zip(count(1), spans, spans[1:]):
+            if pb != cb:
+                walls.append((i, pb, cb) if pb < cb else (i, cb, pb))
+            if pt != ct:
+                walls.append((i, pt, ct) if pt < ct else (i, ct, pt))
+        walls.append((len(spans), *spans[-1]))
+        for i, lo, hi in walls:
+            for r in range(row[lo], row[hi]):
                 rows[r].append(i)
         return tuple(map(tuple, rows))
 
@@ -221,8 +241,8 @@ class OrthoPolygon:
 
     @property
     def m(self) -> int:
-        """Number of vertical boundary edges."""
-        return self.profile.m
+        """Number of vertical boundary edges: every other edge of the merged ring."""
+        return len(self.vertices) // 2
 
     @property
     def input_vertices(self) -> tuple[Point, ...]:
@@ -233,31 +253,46 @@ class OrthoPolygon:
         return f"OrthoPolygon({len(self.vertices)} vertices, xs={list(xs)}, spans={list(spans)})"
 
 
-def _merge_collinear(ring: list[Point]) -> list[Point]:
-    """Drop vertices interior to straight runs; reject boundary spikes."""
-    n = len(ring)
-    ys = [y for _, y in ring]
-    horizontal = list(map(eq, ys, ys[1:] + ys[:1]))  # edge i leaves vertex i
+def _merge_collinear(xs: list[int], ys: list[int], horizontal: list[bool]) -> list[bool]:
+    """Which vertices turn: the others are interior to straight runs and are
+    dropped.  ``horizontal[i]`` tells whether edge i, leaving vertex i, is
+    horizontal.  A boundary spike is rejected."""
+    n = len(xs)
     turns = list(map(ne, horizontal[-1:] + horizontal[:-1], horizontal))
     # Same axis on both sides of a vertex: straight run (dropped) or spike.
     for i in compress(range(n), map(not_, turns)):
-        a, v, b = ring[i - 1], ring[i], ring[(i + 1) % n]
-        if (v[0] - a[0]) * (b[0] - v[0]) + (v[1] - a[1]) * (b[1] - v[1]) < 0:
+        j = (i + 1) % n
+        if (xs[i] - xs[i - 1]) * (xs[j] - xs[i]) + (ys[i] - ys[i - 1]) * (ys[j] - ys[i]) < 0:
             raise InvalidPolygonError(
                 "self-intersecting", f"boundary reverses onto itself at vertex {i}", i
             )
-    return list(compress(ring, turns))
+    return turns
 
 
-def _crowded(lines, queries) -> list[int]:
+def _axis_edges(ring: list[Point]) -> tuple[list[Edge], list[Edge]]:
+    """The ring's edges in one pass: horizontals as (y, x_lo, x_hi, index)
+    and verticals as (x, y_lo, y_hi, index), each list by index."""
+    hs, vs = [], []
+    for i, ((x1, y1), (x2, y2)) in enumerate(zip(ring, ring[1:] + ring[:1])):
+        if y1 == y2:
+            hs.append((y1, x1, x2, i) if x1 < x2 else (y1, x2, x1, i))
+        else:
+            vs.append((x1, y1, y2, i) if y1 < y2 else (x1, y2, y1, i))
+    return hs, vs
+
+
+def _crowded(lines: list[Edge], queries: list[Edge]) -> list[int]:
     """Indices of the queries, edges (line, lo, hi, index) on the other axis
     from the lines, that meet more than two lines.  At each position the
     sweep adds the lines starting there, counts the active ones in each
     query's closed range, then drops the lines ending there."""
+    # Adds, queries and drops go in in that order, and a stable sort on the
+    # position alone keeps it at each position.
     events = sorted(
         [(lo, 0, line, line, i) for line, lo, _, i in lines]
         + [(line, 1, lo, hi, i) for line, lo, hi, i in queries]
-        + [(hi, 2, line, line, i) for line, _, hi, i in lines]
+        + [(hi, 2, line, line, i) for line, _, hi, i in lines],
+        key=itemgetter(0),
     )
     active: list[int] = []
     hit = []
@@ -272,8 +307,9 @@ def _crowded(lines, queries) -> list[int]:
     return hit
 
 
-def _check_simple(ring: list[Point]) -> None:
-    """Reject any contact between non-adjacent edges of a merged ring.
+def _check_simple(hs: list[Edge], vs: list[Edge]) -> None:
+    """Reject any contact between non-adjacent edges of a merged ring, given
+    its edges as :func:`_axis_edges` lists them.
 
     Edges alternate between the axes and each meets its two neighbours, so
     a third edge of the other axis that meets it touches it.  Every contact
@@ -283,12 +319,6 @@ def _check_simple(ring: list[Point]) -> None:
     maximum along each line.  The least flagged edge i touches no earlier
     one, and a scan of the later edges finds its first partner j.
     """
-    hs, vs = [], []
-    for i, ((x1, y1), (x2, y2)) in enumerate(zip(ring, ring[1:] + ring[:1])):
-        if y1 == y2:
-            hs.append((y1, x1, x2, i) if x1 < x2 else (y1, x2, x1, i))
-        else:
-            vs.append((x1, y1, y2, i) if y1 < y2 else (x1, y2, y1, i))
     flagged = _crowded(hs, vs)
     if not flagged:
         return
@@ -304,7 +334,7 @@ def _check_simple(ring: list[Point]) -> None:
     box = {i: (lo, hi, y, y) for y, lo, hi, i in hs} | {i: (x, x, lo, hi) for x, lo, hi, i in vs}
     ax1, ax2, ay1, ay2 = box[i]
     # Skip the two adjacent edges, which share exactly their common vertex.
-    for j in range(i + 2, len(ring) - (i == 0)):
+    for j in range(i + 2, len(hs) + len(vs) - (i == 0)):
         bx1, bx2, by1, by2 = box[j]
         if bx1 <= ax2 and ax1 <= bx2 and by1 <= ay2 and ay1 <= by2:
             break
@@ -316,21 +346,75 @@ def _check_simple(ring: list[Point]) -> None:
 
 
 def _slab_stack(ring: list[Point]) -> SlabProfile:
-    """Slab decomposition of a counter-clockwise ring, or ValueError.
+    """Slab decomposition of a merged counter-clockwise ring with no repeated
+    vertex, or ValueError.
+
+    The ring is read as its two x-monotone chains.  It must leave its least
+    vertex along a horizontal edge; from there the bottom chain runs with x
+    non-decreasing to the first vertex on x_max, and the top chain runs back
+    with x non-increasing.  Edges alternate between the axes, so each chain
+    is a staircase: its horizontal edges give its ordinate over consecutive
+    x-ranges, and merging the two chains' breakpoints gives xs and spans.
+    When SlabProfile accepts those (positive heights, adjacent spans that
+    meet), ``profile_to_ring`` of the profile is exactly the ring read from
+    its least vertex: both start at (x_min, bottom of the first span), and
+    wherever the bottom (top) chain steps, the lower (upper) ends of the two
+    spans differ and profile_to_ring emits the step's two vertices.  So the
+    ring is a simple slab stack and needs no rebuild.  Every ring the
+    edge-count scan accepts has this shape, so the two agree.  A ring that
+    is not one fails on its x-sequence alone, before any span is built, or
+    else in SlabProfile; then the scan (:func:`_slab_scan`) and the contact
+    sweep (:func:`_check_simple`), fed by one pass over the edges, name the
+    fault.
+    """
+    start = ring.index(min(ring))
+    walk = ring[start:] + ring[:start]
+    xs = [x for x, _ in walk]
+    k = xs.index(max(xs))  # where the bottom chain ends
+    if xs[0] != xs[1] and all(map(le, xs[:k], xs[1 : k + 1])) and all(map(ge, xs[k:], xs[k + 1 :])):
+        ys = [y for _, y in walk]
+        # Horizontal edges are the even ones: 0, 2 .. k - 1 on the bottom
+        # chain, and n - 2, n - 4 .. k + 1 on the top chain read from x_min.
+        # Left to right, a chain's breakpoints are the left end of its first
+        # horizontal and the right end of each.
+        breaks = sorted(set(xs))
+        col = dict(zip(breaks, count()))
+        bottom = _steps([*xs[0:k:2], xs[k]], ys[0:k:2], col)
+        top = _steps([xs[-1], *xs[-2:k:-2]], ys[-2:k:-2], col)
+        try:
+            return SlabProfile(tuple(breaks), tuple(zip(bottom, top)))
+        except ValueError:
+            pass
+    # A self-intersecting ring is reported as such, even when it also fails
+    # as a slab stack.
+    hs, vs = _axis_edges(ring)
+    try:
+        return _slab_scan(ring, hs)
+    except ValueError:
+        _check_simple(hs, vs)
+        raise
+
+
+def _steps(xs: list[int], ys: list[int], col: dict[int, int]) -> Iterable[int]:
+    """A staircase's ordinate per slab: ys[j] over every slab from breakpoint
+    xs[j] to xs[j + 1] (xs increasing, col their slab indices)."""
+    cols = list(map(col.__getitem__, xs))
+    return chain.from_iterable(map(repeat, ys, map(sub, cols[1:], cols)))
+
+
+def _slab_scan(ring: list[Point], hs: list[Edge]) -> SlabProfile:
+    """The edge-count scan: slab decomposition of a counter-clockwise ring
+    with horizontal edges hs, or a ValueError that names why it is not one.
 
     Every vertical line interior to a slab must be spanned by exactly one
     bottom and one top horizontal edge, and the slab union rebuilt from those
-    spans must be the input ring.  A ring that passes is a simple slab stack,
-    so the contact sweep is needed only to tell why a ring failed.
+    spans must be the input ring.  It accepts the same rings as the chain
+    walk in :func:`_slab_stack`, which runs it only to name a fault.
     """
     xs = sorted({x for x, _ in ring})
     slab_of = {x: s for s, x in enumerate(xs)}
     # Horizontal edges as (first slab, end slab, y, index): slabs first..end-1.
-    hedges = []
-    for i, ((x1, y1), (x2, y2)) in enumerate(zip(ring, ring[1:] + ring[:1])):
-        if y1 == y2:
-            a, b = slab_of[x1], slab_of[x2]
-            hedges.append((a, b, y1, i) if a < b else (b, a, y1, i))
+    hedges = [(slab_of[lo], slab_of[hi], y, i) for y, lo, hi, i in hs]
     # Edges over each slab, counted with a difference array.
     delta = [0] * len(xs)
     for a, b, _, _ in hedges:
@@ -375,7 +459,9 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     vertex index otherwise.
 
     The per-vertex checks run on the whole ring at once and fall back to a
-    loop only to name the first offender.  A ring the slab scan rejects is
+    loop only to name the first offender.  An accepted ring becomes a profile
+    in one walk along its two x-monotone chains (:func:`_slab_stack`).  A
+    ring that walk rejects is scanned slab by slab to name the fault, and
     swept once for edge contact (:func:`_check_simple`), which also names
     the first touching pair.  Every input is decided in O(n log n)
     comparisons (the sweep's list insertions are memmoves).
@@ -394,30 +480,32 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
                 raise InvalidPolygonError("non-integer", f"vertex {i} is not an integer pair", i)
             if any(abs(c) > COORD_LIMIT for c in pt):
                 raise InvalidPolygonError("out-of-range", f"vertex {i} exceeds |c| <= {COORD_LIMIT}", i)
-    if len(pts) > 1 and pts[0] == pts[-1]:
-        pts.pop()
+    return _validate_coords(flat)
 
-    ring: list[Point] = [(x * SCALE, y * SCALE) for x, y in pts]
-    n = len(ring)
-    following = ring[1:] + ring[:1]
-    if any(map(eq, ring, following)):
-        for i in range(n):
-            if ring[i] == following[i]:
-                raise InvalidPolygonError("degenerate-edge", f"zero-length edge at vertex {i}", i)
-    xs, ys = [x for x, _ in ring], [y for _, y in ring]
-    if not all(map(or_, map(eq, xs, xs[1:] + xs[:1]), map(eq, ys, ys[1:] + ys[:1]))):
-        for i in range(n):
-            (x1, y1), (x2, y2) = ring[i], following[i]
-            if x1 != x2 and y1 != y2:
-                raise InvalidPolygonError(
-                    "non-orthogonal", f"edge from vertex {i} is not axis-parallel", i
-                )
+
+def _validate_coords(flat: list[int]) -> OrthoPolygon:
+    """validate after its per-vertex checks: flat holds the ring's input-unit
+    coordinates x0, y0, x1, y1, ..., each an integer within the limit."""
+    if len(flat) > 2 and flat[:2] == flat[-2:]:
+        del flat[-2:]
+    xs, ys = [x * SCALE for x in flat[::2]], [y * SCALE for y in flat[1::2]]
+    n = len(xs)
+    vertical = list(map(eq, xs, xs[1:] + xs[:1]))  # edge i leaves vertex i
+    horizontal = list(map(eq, ys, ys[1:] + ys[:1]))
+    if any(map(and_, vertical, horizontal)):
+        i = list(map(and_, vertical, horizontal)).index(True)
+        raise InvalidPolygonError("degenerate-edge", f"zero-length edge at vertex {i}", i)
+    if not all(map(or_, vertical, horizontal)):
+        i = list(map(or_, vertical, horizontal)).index(False)
+        raise InvalidPolygonError("non-orthogonal", f"edge from vertex {i} is not axis-parallel", i)
     if n < 4:
         raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {n}")
 
-    ring = _merge_collinear(ring)
-    if len(ring) < 4:
+    turns = _merge_collinear(xs, ys, horizontal)
+    xs, ys = list(compress(xs, turns)), list(compress(ys, turns))
+    if len(xs) < 4:
         raise InvalidPolygonError("degenerate-edge", "polygon collapses after merging collinear runs")
+    ring: list[Point] = list(zip(xs, ys))
 
     if len(set(ring)) < len(ring):
         seen: dict[Point, int] = {}
@@ -428,22 +516,20 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
                 )
             seen[pt] = i
 
-    area2 = _shoelace2(ring)
+    area2 = _shoelace2(xs, ys)
     if area2 == 0:
         raise InvalidPolygonError("self-intersecting", "ring encloses zero area")
     if area2 < 0:
         ring.reverse()
 
-    # A self-intersecting ring is reported as such, even when it also fails
-    # as a slab stack.  InvalidPolygonError subclasses ValueError, so the
-    # plain ValueError that SlabProfile raises on the scanned spans is the
-    # only one turned into a not-monotone rejection.
+    # InvalidPolygonError subclasses ValueError, so the plain ValueError that
+    # SlabProfile raises on the scanned spans is the only one turned into a
+    # not-monotone rejection.
     try:
         profile = _slab_stack(ring)
+    except InvalidPolygonError:
+        raise
     except ValueError as exc:
-        _check_simple(ring)
-        if isinstance(exc, InvalidPolygonError):
-            raise
         raise InvalidPolygonError(
             "not-monotone", "region is not a left-to-right slab stack"
         ) from exc
@@ -474,7 +560,11 @@ def parse_polygon(text: str) -> OrthoPolygon:
                     "non-orthogonal", f"edge from vertex {i} is not axis-parallel", i
                 )
         raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {len(verts)}")
-    if set(map(type, chain.from_iterable(verts))) <= {int}:
+    flat = list(chain.from_iterable(verts))
+    if set(map(type, flat)) <= {int}:
+        # The pairs and types are checked; only the range is left to check.
+        if -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT:
+            return _validate_coords(flat)
         return validate(verts)
     try:
         ring = [(input_int(x), input_int(y)) for x, y in verts]

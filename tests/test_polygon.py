@@ -6,7 +6,7 @@ import pytest
 
 import polytx as px
 from polytx import InvalidPolygonError, SCALE, build_grid, cut_right, validate
-from polytx.geometry import _slab_stack, profile_to_ring
+from polytx.geometry import _axis_edges, _slab_scan, profile_to_ring
 
 from oracles import (
     cell_area,
@@ -84,9 +84,9 @@ class TestValidate:
 
 
 # Diagnoses frozen from the all-pairs validator (oracles.reference_validate).
-# validate now runs the slab scan first and the contact check only when the
-# scan rejects, so every ring here fails the scan (scan_message) and must
-# still report what the old order reported.  The scan's span checks (made by
+# A ring the chain walk rejects goes to the slab scan, and to the contact
+# check only when the scan rejects, so every ring here fails the scan
+# (scan_message) and must still report what the old order reported.  The scan's span checks (made by
 # SlabProfile) and ring comparison only ever fire on rings that also
 # self-intersect.
 DIAGNOSES = [
@@ -144,16 +144,16 @@ DIAGNOSES = [
 
 
 def count_pairwise_scans(monkeypatch) -> list[int]:
-    """Count validate's contact checks and the sweeps they make, as
-    [checks, sweeps].  A check sweeps once to find whether any pair of
-    edges touches, and names the pair (a second sweep, then a scan for the
-    partner) only when one does."""
+    """Count the contact checks a rejected ring gets and the sweeps they
+    make, as [checks, sweeps].  A check sweeps once to find whether any
+    pair of edges touches, and names the pair (a second sweep, then a scan
+    for the partner) only when one does."""
     calls = [0, 0]
     check, sweep = px.geometry._check_simple, px.geometry._crowded
 
-    def counting_check(ring):
+    def counting_check(hs, vs):
         calls[0] += 1
-        return check(ring)
+        return check(hs, vs)
 
     def counting_sweep(lines, queries):
         calls[1] += 1
@@ -174,9 +174,10 @@ class TestDiagnoses:
     @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
     def test_slab_scan_rejects_first(self, ring, scan_message, reason, index, message):
         # Counter-clockwise rings with no collinear vertices: validate hands
-        # _slab_stack the doubled ring unchanged.
+        # the slab scan the doubled ring unchanged.
+        doubled = [(x * SCALE, y * SCALE) for x, y in ring]
         with pytest.raises(ValueError) as exc:
-            _slab_stack([(x * SCALE, y * SCALE) for x, y in ring])
+            _slab_scan(doubled, _axis_edges(doubled)[0])
         assert str(exc.value) == scan_message
 
     @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
@@ -284,6 +285,32 @@ class TestSlabProfile:
         assert polys["VALLEY"].m == 4
         assert polys["STAIR3"].m == 6
         assert polys["GAP7"].m == 8
+        # m is half the merged ring, which is every vertical edge
+        shapes = list(polys.values()) + [p for _, p in px.corpus(300)]
+        shapes += [px.random_monotone(400, 20, 4, seed) for seed in range(3)]
+        for p in shapes:
+            assert p.m == p.profile.m == len(p.profile.vertical_edges)
+
+    @pytest.mark.parametrize(
+        "xs, spans, message",
+        [
+            ((0,), (), "profile needs n+1 breakpoints for n >= 1 slabs"),
+            ((0, 2, 2), ((0, 2), (0, 4)), "breakpoints must increase strictly"),
+            ((0, 2), ((2, 2),), "slab span must have positive height"),
+            ((0, 2, 4), ((0, 2), (4, 6)), "adjacent slab spans must intersect"),
+            ((0, 2, 4), ((4, 6), (0, 2)), "adjacent slab spans must intersect"),
+            ((0, 2, 4), ((0, 2), (0, 2)), "adjacent slab spans must differ"),
+            ((0, 2, 4, 6), ((0, 2), (0, 2), (6, 8)), "adjacent slab spans must differ"),
+            ((0, 2, 4, 6), ((0, 2), (4, 6), (4, 6)), "adjacent slab spans must intersect"),
+        ],
+    )
+    def test_invalid_profile_is_named(self, xs, spans, message):
+        with pytest.raises(ValueError) as exc:
+            px.SlabProfile(xs, spans)
+        assert str(exc.value) == message
+
+    def test_spans_touching_at_a_point_meet(self):
+        assert px.SlabProfile((0, 2, 4), ((0, 2), (2, 4))).spans == ((0, 2), (2, 4))
 
     def test_cross_section(self, polys):
         prof = polys["VALLEY"].profile
@@ -401,6 +428,7 @@ class TestCellGrid:
     def test_row_walls_match_per_row_scan(self, polys):
         shapes = list(polys.values()) + [p for _, p in px.corpus(300)]
         shapes += [px.random_monotone(slabs, 20, 4, seed=1) for slabs in (40, 160)]
+        shapes += [px.random_monotone(400, 20, 4, seed) for seed in range(3)]
         rng = random.Random(0)
         for p in shapes:
             prof = p.profile

@@ -5,7 +5,9 @@ edge, and are then mutated: vertices dragged, runs of vertices translated,
 vertices deleted or duplicated, chunks of the ring reversed.  Every outcome,
 accepted or rejected, must match oracles.reference_validate exactly.  The
 contact sweep must name the same pair, with the same reason, index and
-message, as oracles.reference_check_simple on every ring that reaches it.
+message, as oracles.reference_check_simple on every ring that reaches it,
+and validate's chain walk must decide every ring as the edge-count scan
+alone does.
 """
 
 import json
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import polytx as px
 from polytx import InvalidPolygonError, validate
-from polytx.geometry import COORD_LIMIT, _check_simple
+from polytx.geometry import COORD_LIMIT, _axis_edges, _check_simple, _slab_scan
 
 from oracles import notched, reference_check_simple, reference_validate
 
@@ -175,6 +177,10 @@ def simplicity_inputs(monkeypatch, rings) -> list:
     return seen
 
 
+def contact_check(ring) -> None:
+    _check_simple(*_axis_edges(ring))
+
+
 def diagnosis(check, ring) -> tuple | None:
     """(reason, index, message) of the check's rejection, or None."""
     try:
@@ -189,7 +195,7 @@ def test_touches_matches_reference_on_mutated_rings(monkeypatch):
     scanned = simplicity_inputs(monkeypatch, rings)
     assert len(scanned) > 1000
     verdicts = [
-        (diagnosis(_check_simple, r), diagnosis(reference_check_simple, r)) for r in scanned
+        (diagnosis(contact_check, r), diagnosis(reference_check_simple, r)) for r in scanned
     ]
     assert [(got, want) for got, want in verdicts if got != want] == []
     assert 100 < sum(got is not None for got, _ in verdicts) < len(verdicts) - 100
@@ -210,11 +216,55 @@ def test_touches_matches_reference_on_large_rings(monkeypatch, slabs, seeds):
     scanned = simplicity_inputs(monkeypatch, rings)
     assert len(scanned) > 2 * len(seeds)
     verdicts = [
-        (diagnosis(_check_simple, r), diagnosis(reference_check_simple, r)) for r in scanned
+        (diagnosis(contact_check, r), diagnosis(reference_check_simple, r)) for r in scanned
     ]
     assert all(got == want for got, want in verdicts)
     contact = [got is not None for got, _ in verdicts]
     assert any(contact) and not all(contact)
+
+
+# -- the chain walk against the edge-count scan ---------------------------------
+
+
+def scan_only(ring):
+    """_slab_stack without its chain walk, as validate decided every ring
+    before: the edge-count scan, and the contact check when it rejects."""
+    hs, vs = _axis_edges(ring)
+    try:
+        return _slab_scan(ring, hs)
+    except ValueError:
+        _check_simple(hs, vs)
+        raise
+
+
+def differential_rings() -> list:
+    """20,000 mutated rings, 2,000 corpus rings started at another vertex
+    or reversed, and larger slab stacks with notched and reversed copies."""
+    rings = [mutated_ring(random.Random(seed)) for seed in range(20_000)]
+    for i, p in px.corpus(2_000):
+        rng = random.Random(i)
+        ring = list(p.input_vertices)
+        start = rng.randrange(len(ring))
+        ring = ring[start:] + ring[:start]
+        rings.append(ring[::-1] if rng.random() < 0.5 else ring)
+    for slabs, seeds in ((40, range(5)), (400, range(2)), (3000, range(1))):
+        for seed in seeds:
+            base = list(px.random_monotone(slabs, 20, 4, seed).input_vertices)
+            for ring in (base, notched(base), notched(base, depth=3), notched(base, depth=3 * slabs)):
+                rings += [ring, ring[::-1], ring[5:] + ring[:5]]
+    return rings
+
+
+def test_chain_walk_matches_the_scan(monkeypatch):
+    rings = differential_rings()
+    walked = [outcome(validate, ring) for ring in rings]
+    monkeypatch.setattr(px.geometry, "_slab_stack", scan_only)
+    scanned = [outcome(validate, ring) for ring in rings]
+    monkeypatch.undo()
+    assert [i for i, (got, want) in enumerate(zip(walked, scanned)) if got != want] == []
+    assert sum(len(got) == 2 for got in walked) > 5_000
+    reasons = [got[1] for got in walked if len(got) == 4]
+    assert reasons.count("not-monotone") > 1_000 and reasons.count("self-intersecting") > 1_000
 
 
 # -- the per-vertex fast paths judge edge cases as the loops did ---------------
