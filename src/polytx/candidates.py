@@ -11,6 +11,8 @@ re-verifies).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 from .geometry import OrthoPolygon, SCALE, SlabProfile, Span, input_int
@@ -103,9 +105,11 @@ def prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> Se
 
     A candidate is removed when its visibility region is contained in the
     union over the *currently remaining* other candidates, so the union of
-    regions over the result equals the union over the input exactly.  The
-    regions are ``family_bits``' (slab, band) bitsets, so every candidate
-    must lie on the edge-aligned lines (ValueError otherwise).
+    regions over the result equals the union over the input exactly.  Those
+    others are the candidates kept so far and all later ones, so a running
+    union and precomputed suffix unions decide each candidate with one OR.
+    The regions are ``family_bits``' (slab, band) bitsets, so every
+    candidate must lie on the edge-aligned lines (ValueError otherwise).
     """
     from .visibility import family_bits
 
@@ -118,15 +122,13 @@ def prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> Se
         raise ValueError(
             f"candidate coordinate {exc.args[0]} is not a breakpoint or edge ordinate"
         ) from None
-    bits = dict(zip(cands, regions))
-    kept = list(cands)
-    for s in cands:
-        others = 0
-        for t in kept:
-            if t is not s:
-                others |= bits[t]
-        if bits[s] & ~others == 0:
-            kept.remove(s)
+    # after[i] is the union of regions[i + 1:].
+    after = list(accumulate(reversed(regions), or_, initial=0))[-2::-1]
+    kept, before = [], 0
+    for s, region, rest in zip(cands, regions, after):
+        if region & ~(before | rest):
+            kept.append(s)
+            before |= region
     return tuple(kept)
 
 

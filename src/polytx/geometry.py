@@ -21,7 +21,7 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import and_, eq, ge, itemgetter, le, lt, mul, ne, not_, or_, sub
 from typing import Iterable, Sequence
 
@@ -99,24 +99,6 @@ class SlabProfile:
         return max(hi for _, hi in self.spans)
 
     @cached_property
-    def vertical_edges(self) -> tuple[tuple[int, int, int], ...]:
-        """All vertical boundary edges as (x, y_lo, y_hi), by x then lower y."""
-        edges = [(self.xs[0], *self.spans[0])]
-        for i in range(1, len(self.spans)):
-            (pb, pt), (cb, ct) = self.spans[i - 1], self.spans[i]
-            x = self.xs[i]
-            if pb != cb:
-                edges.append((x, min(pb, cb), max(pb, cb)))
-            if pt != ct:
-                edges.append((x, min(pt, ct), max(pt, ct)))
-        edges.append((self.xs[-1], *self.spans[-1]))
-        return tuple(sorted(edges))
-
-    @property
-    def m(self) -> int:
-        return len(self.vertical_edges)
-
-    @cached_property
     def edge_ordinates(self) -> tuple[int, ...]:
         """Sorted distinct y-coordinates of horizontal boundary edges."""
         return tuple(sorted({v for span in self.spans for v in span}))
@@ -148,13 +130,6 @@ class SlabProfile:
             for r in range(row[lo], row[hi]):
                 rows[r].append(i)
         return tuple(map(tuple, rows))
-
-    def slab_index(self, x: int) -> int:
-        """Index of the slab whose open x-interval contains x (x not a breakpoint)."""
-        i = bisect_right(self.xs, x) - 1
-        if not (0 <= i < len(self.spans)) or x == self.xs[i]:
-            raise ValueError(f"x={x} is not interior to any slab")
-        return i
 
     def cross_section(self, x: int) -> Span | None:
         """Closed vertical cross-section at x, or None left/right of the polygon.
@@ -195,10 +170,6 @@ class SlabProfile:
             if lo <= x_lo and x_hi <= hi:
                 return (lo, hi)
         return None
-
-    def to_ring(self) -> list[Point]:
-        """Canonical counter-clockwise vertex ring (no collinear vertices)."""
-        return profile_to_ring(self.xs, self.spans)
 
     def as_input(self) -> tuple[tuple[int, ...], tuple[Span, ...]]:
         """(xs, spans) converted back to input units."""
@@ -347,7 +318,7 @@ def _check_simple(hs: list[Edge], vs: list[Edge]) -> None:
 
 def _slab_stack(ring: list[Point]) -> SlabProfile:
     """Slab decomposition of a merged counter-clockwise ring with no repeated
-    vertex, or ValueError.
+    vertex, or InvalidPolygonError.
 
     The ring is read as its two x-monotone chains.  It must leave its least
     vertex along a horizontal edge; from there the bottom chain runs with x
@@ -360,12 +331,12 @@ def _slab_stack(ring: list[Point]) -> SlabProfile:
     its least vertex: both start at (x_min, bottom of the first span), and
     wherever the bottom (top) chain steps, the lower (upper) ends of the two
     spans differ and profile_to_ring emits the step's two vertices.  So the
-    ring is a simple slab stack and needs no rebuild.  Every ring the
-    edge-count scan accepts has this shape, so the two agree.  A ring that
-    is not one fails on its x-sequence alone, before any span is built, or
-    else in SlabProfile; then the scan (:func:`_slab_scan`) and the contact
-    sweep (:func:`_check_simple`), fed by one pass over the edges, name the
-    fault.
+    ring is a simple slab stack and needs no rebuild, and the edge-count
+    scan that rebuilds and compares accepts no other ring.  A ring that is
+    not one fails on its x-sequence alone, before any span is built, or else
+    in SlabProfile.  Then the contact sweep (:func:`_check_simple`) names a
+    self-intersection, or else :func:`_slab_scan` the not-monotone fault;
+    both read one pass over the edges.
     """
     start = ring.index(min(ring))
     walk = ring[start:] + ring[:start]
@@ -388,11 +359,8 @@ def _slab_stack(ring: list[Point]) -> SlabProfile:
     # A self-intersecting ring is reported as such, even when it also fails
     # as a slab stack.
     hs, vs = _axis_edges(ring)
-    try:
-        return _slab_scan(ring, hs)
-    except ValueError:
-        _check_simple(hs, vs)
-        raise
+    _check_simple(hs, vs)
+    raise _slab_scan(ring, hs)
 
 
 def _steps(xs: list[int], ys: list[int], col: dict[int, int]) -> Iterable[int]:
@@ -402,14 +370,15 @@ def _steps(xs: list[int], ys: list[int], col: dict[int, int]) -> Iterable[int]:
     return chain.from_iterable(map(repeat, ys, map(sub, cols[1:], cols)))
 
 
-def _slab_scan(ring: list[Point], hs: list[Edge]) -> SlabProfile:
-    """The edge-count scan: slab decomposition of a counter-clockwise ring
-    with horizontal edges hs, or a ValueError that names why it is not one.
+def _slab_scan(ring: list[Point], hs: list[Edge]) -> InvalidPolygonError:
+    """The not-monotone fault of a counter-clockwise ring with horizontal
+    edges hs that is not a slab stack.
 
-    Every vertical line interior to a slab must be spanned by exactly one
-    bottom and one top horizontal edge, and the slab union rebuilt from those
-    spans must be the input ring.  It accepts the same rings as the chain
-    walk in :func:`_slab_stack`, which runs it only to name a fault.
+    The edge-count scan: a vertical line interior to a slab of a stack meets
+    exactly one bottom and one top horizontal edge.  The first slab whose
+    line meets any other number of edges is named, with the third edge up
+    (or the lowest, if fewer) as the offender.  A ring with two edges over
+    every slab is still no stack, and is named as such.
     """
     xs = sorted({x for x, _ in ring})
     slab_of = {x: s for s, x in enumerate(xs)}
@@ -420,34 +389,17 @@ def _slab_scan(ring: list[Point], hs: list[Edge]) -> SlabProfile:
     for a, b, _, _ in hedges:
         delta[a] += 1
         delta[b] -= 1
-    over = 0
-    for s in range(len(xs) - 1):
-        over += delta[s]
+    for s, over in enumerate(accumulate(delta[:-1])):
         if over != 2:
             spanning = sorted((y, i) for a, b, y, i in hedges if a <= s < b)
             offender = spanning[2][1] if len(spanning) > 2 else (spanning[0][1] if spanning else 0)
-            raise InvalidPolygonError(
+            return InvalidPolygonError(
                 "not-monotone",
                 f"a vertical line over [{xs[s] // SCALE},{xs[s + 1] // SCALE}] meets "
                 f"{len(spanning)} horizontal edges (want 2)",
                 offender,
             )
-    ys: list[list[int]] = [[] for _ in xs[1:]]
-    for a, b, y, _ in hedges:
-        for s in range(a, b):
-            ys[s].append(y)
-    spans = [(min(pair), max(pair)) for pair in ys]
-    profile = SlabProfile(tuple(xs), tuple(spans))
-
-    # The slab union must be exactly the input region; compare canonical rings
-    # up to rotation.  Any discrepancy means the ring is not a monotone stack.
-    rebuilt = profile.to_ring()
-    if len(rebuilt) != len(ring) or set(rebuilt) != set(ring):
-        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
-    start = ring.index(rebuilt[0])
-    if ring[start:] + ring[:start] != rebuilt:
-        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
-    return profile
+    return InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
 
 
 def validate(vertices: Iterable[Point]) -> OrthoPolygon:
@@ -461,10 +413,11 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     The per-vertex checks run on the whole ring at once and fall back to a
     loop only to name the first offender.  An accepted ring becomes a profile
     in one walk along its two x-monotone chains (:func:`_slab_stack`).  A
-    ring that walk rejects is scanned slab by slab to name the fault, and
-    swept once for edge contact (:func:`_check_simple`), which also names
-    the first touching pair.  Every input is decided in O(n log n)
-    comparisons (the sweep's list insertions are memmoves).
+    ring that walk rejects is swept once for edge contact
+    (:func:`_check_simple`), which also names the first touching pair, and
+    otherwise scanned slab by slab (:func:`_slab_scan`) to name the
+    not-monotone fault.  Every input is decided in O(n log n) comparisons
+    (the sweep's list insertions are memmoves).
     """
     pts = list(map(tuple, vertices))
     flat = list(chain.from_iterable(pts))
@@ -522,8 +475,8 @@ def _validate_coords(flat: list[int]) -> OrthoPolygon:
     if area2 < 0:
         ring.reverse()
 
-    # InvalidPolygonError subclasses ValueError, so the plain ValueError that
-    # SlabProfile raises on the scanned spans is the only one turned into a
+    # _slab_stack raises only InvalidPolygonError (a ValueError subclass);
+    # should a plain ValueError ever escape it, it still ends as a typed
     # not-monotone rejection.
     try:
         profile = _slab_stack(ring)
@@ -631,7 +584,7 @@ class CellGrid:
 
         inside = 0
         for ix in range(self.nx):
-            lo, hi = profile.spans[profile.slab_index(self.rep_xs[ix])]
+            lo, hi = profile.spans[bisect_right(profile.xs, self.rep_xs[ix]) - 1]
             iy_lo, iy_hi = bisect_left(y_cuts, lo), bisect_left(y_cuts, hi)
             inside |= (1 << ix * self.ny + iy_hi) - (1 << ix * self.ny + iy_lo)
         self.inside_mask = inside

@@ -10,7 +10,10 @@ package uses internally, so agreement is meaningful.  The exceptions:
   per-vertex loops and collinear merge, the reference for the single slab
   scan and the whole-ring checks; its reference_check_simple, which tries
   every pair of edges, is the reference for the contact sweep and the pair
-  it names.
+  it names.  reference_slab_scan is the edge-count scan with its accepting
+  half (spans, a SlabProfile, the rebuild-and-compare), the reference the
+  chain walk must decide every ring like; the library keeps only its
+  fault-naming count.
 - reference_approximate is the greedy sweep's earlier per-remainder loop,
   the reference for the one-grid sweep; reference_vh_finder and
   reference_hv_finder are the finders' earlier candidate-list scans, the
@@ -23,7 +26,11 @@ package uses internally, so agreement is meaningful.  The exceptions:
   unit-lattice line, the reference for the edge-aligned family.
 - reference_row_walls is SlabProfile.row_walls, the one wall table that
   vis_region, the sweep and segments_cover read, as a scan of every edge
-  per ordinate.
+  per ordinate; reference_vertical_edges lists those edges from the spans,
+  and its length is the independent count for OrthoPolygon.m.
+- reference_prune_dominated is prune_dominated's earlier loop, which ORs
+  every other remaining region for each candidate, the reference for the
+  one pass over suffix unions.
 - reference_covers is Solution.build's coverage check as it was before the
   band check: a refined grid and the OR of the regions' bitsets.
 
@@ -49,16 +56,25 @@ from polytx import (
     vis_region,
 )
 from polytx.approx import FinderResult, _better
-from polytx.candidates import HORIZONTAL, VERTICAL, canonical, edge_aligned_candidates
+from polytx.candidates import (
+    HORIZONTAL,
+    VERTICAL,
+    SegmentSet,
+    canonical,
+    edge_aligned_candidates,
+)
 from polytx.exact import enumeration_count
 from polytx.geometry import (
     COORD_LIMIT,
     SCALE,
     CellGrid,
+    Edge,
     SlabProfile,
     Span,
     cut_right,
+    profile_to_ring,
 )
+from polytx.visibility import family_bits
 
 Point = tuple[int, int]
 
@@ -210,10 +226,8 @@ def percell_region_bits(s: Transmitter, k: int, grid) -> int:
     it stays fast on grids of thousands of cells.
     """
     lo, hi = s.span
-    row_walls = [
-        sorted(x for x, ylo, yhi in grid.profile.vertical_edges if ylo < ry < yhi)
-        for ry in row_reps(grid)
-    ]
+    edges = reference_vertical_edges(grid.profile)
+    row_walls = [sorted(x for x, ylo, yhi in edges if ylo < ry < yhi) for ry in row_reps(grid)]
     bits = 0
     for ix, iy in grid.iter_cells(grid.inside_mask):
         px, py = cell_rep(grid, ix, iy)
@@ -247,10 +261,24 @@ def reference_row_walls(prof: SlabProfile, ys: Iterable[int]) -> tuple[tuple[int
     ylo < y < yhi, as a scan of every edge; at the band midpoints this is
     SlabProfile.row_walls."""
     col = {x: i for i, x in enumerate(prof.xs)}
-    return tuple(
-        tuple(col[x] for (x, ylo, yhi) in prof.vertical_edges if ylo < y < yhi)
-        for y in ys
-    )
+    edges = reference_vertical_edges(prof)
+    return tuple(tuple(col[x] for (x, ylo, yhi) in edges if ylo < y < yhi) for y in ys)
+
+
+def reference_vertical_edges(prof: SlabProfile) -> tuple[tuple[int, int, int], ...]:
+    """All vertical boundary edges as (x, y_lo, y_hi), by x then lower y:
+    the removed SlabProfile.vertical_edges, as the edge-by-edge reference
+    for OrthoPolygon.m and the wall tables."""
+    edges = [(prof.xs[0], *prof.spans[0])]
+    for i in range(1, len(prof.spans)):
+        (pb, pt), (cb, ct) = prof.spans[i - 1], prof.spans[i]
+        x = prof.xs[i]
+        if pb != cb:
+            edges.append((x, min(pb, cb), max(pb, cb)))
+        if pt != ct:
+            edges.append((x, min(pt, ct), max(pt, ct)))
+    edges.append((prof.xs[-1], *prof.spans[-1]))
+    return tuple(sorted(edges))
 
 
 def reference_covers(p: OrthoPolygon, transmitters: Sequence[Transmitter], k: int) -> bool:
@@ -491,7 +519,7 @@ def reference_validate(vertices: Iterable[Point]) -> OrthoPolygon:
 
     # The slab union must be exactly the input region; compare canonical rings
     # up to rotation.  Any discrepancy means the ring is not a monotone stack.
-    rebuilt = profile.to_ring()
+    rebuilt = profile_to_ring(profile.xs, profile.spans)
     if len(rebuilt) != len(ring) or set(rebuilt) != set(ring):
         raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
     start = ring.index(rebuilt[0])
@@ -499,6 +527,72 @@ def reference_validate(vertices: Iterable[Point]) -> OrthoPolygon:
         raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
 
     return OrthoPolygon(tuple(ring), profile)
+
+
+def reference_slab_scan(ring: list[Point], hs: list[Edge]) -> SlabProfile:
+    """The edge-count scan: slab decomposition of a counter-clockwise ring
+    with horizontal edges hs, or a ValueError that names why it is not one.
+
+    Every vertical line interior to a slab must be spanned by exactly one
+    bottom and one top horizontal edge, and the slab union rebuilt from those
+    spans must be the input ring.  This is geometry._slab_scan before the
+    chain walk became the only acceptor; it accepts the same rings as the
+    walk in geometry._slab_stack.
+    """
+    xs = sorted({x for x, _ in ring})
+    slab_of = {x: s for s, x in enumerate(xs)}
+    # Horizontal edges as (first slab, end slab, y, index): slabs first..end-1.
+    hedges = [(slab_of[lo], slab_of[hi], y, i) for y, lo, hi, i in hs]
+    # Edges over each slab, counted with a difference array.
+    delta = [0] * len(xs)
+    for a, b, _, _ in hedges:
+        delta[a] += 1
+        delta[b] -= 1
+    over = 0
+    for s in range(len(xs) - 1):
+        over += delta[s]
+        if over != 2:
+            spanning = sorted((y, i) for a, b, y, i in hedges if a <= s < b)
+            offender = spanning[2][1] if len(spanning) > 2 else (spanning[0][1] if spanning else 0)
+            raise InvalidPolygonError(
+                "not-monotone",
+                f"a vertical line over [{xs[s] // SCALE},{xs[s + 1] // SCALE}] meets "
+                f"{len(spanning)} horizontal edges (want 2)",
+                offender,
+            )
+    ys: list[list[int]] = [[] for _ in xs[1:]]
+    for a, b, y, _ in hedges:
+        for s in range(a, b):
+            ys[s].append(y)
+    spans = [(min(pair), max(pair)) for pair in ys]
+    profile = SlabProfile(tuple(xs), tuple(spans))
+
+    # The slab union must be exactly the input region; compare canonical rings
+    # up to rotation.  Any discrepancy means the ring is not a monotone stack.
+    rebuilt = profile_to_ring(profile.xs, profile.spans)
+    if len(rebuilt) != len(ring) or set(rebuilt) != set(ring):
+        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
+    start = ring.index(rebuilt[0])
+    if ring[start:] + ring[:start] != rebuilt:
+        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
+    return profile
+
+
+def reference_prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> SegmentSet:
+    """prune_dominated as a loop that, for each candidate in canonical order,
+    ORs the region of every other remaining one (inputs assumed valid)."""
+    cands = canonical(c)
+    regions, _ = family_bits(p.profile, cands, k)
+    bits = dict(zip(cands, regions))
+    kept = list(cands)
+    for s in cands:
+        others = 0
+        for t in kept:
+            if t is not s:
+                others |= bits[t]
+        if bits[s] & ~others == 0:
+            kept.remove(s)
+    return tuple(kept)
 
 
 def finder_tables(prof: SlabProfile, cands: Sequence[Transmitter]) -> dict:

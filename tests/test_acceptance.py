@@ -161,3 +161,27 @@ def test_criterion_8_pruning_soundness(certification):
         after = reduce(or_, (vis_region(s, 2, grid).bits for s in kept))
         ok = ok and before == after and len(kept) >= 1
     assert report(8, ok, "pruning preserves the covered region on 500 instances")
+
+
+def test_criterion_9_ratio_where_approx_is_not_optimal():
+    # On the 500-instance corpus approx is optimal every time, so criterion 1
+    # never tests the bound on an answer above OPT.  These 120 larger shapes
+    # give such answers.
+    above, worst = [], (0.0, None)
+    ok = True
+    for slabs in (20, 25, 30):
+        for seed in range(40):
+            p = px.random_monotone(slabs, 8, 4, seed)
+            a, e = approximate_2transmitters(p), exact_min_transmitters(p, 2)
+            ok = ok and a.coverage_complete and e.coverage_complete
+            ok = ok and a.count <= 2 * e.count and a.iterations <= e.count
+            if a.count > e.count:
+                above.append((slabs, seed))
+            if a.count / e.count > worst[0]:
+                worst = (a.count / e.count, (slabs, seed))
+    ok = ok and len(above) > 0
+    assert report(
+        9, ok,
+        f"120 shapes at 20-30 slabs: approx > OPT on {len(above)}, "
+        f"worst ratio {worst[0]:.3f} at (slabs, seed) = {worst[1]}",
+    )

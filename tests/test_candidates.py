@@ -16,7 +16,7 @@ from polytx import (
 )
 from polytx.candidates import _maximal_vertical
 
-from oracles import contains_point, dense_exact
+from oracles import contains_point, dense_exact, reference_prune_dominated
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
@@ -160,6 +160,23 @@ class TestPruneDominated:
             before = reduce(or_, (vis_region(s, 2, g).bits for s in fam))
             after = reduce(or_, (vis_region(s, 2, g).bits for s in kept))
             assert before == after
+
+    def test_matches_reference_loop(self):
+        # The one pass with suffix unions keeps exactly what the loop that
+        # ORs every other remaining region keeps.
+        cases = [(p, k) for _, p in px.corpus(300) for k in (0, 1, 2)]
+        cases += [
+            (px.random_monotone(slabs, 20, 4, seed), 2)
+            for slabs, seeds in ((40, range(3)), (100, range(3)), (400, range(1)))
+            for seed in seeds
+        ]
+        pruned = 0
+        for p, k in cases:
+            fam = edge_aligned_candidates(p.profile)
+            kept = prune_dominated(fam, p, k)
+            assert kept == reference_prune_dominated(fam, p, k)
+            pruned += len(kept) < len(fam)
+        assert pruned > len(cases) // 2
 
 
 class TestCanonicalizeSolution:

@@ -18,6 +18,8 @@ from oracles import (
     point_inside,
     profile_area,
     reference_row_walls,
+    reference_slab_scan,
+    reference_vertical_edges,
     row_reps,
     shoelace2,
 )
@@ -84,9 +86,10 @@ class TestValidate:
 
 
 # Diagnoses frozen from the all-pairs validator (oracles.reference_validate).
-# A ring the chain walk rejects goes to the slab scan, and to the contact
-# check only when the scan rejects, so every ring here fails the scan
-# (scan_message) and must still report what the old order reported.  The scan's span checks (made by
+# A ring the chain walk rejects goes to the contact check, and to the slab
+# scan only when the check passes.  Every ring here fails the accepting scan
+# (oracles.reference_slab_scan, with scan_message) and must still report
+# what the scan-first order reported.  That scan's span checks (made by
 # SlabProfile) and ring comparison only ever fire on rings that also
 # self-intersect.
 DIAGNOSES = [
@@ -176,9 +179,19 @@ class TestDiagnoses:
         # Counter-clockwise rings with no collinear vertices: validate hands
         # the slab scan the doubled ring unchanged.
         doubled = [(x * SCALE, y * SCALE) for x, y in ring]
+        hs = _axis_edges(doubled)[0]
         with pytest.raises(ValueError) as exc:
-            _slab_scan(doubled, _axis_edges(doubled)[0])
+            reference_slab_scan(doubled, hs)
         assert str(exc.value) == scan_message
+        # The library's scan only names the fault: the reference's own
+        # not-monotone error, or for SlabProfile's plain ValueError the one
+        # validate turned it into.
+        want = exc.value
+        if not isinstance(want, InvalidPolygonError):
+            want = InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
+        fault = _slab_scan(doubled, hs)
+        assert type(fault) is InvalidPolygonError
+        assert (fault.reason, fault.index, str(fault)) == (want.reason, want.index, str(want))
 
     @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
     def test_pairwise_scan_runs_only_on_contact(
@@ -273,10 +286,17 @@ class TestSlabProfile:
 
     def test_vertical_edges_sorted(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus:
-            edges = p.profile.vertical_edges
+            edges = reference_vertical_edges(p.profile)
             assert list(edges) == sorted(edges)
             for x, lo, hi in edges:
                 assert lo < hi
+            # the same edges the merged ring has
+            ring = p.vertices
+            assert edges == tuple(sorted(
+                (x1, min(y1, y2), max(y1, y2))
+                for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1])
+                if x1 == x2
+            ))
 
     def test_m_counts_vertical_edges(self, polys):
         # the two bounding edges always count; interior breakpoints count
@@ -289,7 +309,7 @@ class TestSlabProfile:
         shapes = list(polys.values()) + [p for _, p in px.corpus(300)]
         shapes += [px.random_monotone(400, 20, 4, seed) for seed in range(3)]
         for p in shapes:
-            assert p.m == p.profile.m == len(p.profile.vertical_edges)
+            assert p.m == len(reference_vertical_edges(p.profile))
 
     @pytest.mark.parametrize(
         "xs, spans, message",

@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 import polytx as px
 from polytx import InvalidPolygonError, validate
-from polytx.geometry import COORD_LIMIT, _axis_edges, _check_simple, _slab_scan
+from polytx.geometry import COORD_LIMIT, _axis_edges, _check_simple
 
-from oracles import notched, reference_check_simple, reference_validate
+from oracles import notched, reference_check_simple, reference_slab_scan, reference_validate
 
 # Every reason validate itself raises (malformed-json is parse_polygon's).
 VALIDATE_REASONS = {
@@ -228,10 +228,11 @@ def test_touches_matches_reference_on_large_rings(monkeypatch, slabs, seeds):
 
 def scan_only(ring):
     """_slab_stack without its chain walk, as validate decided every ring
-    before: the edge-count scan, and the contact check when it rejects."""
+    before: the accepting edge-count scan, and the contact check when it
+    rejects."""
     hs, vs = _axis_edges(ring)
     try:
-        return _slab_scan(ring, hs)
+        return reference_slab_scan(ring, hs)
     except ValueError:
         _check_simple(hs, vs)
         raise
