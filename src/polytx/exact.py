@@ -21,11 +21,17 @@ One solve shares a failure memo across every deepening level and every
 witness position, so a mask shown uncoverable is not searched again at the
 same or a smaller size, and the witness starts from the cover the search
 found instead of a fresh search per position (``tests/oracles.reference_dfs`` is
-the search without either, kept as the reference).
+the search without either, kept as the reference).  The solve also shares one
+coverer list per cell: the ascending indices of the sets holding it, built
+the first time that cell is the lowest uncovered one.  A node branches on
+the list's entries from its lowest allowed index on, which is the order a
+scan of the whole family would give, at the cost of the cell's coverers
+instead of the family's size.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import comb
 from typing import Sequence
 
@@ -41,32 +47,42 @@ from .visibility import vis_region  # noqa: F401
 
 
 def _covers(
-    bits: Sequence[int], uncovered: int, r: int, lo: int, failed: dict[tuple[int, int], int]
+    bits: Sequence[int],
+    uncovered: int,
+    r: int,
+    lo: int,
+    failed: dict[tuple[int, int], int],
+    coverers: dict[int, list[int]],
 ) -> tuple[int, ...] | None:
     """Indices of at most r of bits[lo:] that together cover the nonzero mask
     uncovered, or None if there are none.
 
     Some chosen set must cover the lowest uncovered cell, so the search
-    branches only on its coverers.  Recursion depth is at most r.  failed
-    maps (uncovered, lo) to the largest r proven to fail.  A failure holds
-    for every smaller r and every larger lo, so one memo serves every call
-    on the same bits, and an entry at lo = 0 answers for any lo.  Each entry
-    is one node the search expanded and failed.
+    branches only on its coverers, in ascending index order.  coverers maps
+    a cell's bit to the ascending indices of the sets holding it; a cell's
+    list is built the first time that cell is the lowest uncovered one, and
+    a node with lo > 0 skips the entries below lo by bisection.  Recursion
+    depth is at most r.  failed maps (uncovered, lo) to the largest r proven
+    to fail.  A failure holds for every smaller r and every larger lo, so
+    one memo serves every call on the same bits, and an entry at lo = 0
+    answers for any lo.  Each entry is one node the search expanded and
+    failed.
     """
     key = (uncovered, lo)
     if failed.get(key, 0) >= r or (lo and failed.get((uncovered, 0), 0) >= r):
         return None
     low = uncovered & -uncovered
-    for i in range(lo, len(bits)):
-        b = bits[i]
-        if b & low:
-            rest = uncovered & ~b
-            if not rest:
-                return (i,)
-            if r > 1:
-                found = _covers(bits, rest, r - 1, lo, failed)
-                if found is not None:
-                    return (i, *found)
+    lst = coverers.get(low)
+    if lst is None:
+        lst = coverers[low] = [i for i, b in enumerate(bits) if b & low]
+    for i in lst[bisect_left(lst, lo):] if lo else lst:
+        rest = uncovered & ~bits[i]
+        if not rest:
+            return (i,)
+        if r > 1:
+            found = _covers(bits, rest, r - 1, lo, failed, coverers)
+            if found is not None:
+                return (i, *found)
     failed[key] = r
     return None
 
@@ -103,9 +119,11 @@ def exact_min_transmitters(
     r = OPT search returns a cover F, sorted; the witness is never above F,
     so each position tries only the indices below F's entry there, and a
     cover found by such a try becomes the new F.  Every search of the solve
-    shares one failure memo, dropped on return.  It holds one entry per node
-    the search expanded and failed, so its memory grows no faster than the
-    search's time.  `iterations` is the number of subsets a cardinality-first
+    shares one failure memo and one table of per-cell coverer lists, both
+    dropped on return.  The memo holds one entry per node the search
+    expanded and failed, and the table one list per cell that was ever the
+    lowest uncovered one, so their memory grows no faster than the search's
+    time.  `iterations` is the number of subsets a cardinality-first
     enumeration in that order tries up to and including the witness, in
     closed form (`enumeration_count`); it is not the work the search did.
     Recursion is at most min(budget, family size) deep.  `mode` accepts only
@@ -127,8 +145,9 @@ def exact_min_transmitters(
     if every & target != target:
         raise NoSolutionWithinBudget(budget)
     failed: dict[tuple[int, int], int] = {}
+    coverers: dict[int, list[int]] = {}
     for opt in range(1, min(budget, n) + 1):
-        found = _covers(bits, target, opt, 0, failed)
+        found = _covers(bits, target, opt, 0, failed, coverers)
         if found is not None:
             break
     else:
@@ -140,7 +159,7 @@ def exact_min_transmitters(
         for i in range(lo, witness[pos]):
             rest = uncovered & ~bits[i]
             if left:
-                found = _covers(bits, rest, left, i + 1, failed)
+                found = _covers(bits, rest, left, i + 1, failed, coverers)
             else:
                 found = None if rest else ()
             if found is not None:

@@ -163,16 +163,16 @@ def test_criterion_8_pruning_soundness(certification):
     assert report(8, ok, "pruning preserves the covered region on 500 instances")
 
 
-def test_criterion_9_ratio_where_approx_is_not_optimal():
-    # On the 500-instance corpus approx is optimal every time, so criterion 1
-    # never tests the bound on an answer above OPT.  These 120 larger shapes
-    # give such answers.
+def ratio_tier(num: int, sizes: tuple[int, ...], seeds: int, budget: int) -> bool:
+    """Criterion num on random_monotone(slabs, 8, 4, seed) for every size and
+    seed: complete covers, approx <= 2 OPT and rounds <= OPT on each, and
+    approx above OPT on at least one."""
     above, worst = [], (0.0, None)
     ok = True
-    for slabs in (20, 25, 30):
-        for seed in range(40):
+    for slabs in sizes:
+        for seed in range(seeds):
             p = px.random_monotone(slabs, 8, 4, seed)
-            a, e = approximate_2transmitters(p), exact_min_transmitters(p, 2)
+            a, e = approximate_2transmitters(p), exact_min_transmitters(p, 2, budget=budget)
             ok = ok and a.coverage_complete and e.coverage_complete
             ok = ok and a.count <= 2 * e.count and a.iterations <= e.count
             if a.count > e.count:
@@ -180,8 +180,20 @@ def test_criterion_9_ratio_where_approx_is_not_optimal():
             if a.count / e.count > worst[0]:
                 worst = (a.count / e.count, (slabs, seed))
     ok = ok and len(above) > 0
-    assert report(
-        9, ok,
-        f"120 shapes at 20-30 slabs: approx > OPT on {len(above)}, "
-        f"worst ratio {worst[0]:.3f} at (slabs, seed) = {worst[1]}",
+    return report(
+        num, ok,
+        f"{len(sizes) * seeds} shapes at {sizes[0]}-{sizes[-1]} slabs: approx > OPT on "
+        f"{len(above)}, worst ratio {worst[0]:.3f} at (slabs, seed) = {worst[1]}",
     )
+
+
+def test_criterion_9_ratio_where_approx_is_not_optimal():
+    # On the 500-instance corpus approx is optimal every time, so criterion 1
+    # never tests the bound on an answer above OPT.  These 120 larger shapes
+    # give such answers.
+    assert ratio_tier(9, (20, 25, 30), 40, budget=8)
+
+
+def test_criterion_10_ratio_at_60_to_80_slabs():
+    # The same gate on 20 shapes at two to four times criterion 9's sizes.
+    assert ratio_tier(10, (60, 80), 10, budget=64)

@@ -395,3 +395,12 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["m"] == 2
+
+    def test_package_runs_as_a_module(self, rect_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polytx", "validate", rect_file],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["m"] == 2
