@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .candidates import HORIZONTAL, SegmentSet, Transmitter, VERTICAL, canonical
+from .candidates import HORIZONTAL, SegmentSet, Transmitter, canonical, maximal_vertical
 from .geometry import OrthoPolygon, SlabProfile
 from .visibility import segments_cover
 
@@ -98,8 +98,8 @@ class SweepTables:
     Every entry is a slab index: column c is slab c, between ``prof.xs[c]``
     and ``prof.xs[c + 1]``.  Of the edge-aligned family it answers for:
 
-    - the vertical at ``prof.xs[j]`` (:meth:`vertical`) and, for j >= 1,
-      three columns holding inside cells its k=2 region misses
+    - the vertical at ``prof.xs[j]`` (built by ``maximal_vertical``) and,
+      for j >= 1, three columns holding inside cells its k=2 region misses
       (:meth:`misses`): ``reach`` is one past the rightmost such column
       left of j, or 0, so the vertical sees every inside cell of columns
       col .. j-1 exactly when ``reach <= col``; ``miss_lo`` and ``miss_hi``
@@ -114,8 +114,9 @@ class SweepTables:
     tables, linear in slabs and rows, are built up front, and with them
     ``bound[j]``, the reach over those rows alone, so ``bound[j] <= reach``.
     In a row inside the section the vertical sees the columns between its
-    third wall on each side (``prof.row_walls``); that scan runs only for a
-    vertical whose bound lets a finder pick it, once per vertical.
+    third wall on each side (``prof.row_walls``; ``reach`` at k=2); that
+    scan runs only for a vertical whose bound lets a finder pick it, once
+    per vertical.
 
     A region on the whole polygon agrees with the region on any
     ``cut_right`` remainder on the columns right of the cut: walls left of
@@ -154,11 +155,6 @@ class SweepTables:
             raise ValueError(f"x={cut} is not a breakpoint of the profile")
         return c
 
-    def vertical(self, j: int) -> Transmitter:
-        """The edge-aligned vertical at breakpoint j."""
-        x = self.prof.xs[j]
-        return Transmitter(VERTICAL, x, self.prof.cross_section(x))
-
     def misses(self, j: int) -> tuple[int, int | None, int | None]:
         """``(reach, miss_lo, miss_hi)`` of the vertical at breakpoint
         j >= 1, scanned on first use."""
@@ -178,6 +174,7 @@ class SweepTables:
         last = max(self._end_below[r_lo], self._end_above[r_hi])
         # Rows inside the section: left of the third wall left of j, and
         # from the third wall right of j on.  Walls at even positions enter.
+        # reach's k=2 rule inline: this needs wall positions, not reach's slabs.
         for walls in prof.row_walls[r_lo:r_hi]:
             i = bisect_left(walls, j)
             if i >= 4 and walls[i - 4 | 1] > reach:
@@ -259,7 +256,7 @@ def vh_finder(sweep: SweepTables, cut: int) -> FinderResult:
     """
     c = sweep.column(cut)
     j = sweep.rightmost_vertical(c, c)
-    s_v = sweep.vertical(j)
+    s_v = maximal_vertical(sweep.prof, sweep.prof.xs[j])
     _, first, last = sweep.misses(j)
     if first is None:
         return FinderResult(s_v, None, sweep.prof.x_max, True)
@@ -289,10 +286,11 @@ def hv_finder(sweep: SweepTables, cut: int) -> FinderResult:
     if s_h.span[1] == sweep.prof.x_max:
         return FinderResult(s_h, None, sweep.prof.x_max, True)
     j = sweep.rightmost_vertical(c, end)
+    s_v = maximal_vertical(sweep.prof, sweep.prof.xs[j])
     _, first, _ = sweep.misses(j)
     if first is None:
-        return FinderResult(s_h, sweep.vertical(j), sweep.prof.x_max, True)
-    return FinderResult(s_h, sweep.vertical(j), sweep.prof.xs[first], False)
+        return FinderResult(s_h, s_v, sweep.prof.x_max, True)
+    return FinderResult(s_h, s_v, sweep.prof.xs[first], False)
 
 
 def _better(a: FinderResult, b: FinderResult) -> FinderResult:

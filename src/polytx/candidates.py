@@ -76,7 +76,8 @@ def segment_inside(prof: SlabProfile, s: Transmitter) -> bool:
     return prof.run_covering(s.anchor, *s.span) is not None
 
 
-def _maximal_vertical(prof: SlabProfile, x: int) -> Transmitter:
+def maximal_vertical(prof: SlabProfile, x: int) -> Transmitter:
+    """The vertical over the polygon's whole cross-section at x."""
     section = prof.cross_section(x)
     if section is None:
         raise ValueError(f"x={x} is outside the polygon")
@@ -91,7 +92,7 @@ def edge_aligned_candidates(prof: SlabProfile) -> SegmentSet:
     for any valid profile and its regions cover the polygon at any k (each
     inside cell sits under the run at its own bottom cut line).
     """
-    segs = [_maximal_vertical(prof, x) for x in prof.xs]
+    segs = [maximal_vertical(prof, x) for x in prof.xs]
     for y in prof.edge_ordinates:
         for run in prof.runs_at(y):
             segs.append(Transmitter(HORIZONTAL, y, run))
@@ -157,7 +158,7 @@ def canonicalize_solution(
         if not segment_inside(prof, s):
             raise ValueError(f"segment {s} is not inside the closed polygon")
         if s.orientation == VERTICAL:
-            out.append(_maximal_vertical(prof, _nearest(vlines, s.anchor)))
+            out.append(maximal_vertical(prof, _nearest(vlines, s.anchor)))
         else:
             y = s.anchor if s.anchor in hlines else _nearest(hlines, s.anchor)
             run = prof.run_covering(y, *s.span)

@@ -553,8 +553,9 @@ def cut_right(prof: SlabProfile, x0: int) -> SlabProfile | None:
 class CellGrid:
     """Coordinate-compressed cell decomposition with exact integer midpoints.
 
-    Cuts are internal (even) coordinates; each cell is entirely inside or
-    entirely outside the closed polygon.  Cells are indexed column-major
+    Cuts are internal (even) coordinates, kept once, as the sorted tuples
+    ``x_cuts`` and ``y_cuts``; each cell is entirely inside or entirely
+    outside the closed polygon.  Cells are indexed column-major
     (``ix * ny + iy``), so the lowest set bit of any cell mask is the
     minimum-x (ties: lowest y) cell and a run of whole columns is one
     contiguous bit range (:meth:`columns`).
@@ -567,15 +568,12 @@ class CellGrid:
     __slots__ = (
         "profile", "x_cuts", "y_cuts", "nx", "ny", "inside_mask",
         "rep_xs", "row_ones",
-        "_x_cut_set", "_y_cut_set",
     )
 
     def __init__(self, profile: SlabProfile, x_cuts: tuple[int, ...], y_cuts: tuple[int, ...]):
         self.profile = profile
         self.x_cuts = x_cuts
         self.y_cuts = y_cuts
-        self._x_cut_set = frozenset(x_cuts)
-        self._y_cut_set = frozenset(y_cuts)
         self.nx = len(x_cuts) - 1
         self.ny = len(y_cuts) - 1
         self.rep_xs = tuple((a + b) // 2 for a, b in zip(x_cuts, x_cuts[1:]))
@@ -588,12 +586,6 @@ class CellGrid:
             iy_lo, iy_hi = bisect_left(y_cuts, lo), bisect_left(y_cuts, hi)
             inside |= (1 << ix * self.ny + iy_hi) - (1 << ix * self.ny + iy_lo)
         self.inside_mask = inside
-
-    def has_x_cut(self, x: int) -> bool:
-        return x in self._x_cut_set
-
-    def has_y_cut(self, y: int) -> bool:
-        return y in self._y_cut_set
 
     def cell_bounds(self, ix: int, iy: int) -> tuple[int, int, int, int]:
         """(x_lo, y_lo, x_hi, y_hi) of the cell, internal units."""

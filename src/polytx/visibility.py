@@ -37,38 +37,44 @@ class RectUnion:
         return self.grid.iter_cells(self.bits)
 
 
-def _require_cut(ok: bool, what: str) -> None:
-    if not ok:
+def _cut(cuts: Sequence[int], v: int, what: str) -> int:
+    """The index of v in the sorted cuts, or ValueError naming ``what``."""
+    i = bisect_left(cuts, v)
+    if i == len(cuts) or cuts[i] != v:
         raise ValueError(f"transmitter {what} is not on a grid cut; refine the grid first")
+    return i
 
 
 def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
     """Cells whose representative the segment sees with at most k crossings.
 
     The polygon is the grid's own profile.  The segment must be
-    grid-aligned (anchor and span endpoints on cuts); then no cell straddles
-    any of its lines and the region is exact, not just a sample.
+    grid-aligned (anchor, then span ends, on cuts); then no cell straddles
+    any of its lines and the region is exact, not just a sample.  A
+    vertical sees, row by row, the slabs :func:`reach` gives.
     """
     if type(k) is not int or k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     lo, hi = s.span
+    x_cuts, y_cuts = grid.x_cuts, grid.y_cuts
     if s.orientation == HORIZONTAL:
-        _require_cut(grid.has_y_cut(s.anchor), "anchor")
-        _require_cut(grid.has_x_cut(lo) and grid.has_x_cut(hi), "span endpoint")
+        _cut(y_cuts, s.anchor, "anchor")
+        _cut(x_cuts, lo, "span endpoint")
+        _cut(x_cuts, hi, "span endpoint")
         # Full-column property: the vertical sight line from the segment to
         # any cell of a spanned column stays inside one slab cross-section,
         # so it never crosses a wall and k does not matter.
         return RectUnion(grid, grid.inside_mask_between(lo, hi))
-    _require_cut(grid.has_x_cut(s.anchor), "anchor")
-    _require_cut(grid.has_y_cut(lo) and grid.has_y_cut(hi), "span endpoint")
+    _cut(x_cuts, s.anchor, "anchor")
+    iy_lo = _cut(y_cuts, lo, "span endpoint")
+    iy_hi = _cut(y_cuts, hi, "span endpoint")
     # Every wall is an x-cut, so each bound of reach is a column boundary.
     prof = grid.profile
     xs, ords, rows = prof.xs, prof.edge_ordinates, prof.row_walls
-    x_cuts, y_cuts = grid.x_cuts, grid.y_cuts
     before, upto = bisect_left(xs, s.anchor), bisect_right(xs, s.anchor)
     r = bisect_right(ords, lo) - 1  # the band holding the current row
     bits = 0
-    for iy in range(bisect_left(y_cuts, lo), bisect_left(y_cuts, hi)):
+    for iy in range(iy_lo, iy_hi):
         if y_cuts[iy] == ords[r + 1]:
             r += 1
         a, b = reach(rows[r], before, upto, k, len(prof.spans))
@@ -143,7 +149,7 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
     The regions are vis_region's, kept as closed x-intervals per row band
     instead of bits per cell: a horizontal sees its whole span in every
     band (full-column property), and a vertical sees, in each band it
-    spans, the interval between the (k+1)-th walls on each side of its line.
+    spans, the slabs :func:`reach` gives, as in vis_region and family_bits.
     The bands are the polygon's rows cut at the verticals' span ends, so a
     vertical spans each band whole or not at all.  The polygon is covered
     when, in every band, each inside interval lies in the union.  Raises
@@ -163,6 +169,7 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
     if segments and (type(k) is not int or k not in (0, 1, 2)):
         raise ValueError("k must be 0, 1 or 2")
     xs, ys, rows = prof.xs, prof.edge_ordinates, prof.row_walls
+    end = len(prof.spans)
     everywhere = sorted(t.span for t in segments if t.orientation == HORIZONTAL)
     # (span, breakpoints left of the line, breakpoints up to the line): a
     # wall on the line is not crossed.
@@ -177,14 +184,8 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
         seen = list(everywhere)
         for lo, hi, before, upto in verticals:
             if lo <= y0 and y1 <= hi:
-                # reach's rule, inline: this check is on the greedy's path,
-                # and calling reach here made it about 10% slower.
-                left = bisect_left(walls, before) - k - 1
-                right = bisect_left(walls, upto) + k
-                seen.append((
-                    xs[walls[left]] if left >= 0 else xs[0],
-                    xs[walls[right]] if right < len(walls) else xs[-1],
-                ))
+                a, b = reach(walls, before, upto, k, end)
+                seen.append((xs[a], xs[b]))
         seen.sort()
         # merge into disjoint blocks; touching intervals share no gap cell
         starts: list[int] = []

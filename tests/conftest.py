@@ -1,6 +1,7 @@
 import pytest
 
 import polytx as px
+from polytx.candidates import maximal_vertical
 
 FIXTURE_NAMES = ("RECT", "VALLEY", "STAIR3", "STAIR6", "GAP7")
 
@@ -27,7 +28,7 @@ def stalled_finders(monkeypatch):
     """Both greedy finders return a round whose cut stays on the left edge."""
 
     def stalled(sweep, cut):
-        return px.FinderResult(sweep.vertical(0), None, cut, False)
+        return px.FinderResult(maximal_vertical(sweep.prof, sweep.prof.x_min), None, cut, False)
 
     monkeypatch.setattr(px.approx, "vh_finder", stalled)
     monkeypatch.setattr(px.approx, "hv_finder", stalled)

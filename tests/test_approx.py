@@ -20,7 +20,7 @@ from polytx import (
     hv_finder,
     vh_finder,
 )
-from polytx.candidates import edge_aligned_candidates
+from polytx.candidates import edge_aligned_candidates, maximal_vertical
 from polytx.visibility import segments_cover
 
 from oracles import (
@@ -338,7 +338,7 @@ class TestSweep:
             sweep = SweepTables(prof)
             grid = build_grid(prof)
             for j in range(1, len(prof.xs)):
-                seen = oracle_region_bits(p, sweep.vertical(j), 2, grid)
+                seen = oracle_region_bits(p, maximal_vertical(prof, prof.xs[j]), 2, grid)
                 cols = {ix for ix, _ in grid.iter_cells(grid.inside_mask & ~seen)}
                 left = [ix for ix in cols if ix < j]
                 right = [ix for ix in cols if ix >= j]

@@ -14,7 +14,7 @@ from polytx import (
     prune_dominated,
     vis_region,
 )
-from polytx.candidates import _maximal_vertical
+from polytx.candidates import maximal_vertical
 
 from oracles import contains_point, dense_exact, reference_prune_dominated
 
@@ -142,6 +142,14 @@ class TestPruneDominated:
         fam = (T("v", 0, 0, 3),)
         assert prune_dominated(fam, polys["RECT"]) == fam
 
+    def test_bad_k_rejected(self, polys):
+        fam = edge_aligned_candidates(polys["RECT"].profile)
+        for k in (3, -1, True, 2.0):
+            with pytest.raises(ValueError, match="k must be 0, 1 or 2"):
+                prune_dominated(fam, polys["RECT"], k)
+        # no region is computed, so nothing reads k
+        assert prune_dominated((), polys["RECT"], 3) == ()
+
     @pytest.mark.parametrize(
         "stray",
         [T("v", 3, 0, 3), T("v", 7, 0, 3), T("h", 1, 0, 6), T("h", 3, 1, 6)],
@@ -237,7 +245,7 @@ class TestCanonicalizeSolution:
     def test_maximal_vertical_outside_raises(self, polys):
         prof = polys["RECT"].profile
         with pytest.raises(ValueError, match="outside the polygon"):
-            _maximal_vertical(prof, prof.x_max + SCALE)
+            maximal_vertical(prof, prof.x_max + SCALE)
 
     def test_dense_optimum_survives_canonicalization(self):
         # tiny instances where the dense solver is affordable

@@ -101,6 +101,12 @@ class TestValidate:
         assert main(["validate", str(f)]) == 2
         assert "non-orthogonal" in capsys.readouterr().err
 
+    def test_out_of_range_polygon(self, tmp_path, capsys):
+        f = tmp_path / "far.json"
+        f.write_text('{"vertices": [[0,0],[2000000,0],[2000000,1],[0,1]]}')
+        assert main(["validate", str(f)]) == 2
+        assert "out-of-range" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,6 +81,14 @@ class TestRandomMonotone:
         }
         for args, ring in frozen.items():
             assert random_monotone(*args).input_vertices == ring
+
+    def test_shift_up_fallback_is_frozen(self):
+        # At seed 204 some slab uses up its 64 draws and the last one lies
+        # below the previous span, so it is shifted up onto it; the digest
+        # pins what that path makes.
+        p = random_monotone(60, 300, 1, 204)
+        digest = hashlib.sha256(repr(p.profile.as_input()[1]).encode()).hexdigest()
+        assert digest.startswith("460709415431e7ad")
 
     def test_single_slab_is_a_rectangle(self):
         p = random_monotone(slabs=1, max_height=8, max_width=4, seed=7)

@@ -403,7 +403,7 @@ class TestCellGrid:
         g = build_grid(polys["RECT"].profile, extra_x=(6,), extra_y=(2, 4))
         assert (g.nx, g.ny) == (2, 3)
         assert g.inside_mask.bit_count() == 6
-        assert g.has_x_cut(6) and g.has_y_cut(4)
+        assert 6 in g.x_cuts and 4 in g.y_cuts
 
     def test_odd_cut_rejected(self, polys):
         with pytest.raises(ValueError):

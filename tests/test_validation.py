@@ -320,6 +320,15 @@ def test_parse_polygon_reads_mixed_int_and_float_coordinates_as_before():
         assert str(exc.value) == message
 
 
+def test_parse_polygon_int_coordinates_out_of_range():
+    # All ints, one past the limit: the int fast path hands the range
+    # fault to validate, which names the first vertex out of range.
+    with pytest.raises(InvalidPolygonError) as exc:
+        px.parse_polygon('{"vertices": [[0,0],[2000000,0],[2000000,1],[0,1]]}')
+    assert (exc.value.reason, exc.value.index) == ("out-of-range", 1)
+    assert str(exc.value) == "vertex 1 exceeds |c| <= 1000000"
+
+
 # -- parse_polygon: any JSON document ends in a polygon or a typed error ------
 
 _json_leaf = st.one_of(

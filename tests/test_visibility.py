@@ -158,11 +158,22 @@ class TestVisRegion:
                     assert cell_rects(rq) == flipped
 
     def test_unaligned_segment_rejected(self, polys):
+        # RECT's grid has cuts x in {0, 12} and y in {0, 6} only.  The
+        # anchor is checked before the span ends.
         g = build_grid(polys["RECT"].profile)
-        with pytest.raises(ValueError):
-            vis_region(Transmitter("v", 6, (0, 6)), 2, g)
-        with pytest.raises(ValueError):
-            vis_region(Transmitter("h", 0, (0, 6)), 2, g)
+        for s, what in (
+            (Transmitter("v", 6, (0, 6)), "anchor"),
+            (Transmitter("v", 6, (2, 4)), "anchor"),
+            (Transmitter("v", 0, (2, 6)), "span endpoint"),
+            (Transmitter("v", 0, (0, 4)), "span endpoint"),
+            (Transmitter("h", 2, (0, 12)), "anchor"),
+            (Transmitter("h", 2, (4, 8)), "anchor"),
+            (Transmitter("h", 0, (4, 12)), "span endpoint"),
+            (Transmitter("h", 0, (0, 6)), "span endpoint"),
+        ):
+            message = f"^transmitter {what} is not on a grid cut; refine the grid first$"
+            with pytest.raises(ValueError, match=message):
+                vis_region(s, 2, g)
 
     def test_bad_k_rejected(self, polys):
         g = build_grid(polys["RECT"].profile)
