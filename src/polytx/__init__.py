@@ -29,7 +29,6 @@ from .geometry import (
     CellGrid,
     OrthoPolygon,
     Point,
-    SCALE,
     SlabProfile,
     Span,
     build_grid,
@@ -52,7 +51,6 @@ __all__ = [
     "OrthoPolygon",
     "Point",
     "RectUnion",
-    "SCALE",
     "SegmentSet",
     "SlabProfile",
     "Solution",

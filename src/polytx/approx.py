@@ -26,17 +26,20 @@ from .visibility import vis_region  # noqa: F401
 
 @dataclass(frozen=True)
 class FinderResult:
-    """One finder step: one or two segments, rightmost covered line, completion.
+    """One finder step: one or two segments and the rightmost covered line.
 
-    cut_x is a breakpoint of the profile the finder ran on (internal units,
-    like every other coordinate in the library); when done it is the
-    rightmost breakpoint.
+    cut_x is a breakpoint of the profile the finder ran on, whose last
+    breakpoint is x_max; the step is done when the two meet.
     """
 
     first: Transmitter
     second: Transmitter | None
     cut_x: int
-    done: bool
+    x_max: int
+
+    @property
+    def done(self) -> bool:
+        return self.cut_x == self.x_max
 
     @property
     def transmitters(self) -> SegmentSet:
@@ -256,16 +259,15 @@ def vh_finder(sweep: SweepTables, cut: int) -> FinderResult:
     """
     c = sweep.column(cut)
     j = sweep.rightmost_vertical(c, c)
+    x_max = sweep.prof.x_max
     s_v = maximal_vertical(sweep.prof, sweep.prof.xs[j])
     _, first, last = sweep.misses(j)
     if first is None:
-        return FinderResult(s_v, None, sweep.prof.x_max, True)
+        return FinderResult(s_v, None, x_max, x_max)
     # c <= first < len(prof.spans), so there is always a run over it
     s_h, end = sweep.furthest_run(c, first)
     # the vertical's misses lie in columns miss_lo .. miss_hi; a run covers whole columns
-    if last < end:
-        return FinderResult(s_v, s_h, sweep.prof.x_max, True)
-    return FinderResult(s_v, s_h, s_h.span[1], False)
+    return FinderResult(s_v, s_h, x_max if last < end else s_h.span[1], x_max)
 
 
 def hv_finder(sweep: SweepTables, cut: int) -> FinderResult:
@@ -281,16 +283,15 @@ def hv_finder(sweep: SweepTables, cut: int) -> FinderResult:
     if run is None:
         raise ValueError("no left-anchored horizontal candidate")
     s_h, end = run
+    x_max = sweep.prof.x_max
     # every column holds an inside cell: the run covers the rest iff it
     # ends on the last breakpoint
-    if s_h.span[1] == sweep.prof.x_max:
-        return FinderResult(s_h, None, sweep.prof.x_max, True)
+    if s_h.span[1] == x_max:
+        return FinderResult(s_h, None, x_max, x_max)
     j = sweep.rightmost_vertical(c, end)
     s_v = maximal_vertical(sweep.prof, sweep.prof.xs[j])
     _, first, _ = sweep.misses(j)
-    if first is None:
-        return FinderResult(s_h, s_v, sweep.prof.x_max, True)
-    return FinderResult(s_h, s_v, sweep.prof.xs[first], False)
+    return FinderResult(s_h, s_v, x_max if first is None else sweep.prof.xs[first], x_max)
 
 
 def _better(a: FinderResult, b: FinderResult) -> FinderResult:

@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterable, Sequence
 
-from .geometry import OrthoPolygon, SCALE, SlabProfile, Span, input_int
+from .geometry import OrthoPolygon, SlabProfile, Span, input_int
 
 VERTICAL = "v"
 HORIZONTAL = "h"
@@ -26,8 +26,7 @@ class Transmitter:
     """Axis-parallel guard segment: anchor line coordinate plus closed span.
 
     A vertical transmitter at x = anchor spans y in [span[0], span[1]]; a
-    horizontal transmitter at y = anchor spans x.  Coordinates are internal
-    (doubled) units.
+    horizontal transmitter at y = anchor spans x.
     """
 
     orientation: str
@@ -46,18 +45,14 @@ class Transmitter:
         return (0 if self.orientation == VERTICAL else 1, self.anchor, *self.span)
 
     def as_input(self) -> dict:
-        """JSON-ready dict in input units."""
-        return {
-            "orientation": self.orientation,
-            "anchor": self.anchor // SCALE,
-            "span": [self.span[0] // SCALE, self.span[1] // SCALE],
-        }
+        """JSON-ready dict."""
+        return {"orientation": self.orientation, "anchor": self.anchor, "span": list(self.span)}
 
     @classmethod
     def from_input(cls, d: dict) -> "Transmitter":
-        """Read a transmitter in input units, with integers as parse_polygon takes them."""
+        """Read a transmitter, with integers as parse_polygon takes them."""
         lo, hi = (input_int(c) for c in d["span"])
-        return cls(d["orientation"], input_int(d["anchor"]) * SCALE, (lo * SCALE, hi * SCALE))
+        return cls(d["orientation"], input_int(d["anchor"]), (lo, hi))
 
 
 SegmentSet = tuple[Transmitter, ...]
@@ -112,11 +107,11 @@ def prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> Se
     The regions are ``family_bits``' (slab, band) bitsets, so every
     candidate must lie on the edge-aligned lines (ValueError otherwise).
     """
-    from .visibility import family_bits
+    from .visibility import check_k, family_bits
 
     cands = canonical(c)
-    if cands and (type(k) is not int or k not in (0, 1, 2)):
-        raise ValueError("k must be 0, 1 or 2")
+    if cands:
+        check_k(k)
     try:
         regions, _ = family_bits(p.profile, cands, k)
     except KeyError as exc:

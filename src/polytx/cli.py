@@ -84,14 +84,14 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def _cmd_validate(args) -> int:
     p = _load_polygon(args.file)
-    xs, spans = p.profile.as_input()
+    prof = p.profile
     summary = {
         "valid": True,
         "vertices": len(p.vertices),
         "m": p.m,
-        "slabs": len(spans),
-        "xs": list(xs),
-        "spans": [list(s) for s in spans],
+        "slabs": len(prof.spans),
+        "xs": list(prof.xs),
+        "spans": [list(s) for s in prof.spans],
     }
     print(json.dumps(summary, indent=2))
     return EXIT_OK

@@ -39,7 +39,7 @@ from .approx import Solution
 from .candidates import edge_aligned_candidates
 from .errors import NoSolutionWithinBudget
 from .geometry import OrthoPolygon
-from .visibility import family_bits
+from .visibility import check_k, family_bits
 
 # Not called here: bench/spans.py traces these names in this module's namespace.
 from .geometry import build_grid  # noqa: F401
@@ -132,8 +132,7 @@ def exact_min_transmitters(
     """
     if mode != "standard":
         raise ValueError(f"mode must be 'standard', got {mode!r}")
-    if type(k) is not int or k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
+    check_k(k)
     if type(budget) is not int or budget < 1:
         raise ValueError("budget must be an integer of at least 1")
     cands = edge_aligned_candidates(p.profile)

@@ -1,11 +1,9 @@
 """Polygon ingestion, validation, slab decomposition and the exact cell grid.
 
-Every coordinate in this package is an integer.  On ingestion each input
-coordinate is multiplied by ``SCALE`` (= 2), so all internal geometry lives on
-even integers and the midpoint of any grid cell is again an integer.  All
-visibility predicates are evaluated exactly, at those integer cell
-representatives; no floating point enters the kernel.  ``as_input()``
-accessors convert back to the user's units at the serialization boundary.
+Every coordinate in this package is an integer in the input's own units, from
+the parsed ring through the solvers to the serialized answer.  All visibility
+predicates are exact integer arithmetic on slab and band indices; no floating
+point enters the kernel.
 
 The region model is a slab decomposition: an x-monotone orthogonal polygon is
 a left-to-right sequence of axis-aligned rectangles ("slabs"), one per run
@@ -27,7 +25,6 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidPolygonError
 
-SCALE = 2
 COORD_LIMIT = 10**6
 
 Point = tuple[int, int]
@@ -171,13 +168,6 @@ class SlabProfile:
                 return (lo, hi)
         return None
 
-    def as_input(self) -> tuple[tuple[int, ...], tuple[Span, ...]]:
-        """(xs, spans) converted back to input units."""
-        return (
-            tuple(x // SCALE for x in self.xs),
-            tuple((lo // SCALE, hi // SCALE) for lo, hi in self.spans),
-        )
-
 
 def profile_to_ring(xs: Sequence[int], spans: Sequence[Span]) -> list[Point]:
     """Counter-clockwise ring of the slab union, in the same units as xs/spans."""
@@ -199,9 +189,9 @@ def profile_to_ring(xs: Sequence[int], spans: Sequence[Span]) -> list[Point]:
 class OrthoPolygon:
     """A validated simple x-monotone orthogonal polygon.
 
-    ``vertices`` is the collinear-merged counter-clockwise ring in internal
-    (doubled) coordinates; ``profile`` is its slab decomposition.  Construct
-    via :func:`validate` or :func:`parse_polygon`, never directly.
+    ``vertices`` is the collinear-merged counter-clockwise ring; ``profile``
+    is its slab decomposition.  Construct via :func:`validate` or
+    :func:`parse_polygon`, never directly.
     """
 
     __slots__ = ("vertices", "profile")
@@ -217,11 +207,12 @@ class OrthoPolygon:
 
     @property
     def input_vertices(self) -> tuple[Point, ...]:
-        return tuple((x // SCALE, y // SCALE) for x, y in self.vertices)
+        """The same ring as ``vertices``."""
+        return self.vertices
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        xs, spans = self.profile.as_input()
-        return f"OrthoPolygon({len(self.vertices)} vertices, xs={list(xs)}, spans={list(spans)})"
+        xs, spans = list(self.profile.xs), list(self.profile.spans)
+        return f"OrthoPolygon({len(self.vertices)} vertices, xs={xs}, spans={spans})"
 
 
 def _merge_collinear(xs: list[int], ys: list[int], horizontal: list[bool]) -> list[bool]:
@@ -395,7 +386,7 @@ def _slab_scan(ring: list[Point], hs: list[Edge]) -> InvalidPolygonError:
             offender = spanning[2][1] if len(spanning) > 2 else (spanning[0][1] if spanning else 0)
             return InvalidPolygonError(
                 "not-monotone",
-                f"a vertical line over [{xs[s] // SCALE},{xs[s + 1] // SCALE}] meets "
+                f"a vertical line over [{xs[s]},{xs[s + 1]}] meets "
                 f"{len(spanning)} horizontal edges (want 2)",
                 offender,
             )
@@ -403,7 +394,7 @@ def _slab_scan(ring: list[Point], hs: list[Edge]) -> InvalidPolygonError:
 
 
 def validate(vertices: Iterable[Point]) -> OrthoPolygon:
-    """Validate an input-unit vertex ring and build the polygon.
+    """Validate a vertex ring and build the polygon.
 
     Accepts either orientation (clockwise input is reversed), merges collinear
     vertices, and tolerates an explicitly repeated closing vertex.  Raises
@@ -437,11 +428,11 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
 
 
 def _validate_coords(flat: list[int]) -> OrthoPolygon:
-    """validate after its per-vertex checks: flat holds the ring's input-unit
+    """validate after its per-vertex checks: flat holds the ring's
     coordinates x0, y0, x1, y1, ..., each an integer within the limit."""
     if len(flat) > 2 and flat[:2] == flat[-2:]:
         del flat[-2:]
-    xs, ys = [x * SCALE for x in flat[::2]], [y * SCALE for y in flat[1::2]]
+    xs, ys = flat[::2], flat[1::2]
     n = len(xs)
     vertical = list(map(eq, xs, xs[1:] + xs[:1]))  # edge i leaves vertex i
     horizontal = list(map(eq, ys, ys[1:] + ys[:1]))
@@ -527,7 +518,7 @@ def parse_polygon(text: str) -> OrthoPolygon:
 
 
 def input_int(c: object) -> int:
-    """c as an input-unit integer: a non-bool int, or a float with an integral
+    """c as an integer coordinate: a non-bool int, or a float with an integral
     value (JSON "6.0" is the integer 6).  Anything else raises ValueError."""
     if isinstance(c, float) and c.is_integer():
         return int(c)
@@ -551,13 +542,13 @@ def cut_right(prof: SlabProfile, x0: int) -> SlabProfile | None:
 
 
 class CellGrid:
-    """Coordinate-compressed cell decomposition with exact integer midpoints.
+    """Coordinate-compressed cell decomposition of the polygon's bounding box.
 
-    Cuts are internal (even) coordinates, kept once, as the sorted tuples
-    ``x_cuts`` and ``y_cuts``; each cell is entirely inside or entirely
-    outside the closed polygon.  Cells are indexed column-major
-    (``ix * ny + iy``), so the lowest set bit of any cell mask is the
-    minimum-x (ties: lowest y) cell and a run of whole columns is one
+    Cuts are kept once, as the sorted tuples ``x_cuts`` and ``y_cuts``; each
+    cell is entirely inside or entirely outside the closed polygon, and a
+    column's slab is the one its left cut starts.  Cells are indexed
+    column-major (``ix * ny + iy``), so the lowest set bit of any cell mask
+    is the minimum-x (ties: lowest y) cell and a run of whole columns is one
     contiguous bit range (:meth:`columns`).
     Outside cells keep their indices; ``inside_mask`` marks the polygon.
     ``row_ones`` has the bit of row 0 in every column set, so
@@ -566,8 +557,7 @@ class CellGrid:
     """
 
     __slots__ = (
-        "profile", "x_cuts", "y_cuts", "nx", "ny", "inside_mask",
-        "rep_xs", "row_ones",
+        "profile", "x_cuts", "y_cuts", "nx", "ny", "inside_mask", "row_ones",
     )
 
     def __init__(self, profile: SlabProfile, x_cuts: tuple[int, ...], y_cuts: tuple[int, ...]):
@@ -576,19 +566,18 @@ class CellGrid:
         self.y_cuts = y_cuts
         self.nx = len(x_cuts) - 1
         self.ny = len(y_cuts) - 1
-        self.rep_xs = tuple((a + b) // 2 for a, b in zip(x_cuts, x_cuts[1:]))
         # Geometric series: the sum of 2**(ix * ny) over ix < nx.
         self.row_ones = ((1 << self.nx * self.ny) - 1) // ((1 << self.ny) - 1)
 
         inside = 0
         for ix in range(self.nx):
-            lo, hi = profile.spans[bisect_right(profile.xs, self.rep_xs[ix]) - 1]
+            lo, hi = profile.spans[bisect_right(profile.xs, x_cuts[ix]) - 1]
             iy_lo, iy_hi = bisect_left(y_cuts, lo), bisect_left(y_cuts, hi)
             inside |= (1 << ix * self.ny + iy_hi) - (1 << ix * self.ny + iy_lo)
         self.inside_mask = inside
 
     def cell_bounds(self, ix: int, iy: int) -> tuple[int, int, int, int]:
-        """(x_lo, y_lo, x_hi, y_hi) of the cell, internal units."""
+        """(x_lo, y_lo, x_hi, y_hi) of the cell."""
         return (self.x_cuts[ix], self.y_cuts[iy], self.x_cuts[ix + 1], self.y_cuts[iy + 1])
 
     def iter_cells(self, mask: int):
@@ -617,11 +606,8 @@ def build_grid(
     extra_x: Iterable[int] = (),
     extra_y: Iterable[int] = (),
 ) -> CellGrid:
-    """Cell grid over prof refined by the given extra cut lines.
-
-    Extra cuts must be even (internal) coordinates inside the bounding box;
-    evenness is what keeps every cell representative an exact integer.
-    """
+    """Cell grid over prof refined by the given extra cut lines, which must
+    lie inside the bounding box."""
     ex, ey = checked_cuts(prof, extra_x, extra_y)
     x_cuts = tuple(sorted(set(prof.xs) | ex))
     y_cuts = tuple(sorted(ey.union(prof.edge_ordinates)))
@@ -631,12 +617,9 @@ def build_grid(
 def checked_cuts(
     prof: SlabProfile, extra_x: Iterable[int], extra_y: Iterable[int]
 ) -> tuple[set[int], set[int]]:
-    """The extra cut lines as sets, or ValueError for one that is odd or
-    outside prof's bounding box."""
+    """The extra cut lines as sets, or ValueError for one outside prof's
+    bounding box."""
     ex, ey = set(extra_x), set(extra_y)
-    for v in ex | ey:
-        if v % 2:
-            raise ValueError(f"grid cut {v} is odd; cuts must be internal (doubled) coordinates")
     for v in ex:
         if not prof.x_min <= v <= prof.x_max:
             raise ValueError(f"extra x-cut {v} outside [{prof.x_min}, {prof.x_max}]")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .candidates import Transmitter, VERTICAL
-from .geometry import OrthoPolygon, SCALE
+from .geometry import OrthoPolygon
 from .visibility import RectUnion
 
 # Pixels per input unit; enough that 3px strokes read as segments, not blobs.
@@ -29,14 +29,15 @@ def render_svg(
     x0, x1 = prof.x_min, prof.x_max
     y0, y1 = prof.y_min, prof.y_max
 
+    # Floats, so every coordinate prints with its ".0".
     def sx(x: int) -> float:
-        return _PAD + (x - x0) * _UNIT / SCALE
+        return float(_PAD + (x - x0) * _UNIT)
 
     def sy(y: int) -> float:
-        return _PAD + (y1 - y) * _UNIT / SCALE
+        return float(_PAD + (y1 - y) * _UNIT)
 
-    width = 2 * _PAD + (x1 - x0) * _UNIT // SCALE
-    height = 2 * _PAD + (y1 - y0) * _UNIT // SCALE
+    width = 2 * _PAD + (x1 - x0) * _UNIT
+    height = 2 * _PAD + (y1 - y0) * _UNIT
 
     ring = polygon.vertices
     parts = [f"M {sx(ring[0][0])} {sy(ring[0][1])}"]

@@ -8,9 +8,9 @@ vertical sees up to the (k+1)-th wall on each side of its line
 (:func:`reach`).  :func:`family_bits` builds the exact solver's bitsets
 straight from that table, one bit per (slab, band) cell in column-major
 order, with no grid.  :func:`vis_region` gives one region as a bitset over
-a CellGrid, for ``render --vis`` and the test oracles;
-the grid may be refined with the segment's own coordinates, each cell is
-then uniform, and the cell representative decides the whole cell.
+a CellGrid, for ``render --vis`` and the test oracles; the grid may be
+refined with the segment's own coordinates, and each cell is then seen
+whole or not at all.
 :func:`segments_cover` decides whether a set of regions covers the polygon
 from the same rules as x-intervals per row band, with no grid.
 """
@@ -45,16 +45,21 @@ def _cut(cuts: Sequence[int], v: int, what: str) -> int:
     return i
 
 
+def check_k(k: int) -> None:
+    """ValueError unless k is the int 0, 1 or 2 (not a bool or a float)."""
+    if type(k) is not int or k not in (0, 1, 2):
+        raise ValueError("k must be 0, 1 or 2")
+
+
 def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
-    """Cells whose representative the segment sees with at most k crossings.
+    """Cells the segment sees with at most k crossings.
 
     The polygon is the grid's own profile.  The segment must be
     grid-aligned (anchor, then span ends, on cuts); then no cell straddles
     any of its lines and the region is exact, not just a sample.  A
     vertical sees, row by row, the slabs :func:`reach` gives.
     """
-    if type(k) is not int or k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
+    check_k(k)
     lo, hi = s.span
     x_cuts, y_cuts = grid.x_cuts, grid.y_cuts
     if s.orientation == HORIZONTAL:
@@ -154,7 +159,7 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
     vertical spans each band whole or not at all.  The polygon is covered
     when, in every band, each inside interval lies in the union.  Raises
     ValueError, as the refined grid of :func:`~polytx.geometry.build_grid`
-    does, for a coordinate that is odd or outside the bounding box.
+    does, for a coordinate outside the bounding box.
     """
     extra_x: list[int] = []
     extra_y: list[int] = []
@@ -166,8 +171,8 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
             extra_y.append(t.anchor)
             extra_x.extend(t.span)
     checked_cuts(prof, extra_x, extra_y)
-    if segments and (type(k) is not int or k not in (0, 1, 2)):
-        raise ValueError("k must be 0, 1 or 2")
+    if segments:
+        check_k(k)
     xs, ys, rows = prof.xs, prof.edge_ordinates, prof.row_walls
     end = len(prof.spans)
     everywhere = sorted(t.span for t in segments if t.orientation == HORIZONTAL)

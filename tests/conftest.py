@@ -28,7 +28,8 @@ def stalled_finders(monkeypatch):
     """Both greedy finders return a round whose cut stays on the left edge."""
 
     def stalled(sweep, cut):
-        return px.FinderResult(maximal_vertical(sweep.prof, sweep.prof.x_min), None, cut, False)
+        prof = sweep.prof
+        return px.FinderResult(maximal_vertical(prof, prof.x_min), None, cut, prof.x_max)
 
     monkeypatch.setattr(px.approx, "vh_finder", stalled)
     monkeypatch.setattr(px.approx, "hv_finder", stalled)

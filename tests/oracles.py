@@ -37,6 +37,12 @@ package uses internally, so agreement is meaningful.  The exceptions:
 The small grid and profile helpers (row_reps, cell_rep, cell_index,
 is_inside, first_cell, cell_area, profile_area, contains_point) are what
 the checks need of a CellGrid or SlabProfile beyond what the solvers use.
+
+Brute force samples each grid cell at its midpoint, which need not be an
+integer.  So a sample point is given at twice its coordinates (row_reps,
+cell_rep), and every predicate that takes one (point_inside, oracle_sees,
+percell_region_bits, reference_row_walls) doubles the ring, segment or
+edges it compares with: exact integer arithmetic, strictly inside each cell.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ from polytx.candidates import (
 from polytx.exact import enumeration_count
 from polytx.geometry import (
     COORD_LIMIT,
-    SCALE,
     CellGrid,
     Edge,
     SlabProfile,
@@ -80,13 +85,13 @@ Point = tuple[int, int]
 
 
 def row_reps(grid: CellGrid) -> tuple[int, ...]:
-    """Each grid row's integer mid-height."""
-    return tuple((a + b) // 2 for a, b in zip(grid.y_cuts, grid.y_cuts[1:]))
+    """Each grid row's mid-height, doubled."""
+    return tuple(a + b for a, b in zip(grid.y_cuts, grid.y_cuts[1:]))
 
 
 def cell_rep(grid: CellGrid, ix: int, iy: int) -> Point:
-    """The cell's integer midpoint, where every predicate is evaluated."""
-    return (grid.rep_xs[ix], (grid.y_cuts[iy] + grid.y_cuts[iy + 1]) // 2)
+    """The cell's midpoint, doubled, where every predicate is evaluated."""
+    return (grid.x_cuts[ix] + grid.x_cuts[ix + 1], grid.y_cuts[iy] + grid.y_cuts[iy + 1])
 
 
 def cell_index(grid: CellGrid, ix: int, iy: int) -> int:
@@ -107,7 +112,7 @@ def first_cell(grid: CellGrid, mask: int) -> tuple[int, int] | None:
 
 
 def cell_area(grid: CellGrid, mask: int) -> int:
-    """Total area of the cells in mask, internal (doubled) units squared."""
+    """Total area of the cells in mask."""
     total = 0
     for ix, iy in grid.iter_cells(mask):
         x1, y1, x2, y2 = grid.cell_bounds(ix, iy)
@@ -145,16 +150,16 @@ def ring_edges(ring: Sequence[Point]) -> Iterator[tuple[Point, Point]]:
 
 
 def point_inside(ring: Sequence[Point], px: int, py: int) -> bool:
-    """Ray-casting parity test.
+    """Ray-casting parity test for the point given doubled, (px / 2, py / 2).
 
     Only valid for points that are not on any edge line of the ring;
     cell representatives always satisfy that.
     """
     crossings = 0
     for (x1, y1), (x2, y2) in ring_edges(ring):
-        if x1 == x2 and x1 > px:
+        if x1 == x2 and 2 * x1 > px:
             lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
-            if lo < py < hi:
+            if 2 * lo < py < 2 * hi:
                 crossings += 1
     return crossings % 2 == 1
 
@@ -186,31 +191,39 @@ def properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     )
 
 
-def oracle_sees(p: OrthoPolygon, s: Transmitter, k: int, rep: Point) -> bool:
-    """Brute-force visibility: perpendicular foot on the closed span, then
-    count proper crossings of the sight segment against every boundary edge."""
+def doubled_edges(p: OrthoPolygon) -> list[tuple[Point, Point]]:
+    """The boundary edges of p scaled by 2, to test against doubled points."""
+    return list(ring_edges([(2 * x, 2 * y) for x, y in p.vertices]))
+
+
+def oracle_sees(
+    edges: Sequence[tuple[Point, Point]], s: Transmitter, k: int, rep: Point
+) -> bool:
+    """Brute-force visibility of the point given doubled, as cell_rep gives
+    it, against the polygon's doubled_edges: perpendicular foot on the
+    closed span, then count proper crossings of the sight segment against
+    every boundary edge."""
     px, py = rep
     lo, hi = s.span
     if s.orientation == "v":
-        if not lo <= py <= hi:
+        if not 2 * lo <= py <= 2 * hi:
             return False
-        foot = (s.anchor, py)
+        foot = (2 * s.anchor, py)
     else:
-        if not lo <= px <= hi:
+        if not 2 * lo <= px <= 2 * hi:
             return False
-        foot = (px, s.anchor)
+        foot = (px, 2 * s.anchor)
     if foot == rep:
         return True
-    crossings = sum(
-        1 for a, b in ring_edges(p.vertices) if properly_cross(rep, foot, a, b)
-    )
+    crossings = sum(1 for a, b in edges if properly_cross(rep, foot, a, b))
     return crossings <= k
 
 
 def oracle_region_bits(p: OrthoPolygon, s: Transmitter, k: int, grid) -> int:
+    edges = doubled_edges(p)
     bits = 0
     for ix, iy in grid.iter_cells(grid.inside_mask):
-        if oracle_sees(p, s, k, cell_rep(grid, ix, iy)):
+        if oracle_sees(edges, s, k, cell_rep(grid, ix, iy)):
             bits |= 1 << cell_index(grid, ix, iy)
     return bits
 
@@ -225,16 +238,18 @@ def percell_region_bits(s: Transmitter, k: int, grid) -> int:
     works on the slab profile, not the ring, so unlike oracle_region_bits
     it stays fast on grids of thousands of cells.
     """
-    lo, hi = s.span
+    lo, hi = 2 * s.span[0], 2 * s.span[1]
     edges = reference_vertical_edges(grid.profile)
-    row_walls = [sorted(x for x, ylo, yhi in edges if ylo < ry < yhi) for ry in row_reps(grid)]
+    row_walls = [
+        sorted(2 * x for x, ylo, yhi in edges if 2 * ylo < ry < 2 * yhi) for ry in row_reps(grid)
+    ]
     bits = 0
     for ix, iy in grid.iter_cells(grid.inside_mask):
         px, py = cell_rep(grid, ix, iy)
         if s.orientation == "h":
             seen = lo < px < hi
         elif lo < py < hi:
-            x1, x2 = sorted((px, s.anchor))
+            x1, x2 = sorted((px, 2 * s.anchor))
             walls = row_walls[iy]
             seen = bisect_left(walls, x2) - bisect_right(walls, x1) <= k
         else:
@@ -257,12 +272,12 @@ def percolumn_inside_between(grid, x_lo, x_hi) -> int:
 
 
 def reference_row_walls(prof: SlabProfile, ys: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Per ordinate y, the breakpoint indices of the vertical edges with
-    ylo < y < yhi, as a scan of every edge; at the band midpoints this is
-    SlabProfile.row_walls."""
+    """Per ordinate y, given doubled as row_reps gives it, the breakpoint
+    indices of the vertical edges with ylo < y / 2 < yhi, as a scan of every
+    edge; at the band midpoints this is SlabProfile.row_walls."""
     col = {x: i for i, x in enumerate(prof.xs)}
     edges = reference_vertical_edges(prof)
-    return tuple(tuple(col[x] for (x, ylo, yhi) in edges if ylo < y < yhi) for y in ys)
+    return tuple(tuple(col[x] for (x, ylo, yhi) in edges if 2 * ylo < y < 2 * yhi) for y in ys)
 
 
 def reference_vertical_edges(prof: SlabProfile) -> tuple[tuple[int, int, int], ...]:
@@ -285,7 +300,7 @@ def reference_covers(p: OrthoPolygon, transmitters: Sequence[Transmitter], k: in
     """Solution.build's coverage flag from bitsets: the grid refined with
     every transmitter coordinate, and the union of the transmitters'
     vis_region bits compared with the inside cells.  Raises the ValueError
-    build_grid raises for an odd or out-of-box coordinate."""
+    build_grid raises for an out-of-box coordinate."""
     extra_x: list[int] = []
     extra_y: list[int] = []
     for t in transmitters:
@@ -335,9 +350,10 @@ def covered_area(p: OrthoPolygon, segs: Iterable[Transmitter], k: int) -> bool:
     extra_x = [x for x in extra_x if bb.x_min <= x <= bb.x_max]
     extra_y = [y for y in extra_y if bb.y_min <= y <= bb.y_max]
     grid = build_grid(p.profile, extra_x, extra_y)
+    edges = doubled_edges(p)
     for ix, iy in grid.iter_cells(grid.inside_mask):
         rep = cell_rep(grid, ix, iy)
-        if not any(oracle_sees(p, s, k, rep) for s in segs):
+        if not any(oracle_sees(edges, s, k, rep) for s in segs):
             return False
     return True
 
@@ -454,7 +470,7 @@ def reference_validate(vertices: Iterable[Point]) -> OrthoPolygon:
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
 
-    ring: list[Point] = [(x * SCALE, y * SCALE) for x, y in pts]
+    ring = pts
     n = len(ring)
     for i in range(n):
         if ring[i] == ring[(i + 1) % n]:
@@ -506,7 +522,7 @@ def reference_validate(vertices: Iterable[Point]) -> OrthoPolygon:
             offender = spanning[2][1] if len(spanning) > 2 else (spanning[0][1] if spanning else 0)
             raise InvalidPolygonError(
                 "not-monotone",
-                f"a vertical line over [{x1 // SCALE},{x2 // SCALE}] meets "
+                f"a vertical line over [{x1},{x2}] meets "
                 f"{len(spanning)} horizontal edges (want 2)",
                 offender,
             )
@@ -556,7 +572,7 @@ def reference_slab_scan(ring: list[Point], hs: list[Edge]) -> SlabProfile:
             offender = spanning[2][1] if len(spanning) > 2 else (spanning[0][1] if spanning else 0)
             raise InvalidPolygonError(
                 "not-monotone",
-                f"a vertical line over [{xs[s] // SCALE},{xs[s + 1] // SCALE}] meets "
+                f"a vertical line over [{xs[s]},{xs[s + 1]}] meets "
                 f"{len(spanning)} horizontal edges (want 2)",
                 offender,
             )
@@ -637,20 +653,20 @@ def reference_vh_finder(
         raise ValueError("no usable vertical candidate (family must span the left edge)")
     uncovered = inside & ~v_bits
     if uncovered == 0:
-        return FinderResult(s_v, None, prof.x_max, True)
+        return FinderResult(s_v, None, prof.x_max, prof.x_max)
     ix, _ = first_cell(grid, uncovered)
-    px = grid.rep_xs[ix]
+    px, _ = cell_rep(grid, ix, 0)
     s_h = h_bits = None
     for s, bits in zip(cands, regions):
-        if s.orientation != HORIZONTAL or not s.span[0] < px < s.span[1]:
+        if s.orientation != HORIZONTAL or not 2 * s.span[0] < px < 2 * s.span[1]:
             continue
         if s_h is None or (s.span[1], -s.anchor) > (s_h.span[1], -s_h.anchor):
             s_h, h_bits = s, bits
     if s_h is None:
         raise ValueError("no horizontal candidate over the first uncovered cell")
     if uncovered & ~h_bits == 0:
-        return FinderResult(s_v, s_h, prof.x_max, True)
-    return FinderResult(s_v, s_h, s_h.span[1], False)
+        return FinderResult(s_v, s_h, prof.x_max, prof.x_max)
+    return FinderResult(s_v, s_h, s_h.span[1], prof.x_max)
 
 
 def reference_hv_finder(
@@ -675,7 +691,7 @@ def reference_hv_finder(
         raise ValueError("no left-anchored horizontal candidate")
     ell = s_h.span[1]
     if inside & ~h_bits == 0:
-        return FinderResult(s_h, None, prof.x_max, True)
+        return FinderResult(s_h, None, prof.x_max, prof.x_max)
     s_v = v_bits = None
     for s, bits in zip(cands, regions):
         if s.orientation != VERTICAL:
@@ -689,10 +705,10 @@ def reference_hv_finder(
         raise ValueError("no usable vertical candidate (family needs one left of the cut)")
     uncovered = inside & ~(h_bits | v_bits)
     if uncovered == 0:
-        return FinderResult(s_h, s_v, prof.x_max, True)
+        return FinderResult(s_h, s_v, prof.x_max, prof.x_max)
     ix, _ = first_cell(grid, uncovered)
     cut = prof.xs[bisect_right(prof.xs, grid.x_cuts[ix]) - 1]
-    return FinderResult(s_h, s_v, cut, False)
+    return FinderResult(s_h, s_v, cut, prof.x_max)
 
 
 def reference_approximate(p: OrthoPolygon) -> Solution:
@@ -737,19 +753,15 @@ def dense_exact(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
     """
     prof = p.profile
     segs = []
-    for x in range(prof.x_min, prof.x_max + 1, SCALE):
+    for x in range(prof.x_min, prof.x_max + 1):
         section = prof.cross_section(x)
         if section is not None:
             segs.append(Transmitter("v", x, section))
-    for y in range(prof.y_min, prof.y_max + 1, SCALE):
+    for y in range(prof.y_min, prof.y_max + 1):
         for run in prof.runs_at(y):
             segs.append(Transmitter("h", y, run))
     cands = canonical(segs)
-    grid = build_grid(
-        prof,
-        range(prof.x_min, prof.x_max + 1, SCALE),
-        range(prof.y_min, prof.y_max + 1, SCALE),
-    )
+    grid = build_grid(prof, range(prof.x_min, prof.x_max + 1), range(prof.y_min, prof.y_max + 1))
     bits = [vis_region(s, k, grid).bits for s in cands]
     target = grid.inside_mask
     iterations = 0

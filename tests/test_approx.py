@@ -6,7 +6,6 @@ import pytest
 
 import polytx as px
 from polytx import (
-    SCALE,
     CellGrid,
     SlabProfile,
     Solution,
@@ -35,21 +34,21 @@ from oracles import (
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
-    return Transmitter(o, anchor * SCALE, (lo * SCALE, hi * SCALE))
+    return Transmitter(o, anchor, (lo, hi))
 
 
 def off_family(p, rng: random.Random) -> tuple[Transmitter, ...]:
-    """Segments the family does not hold, on even lines in the bounding box:
+    """Segments the family does not hold, on integer lines in the bounding box:
     a vertical and a horizontal inside the polygon with short spans, usually
     off every edge line, and a vertical and a horizontal anywhere."""
     prof = p.profile
 
     def short(lo, hi):
-        a = rng.randrange(lo, hi, SCALE)
-        return a, rng.randrange(a + SCALE, hi + 1, SCALE)
+        a = rng.randrange(lo, hi)
+        return a, rng.randrange(a + 1, hi + 1)
 
-    x = rng.randrange(prof.x_min, prof.x_max + 1, SCALE)
-    y = rng.randrange(prof.y_min, prof.y_max + 1, SCALE)
+    x = rng.randrange(prof.x_min, prof.x_max + 1)
+    y = rng.randrange(prof.y_min, prof.y_max + 1)
     run = rng.choice(prof.runs_at(y))
     return (
         Transmitter("v", x, short(*prof.cross_section(x))),
@@ -69,7 +68,7 @@ class TestFinders:
         vh, hv = finders_for(polys["RECT"])
         assert vh.first == T("v", 6, 0, 3) and vh.second is None and vh.done
         assert hv.first == T("h", 0, 0, 6) and hv.second is None and hv.done
-        assert vh.cut_x == hv.cut_x == 6 * SCALE
+        assert vh.cut_x == hv.cut_x == 6
 
     def test_valley_single_vertical_suffices(self, polys):
         vh, hv = finders_for(polys["VALLEY"])
@@ -86,9 +85,9 @@ class TestFinders:
     def test_stair6_partial_progress(self, polys):
         vh, hv = finders_for(polys["STAIR6"])
         assert (vh.first, vh.second) == (T("v", 2, 0, 3), T("h", 4, 4, 10))
-        assert not vh.done and vh.cut_x == 10 * SCALE
+        assert not vh.done and vh.cut_x == 10
         assert (hv.first, hv.second) == (T("h", 2, 0, 6), T("v", 8, 3, 6))
-        assert not hv.done and hv.cut_x == 10 * SCALE
+        assert not hv.done and hv.cut_x == 10
 
     def test_gap7(self, polys):
         vh, hv = finders_for(polys["GAP7"])
@@ -117,7 +116,7 @@ class TestFinders:
         prof = polys["STAIR6"].profile
         sweep = SweepTables(prof)
         for finder in (vh_finder, hv_finder):
-            for cut in (prof.xs[1] + SCALE, prof.x_min - SCALE, prof.x_max + SCALE):
+            for cut in (prof.xs[1] + 1, prof.x_min - 1, prof.x_max + 1):
                 with pytest.raises(ValueError, match="not a breakpoint"):
                     finder(sweep, cut)
 
@@ -410,12 +409,10 @@ class TestSolution:
         p = polys["STAIR6"]
         ok = T("v", 8, 3, 6)
         bad = [
-            Transmitter("v", 9, (6, 12)),  # odd anchor
-            Transmitter("h", 4, (1, 8)),  # odd span end
-            Transmitter("v", 8, (6, 30)),  # above the box
-            Transmitter("h", -2, (0, 8)),  # below the box
-            Transmitter("h", 4, (0, 40)),  # right of the box
-            Transmitter("v", -4, (2, 4)),  # left of the box
+            Transmitter("v", 4, (3, 15)),  # above the box
+            Transmitter("h", -1, (0, 4)),  # below the box
+            Transmitter("h", 2, (0, 20)),  # right of the box
+            Transmitter("v", -2, (1, 2)),  # left of the box
         ]
         for s in bad:
             for segs in ((s,), (ok, s), (s, ok)):

@@ -5,7 +5,6 @@ import pytest
 
 import polytx as px
 from polytx import (
-    SCALE,
     Transmitter,
     build_grid,
     canonical,
@@ -20,8 +19,7 @@ from oracles import contains_point, dense_exact, reference_prune_dominated
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
-    """Transmitter in input units."""
-    return Transmitter(o, anchor * SCALE, (lo * SCALE, hi * SCALE))
+    return Transmitter(o, anchor, (lo, hi))
 
 
 def as_input(segs) -> list[dict]:
@@ -93,7 +91,7 @@ class TestEdgeAlignedFamily:
         assert len(verticals) == 8
 
     def test_segments_are_maximal(self, polys, small_corpus):
-        # one more internal unit on either side leaves the closed polygon
+        # half a unit more on either side leaves the closed polygon
         for p in list(polys.values()) + small_corpus[:20]:
             prof = p.profile
             for s in edge_aligned_candidates(p.profile):
@@ -101,13 +99,13 @@ class TestEdgeAlignedFamily:
                 if s.orientation == "v":
                     assert contains_point(prof, s.anchor, lo)
                     assert contains_point(prof, s.anchor, hi)
-                    assert not contains_point(prof, s.anchor, lo - 1)
-                    assert not contains_point(prof, s.anchor, hi + 1)
+                    assert not contains_point(prof, s.anchor, lo - 0.5)
+                    assert not contains_point(prof, s.anchor, hi + 0.5)
                 else:
                     assert contains_point(prof, lo, s.anchor)
                     assert contains_point(prof, hi, s.anchor)
-                    assert not contains_point(prof, lo - 1, s.anchor)
-                    assert not contains_point(prof, hi + 1, s.anchor)
+                    assert not contains_point(prof, lo - 0.5, s.anchor)
+                    assert not contains_point(prof, hi + 0.5, s.anchor)
 
     def test_result_is_canonical(self, small_corpus):
         # built in canonical order, so the builder does not sort
@@ -189,13 +187,13 @@ class TestPruneDominated:
 
 class TestCanonicalizeSolution:
     def test_slides_interior_vertical_to_the_edge(self, polys):
-        sol = (Transmitter("v", 6, (2, 4)),)  # x=3, span [1,2] in input units
+        sol = (Transmitter("v", 3, (1, 2)),)
         out, ok = canonicalize_solution(sol, polys["RECT"])
         assert out == (T("v", 0, 0, 3),)
         assert ok is True
 
     def test_maximalizes_horizontal_run(self, polys):
-        sol = (Transmitter("h", 2, (2, 10)),)  # y=1, span [1,5]
+        sol = (Transmitter("h", 1, (1, 5)),)
         out, ok = canonicalize_solution(sol, polys["VALLEY"])
         assert out == (T("h", 1, 0, 6),)
         assert ok is True
@@ -213,7 +211,7 @@ class TestCanonicalizeSolution:
 
     def test_tie_slides_left(self, polys):
         # x=1 is equidistant from the breakpoints x=0 and x=2
-        sol = (Transmitter("v", 2, (0, 2)),)
+        sol = (Transmitter("v", 1, (0, 1)),)
         out, _ = canonicalize_solution(sol, polys["VALLEY"])
         assert out == (T("v", 0, 0, 3),)
 
@@ -223,7 +221,7 @@ class TestCanonicalizeSolution:
         # so use a genuinely losing slide: a short vertical deep in GAP7's
         # left pocket slides to x=0 whose column stops at y=2.
         p = polys["GAP7"]
-        sol = (Transmitter("v", 2, (4, 6)),)   # x=1, span [2,3]
+        sol = (Transmitter("v", 1, (2, 3)),)
         out, ok = canonicalize_solution(sol, p)
         assert out == (T("v", 0, 2, 3),)
         assert ok is False
@@ -235,17 +233,19 @@ class TestCanonicalizeSolution:
         with pytest.raises(ValueError):
             canonicalize_solution((T("v", 20, 0, 3),), polys["GAP7"])
 
-    def test_slide_off_the_polygon_raises(self, polys, monkeypatch):
+    def test_slide_off_the_polygon_raises(self, monkeypatch):
         # Sliding to the nearer edge line cannot leave the polygon, so a far
-        # line is forced to reach the check that guards it.
+        # line is forced to reach the check that guards it.  VALLEY scaled
+        # by 2 has the line y=1 across its floor off every edge line.
+        valley = px.validate([(2 * x, 2 * y) for x, y in px.FIXTURES["VALLEY"]])
         monkeypatch.setattr(px.candidates, "_nearest", lambda lines, v: lines[-1])
         with pytest.raises(ValueError, match="leaves the polygon"):
-            canonicalize_solution((Transmitter("h", 1, (0, 12)),), polys["VALLEY"])
+            canonicalize_solution((Transmitter("h", 1, (0, 12)),), valley)
 
     def test_maximal_vertical_outside_raises(self, polys):
         prof = polys["RECT"].profile
         with pytest.raises(ValueError, match="outside the polygon"):
-            maximal_vertical(prof, prof.x_max + SCALE)
+            maximal_vertical(prof, prof.x_max + 1)
 
     def test_dense_optimum_survives_canonicalization(self):
         # tiny instances where the dense solver is affordable

@@ -288,6 +288,16 @@ class TestRender:
                      "--svg", str(tmp_path / "x.svg")])
         assert code == 2
 
+    def test_bad_span_quoted_as_written(self, gap7_file, tmp_path, capsys):
+        # the message names the document's own numbers
+        sol = tmp_path / "sol.json"
+        t = {"orientation": "v", "anchor": 8, "span": [3, 1]}
+        sol.write_text(json.dumps({"k": 2, "transmitters": [t]}))
+        code = main(["render", gap7_file, "--solution", str(sol),
+                     "--svg", str(tmp_path / "x.svg")])
+        assert code == 2
+        assert "span must be a nondegenerate interval, got (3, 1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "t",
         [

@@ -9,7 +9,6 @@ import polytx as px
 from polytx import (
     CellGrid,
     NoSolutionWithinBudget,
-    SCALE,
     Solution,
     Transmitter,
     approximate_2transmitters,
@@ -24,7 +23,7 @@ exact_mod = importlib.import_module("polytx.exact")
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
-    return Transmitter(o, anchor * SCALE, (lo * SCALE, hi * SCALE))
+    return Transmitter(o, anchor, (lo, hi))
 
 
 # The memoised search as it was before the coverer lists: every node scans

@@ -36,7 +36,8 @@ class TestFixtures:
         ],
     )
     def test_profiles(self, name, xs, spans):
-        assert fixture(name).profile.as_input() == (xs, spans)
+        prof = fixture(name).profile
+        assert (prof.xs, prof.spans) == (xs, spans)
 
     def test_stair3_edge_count(self):
         # two bounding walls plus one wall per side of each interior step
@@ -87,7 +88,7 @@ class TestRandomMonotone:
         # below the previous span, so it is shifted up onto it; the digest
         # pins what that path makes.
         p = random_monotone(60, 300, 1, 204)
-        digest = hashlib.sha256(repr(p.profile.as_input()[1]).encode()).hexdigest()
+        digest = hashlib.sha256(repr(p.profile.spans).encode()).hexdigest()
         assert digest.startswith("460709415431e7ad")
 
     def test_single_slab_is_a_rectangle(self):
@@ -97,7 +98,7 @@ class TestRandomMonotone:
     def test_slab_count_and_bounds(self):
         for seed in range(50):
             p = random_monotone(slabs=6, max_height=8, max_width=4, seed=seed)
-            xs, spans = p.profile.as_input()
+            xs, spans = p.profile.xs, p.profile.spans
             assert len(spans) <= 6  # merged equal neighbours may reduce it
             assert all(0 <= b < t <= 8 for b, t in spans)
             assert all(1 <= x2 - x1 <= 4 for x1, x2 in zip(xs, xs[1:]))
@@ -151,7 +152,7 @@ class TestCorpus:
 
     def test_respects_parameters(self):
         for _, p in corpus(30, max_slabs=3, max_height=4, max_width=2, seed0=0):
-            xs, spans = p.profile.as_input()
+            xs, spans = p.profile.xs, p.profile.spans
             assert len(spans) <= 3
             assert all(0 <= b < t <= 4 for b, t in spans)
             assert all(x2 - x1 <= 2 for x1, x2 in zip(xs, xs[1:]))

@@ -5,7 +5,7 @@ from bisect import bisect_right
 import pytest
 
 import polytx as px
-from polytx import InvalidPolygonError, SCALE, build_grid, cut_right, validate
+from polytx import InvalidPolygonError, build_grid, cut_right, validate
 from polytx.geometry import _axis_edges, _slab_scan, profile_to_ring
 
 from oracles import (
@@ -33,12 +33,12 @@ class TestValidate:
         p = validate(RECT_RING)
         assert p.m == 2
         assert p.input_vertices == tuple(RECT_RING)
-        assert p.profile.as_input() == ((0, 6), ((0, 3),))
+        assert (p.profile.xs, p.profile.spans) == ((0, 6), ((0, 3),))
 
     def test_valley_profile(self):
         p = validate(VALLEY_RING)
         assert p.m == 4
-        assert p.profile.as_input() == ((0, 2, 4, 6), ((0, 3), (0, 1), (0, 3)))
+        assert (p.profile.xs, p.profile.spans) == ((0, 2, 4, 6), ((0, 3), (0, 1), (0, 3)))
 
     def test_clockwise_input_is_normalized(self):
         ccw = validate(RECT_RING)
@@ -77,7 +77,7 @@ class TestValidate:
     def test_coordinate_limit_is_inclusive(self):
         lim = 10**6
         p = validate([(lim - 6, -lim), (lim, -lim), (lim, lim), (lim - 6, lim)])
-        assert p.profile.as_input()[0] == (lim - 6, lim)
+        assert p.profile.xs == (lim - 6, lim)
 
     def test_error_carries_vertex_index(self):
         with pytest.raises(InvalidPolygonError) as exc:
@@ -177,11 +177,10 @@ class TestDiagnoses:
     @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
     def test_slab_scan_rejects_first(self, ring, scan_message, reason, index, message):
         # Counter-clockwise rings with no collinear vertices: validate hands
-        # the slab scan the doubled ring unchanged.
-        doubled = [(x * SCALE, y * SCALE) for x, y in ring]
-        hs = _axis_edges(doubled)[0]
+        # the slab scan the ring unchanged.
+        hs = _axis_edges(ring)[0]
         with pytest.raises(ValueError) as exc:
-            reference_slab_scan(doubled, hs)
+            reference_slab_scan(ring, hs)
         assert str(exc.value) == scan_message
         # The library's scan only names the fault: the reference's own
         # not-monotone error, or for SlabProfile's plain ValueError the one
@@ -189,7 +188,7 @@ class TestDiagnoses:
         want = exc.value
         if not isinstance(want, InvalidPolygonError):
             want = InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
-        fault = _slab_scan(doubled, hs)
+        fault = _slab_scan(ring, hs)
         assert type(fault) is InvalidPolygonError
         assert (fault.reason, fault.index, str(fault)) == (want.reason, want.index, str(want))
 
@@ -260,7 +259,7 @@ class TestParsePolygon:
 
     def test_integral_floats_accepted(self):
         p = px.parse_polygon('{"vertices": [[0,0],[6.0,0],[6,3],[0,3]]}')
-        assert p.profile.as_input() == ((0, 6), ((0, 3),))
+        assert (p.profile.xs, p.profile.spans) == ((0, 6), ((0, 3),))
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -280,7 +279,8 @@ class TestParsePolygon:
 
 class TestSlabProfile:
     def test_gap7_profile(self, polys):
-        xs, spans = polys["GAP7"].profile.as_input()
+        prof = polys["GAP7"].profile
+        xs, spans = prof.xs, prof.spans
         assert xs == (0, 2, 4, 6, 8, 10, 12, 14)
         assert spans == ((2, 3), (0, 3), (0, 1), (0, 3), (0, 1), (0, 3), (2, 3))
 
@@ -334,28 +334,28 @@ class TestSlabProfile:
 
     def test_cross_section(self, polys):
         prof = polys["VALLEY"].profile
-        assert prof.cross_section(2) == (0, 6)
-        assert prof.cross_section(6) == (0, 2)
+        assert prof.cross_section(1) == (0, 3)
+        assert prof.cross_section(3) == (0, 1)
         # at a breakpoint the closed polygon includes both adjacent slabs
-        assert prof.cross_section(4) == (0, 6)
-        assert prof.cross_section(-2) is None
-        assert prof.cross_section(14) is None
+        assert prof.cross_section(2) == (0, 3)
+        assert prof.cross_section(-1) is None
+        assert prof.cross_section(7) is None
 
     def test_runs(self, polys):
         prof = polys["GAP7"].profile
-        # input y=1 line crosses the full middle stretch
-        assert prof.runs_at(2) == ((4, 24),)
-        # input y=2.5 leaves three separate runs
-        assert prof.runs_at(5) == ((0, 8), (12, 16), (20, 28))
-        assert prof.run_covering(5, 12, 16) == (12, 16)
-        assert prof.run_covering(5, 8, 16) is None
+        # the line y=1 crosses the full middle stretch
+        assert prof.runs_at(1) == ((2, 12),)
+        # the line y=2.5 leaves three separate runs
+        assert prof.runs_at(2.5) == ((0, 4), (6, 8), (10, 14))
+        assert prof.run_covering(2.5, 6, 8) == (6, 8)
+        assert prof.run_covering(2.5, 4, 8) is None
 
     def test_contains_point_is_closed(self, polys):
         prof = polys["VALLEY"].profile
         assert contains_point(prof, 0, 0)
-        assert contains_point(prof, 6, 2)   # on the notch bottom edge
-        assert not contains_point(prof, 6, 4)
-        assert not contains_point(prof, -1, 0)
+        assert contains_point(prof, 3, 1)   # on the notch bottom edge
+        assert not contains_point(prof, 3, 2)
+        assert not contains_point(prof, -0.5, 0)
 
 
 class TestCutRight:
@@ -364,21 +364,21 @@ class TestCutRight:
         assert cut_right(prof, 0) == prof
 
     def test_valley(self, polys):
-        rest = cut_right(polys["VALLEY"].profile, 8)
+        rest = cut_right(polys["VALLEY"].profile, 4)
         assert rest is not None
-        assert rest.as_input() == ((4, 6), ((0, 3),))
+        assert (rest.xs, rest.spans) == ((4, 6), ((0, 3),))
 
     def test_gap7(self, polys):
-        rest = cut_right(polys["GAP7"].profile, 20)
+        rest = cut_right(polys["GAP7"].profile, 10)
         assert rest is not None
-        assert rest.as_input() == ((10, 12, 14), ((0, 3), (2, 3)))
+        assert (rest.xs, rest.spans) == ((10, 12, 14), ((0, 3), (2, 3)))
 
     def test_last_breakpoint_exhausts(self, polys):
-        assert cut_right(polys["RECT"].profile, 12) is None
+        assert cut_right(polys["RECT"].profile, 6) is None
 
     def test_non_breakpoint_rejected(self, polys):
         with pytest.raises(ValueError):
-            cut_right(polys["VALLEY"].profile, 6)
+            cut_right(polys["VALLEY"].profile, 3)
 
 
 class TestCellGrid:
@@ -400,28 +400,24 @@ class TestCellGrid:
         assert g.inside_mask.bit_count() == 13
 
     def test_refinement(self, polys):
-        g = build_grid(polys["RECT"].profile, extra_x=(6,), extra_y=(2, 4))
+        g = build_grid(polys["RECT"].profile, extra_x=(3,), extra_y=(1, 2))
         assert (g.nx, g.ny) == (2, 3)
         assert g.inside_mask.bit_count() == 6
-        assert 6 in g.x_cuts and 4 in g.y_cuts
-
-    def test_odd_cut_rejected(self, polys):
-        with pytest.raises(ValueError):
-            build_grid(polys["RECT"].profile, extra_x=(3,))
+        assert 3 in g.x_cuts and 2 in g.y_cuts
 
     def test_cut_outside_bbox_rejected(self, polys):
         with pytest.raises(ValueError):
-            build_grid(polys["RECT"].profile, extra_y=(100,))
+            build_grid(polys["RECT"].profile, extra_y=(50,))
 
     def test_inside_mask_between(self, polys):
         g = build_grid(polys["VALLEY"].profile)
-        left = g.inside_mask_between(g.x_cuts[0], 4)
+        left = g.inside_mask_between(g.x_cuts[0], 2)
         assert {g.cell_bounds(ix, iy) for ix, iy in g.iter_cells(left)} == {
-            (0, 0, 4, 2),
-            (0, 2, 4, 6),
+            (0, 0, 2, 1),
+            (0, 1, 2, 3),
         }
         assert g.inside_mask_between(g.x_cuts[0], g.x_cuts[-1]) == g.inside_mask
-        assert g.inside_mask_between(4, 4) == 0
+        assert g.inside_mask_between(2, 2) == 0
 
     def test_first_cell_prefers_min_x_then_min_y(self, polys):
         g = build_grid(polys["VALLEY"].profile)
@@ -431,10 +427,10 @@ class TestCellGrid:
     def test_area_consistency(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus:
             g = build_grid(p.profile)
-            internal = cell_area(g, g.inside_mask)
-            assert internal == profile_area(p.profile)
-            assert internal == shoelace2(p.vertices) // 2
-            assert internal == shoelace2(p.input_vertices) // 2 * SCALE * SCALE
+            area = cell_area(g, g.inside_mask)
+            assert area == profile_area(p.profile)
+            assert area == shoelace2(p.vertices) // 2
+            assert area == shoelace2(p.input_vertices) // 2
 
     def test_inside_cells_match_parity_oracle(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus[:20]:
@@ -453,13 +449,13 @@ class TestCellGrid:
         for p in shapes:
             prof = p.profile
             ords = prof.edge_ordinates
-            mids = [(a + b) // 2 for a, b in zip(ords, ords[1:])]
+            mids = [a + b for a, b in zip(ords, ords[1:])]  # doubled
             assert prof.row_walls == reference_row_walls(prof, mids)
-            # a grid refined with extra even cuts, as render --vis refines it
+            # a grid refined with extra cuts, as render --vis refines it
             # with its transmitter's coordinates: each row's walls are those
             # of the band holding it
-            xs = range(prof.x_min, prof.x_max + 1, 2)
-            ys = range(prof.y_min, prof.y_max + 1, 2)
+            xs = range(prof.x_min, prof.x_max + 1)
+            ys = range(prof.y_min, prof.y_max + 1)
             g = build_grid(prof, rng.sample(xs, min(4, len(xs))), rng.sample(ys, min(4, len(ys))))
             bands = [prof.row_walls[bisect_right(ords, y) - 1] for y in g.y_cuts[:-1]]
             assert tuple(bands) == reference_row_walls(prof, row_reps(g))
@@ -467,8 +463,7 @@ class TestCellGrid:
 class TestRoundTrip:
     def test_profile_ring_profile_identity(self, small_corpus):
         for p in small_corpus:
-            xs, spans = p.profile.as_input()
-            ring = profile_to_ring(xs, spans)
+            ring = profile_to_ring(p.profile.xs, p.profile.spans)
             again = validate(ring)
             assert again.profile == p.profile
             assert again.vertices == p.vertices
@@ -477,7 +472,8 @@ class TestRoundTrip:
         # x-monotonicity, checked against the parity oracle at grid midpoints
         for p in small_corpus[:20]:
             g = build_grid(p.profile)
-            for rx in g.rep_xs:
+            for ix in range(g.nx):
+                rx, _ = cell_rep(g, ix, 0)
                 rows = [
                     iy for iy, ry in enumerate(row_reps(g)) if point_inside(p.vertices, rx, ry)
                 ]

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,23 +7,22 @@ from hypothesis import given, settings, strategies as st
 import polytx as px
 from polytx import (
     RectUnion,
-    SCALE,
     Transmitter,
     build_grid,
     edge_aligned_candidates,
     vis_region,
 )
-from polytx.visibility import family_bits
+from polytx.visibility import family_bits, segments_cover
 
 from oracles import (
     cell_area,
     cell_rep,
     cell_rects,
+    covered_area,
     is_inside,
     mirror_transmitter,
     mirrored,
     oracle_region_bits,
-    oracle_sees,
     percell_region_bits,
     percolumn_inside_between,
     point_inside,
@@ -31,7 +31,7 @@ from oracles import (
 
 
 def T(o: str, anchor: int, lo: int, hi: int) -> Transmitter:
-    return Transmitter(o, anchor * SCALE, (lo * SCALE, hi * SCALE))
+    return Transmitter(o, anchor, (lo, hi))
 
 
 def region_for(p, s, k):
@@ -55,7 +55,7 @@ class TestSeesPoint:
     def test_valley_left_wall(self, polys):
         p = polys["VALLEY"]
         s = T("v", 0, 0, 3)
-        rep = (10, 4)  # the cell right of the notch, above its floor
+        rep = (5, 2)  # the cell right of the notch, above its floor
         assert sees(p, s, 2, rep)
         assert not sees(p, s, 1, rep)
         assert not sees(p, s, 0, rep)
@@ -63,9 +63,9 @@ class TestSeesPoint:
     def test_foot_must_be_on_the_closed_span(self, polys):
         # a left-wall segment ending at y=1 sees the rows below it, none above
         p = polys["VALLEY"]
-        s = Transmitter("v", 0, (0, 2))
-        assert sees(p, s, 2, (10, 1))
-        assert not sees(p, s, 2, (10, 4))
+        s = Transmitter("v", 0, (0, 1))
+        assert sees(p, s, 2, (5, 0.5))
+        assert not sees(p, s, 2, (5, 2))
         r, _ = region_for(p, s, 2)
         assert sorted(r.cells()) == [(0, 0), (1, 0), (2, 0)]
 
@@ -80,7 +80,7 @@ class TestVisRegion:
         p = polys["VALLEY"]
         r, g = region_for(p, T("v", 0, 0, 3), 0)
         assert sorted(r.cells()) == [(0, 0), (0, 1), (1, 0), (2, 0)]
-        assert cell_area(g, r.bits) == 40  # internal units: everything but the right wall's top
+        assert cell_area(g, r.bits) == 10  # everything but the right wall's top
         assert r.bits != g.inside_mask
 
     def test_valley_k2_sees_everything(self, polys):
@@ -158,18 +158,18 @@ class TestVisRegion:
                     assert cell_rects(rq) == flipped
 
     def test_unaligned_segment_rejected(self, polys):
-        # RECT's grid has cuts x in {0, 12} and y in {0, 6} only.  The
+        # RECT's grid has cuts x in {0, 6} and y in {0, 3} only.  The
         # anchor is checked before the span ends.
         g = build_grid(polys["RECT"].profile)
         for s, what in (
-            (Transmitter("v", 6, (0, 6)), "anchor"),
-            (Transmitter("v", 6, (2, 4)), "anchor"),
-            (Transmitter("v", 0, (2, 6)), "span endpoint"),
-            (Transmitter("v", 0, (0, 4)), "span endpoint"),
-            (Transmitter("h", 2, (0, 12)), "anchor"),
-            (Transmitter("h", 2, (4, 8)), "anchor"),
-            (Transmitter("h", 0, (4, 12)), "span endpoint"),
-            (Transmitter("h", 0, (0, 6)), "span endpoint"),
+            (Transmitter("v", 3, (0, 3)), "anchor"),
+            (Transmitter("v", 3, (1, 2)), "anchor"),
+            (Transmitter("v", 0, (1, 3)), "span endpoint"),
+            (Transmitter("v", 0, (0, 2)), "span endpoint"),
+            (Transmitter("h", 1, (0, 6)), "anchor"),
+            (Transmitter("h", 1, (2, 4)), "anchor"),
+            (Transmitter("h", 0, (2, 6)), "span endpoint"),
+            (Transmitter("h", 0, (0, 3)), "span endpoint"),
         ):
             message = f"^transmitter {what} is not on a grid cut; refine the grid first$"
             with pytest.raises(ValueError, match=message):
@@ -203,8 +203,31 @@ def test_any_candidate_matches_oracle(seed, data):
     assert vis_region(s, k, g).bits == oracle_region_bits(p, s, k, g)
 
 
-def _even(lo: int, hi: int):
-    return st.integers(lo // 2, hi // 2).map(lambda v: 2 * v)
+def test_any_integer_line_matches_oracle(polys):
+    # A cut or a transmitter may lie on any integer line in the bounding
+    # box, not only on a breakpoint or an edge ordinate: say the vertical
+    # x=1 in VALLEY, inside its first slab.  vis_region on the grid refined
+    # with the segment's lines and segments_cover, alone and paired with
+    # each family member, agree with the brute-force oracle.
+    p = polys["VALLEY"]
+    prof = p.profile
+    segs = []
+    for x in range(prof.x_min, prof.x_max + 1):
+        lo, hi = prof.cross_section(x)
+        segs += [Transmitter("v", x, span) for span in combinations(range(lo, hi + 1), 2)]
+    for y in range(prof.y_min, prof.y_max + 1):
+        for lo, hi in prof.runs_at(y):
+            segs += [Transmitter("h", y, span) for span in combinations(range(lo, hi + 1), 2)]
+    assert T("v", 1, 0, 3) in segs and T("h", 2, 0, 1) in segs
+    family = edge_aligned_candidates(prof)
+    for s in segs:
+        lines = ([s.anchor], s.span) if s.orientation == "v" else (s.span, [s.anchor])
+        g = build_grid(prof, *lines)
+        for k in (0, 1, 2):
+            assert vis_region(s, k, g).bits == oracle_region_bits(p, s, k, g)
+            for segments in [(s,)] + [(s, t) for t in family]:
+                want = covered_area(p, segments, k)
+                assert segments_cover(prof, segments, k) == want, (segments, k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -215,8 +238,8 @@ def test_refined_grid_matches_oracle(seed, data):
     # end on non-wall cuts and a band of row_walls holds several rows.
     p = px.random_monotone(slabs=4, max_height=5, max_width=3, seed=seed)
     prof = p.profile
-    extra_x = data.draw(st.lists(_even(prof.x_min, prof.x_max), max_size=3))
-    extra_y = data.draw(st.lists(_even(prof.y_min, prof.y_max), max_size=3))
+    extra_x = data.draw(st.lists(st.integers(prof.x_min, prof.x_max), max_size=3))
+    extra_y = data.draw(st.lists(st.integers(prof.y_min, prof.y_max), max_size=3))
     g = build_grid(prof, extra_x, extra_y)
     for ix in range(g.nx):
         for iy in range(g.ny):
@@ -244,11 +267,11 @@ def test_matches_percell_reference_at_40_slabs(seed):
     for s in edge_aligned_candidates(prof):
         for k in (0, 1, 2):
             assert vis_region(s, k, g).bits == percell_region_bits(s, k, g)
-    # Refined with random even cuts, each band holds several rows, and
+    # Refined with random cuts, each band holds several rows, and
     # verticals off the family start and end inside bands.
     rng = random.Random(seed)
-    xs = range(prof.x_min, prof.x_max + 1, 2)
-    ys = range(prof.y_min, prof.y_max + 1, 2)
+    xs = range(prof.x_min, prof.x_max + 1)
+    ys = range(prof.y_min, prof.y_max + 1)
     g = build_grid(prof, rng.sample(xs, 20), rng.sample(ys, min(10, len(ys))))
     for x in g.x_cuts:
         lo, hi = prof.cross_section(x)
@@ -261,8 +284,9 @@ def test_matches_percell_reference_at_40_slabs(seed):
 def test_inside_mask_between_matches_percolumn_reference(polys, small_corpus):
     for p in list(polys.values()) + small_corpus[:5]:
         prof = p.profile
-        for g in (build_grid(prof), build_grid(prof, (prof.x_min + 2,), (prof.y_max - 2,))):
-            ends = [g.x_cuts[0] - 2, g.x_cuts[-1] + 2, *g.x_cuts, *g.rep_xs]
+        for g in (build_grid(prof), build_grid(prof, (prof.x_min + 1,), (prof.y_max - 1,))):
+            mids = [(a + b) / 2 for a, b in zip(g.x_cuts, g.x_cuts[1:])]
+            ends = [g.x_cuts[0] - 1, g.x_cuts[-1] + 1, *g.x_cuts, *mids]
             for x_lo in ends:
                 for x_hi in ends:
                     assert g.inside_mask_between(x_lo, x_hi) == percolumn_inside_between(
