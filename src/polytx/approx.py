@@ -4,7 +4,8 @@ Each iteration runs two greedy finders on the remaining (right) part of the
 polygon.  Both return at most two segments that cover everything up to some
 cut line; the better step (further cut, then fewer segments) is kept and the
 covered prefix is discarded.  At most two segments per iteration against at
-least one in any optimal cover gives the factor-2 guarantee.
+least one in any optimal cover gives the factor-2 guarantee.  Cuts are
+breakpoint indices: cut c is the line ``prof.xs[c]``.
 """
 
 from __future__ import annotations
@@ -26,20 +27,13 @@ from .visibility import vis_region  # noqa: F401
 
 @dataclass(frozen=True)
 class FinderResult:
-    """One finder step: one or two segments and the rightmost covered line.
-
-    cut_x is a breakpoint of the profile the finder ran on, whose last
-    breakpoint is x_max; the step is done when the two meet.
-    """
+    """One finder step: one or two segments and the cut, the index of the
+    rightmost breakpoint with nothing uncovered left of it; the sweep is
+    done when the cut is the last breakpoint, ``len(prof.spans)``."""
 
     first: Transmitter
     second: Transmitter | None
-    cut_x: int
-    x_max: int
-
-    @property
-    def done(self) -> bool:
-        return self.cut_x == self.x_max
+    cut: int
 
     @property
     def transmitters(self) -> SegmentSet:
@@ -98,8 +92,9 @@ class Solution:
 class SweepTables:
     """What the greedy finders read of a polygon, built once per solve.
 
-    Every entry is a slab index: column c is slab c, between ``prof.xs[c]``
-    and ``prof.xs[c + 1]``.  Of the edge-aligned family it answers for:
+    Every entry and cut is a slab index: column c is slab c, between
+    ``prof.xs[c]`` and ``prof.xs[c + 1]``, and cut c is the line at
+    ``prof.xs[c]``.  Of the edge-aligned family it answers for:
 
     - the vertical at ``prof.xs[j]`` (built by ``maximal_vertical``) and,
       for j >= 1, three columns holding inside cells its k=2 region misses
@@ -150,14 +145,6 @@ class SweepTables:
             self.bound.append(max(up_before[t], down_before[d]) + 1)
         self._misses: list[tuple[int, int | None, int | None] | None] = [None] * len(prof.xs)
 
-    def column(self, cut: int) -> int:
-        """The slab index of breakpoint ``cut``."""
-        xs = self.prof.xs
-        c = bisect_left(xs, cut)
-        if c == len(xs) or xs[c] != cut:
-            raise ValueError(f"x={cut} is not a breakpoint of the profile")
-        return c
-
     def misses(self, j: int) -> tuple[int, int | None, int | None]:
         """``(reach, miss_lo, miss_hi)`` of the vertical at breakpoint
         j >= 1, scanned on first use."""
@@ -202,10 +189,10 @@ class SweepTables:
                 return j
         raise ValueError(f"no usable vertical right of x={self.prof.xs[c]}")
 
-    def furthest_run(self, c: int, ix: int) -> tuple[Transmitter, int] | None:
-        """Among the runs of the remainder at column c <= ix over column ix,
-        the one reaching furthest right (ties: lowest line), clipped to the
-        cut, and its end column.
+    def furthest_run(self, c: int, ix: int) -> tuple[Transmitter, int]:
+        """Among the runs of the remainder at column c <= ix over column
+        ix < len(prof.spans), the one reaching furthest right (ties: lowest
+        line), clipped to the cut, and its end column.
 
         Walking right from ix, the lines whose run still goes on are the
         intersection of the spans passed; the run ends at the first slab
@@ -213,8 +200,6 @@ class SweepTables:
         lowest edge ordinate left.  Walking back left to c finds its start.
         """
         spans = self.prof.spans
-        if ix >= len(spans):
-            return None
         y, top = spans[ix]
         end = ix + 1
         while end < len(spans):
@@ -249,56 +234,57 @@ def _nearest_greater(values: Sequence[int]) -> tuple[list[int], list[int]]:
     return before, after
 
 
-def vh_finder(sweep: SweepTables, cut: int) -> FinderResult:
-    """Vertical-first step on the remainder right of breakpoint ``cut``.
+def vh_finder(sweep: SweepTables, c: int) -> FinderResult:
+    """Vertical-first step on the remainder right of breakpoint ``prof.xs[c]``.
 
     Takes the rightmost vertical that still sees every cell of the
     remainder weakly left of its own line.  If something is left over, the
     first uncovered cell is patched with the horizontal over it that reaches
     furthest right (ties: lowest line); the cut is that segment's right end.
     """
-    c = sweep.column(cut)
+    n = len(sweep.prof.spans)
+    if not 0 <= c <= n:
+        raise ValueError(f"cut column {c} is outside 0 .. {n}")
     j = sweep.rightmost_vertical(c, c)
-    x_max = sweep.prof.x_max
     s_v = maximal_vertical(sweep.prof, sweep.prof.xs[j])
     _, first, last = sweep.misses(j)
     if first is None:
-        return FinderResult(s_v, None, x_max, x_max)
+        return FinderResult(s_v, None, n)
     # c <= first < len(prof.spans), so there is always a run over it
     s_h, end = sweep.furthest_run(c, first)
     # the vertical's misses lie in columns miss_lo .. miss_hi; a run covers whole columns
-    return FinderResult(s_v, s_h, x_max if last < end else s_h.span[1], x_max)
+    return FinderResult(s_v, s_h, n if last < end else end)
 
 
-def hv_finder(sweep: SweepTables, cut: int) -> FinderResult:
-    """Horizontal-first step on the remainder right of breakpoint ``cut``.
+def hv_finder(sweep: SweepTables, c: int) -> FinderResult:
+    """Horizontal-first step on the remainder right of breakpoint ``prof.xs[c]``.
 
     Takes the horizontal starting on the cut that reaches furthest right
     (ties: lowest line), then the rightmost vertical that sees everything
     between that segment's right end and its own line.  The cut is the last
     breakpoint with nothing uncovered left of it.
     """
-    c = sweep.column(cut)
-    run = sweep.furthest_run(c, c)
-    if run is None:
+    n = len(sweep.prof.spans)
+    if not 0 <= c <= n:
+        raise ValueError(f"cut column {c} is outside 0 .. {n}")
+    if c == n:
         raise ValueError("no left-anchored horizontal candidate")
-    s_h, end = run
-    x_max = sweep.prof.x_max
+    s_h, end = sweep.furthest_run(c, c)
     # every column holds an inside cell: the run covers the rest iff it
     # ends on the last breakpoint
-    if s_h.span[1] == x_max:
-        return FinderResult(s_h, None, x_max, x_max)
+    if end == n:
+        return FinderResult(s_h, None, n)
     j = sweep.rightmost_vertical(c, end)
     s_v = maximal_vertical(sweep.prof, sweep.prof.xs[j])
     _, first, _ = sweep.misses(j)
-    return FinderResult(s_h, s_v, x_max if first is None else sweep.prof.xs[first], x_max)
+    return FinderResult(s_h, s_v, n if first is None else first)
 
 
 def _better(a: FinderResult, b: FinderResult) -> FinderResult:
     """a (vertical-first) vs b (horizontal-first): further cut wins, then
     fewer transmitters; the full tie goes to the horizontal-first step."""
-    if a.cut_x != b.cut_x:
-        return a if a.cut_x > b.cut_x else b
+    if a.cut != b.cut:
+        return a if a.cut > b.cut else b
     if a.count != b.count:
         return a if a.count < b.count else b
     return b
@@ -320,19 +306,16 @@ def approximate_2transmitters(p: OrthoPolygon) -> Solution:
     """
     prof = p.profile
     sweep = SweepTables(prof)
-    xs = prof.xs
     chosen: list[Transmitter] = []
     c = iterations = 0
-    while c < len(xs) - 1:
-        step = _better(vh_finder(sweep, xs[c]), hv_finder(sweep, xs[c]))
+    while c < len(prof.spans):
+        step = _better(vh_finder(sweep, c), hv_finder(sweep, c))
         chosen.extend(step.transmitters)
         iterations += 1
-        if step.done:
-            break
         # Not an assert: python -O strips those, and a stalled cut loops forever.
-        if step.cut_x <= xs[c]:
-            raise RuntimeError(f"cut at x={step.cut_x} does not advance past x={xs[c]}")
-        c = sweep.column(step.cut_x)
+        if step.cut <= c:
+            raise RuntimeError(f"cut at x={prof.xs[step.cut]} does not advance past x={prof.xs[c]}")
+        c = step.cut
     transmitters = canonical(chosen)
     if len(transmitters) > 2 * iterations:
         raise RuntimeError(f"{len(transmitters)} transmitters from {iterations} rounds")

@@ -26,7 +26,7 @@ class Transmitter:
     """Axis-parallel guard segment: anchor line coordinate plus closed span.
 
     A vertical transmitter at x = anchor spans y in [span[0], span[1]]; a
-    horizontal transmitter at y = anchor spans x.
+    horizontal transmitter at y = anchor spans x.  All three are ints.
     """
 
     orientation: str
@@ -36,6 +36,8 @@ class Transmitter:
     def __post_init__(self) -> None:
         if self.orientation not in (VERTICAL, HORIZONTAL):
             raise ValueError(f"orientation must be 'v' or 'h', got {self.orientation!r}")
+        if not type(self.anchor) is type(self.span[0]) is type(self.span[1]) is int:
+            raise ValueError(f"anchor and span must be ints, got {self.anchor!r}, {self.span!r}")
         if self.span[0] >= self.span[1]:
             raise ValueError(f"span must be a nondegenerate interval, got {self.span}")
 

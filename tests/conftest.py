@@ -27,9 +27,8 @@ def tractable_corpus() -> list[px.OrthoPolygon]:
 def stalled_finders(monkeypatch):
     """Both greedy finders return a round whose cut stays on the left edge."""
 
-    def stalled(sweep, cut):
-        prof = sweep.prof
-        return px.FinderResult(maximal_vertical(prof, prof.x_min), None, cut, prof.x_max)
+    def stalled(sweep, c):
+        return px.FinderResult(maximal_vertical(sweep.prof, sweep.prof.x_min), None, c)
 
     monkeypatch.setattr(px.approx, "vh_finder", stalled)
     monkeypatch.setattr(px.approx, "hv_finder", stalled)

@@ -17,7 +17,8 @@ package uses internally, so agreement is meaningful.  The exceptions:
 - reference_approximate is the greedy sweep's earlier per-remainder loop,
   the reference for the one-grid sweep; reference_vh_finder and
   reference_hv_finder are the finders' earlier candidate-list scans, the
-  reference for the per-vertical reach tables.
+  reference for the per-vertical reach tables.  All three work on the
+  cut_right remainder, so their cuts are x-coordinates, not indices.
 - reference_exact is the exact solver's earlier subset enumeration, the
   reference for the depth-first search and its closed-form iteration count;
   reference_dfs is that search before its failure memo, with the witness
@@ -636,7 +637,9 @@ def reference_vh_finder(
     the candidate list, one region test per vertical.
 
     ``regions`` holds the k=2 region bits of each candidate, parallel to
-    ``cands``, on ``grid`` (see :func:`finder_tables`).
+    ``cands``, on ``grid`` (see :func:`finder_tables`).  It runs on the
+    ``cut_right`` remainder ``prof``, so the result's ``cut`` is an
+    x-coordinate, the line ``xs[cut]`` where vh_finder reports the index.
     """
     _check_finder_inputs(cands, regions)
     inside = grid.inside_mask
@@ -653,7 +656,7 @@ def reference_vh_finder(
         raise ValueError("no usable vertical candidate (family must span the left edge)")
     uncovered = inside & ~v_bits
     if uncovered == 0:
-        return FinderResult(s_v, None, prof.x_max, prof.x_max)
+        return FinderResult(s_v, None, prof.x_max)
     ix, _ = first_cell(grid, uncovered)
     px, _ = cell_rep(grid, ix, 0)
     s_h = h_bits = None
@@ -665,8 +668,8 @@ def reference_vh_finder(
     if s_h is None:
         raise ValueError("no horizontal candidate over the first uncovered cell")
     if uncovered & ~h_bits == 0:
-        return FinderResult(s_v, s_h, prof.x_max, prof.x_max)
-    return FinderResult(s_v, s_h, s_h.span[1], prof.x_max)
+        return FinderResult(s_v, s_h, prof.x_max)
+    return FinderResult(s_v, s_h, s_h.span[1])
 
 
 def reference_hv_finder(
@@ -676,8 +679,9 @@ def reference_hv_finder(
     grid: CellGrid,
     regions: Sequence[int],
 ) -> FinderResult:
-    """hv_finder as it was before the per-vertical reach tables; arguments
-    as for :func:`reference_vh_finder`."""
+    """hv_finder as it was before the per-vertical reach tables; arguments,
+    and the ``cut`` given as an x-coordinate, as for
+    :func:`reference_vh_finder`."""
     _check_finder_inputs(cands, regions)
     inside = grid.inside_mask
     x_min = prof.x_min
@@ -691,7 +695,7 @@ def reference_hv_finder(
         raise ValueError("no left-anchored horizontal candidate")
     ell = s_h.span[1]
     if inside & ~h_bits == 0:
-        return FinderResult(s_h, None, prof.x_max, prof.x_max)
+        return FinderResult(s_h, None, prof.x_max)
     s_v = v_bits = None
     for s, bits in zip(cands, regions):
         if s.orientation != VERTICAL:
@@ -705,10 +709,10 @@ def reference_hv_finder(
         raise ValueError("no usable vertical candidate (family needs one left of the cut)")
     uncovered = inside & ~(h_bits | v_bits)
     if uncovered == 0:
-        return FinderResult(s_h, s_v, prof.x_max, prof.x_max)
+        return FinderResult(s_h, s_v, prof.x_max)
     ix, _ = first_cell(grid, uncovered)
     cut = prof.xs[bisect_right(prof.xs, grid.x_cuts[ix]) - 1]
-    return FinderResult(s_h, s_v, cut, prof.x_max)
+    return FinderResult(s_h, s_v, cut)
 
 
 def reference_approximate(p: OrthoPolygon) -> Solution:
@@ -729,11 +733,11 @@ def reference_approximate(p: OrthoPolygon) -> Solution:
         )
         chosen.extend(step.transmitters)
         iterations += 1
-        if step.done:
+        if step.cut == current.x_max:
             break
-        if step.cut_x <= current.x_min:
-            raise RuntimeError(f"cut at x={step.cut_x} does not advance past x={current.x_min}")
-        current = cut_right(current, step.cut_x)
+        if step.cut <= current.x_min:
+            raise RuntimeError(f"cut at x={step.cut} does not advance past x={current.x_min}")
+        current = cut_right(current, step.cut)
     transmitters = canonical(chosen)
     if len(transmitters) > 2 * iterations:
         raise RuntimeError(f"{len(transmitters)} transmitters from {iterations} rounds")

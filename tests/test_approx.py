@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -58,42 +59,49 @@ def off_family(p, rng: random.Random) -> tuple[Transmitter, ...]:
     )
 
 
+def with_cut_x(prof, r):
+    """r with its cut read back as the line prof.xs[r.cut], the x-coordinate
+    the reference finders report."""
+    return replace(r, cut=prof.xs[r.cut])
+
+
 def finders_for(p):
+    """Both finders' first round on p, from column 0, cuts as x-coordinates."""
     sweep = SweepTables(p.profile)
-    return vh_finder(sweep, p.profile.x_min), hv_finder(sweep, p.profile.x_min)
+    return with_cut_x(p.profile, vh_finder(sweep, 0)), with_cut_x(p.profile, hv_finder(sweep, 0))
 
 
 class TestFinders:
     def test_rect(self, polys):
         vh, hv = finders_for(polys["RECT"])
-        assert vh.first == T("v", 6, 0, 3) and vh.second is None and vh.done
-        assert hv.first == T("h", 0, 0, 6) and hv.second is None and hv.done
-        assert vh.cut_x == hv.cut_x == 6
+        assert vh.first == T("v", 6, 0, 3) and vh.second is None
+        assert hv.first == T("h", 0, 0, 6) and hv.second is None
+        assert vh.cut == hv.cut == 6
 
     def test_valley_single_vertical_suffices(self, polys):
         vh, hv = finders_for(polys["VALLEY"])
-        assert vh.first == T("v", 6, 0, 3) and vh.done
-        assert hv.first == T("h", 0, 0, 6) and hv.done
+        assert vh.first == T("v", 6, 0, 3) and vh.cut == 6
+        assert hv.first == T("h", 0, 0, 6) and hv.cut == 6
 
     def test_stair3(self, polys):
         vh, hv = finders_for(polys["STAIR3"])
         # the middle run alone covers; the vertical-first pair also finishes
         assert (vh.first, vh.second) == (T("v", 2, 0, 3), T("h", 2, 0, 6))
-        assert vh.done
-        assert hv.first == T("h", 2, 0, 6) and hv.second is None and hv.done
+        assert vh.cut == 6
+        assert hv.first == T("h", 2, 0, 6) and hv.second is None and hv.cut == 6
 
     def test_stair6_partial_progress(self, polys):
         vh, hv = finders_for(polys["STAIR6"])
         assert (vh.first, vh.second) == (T("v", 2, 0, 3), T("h", 4, 4, 10))
-        assert not vh.done and vh.cut_x == 10
+        assert vh.cut == 10
         assert (hv.first, hv.second) == (T("h", 2, 0, 6), T("v", 8, 3, 6))
-        assert not hv.done and hv.cut_x == 10
+        assert hv.cut == 10
 
     def test_gap7(self, polys):
         vh, hv = finders_for(polys["GAP7"])
-        assert vh.first == T("v", 8, 0, 3) and vh.second is None and vh.done
+        assert vh.first == T("v", 8, 0, 3) and vh.second is None and vh.cut == 14
         assert (hv.first, hv.second) == (T("h", 2, 0, 4), T("v", 12, 0, 3))
-        assert hv.done
+        assert hv.cut == 14
 
     def test_result_shape(self, polys):
         vh, _ = finders_for(polys["STAIR6"])
@@ -108,17 +116,18 @@ class TestFinders:
         prof = polys["RECT"].profile
         sweep = SweepTables(prof)
         with pytest.raises(ValueError, match="no usable vertical"):
-            vh_finder(sweep, prof.x_max)
+            vh_finder(sweep, len(prof.spans))
         with pytest.raises(ValueError, match="no left-anchored horizontal"):
-            hv_finder(sweep, prof.x_max)
+            hv_finder(sweep, len(prof.spans))
 
-    def test_cut_must_be_a_breakpoint(self, polys):
+    def test_cut_column_out_of_range(self, polys):
+        # c = -1 would otherwise read spans[-1], the last slab
         prof = polys["STAIR6"].profile
         sweep = SweepTables(prof)
         for finder in (vh_finder, hv_finder):
-            for cut in (prof.xs[1] + 1, prof.x_min - 1, prof.x_max + 1):
-                with pytest.raises(ValueError, match="not a breakpoint"):
-                    finder(sweep, cut)
+            for c in (-1, -len(prof.xs), len(prof.spans) + 1):
+                with pytest.raises(ValueError, match=f"cut column {c} is outside 0 .. 6"):
+                    finder(sweep, c)
 
     def test_hv_finder_without_vertical_candidates_raises(self, polys):
         # STAIR6's left-anchored run leaves cells uncovered, so the step needs
@@ -130,7 +139,7 @@ class TestFinders:
         sweep.bound = [len(prof.xs)] * len(prof.xs)
         for finder in (vh_finder, hv_finder):
             with pytest.raises(ValueError, match="no usable vertical"):
-                finder(sweep, prof.x_min)
+                finder(sweep, 0)
 
     @pytest.mark.parametrize("shapes", ["fixtures+corpus", "random"])
     def test_match_reference_finders_at_every_cut(self, polys, shapes):
@@ -148,12 +157,13 @@ class TestFinders:
         for p in todo:
             prof = p.profile
             sweep = SweepTables(prof)
-            for cut in prof.xs[:-1]:
+            for c, cut in enumerate(prof.xs[:-1]):
                 current = cut_right(prof, cut)
                 cands = edge_aligned_candidates(current)
                 tables = finder_tables(current, cands)
-                assert vh_finder(sweep, cut) == reference_vh_finder(current, cands, **tables)
-                assert hv_finder(sweep, cut) == reference_hv_finder(current, cands, **tables)
+                vh, hv = with_cut_x(prof, vh_finder(sweep, c)), with_cut_x(prof, hv_finder(sweep, c))
+                assert vh == reference_vh_finder(current, cands, **tables)
+                assert hv == reference_hv_finder(current, cands, **tables)
 
 
 class TestApproximate:
@@ -356,7 +366,7 @@ class TestSweep:
                         key=lambda run: (run[2], -run[0]),
                     )
                     run = Transmitter("h", y, (max(lo, xs[c]), hi))
-                    assert sweep.furthest_run(c, ix) == (run, sweep.column(hi))
+                    assert sweep.furthest_run(c, ix) == (run, xs.index(hi))
 
 
 class TestSolution:

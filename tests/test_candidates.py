@@ -37,11 +37,29 @@ class TestTransmitter:
         assert Transmitter.from_input(s.as_input()) == s
 
     @pytest.mark.parametrize(
-        "args", [("d", 0, (0, 2)), ("v", 0, (2, 0)), ("v", 0, (2, 2))]
+        "args",
+        [
+            ("d", 0, (0, 2)),
+            ("v", 0, (2, 0)),
+            ("v", 0, (2, 2)),
+            ("v", 1.5, (0, 3)),
+            ("v", 2.0, (0, 3)),
+            ("v", True, (0, 3)),
+            ("h", 1, (0, 2.5)),
+            ("h", 1, (False, 3)),
+        ],
     )
     def test_rejects_bad_fields(self, args):
         with pytest.raises(ValueError):
             Transmitter(*args)
+
+    def test_from_input_reads_integral_floats_as_ints(self):
+        s = Transmitter.from_input({"orientation": "v", "anchor": 2.0, "span": [0, 3.0]})
+        assert s == T("v", 2, 0, 3)
+        assert type(s.anchor) is type(s.span[0]) is type(s.span[1]) is int
+        for anchor, span in ((1.5, [0, 3]), (True, [0, 3]), (2, [0, 2.5]), (2, [False, 3])):
+            with pytest.raises(ValueError, match="is not an integer"):
+                Transmitter.from_input({"orientation": "v", "anchor": anchor, "span": span})
 
     def test_canonical_sorts_and_dedups(self):
         a, b = T("h", 0, 0, 6), T("v", 0, 0, 3)
