@@ -5,7 +5,10 @@ The search family is the edge-aligned family: a maximal vertical segment at
 every vertical-edge abscissa and every maximal horizontal run at every
 horizontal-edge ordinate.  An optimal solution can always be slid onto these
 edge-aligned lines, which is what :func:`canonicalize_solution` performs (and
-re-verifies).
+re-verifies).  :func:`edge_aligned_family` is the one generator: it gives
+each member as a line index and two index ends (breakpoints and
+``edge_ordinates`` positions), which is what the bitsets and the exact
+search read; :func:`edge_aligned_candidates` is its Transmitter view.
 """
 
 from __future__ import annotations
@@ -81,21 +84,64 @@ def maximal_vertical(prof: SlabProfile, x: int) -> Transmitter:
     return Transmitter(VERTICAL, x, section)
 
 
+Member = tuple[str, int, int, int]
+
+
+def edge_aligned_family(prof: SlabProfile) -> list[Member]:
+    """The edge-aligned family in index form, in canonical order.
+
+    A vertical is ``(VERTICAL, j, band_lo, band_hi)``: the whole
+    cross-section at breakpoint ``j``, its ends as indices into
+    ``edge_ordinates``.  A horizontal is ``(HORIZONTAL, r, lo, hi)``: a
+    maximal run at ordinate ``edge_ordinates[r]``, its ends as breakpoint
+    indices.  Verticals come by j, then horizontals by r and lo.  The
+    family is nonempty for any valid profile and its regions cover the
+    polygon at any k (each inside cell sits under the run at its own bottom
+    cut line).
+    """
+    band = {y: r for r, y in enumerate(prof.edge_ordinates)}
+    los = [band[lo] for lo, _ in prof.spans]
+    his = [band[hi] for _, hi in prof.spans]
+    n = len(los)
+    family: list[Member] = [(VERTICAL, 0, los[0], his[0])]
+    family += [
+        (VERTICAL, j, min(a, c), max(b, d))
+        for j, a, b, c, d in zip(range(1, n), los, his, los[1:], his[1:])
+    ]
+    family.append((VERTICAL, n, los[-1], his[-1]))
+    # Each ordinate's runs, as runs_at finds them, in breakpoint indices.
+    for r in range(len(band)):
+        start = None
+        for i, (lo, hi) in enumerate(zip(los, his)):
+            if lo <= r <= hi:
+                if start is None:
+                    start = i
+            elif start is not None:
+                family.append((HORIZONTAL, r, start, i))
+                start = None
+        if start is not None:
+            family.append((HORIZONTAL, r, start, n))
+    return family
+
+
+def member_transmitter(prof: SlabProfile, m: Member) -> Transmitter:
+    """The Transmitter an index-form family member stands for."""
+    orientation, line, lo, hi = m
+    xs, ords = prof.xs, prof.edge_ordinates
+    if orientation == VERTICAL:
+        return Transmitter(VERTICAL, xs[line], (ords[lo], ords[hi]))
+    return Transmitter(HORIZONTAL, ords[line], (xs[lo], xs[hi]))
+
+
 def edge_aligned_candidates(prof: SlabProfile) -> SegmentSet:
     """Every maximal segment on an edge-supporting line of the polygon.
 
-    Verticals: the full cross-section at every breakpoint.  Horizontals: every
-    maximal run at every horizontal-edge ordinate.  This family is nonempty
-    for any valid profile and its regions cover the polygon at any k (each
-    inside cell sits under the run at its own bottom cut line).
+    The Transmitter view of :func:`edge_aligned_family`, in its order:
+    the full cross-section at every breakpoint, then every maximal run at
+    every horizontal-edge ordinate.  Sorted and without duplicates, so
+    canonical() would return it unchanged.
     """
-    segs = [maximal_vertical(prof, x) for x in prof.xs]
-    for y in prof.edge_ordinates:
-        for run in prof.runs_at(y):
-            segs.append(Transmitter(HORIZONTAL, y, run))
-    # Built in canonical order (verticals by x, then runs by y and lo), and
-    # without duplicates, so canonical() would return it unchanged.
-    return tuple(segs)
+    return tuple(member_transmitter(prof, m) for m in edge_aligned_family(prof))
 
 
 def prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> SegmentSet:

@@ -5,9 +5,12 @@ line keeps it inside the polygon and only grows what it sees, so searching
 the edge-aligned family alone is lossless.  The test suite checks that claim
 against a search over every unit-lattice line (``tests/oracles.dense_exact``).
 
-Each candidate's region is a bitset with one bit per (slab, band) cell,
-built straight from the profile's wall table
-(:func:`~polytx.visibility.family_bits`) with no cell grid.  The numbering
+The family is built in index form
+(:func:`~polytx.candidates.edge_aligned_family`): each member is a line
+index and two index ends, and a ``Transmitter`` is made only for the
+members of the witness.  Each member's region is a bitset with one bit per
+(slab, band) cell, built straight from the profile's wall table
+(:func:`~polytx.visibility.member_bits`) with no cell grid.  The numbering
 is the plain grid's, ``slab * bands + band``, so the lowest set bit of a
 mask is its leftmost, then lowest, cell.
 
@@ -36,12 +39,13 @@ from math import comb
 from typing import Sequence
 
 from .approx import Solution
-from .candidates import edge_aligned_candidates
+from .candidates import edge_aligned_family, member_transmitter
 from .errors import NoSolutionWithinBudget
 from .geometry import OrthoPolygon
-from .visibility import check_k, family_bits
+from .visibility import check_k, member_bits
 
 # Not called here: bench/spans.py traces these names in this module's namespace.
+from .candidates import edge_aligned_candidates  # noqa: F401
 from .geometry import build_grid  # noqa: F401
 from .visibility import vis_region  # noqa: F401
 
@@ -109,8 +113,9 @@ def exact_min_transmitters(
 ) -> Solution:
     """Smallest k-transmitter cover from the edge-aligned family.
 
-    The family's regions and the inside cells are (slab, band) bitsets from
-    ``family_bits``; no grid is built.
+    The family is ``edge_aligned_family``'s index form, and its regions
+    and the inside cells are (slab, band) bitsets from ``member_bits``; no
+    grid is built, and only the witness becomes Transmitters.
 
     The optimum size OPT is found by iterative deepening over r = 1, 2, ...,
     and the witness is the lexicographically least covering OPT-subset in
@@ -135,8 +140,9 @@ def exact_min_transmitters(
     check_k(k)
     if type(budget) is not int or budget < 1:
         raise ValueError("budget must be an integer of at least 1")
-    cands = edge_aligned_candidates(p.profile)
-    bits, target = family_bits(p.profile, cands, k)
+    prof = p.profile
+    family = edge_aligned_family(prof)
+    bits, target = member_bits(prof, family, k)
     n = len(bits)
     every = 0
     for b in bits:
@@ -166,5 +172,5 @@ def exact_min_transmitters(
                 break
         uncovered &= ~bits[witness[pos]]
         lo = witness[pos] + 1
-    chosen = tuple(cands[i] for i in witness)
+    chosen = tuple(member_transmitter(prof, family[i]) for i in witness)
     return Solution.build(p, chosen, k, "exact", enumeration_count(witness, n))

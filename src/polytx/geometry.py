@@ -524,7 +524,7 @@ def input_int(c: object) -> int:
         return int(c)
     if not isinstance(c, int) or isinstance(c, bool):
         raise ValueError(f"{c!r} is not an integer")
-    return c
+    return int(c)
 
 
 def cut_right(prof: SlabProfile, x0: int) -> SlabProfile | None:
@@ -617,9 +617,12 @@ def build_grid(
 def checked_cuts(
     prof: SlabProfile, extra_x: Iterable[int], extra_y: Iterable[int]
 ) -> tuple[set[int], set[int]]:
-    """The extra cut lines as sets, or ValueError for one outside prof's
-    bounding box."""
+    """The extra cut lines as sets, or ValueError for one that is not an int
+    (a bool or a float is not) or lies outside prof's bounding box."""
     ex, ey = set(extra_x), set(extra_y)
+    for v in (*ex, *ey):
+        if type(v) is not int:
+            raise ValueError(f"extra cut {v!r} is not an int")
     for v in ex:
         if not prof.x_min <= v <= prof.x_max:
             raise ValueError(f"extra x-cut {v} outside [{prof.x_min}, {prof.x_max}]")

@@ -5,9 +5,11 @@ from the point lands on the closed segment and crosses at most k boundary
 edges on the way.  All predicates are exact integer arithmetic.  Everything
 here reads one wall table, the profile's ``row_walls``: in each row band, a
 vertical sees up to the (k+1)-th wall on each side of its line
-(:func:`reach`).  :func:`family_bits` builds the exact solver's bitsets
-straight from that table, one bit per (slab, band) cell in column-major
-order, with no grid.  :func:`vis_region` gives one region as a bitset over
+(:func:`reach`).  :func:`member_bits` builds the exact solver's bitsets
+straight from that table for index-form family members, one bit per
+(slab, band) cell in column-major order, with no grid;
+:func:`family_bits` maps Transmitters on the edge-aligned lines to that
+form and calls it.  :func:`vis_region` gives one region as a bitset over
 a CellGrid, for ``render --vis`` and the test oracles; the grid may be
 refined with the segment's own coordinates, and each cell is then seen
 whole or not at all.
@@ -21,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .candidates import HORIZONTAL, VERTICAL, Transmitter
+from .candidates import HORIZONTAL, VERTICAL, Member, Transmitter
 from .geometry import CellGrid, SlabProfile, checked_cuts
 
 
@@ -103,24 +105,25 @@ def reach(walls: Sequence[int], before: int, upto: int, k: int, end: int) -> tup
     return (walls[left] if left >= 0 else 0, walls[right] if right < len(walls) else end)
 
 
-def family_bits(
-    prof: SlabProfile, family: Sequence[Transmitter], k: int
+def member_bits(
+    prof: SlabProfile, family: Sequence[Member], k: int
 ) -> tuple[list[int], int]:
-    """Each segment's k-visibility region as a bitset, and the inside mask.
+    """Each index-form member's k-visibility region as a bitset, and the
+    inside mask.
 
-    Bit ``slab * bands + band`` is the cell of that slab and row band (the
-    band between consecutive ``edge_ordinates``), so the cells are
-    vis_region's on ``build_grid(prof)`` with the same numbering, and no
-    grid is built.  Every anchor and span end must be a breakpoint or edge
-    ordinate, as in the edge-aligned family (KeyError otherwise).  A
+    Members are :func:`~polytx.candidates.edge_aligned_family`'s: a
+    vertical is its breakpoint and band range, a horizontal its ordinate
+    index and breakpoint range.  Bit ``slab * bands + band`` is the cell of
+    that slab and row band (the band between consecutive
+    ``edge_ordinates``), so the cells are vis_region's on
+    ``build_grid(prof)`` with the same numbering, and no grid is built.  A
     horizontal sees the inside cells of its spanned slabs (full-column
     property).  A vertical sees, in each band of its section, the slabs
-    :func:`reach` gives; consecutive bands with the same slabs are one block.
-    k must be 0, 1 or 2.
+    :func:`reach` gives; consecutive bands with the same slabs are one
+    block.  k must be 0, 1 or 2.
     """
-    xs, ords, rows, spans = prof.xs, prof.edge_ordinates, prof.row_walls, prof.spans
+    ords, rows, spans = prof.edge_ordinates, prof.row_walls, prof.spans
     slabs, bands = len(spans), len(ords) - 1
-    col = {x: i for i, x in enumerate(xs)}
     band = {y: r for r, y in enumerate(ords)}
     # Geometric series: the bit of band 0 in every slab.
     row_ones = ((1 << slabs * bands) - 1) // ((1 << bands) - 1)
@@ -128,15 +131,12 @@ def family_bits(
     for i, (lo, hi) in enumerate(spans):
         inside |= (1 << i * bands + band[hi]) - (1 << i * bands + band[lo])
     bits: list[int] = []
-    for t in family:
-        lo, hi = t.span
-        if t.orientation == HORIZONTAL:
-            if t.anchor not in band:
-                raise KeyError(t.anchor)
-            bits.append(inside & (1 << col[hi] * bands) - (1 << col[lo] * bands))
+    for orientation, j, r, stop in family:
+        if orientation == HORIZONTAL:
+            # r .. stop are the spanned slabs (j, the ordinate, is not read)
+            bits.append(inside & (1 << stop * bands) - (1 << r * bands))
             continue
-        j = col[t.anchor]
-        r, stop = band[lo], band[hi]
+        # j is the breakpoint, and r .. stop the bands of its section
         seen, ab = 0, reach(rows[r], j, j + 1, k, slabs)
         while r < stop:
             start, (a, b) = r, ab
@@ -146,6 +146,29 @@ def family_bits(
             seen |= ((1 << r) - (1 << start)) * row_ones & (1 << b * bands) - (1 << a * bands)
         bits.append(seen & inside)
     return bits, inside
+
+
+def family_bits(
+    prof: SlabProfile, family: Sequence[Transmitter], k: int
+) -> tuple[list[int], int]:
+    """:func:`member_bits` for segments given as Transmitters.
+
+    Every anchor and span end must be a breakpoint or edge ordinate, as in
+    the edge-aligned family (KeyError otherwise).
+    """
+    col = {x: i for i, x in enumerate(prof.xs)}
+    band = {y: r for r, y in enumerate(prof.edge_ordinates)}
+    members: list[Member] = []
+    for t in family:
+        lo, hi = t.span
+        if t.orientation == HORIZONTAL:
+            # anchor, then hi, then lo: the KeyError names the first of
+            # them off the lines
+            r, b = band[t.anchor], col[hi]
+            members.append((HORIZONTAL, r, col[lo], b))
+        else:
+            members.append((VERTICAL, col[t.anchor], band[lo], band[hi]))
+    return member_bits(prof, members, k)
 
 
 def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -> bool:

@@ -1,3 +1,4 @@
+from enum import IntEnum
 from functools import reduce
 from operator import or_
 
@@ -60,6 +61,16 @@ class TestTransmitter:
         for anchor, span in ((1.5, [0, 3]), (True, [0, 3]), (2, [0, 2.5]), (2, [False, 3])):
             with pytest.raises(ValueError, match="is not an integer"):
                 Transmitter.from_input({"orientation": "v", "anchor": anchor, "span": span})
+
+    def test_from_input_reads_int_subclasses_as_ints(self):
+        class E(IntEnum):
+            A = 2
+
+        s = Transmitter.from_input({"orientation": "v", "anchor": E.A, "span": [0, 3]})
+        assert s == T("v", 2, 0, 3)
+        assert type(s.anchor) is int
+        with pytest.raises(ValueError, match="is not an integer"):
+            Transmitter.from_input({"orientation": "v", "anchor": True, "span": [0, 3]})
 
     def test_canonical_sorts_and_dedups(self):
         a, b = T("h", 0, 0, 6), T("v", 0, 0, 3)

@@ -409,6 +409,14 @@ class TestCellGrid:
         with pytest.raises(ValueError):
             build_grid(polys["RECT"].profile, extra_y=(50,))
 
+    @pytest.mark.parametrize(
+        "cuts", [([1.5], [0.5]), ([2.0], ()), ([True], ()), ((), [False])]
+    )
+    def test_cut_that_is_not_an_int_rejected(self, polys, cuts):
+        # VALLEY's box is [0, 6] x [0, 3], so each of these lies inside it
+        with pytest.raises(ValueError, match="is not an int"):
+            build_grid(polys["VALLEY"].profile, *cuts)
+
     def test_inside_mask_between(self, polys):
         g = build_grid(polys["VALLEY"].profile)
         left = g.inside_mask_between(g.x_cuts[0], 2)
