@@ -111,7 +111,8 @@ class SweepTables:
     which the nearest slabs whose span leaves the section give.  Those
     tables, linear in slabs and rows, are built up front, and with them
     ``bound[j]``, the reach over those rows alone, so ``bound[j] <= reach``.
-    In a row inside the section the vertical sees the columns between its
+    In a row inside the section (its bands are read off
+    ``prof.span_bands``) the vertical sees the columns between its
     third wall on each side (``prof.row_walls``; ``reach`` at k=2); that
     scan runs only for a vertical whose bound lets a finder pick it, once
     per vertical.
@@ -124,8 +125,8 @@ class SweepTables:
     def __init__(self, prof: SlabProfile):
         self.prof = prof
         spans, rows = prof.spans, prof.row_walls
-        self._tops = tops = [hi for _, hi in spans]
-        self._downs = downs = [-lo for lo, _ in spans]
+        tops = [hi for _, hi in spans]
+        downs = [-lo for lo, _ in spans]
         up_before, self._up_after = _nearest_greater(tops)
         down_before, self._down_after = _nearest_greater(downs)
         # end_below[r] / end_above[r]: the last inside column of rows < r / >= r
@@ -155,10 +156,9 @@ class SweepTables:
 
     def _scan(self, j: int) -> tuple[int, int | None, int | None]:
         prof = self.prof
-        cols, ords = len(prof.spans), prof.edge_ordinates
+        cols, bands = len(prof.spans), prof.span_bands
         t, d = self._top[j], self._bottom[j]
-        r_lo = bisect_left(ords, -self._downs[d])
-        r_hi = bisect_left(ords, self._tops[t])
+        r_lo, r_hi = bands[d][0], bands[t][1]
         reach = self.bound[j]
         first = min(self._up_after[t], self._down_after[d])
         last = max(self._end_below[r_lo], self._end_above[r_hi])

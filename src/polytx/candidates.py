@@ -7,8 +7,10 @@ horizontal-edge ordinate.  An optimal solution can always be slid onto these
 edge-aligned lines, which is what :func:`canonicalize_solution` performs (and
 re-verifies).  :func:`edge_aligned_family` is the one generator: it gives
 each member as a line index and two index ends (breakpoints and
-``edge_ordinates`` positions), which is what the bitsets and the exact
-search read; :func:`edge_aligned_candidates` is its Transmitter view.
+``edge_ordinates`` positions), which is what the bitsets, the exact
+search and ``prune_dominated(p, k)`` read; :func:`edge_aligned_candidates`
+is its Transmitter view.  Every consumer takes a slab's span in band
+indices from the profile's ``span_bands``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class Transmitter:
     def __post_init__(self) -> None:
         if self.orientation not in (VERTICAL, HORIZONTAL):
             raise ValueError(f"orientation must be 'v' or 'h', got {self.orientation!r}")
+        if not isinstance(self.span, tuple) or len(self.span) != 2:
+            raise ValueError(f"span must be a 2-tuple, got {self.span!r}")
         if not type(self.anchor) is type(self.span[0]) is type(self.span[1]) is int:
             raise ValueError(f"anchor and span must be ints, got {self.anchor!r}, {self.span!r}")
         if self.span[0] >= self.span[1]:
@@ -99,9 +103,8 @@ def edge_aligned_family(prof: SlabProfile) -> list[Member]:
     polygon at any k (each inside cell sits under the run at its own bottom
     cut line).
     """
-    band = {y: r for r, y in enumerate(prof.edge_ordinates)}
-    los = [band[lo] for lo, _ in prof.spans]
-    his = [band[hi] for _, hi in prof.spans]
+    los = [lo for lo, _ in prof.span_bands]
+    his = [hi for _, hi in prof.span_bands]
     n = len(los)
     family: list[Member] = [(VERTICAL, 0, los[0], his[0])]
     family += [
@@ -110,7 +113,7 @@ def edge_aligned_family(prof: SlabProfile) -> list[Member]:
     ]
     family.append((VERTICAL, n, los[-1], his[-1]))
     # Each ordinate's runs, as runs_at finds them, in breakpoint indices.
-    for r in range(len(band)):
+    for r in range(len(prof.edge_ordinates)):
         start = None
         for i, (lo, hi) in enumerate(zip(los, his)):
             if lo <= r <= hi:
@@ -144,34 +147,31 @@ def edge_aligned_candidates(prof: SlabProfile) -> SegmentSet:
     return tuple(member_transmitter(prof, m) for m in edge_aligned_family(prof))
 
 
-def prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> SegmentSet:
-    """Single elimination pass in canonical order.
+def prune_dominated(p: OrthoPolygon, k: int = 2) -> SegmentSet:
+    """The polygon's edge-aligned family after a single elimination pass in
+    canonical order.
 
-    A candidate is removed when its visibility region is contained in the
+    A candidate is removed when its k-visibility region is contained in the
     union over the *currently remaining* other candidates, so the union of
-    regions over the result equals the union over the input exactly.  Those
-    others are the candidates kept so far and all later ones, so a running
-    union and precomputed suffix unions decide each candidate with one OR.
-    The regions are ``family_bits``' (slab, band) bitsets, so every
-    candidate must lie on the edge-aligned lines (ValueError otherwise).
+    regions over the result equals the union over the whole family exactly.
+    Those others are the candidates kept so far and all later ones, so a
+    running union and precomputed suffix unions decide each candidate with
+    one OR.  The regions are :func:`~polytx.visibility.member_bits`' (slab,
+    band) bitsets of the index-form family, and only the kept members become
+    Transmitters.  k must be 0, 1 or 2.
     """
-    from .visibility import check_k, family_bits
+    from .visibility import check_k, member_bits
 
-    cands = canonical(c)
-    if cands:
-        check_k(k)
-    try:
-        regions, _ = family_bits(p.profile, cands, k)
-    except KeyError as exc:
-        raise ValueError(
-            f"candidate coordinate {exc.args[0]} is not a breakpoint or edge ordinate"
-        ) from None
+    check_k(k)
+    prof = p.profile
+    family = edge_aligned_family(prof)
+    regions, _ = member_bits(prof, family, k)
     # after[i] is the union of regions[i + 1:].
     after = list(accumulate(reversed(regions), or_, initial=0))[-2::-1]
     kept, before = [], 0
-    for s, region, rest in zip(cands, regions, after):
+    for m, region, rest in zip(family, regions, after):
         if region & ~(before | rest):
-            kept.append(s)
+            kept.append(member_transmitter(prof, m))
             before |= region
     return tuple(kept)
 

@@ -99,9 +99,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_candidates(args) -> int:
     p = _load_polygon(args.file)
-    cands = edge_aligned_candidates(p.profile)
-    if args.pruned:
-        cands = prune_dominated(cands, p)
+    cands = prune_dominated(p) if args.pruned else edge_aligned_candidates(p.profile)
     print(json.dumps([t.as_input() for t in cands], indent=2))
     return EXIT_OK
 
@@ -133,7 +131,7 @@ def _cmd_gen(args) -> int:
         p = random_monotone(args.slabs, args.max_h, args.max_w, args.seed)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    doc = {"vertices": [list(v) for v in p.input_vertices]}
+    doc = {"vertices": [list(v) for v in p.vertices]}
     _write_or_print(json.dumps(doc, indent=2), args.out)
     return EXIT_OK
 

@@ -101,6 +101,14 @@ class SlabProfile:
         return tuple(sorted({v for span in self.spans for v in span}))
 
     @cached_property
+    def span_bands(self) -> tuple[Span, ...]:
+        """Each slab's span as indices into ``edge_ordinates``: band r is
+        the row between ``edge_ordinates[r]`` and ``edge_ordinates[r + 1]``,
+        so slab i holds bands ``span_bands[i][0] .. span_bands[i][1] - 1``."""
+        band = {y: r for r, y in enumerate(self.edge_ordinates)}
+        return tuple((band[lo], band[hi]) for lo, hi in self.spans)
+
+    @cached_property
     def row_walls(self) -> tuple[tuple[int, ...], ...]:
         """Per row, the breakpoint indices of its walls, increasing.
 
@@ -110,9 +118,8 @@ class SlabProfile:
         so the row's inside slabs are ``w0 .. w1 - 1``, ``w2 .. w3 - 1``,
         and so on.
         """
-        row = {y: r for r, y in enumerate(self.edge_ordinates)}
         rows: list[list[int]] = [[] for _ in self.edge_ordinates[1:]]
-        spans = self.spans
+        spans = self.span_bands
         # Walk the breakpoints left to right, so every row's list is sorted.
         # At an inner breakpoint the bottom and the top chain may each step;
         # the step runs between the two spans' ends on that side.
@@ -124,7 +131,7 @@ class SlabProfile:
                 walls.append((i, pt, ct) if pt < ct else (i, ct, pt))
         walls.append((len(spans), *spans[-1]))
         for i, lo, hi in walls:
-            for r in range(row[lo], row[hi]):
+            for r in range(lo, hi):
                 rows[r].append(i)
         return tuple(map(tuple, rows))
 
@@ -207,7 +214,8 @@ class OrthoPolygon:
 
     @property
     def input_vertices(self) -> tuple[Point, ...]:
-        """The same ring as ``vertices``."""
+        """The same ring as ``vertices``.  Its only reader is
+        ``bench/workloads.py``; everything else reads ``vertices``."""
         return self.vertices
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -410,7 +418,14 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     not-monotone fault.  Every input is decided in O(n log n) comparisons
     (the sweep's list insertions are memmoves).
     """
-    pts = list(map(tuple, vertices))
+    ring = iter(vertices)  # a ring that is not iterable stays a TypeError
+    pts: list[tuple] = []
+    try:
+        pts += map(tuple, ring)
+    except TypeError:
+        # A vertex that is not iterable: pts holds the ones before it, and an
+        # empty stand-in for it makes the loop below name the first offender.
+        pts.append(())
     flat = list(chain.from_iterable(pts))
     # type() is exact: bools and int subclasses take the loop, which judges
     # them one by one.

@@ -5,11 +5,10 @@ from the point lands on the closed segment and crosses at most k boundary
 edges on the way.  All predicates are exact integer arithmetic.  Everything
 here reads one wall table, the profile's ``row_walls``: in each row band, a
 vertical sees up to the (k+1)-th wall on each side of its line
-(:func:`reach`).  :func:`member_bits` builds the exact solver's bitsets
-straight from that table for index-form family members, one bit per
-(slab, band) cell in column-major order, with no grid;
-:func:`family_bits` maps Transmitters on the edge-aligned lines to that
-form and calls it.  :func:`vis_region` gives one region as a bitset over
+(:func:`reach`).  :func:`member_bits` builds the bitsets of the exact
+solver and of ``prune_dominated(p, k)`` straight from that table for
+index-form family members, one bit per (slab, band) cell in column-major
+order, with no grid.  :func:`vis_region` gives one region as a bitset over
 a CellGrid, for ``render --vis`` and the test oracles; the grid may be
 refined with the segment's own coordinates, and each cell is then seen
 whole or not at all.
@@ -122,14 +121,13 @@ def member_bits(
     :func:`reach` gives; consecutive bands with the same slabs are one
     block.  k must be 0, 1 or 2.
     """
-    ords, rows, spans = prof.edge_ordinates, prof.row_walls, prof.spans
-    slabs, bands = len(spans), len(ords) - 1
-    band = {y: r for r, y in enumerate(ords)}
+    rows, spans = prof.row_walls, prof.span_bands
+    slabs, bands = len(spans), len(rows)
     # Geometric series: the bit of band 0 in every slab.
     row_ones = ((1 << slabs * bands) - 1) // ((1 << bands) - 1)
     inside = 0
     for i, (lo, hi) in enumerate(spans):
-        inside |= (1 << i * bands + band[hi]) - (1 << i * bands + band[lo])
+        inside |= (1 << i * bands + hi) - (1 << i * bands + lo)
     bits: list[int] = []
     for orientation, j, r, stop in family:
         if orientation == HORIZONTAL:
@@ -148,36 +146,13 @@ def member_bits(
     return bits, inside
 
 
-def family_bits(
-    prof: SlabProfile, family: Sequence[Transmitter], k: int
-) -> tuple[list[int], int]:
-    """:func:`member_bits` for segments given as Transmitters.
-
-    Every anchor and span end must be a breakpoint or edge ordinate, as in
-    the edge-aligned family (KeyError otherwise).
-    """
-    col = {x: i for i, x in enumerate(prof.xs)}
-    band = {y: r for r, y in enumerate(prof.edge_ordinates)}
-    members: list[Member] = []
-    for t in family:
-        lo, hi = t.span
-        if t.orientation == HORIZONTAL:
-            # anchor, then hi, then lo: the KeyError names the first of
-            # them off the lines
-            r, b = band[t.anchor], col[hi]
-            members.append((HORIZONTAL, r, col[lo], b))
-        else:
-            members.append((VERTICAL, col[t.anchor], band[lo], band[hi]))
-    return member_bits(prof, members, k)
-
-
 def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -> bool:
     """Whether the segments' k-visibility regions together cover the polygon.
 
     The regions are vis_region's, kept as closed x-intervals per row band
     instead of bits per cell: a horizontal sees its whole span in every
     band (full-column property), and a vertical sees, in each band it
-    spans, the slabs :func:`reach` gives, as in vis_region and family_bits.
+    spans, the slabs :func:`reach` gives, as in vis_region and member_bits.
     The bands are the polygon's rows cut at the verticals' span ends, so a
     vertical spans each band whole or not at all.  The polygon is covered
     when, in every band, each inside interval lies in the union.  Raises

@@ -31,7 +31,8 @@ package uses internally, so agreement is meaningful.  The exceptions:
   and its length is the independent count for OrthoPolygon.m.
 - reference_prune_dominated is prune_dominated's earlier loop, which ORs
   every other remaining region for each candidate, the reference for the
-  one pass over suffix unions.
+  one pass over suffix unions; its regions come from vis_region on the
+  plain grid, not from the bitset kernel the library prunes with.
 - reference_covers is Solution.build's coverage check as it was before the
   band check: a refined grid and the OR of the regions' bitsets.
 
@@ -80,7 +81,6 @@ from polytx.geometry import (
     cut_right,
     profile_to_ring,
 )
-from polytx.visibility import family_bits
 
 Point = tuple[int, int]
 
@@ -320,7 +320,7 @@ def reference_covers(p: OrthoPolygon, transmitters: Sequence[Transmitter], k: in
 
 def mirrored(p: OrthoPolygon) -> OrthoPolygon:
     """The polygon reflected through x = 0 (still CCW after reversal)."""
-    ring = [(-x, y) for x, y in reversed(p.input_vertices)]
+    ring = [(-x, y) for x, y in reversed(p.vertices)]
     return validate(ring)
 
 
@@ -595,12 +595,13 @@ def reference_slab_scan(ring: list[Point], hs: list[Edge]) -> SlabProfile:
     return profile
 
 
-def reference_prune_dominated(c: Sequence[Transmitter], p: OrthoPolygon, k: int = 2) -> SegmentSet:
-    """prune_dominated as a loop that, for each candidate in canonical order,
-    ORs the region of every other remaining one (inputs assumed valid)."""
-    cands = canonical(c)
-    regions, _ = family_bits(p.profile, cands, k)
-    bits = dict(zip(cands, regions))
+def reference_prune_dominated(p: OrthoPolygon, k: int = 2) -> SegmentSet:
+    """prune_dominated as a loop that, for each candidate of the polygon's
+    edge-aligned family in canonical order, ORs the region of every other
+    remaining one.  The regions are vis_region's on the plain grid."""
+    cands = edge_aligned_candidates(p.profile)
+    grid = build_grid(p.profile)
+    bits = {s: vis_region(s, k, grid).bits for s in cands}
     kept = list(cands)
     for s in cands:
         others = 0

@@ -155,7 +155,7 @@ def test_criterion_8_pruning_soundness(certification):
     ok = True
     for p, _, _ in results:
         fam = edge_aligned_candidates(p.profile)
-        kept = prune_dominated(fam, p)
+        kept = prune_dominated(p)
         grid = build_grid(p.profile)
         before = reduce(or_, (vis_region(s, 2, grid).bits for s in fam))
         after = reduce(or_, (vis_region(s, 2, grid).bits for s in kept))

@@ -48,6 +48,8 @@ class TestTransmitter:
             ("v", True, (0, 3)),
             ("h", 1, (0, 2.5)),
             ("h", 1, (False, 3)),
+            ("v", 1, [0, 3]),
+            ("v", 1, (0,)),
         ],
     )
     def test_rejects_bad_fields(self, args):
@@ -152,44 +154,24 @@ class TestEdgeAlignedFamily:
 
 class TestPruneDominated:
     def test_rect_keeps_one(self, polys):
-        fam = edge_aligned_candidates(polys["RECT"].profile)
-        assert prune_dominated(fam, polys["RECT"]) == (T("h", 3, 0, 6),)
+        assert prune_dominated(polys["RECT"]) == (T("h", 3, 0, 6),)
 
     def test_valley_keeps_the_shared_run(self, polys):
-        p = polys["VALLEY"]
-        fam = edge_aligned_candidates(p.profile)
-        assert prune_dominated(fam, p) == (T("h", 1, 0, 6),)
+        assert prune_dominated(polys["VALLEY"]) == (T("h", 1, 0, 6),)
 
     def test_gap7(self, polys):
-        p = polys["GAP7"]
-        kept = prune_dominated(edge_aligned_candidates(p.profile), p)
+        kept = prune_dominated(polys["GAP7"])
         assert kept == (T("h", 1, 2, 12), T("h", 3, 0, 4), T("h", 3, 10, 14))
 
-    def test_singleton_unchanged(self, polys):
-        fam = (T("v", 0, 0, 3),)
-        assert prune_dominated(fam, polys["RECT"]) == fam
-
     def test_bad_k_rejected(self, polys):
-        fam = edge_aligned_candidates(polys["RECT"].profile)
         for k in (3, -1, True, 2.0):
             with pytest.raises(ValueError, match="k must be 0, 1 or 2"):
-                prune_dominated(fam, polys["RECT"], k)
-        # no region is computed, so nothing reads k
-        assert prune_dominated((), polys["RECT"], 3) == ()
-
-    @pytest.mark.parametrize(
-        "stray",
-        [T("v", 3, 0, 3), T("v", 7, 0, 3), T("h", 1, 0, 6), T("h", 3, 1, 6)],
-        ids=["vertical-inside", "vertical-outside", "horizontal-off-edge", "span-end"],
-    )
-    def test_candidate_off_the_edge_lines_is_a_value_error(self, polys, stray):
-        with pytest.raises(ValueError, match="not a breakpoint or edge ordinate"):
-            prune_dominated((T("v", 0, 0, 3), stray), polys["RECT"])
+                prune_dominated(polys["RECT"], k)
 
     def test_union_preserved_and_nonempty(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus:
             fam = edge_aligned_candidates(p.profile)
-            kept = prune_dominated(fam, p)
+            kept = prune_dominated(p)
             assert kept
             g = build_grid(p.profile)
             before = reduce(or_, (vis_region(s, 2, g).bits for s in fam))
@@ -207,10 +189,9 @@ class TestPruneDominated:
         ]
         pruned = 0
         for p, k in cases:
-            fam = edge_aligned_candidates(p.profile)
-            kept = prune_dominated(fam, p, k)
-            assert kept == reference_prune_dominated(fam, p, k)
-            pruned += len(kept) < len(fam)
+            kept = prune_dominated(p, k)
+            assert kept == reference_prune_dominated(p, k)
+            pruned += len(kept) < len(edge_aligned_candidates(p.profile))
         assert pruned > len(cases) // 2
 
 

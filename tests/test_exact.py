@@ -15,7 +15,8 @@ from polytx import (
     edge_aligned_candidates,
     exact_min_transmitters,
 )
-from polytx.visibility import family_bits
+from polytx.candidates import edge_aligned_family, member_transmitter
+from polytx.visibility import member_bits
 
 from oracles import covered_area, dense_exact, reference_dfs, reference_exact
 
@@ -50,8 +51,8 @@ def scan_covers(bits, uncovered, r, lo, failed):
 
 def scan_exact(p, k: int, budget: int = 8) -> Solution:
     """exact_min_transmitters with scan_covers as its search."""
-    cands = edge_aligned_candidates(p.profile)
-    bits, target = family_bits(p.profile, cands, k)
+    family = edge_aligned_family(p.profile)
+    bits, target = member_bits(p.profile, family, k)
     n = len(bits)
     every = 0
     for b in bits:
@@ -80,7 +81,7 @@ def scan_exact(p, k: int, budget: int = 8) -> Solution:
                 break
         uncovered &= ~bits[witness[pos]]
         lo = witness[pos] + 1
-    chosen = tuple(cands[i] for i in witness)
+    chosen = tuple(member_transmitter(p.profile, family[i]) for i in witness)
     return Solution.build(p, chosen, k, "exact", exact_mod.enumeration_count(witness, n))
 
 

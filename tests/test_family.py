@@ -1,10 +1,11 @@
 """The index-form edge-aligned family against an independent reference.
 
 ``edge_aligned_family`` builds the family as breakpoint and band indices,
-and ``member_bits`` reads those indices straight; ``edge_aligned_candidates``
-and ``family_bits`` are their Transmitter views.  The reference below builds
-the family the direct way, from ``maximal_vertical`` and ``runs_at``, so a
-change to the order or the contents of the index family shows here.
+and ``member_bits`` reads those indices straight (test_visibility checks it
+against vis_region); ``edge_aligned_candidates`` is the family's
+Transmitter view.  The reference below builds the family the direct way,
+from ``maximal_vertical`` and ``runs_at``, so a change to the order or the
+contents of the index family shows here.
 """
 
 import pytest
@@ -19,7 +20,6 @@ from polytx.candidates import (
     maximal_vertical,
     member_transmitter,
 )
-from polytx.visibility import family_bits, member_bits
 
 SHAPES = [
     (slabs, height, 4, seed)
@@ -65,14 +65,6 @@ def test_family_matches_the_reference_member_for_member():
         view = [member_transmitter(prof, m) for m in family]
         assert view == reference_family(prof)
         assert edge_aligned_candidates(prof) == tuple(view)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_member_bits_match_family_bits_on_the_view(k):
-    for prof in profiles():
-        family = edge_aligned_family(prof)
-        view = [member_transmitter(prof, m) for m in family]
-        assert member_bits(prof, family, k) == family_bits(prof, view, k)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -81,7 +81,7 @@ class TestRandomMonotone:
             ),
         }
         for args, ring in frozen.items():
-            assert random_monotone(*args).input_vertices == ring
+            assert random_monotone(*args).vertices == ring
 
     def test_shift_up_fallback_is_frozen(self):
         # At seed 204 some slab uses up its 64 draws and the last one lies
@@ -135,7 +135,7 @@ class TestRandomMonotone:
     def test_every_draw_validates(self, slabs, max_height, max_width, seed):
         p = random_monotone(slabs=slabs, max_height=max_height, max_width=max_width, seed=seed)
         # validate() already ran inside; re-validating the ring must agree
-        assert px.validate(list(p.input_vertices)).profile == p.profile
+        assert px.validate(list(p.vertices)).profile == p.profile
 
 
 class TestCorpus:

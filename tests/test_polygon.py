@@ -32,7 +32,7 @@ class TestValidate:
     def test_rectangle(self):
         p = validate(RECT_RING)
         assert p.m == 2
-        assert p.input_vertices == tuple(RECT_RING)
+        assert p.vertices == tuple(RECT_RING)
         assert (p.profile.xs, p.profile.spans) == ((0, 6), ((0, 3),))
 
     def test_valley_profile(self):
@@ -204,7 +204,7 @@ class TestDiagnoses:
 
     def test_notched_400_slabs_skips_the_pairwise_scan(self, monkeypatch):
         calls = count_pairwise_scans(monkeypatch)
-        ring = notched(list(px.random_monotone(400, 20, 4, seed=1).input_vertices))
+        ring = notched(list(px.random_monotone(400, 20, 4, seed=1).vertices))
         with pytest.raises(InvalidPolygonError) as exc:
             validate(ring)
         assert exc.value.reason == "not-monotone"
@@ -212,7 +212,7 @@ class TestDiagnoses:
 
     def test_notched_4000_slabs_names_the_first_contact(self):
         # Frozen from the earlier all-pairs scan; the reference is quadratic here.
-        ring = notched(list(px.random_monotone(4000, 20, 4, seed=1).input_vertices), depth=12000)
+        ring = notched(list(px.random_monotone(4000, 20, 4, seed=1).vertices), depth=12000)
         assert len(ring) == 14082
         with pytest.raises(InvalidPolygonError) as exc:
             validate(ring)
@@ -239,7 +239,7 @@ class TestDiagnoses:
 
     def test_400_slabs_accepted_and_notched_copy_rejected(self):
         p = px.random_monotone(400, 20, 4, seed=1)
-        ring = list(p.input_vertices)
+        ring = list(p.vertices)
         again = validate(ring)
         assert len(again.vertices) == 1406
         assert (again.vertices, again.profile) == (p.vertices, p.profile)
@@ -255,7 +255,7 @@ class TestDiagnoses:
 class TestParsePolygon:
     def test_valid_document(self):
         p = px.parse_polygon(json.dumps({"vertices": RECT_RING}))
-        assert p.input_vertices == tuple(RECT_RING)
+        assert p.vertices == tuple(RECT_RING)
 
     def test_integral_floats_accepted(self):
         p = px.parse_polygon('{"vertices": [[0,0],[6.0,0],[6,3],[0,3]]}')

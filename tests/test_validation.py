@@ -110,7 +110,7 @@ MUTATIONS = (_drag, _drag, _drag, _translate_run, _delete, _duplicate, _reverse_
 def mutated_ring(rng: random.Random) -> list:
     slabs = rng.randint(1, 8)
     p = px.random_monotone(slabs, rng.randint(2, 8), rng.randint(1, 4), rng.randrange(10**6))
-    ring = list(p.input_vertices)
+    ring = list(p.vertices)
     if rng.random() < 0.3:
         ring = notched(ring, depth=rng.choice((1, 1, 2, 3, 3 * slabs)))
     for _ in range(rng.choice((0, 1, 1, 2, 3))):
@@ -206,7 +206,7 @@ def test_touches_matches_reference_on_large_rings(monkeypatch, slabs, seeds):
     rings = []
     for seed in seeds:
         rng = random.Random(seed)
-        base = list(px.random_monotone(slabs, 20, 4, seed).input_vertices)
+        base = list(px.random_monotone(slabs, 20, 4, seed).vertices)
         rings += [notched(base), notched(base, depth=3 * slabs)]
         for _ in range(6):
             ring = notched(base, depth=rng.choice((1, 2, 3))) if rng.random() < 0.5 else base
@@ -244,13 +244,13 @@ def differential_rings() -> list:
     rings = [mutated_ring(random.Random(seed)) for seed in range(20_000)]
     for i, p in px.corpus(2_000):
         rng = random.Random(i)
-        ring = list(p.input_vertices)
+        ring = list(p.vertices)
         start = rng.randrange(len(ring))
         ring = ring[start:] + ring[:start]
         rings.append(ring[::-1] if rng.random() < 0.5 else ring)
     for slabs, seeds in ((40, range(5)), (400, range(2)), (3000, range(1))):
         for seed in seeds:
-            base = list(px.random_monotone(slabs, 20, 4, seed).input_vertices)
+            base = list(px.random_monotone(slabs, 20, 4, seed).vertices)
             for ring in (base, notched(base), notched(base, depth=3), notched(base, depth=3 * slabs)):
                 rings += [ring, ring[::-1], ring[5:] + ring[:5]]
     return rings
@@ -305,6 +305,22 @@ RECT = [(0, 0), (6, 0), (6, 3), (0, 3)]
 )
 def test_fast_paths_match_reference(ring):
     assert outcome(validate, ring) == outcome(reference_validate, ring)
+
+
+@pytest.mark.parametrize(
+    "ring, index",
+    [
+        pytest.param([1, 2, 3, 4], 0, id="flat-ints"),
+        pytest.param([(0, 0), 6, (6, 3), (0, 3)], 1, id="int-among-pairs"),
+        pytest.param([(0, 0), (6, 0), (6, 3), None], 3, id="none-last"),
+        pytest.param([(0, 0, 0), 6, (6, 3), (0, 3)], 0, id="3-tuple-first"),
+    ],
+)
+def test_vertex_that_is_not_iterable_is_non_integer(ring, index):
+    # The same typed error as a 3-tuple vertex gets, not a TypeError, and
+    # for the first offender.
+    want = ("non-integer", index, f"vertex {index} is not an integer pair")
+    assert diagnosis(validate, ring) == want
 
 
 def test_parse_polygon_reads_mixed_int_and_float_coordinates_as_before():

@@ -12,7 +12,8 @@ from polytx import (
     edge_aligned_candidates,
     vis_region,
 )
-from polytx.visibility import family_bits, segments_cover
+from polytx.candidates import edge_aligned_family, member_transmitter
+from polytx.visibility import member_bits, segments_cover
 
 from oracles import (
     cell_area,
@@ -295,9 +296,10 @@ def test_inside_mask_between_matches_percolumn_reference(polys, small_corpus):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_family_bits_match_vis_region_on_the_plain_grid(k):
+def test_member_bits_match_vis_region_on_the_plain_grid(k):
     # The exact solver's grid-free bitsets, cell for cell, against one
-    # vis_region per family member on build_grid's (slab, band) cells.
+    # vis_region per family member (its Transmitter view) on build_grid's
+    # (slab, band) cells.
     shapes = [px.fixture(name) for name in px.FIXTURES]
     shapes += [p for _, p in px.corpus(200)]
     shapes += [
@@ -307,8 +309,9 @@ def test_family_bits_match_vis_region_on_the_plain_grid(k):
     ]
     for p in shapes:
         prof = p.profile
-        family = edge_aligned_candidates(prof)
+        family = edge_aligned_family(prof)
         grid = build_grid(prof)
-        bits, inside = family_bits(prof, family, k)
-        assert bits == [vis_region(t, k, grid).bits for t in family]
+        bits, inside = member_bits(prof, family, k)
+        view = [member_transmitter(prof, m) for m in family]
+        assert bits == [vis_region(t, k, grid).bits for t in view]
         assert inside == grid.inside_mask
