@@ -5,7 +5,9 @@ polygon.  Both return at most two segments that cover everything up to some
 cut line; the better step (further cut, then fewer segments) is kept and the
 covered prefix is discarded.  At most two segments per iteration against at
 least one in any optimal cover gives the factor-2 guarantee.  Cuts are
-breakpoint indices: cut c is the line ``prof.xs[c]``.
+breakpoint indices: cut c is the line ``prof.xs[c]``, and the finders'
+segments are members in ``candidates.edge_aligned_family``'s index form;
+only the answer's members become Transmitters.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .candidates import HORIZONTAL, SegmentSet, Transmitter, canonical, maximal_vertical
+from .candidates import HORIZONTAL, VERTICAL, Member, SegmentSet, member_transmitter
 from .geometry import OrthoPolygon, SlabProfile
 from .visibility import segments_cover
 
 # Not called here: bench/spans.py traces these names in this module's namespace.
-from .candidates import edge_aligned_candidates  # noqa: F401
+from .candidates import canonical, edge_aligned_candidates  # noqa: F401
 from .geometry import build_grid, cut_right  # noqa: F401
 from .visibility import vis_region  # noqa: F401
 
@@ -29,14 +31,22 @@ from .visibility import vis_region  # noqa: F401
 class FinderResult:
     """One finder step: one or two segments and the cut, the index of the
     rightmost breakpoint with nothing uncovered left of it; the sweep is
-    done when the cut is the last breakpoint, ``len(prof.spans)``."""
+    done when the cut is the last breakpoint, ``len(prof.spans)``.
 
-    first: Transmitter
-    second: Transmitter | None
+    The segments are index-form members, as ``edge_aligned_family`` gives
+    them: a vertical is ``(VERTICAL, j, band_lo, band_hi)``, the whole
+    cross-section at breakpoint j; a horizontal is ``(HORIZONTAL, r,
+    start, end)``, a run on ordinate ``edge_ordinates[r]`` between
+    breakpoints start and end.  ``candidates.member_transmitter`` turns
+    one into its Transmitter."""
+
+    first: Member
+    second: Member | None
     cut: int
 
     @property
-    def transmitters(self) -> SegmentSet:
+    def transmitters(self) -> tuple[Member, ...]:
+        """The step's one or two segments, first first."""
         if self.second is None:
             return (self.first,)
         return (self.first, self.second)
@@ -94,18 +104,21 @@ class SweepTables:
 
     Every entry and cut is a slab index: column c is slab c, between
     ``prof.xs[c]`` and ``prof.xs[c + 1]``, and cut c is the line at
-    ``prof.xs[c]``.  Of the edge-aligned family it answers for:
+    ``prof.xs[c]``; every segment it gives is a member in
+    ``edge_aligned_family``'s index form, never a Transmitter.  Of the
+    edge-aligned family it answers for:
 
-    - the vertical at ``prof.xs[j]`` (built by ``maximal_vertical``) and,
+    - the vertical at ``prof.xs[j]`` (its member, :meth:`vertical`) and,
       for j >= 1, three columns holding inside cells its k=2 region misses
       (:meth:`misses`): ``reach`` is one past the rightmost such column
       left of j, or 0, so the vertical sees every inside cell of columns
       col .. j-1 exactly when ``reach <= col``; ``miss_lo`` and ``miss_hi``
       are the first and last such column >= j, or None.  They are never
       asked for at j = 0 (the vertical at ``xs[1]`` always beats it).
-    - the maximal horizontal runs, found by walking the slab spans
-      (:meth:`furthest_run`).  A run's region is the inside cells of the
-      columns it spans (full-column property, see :mod:`polytx.visibility`).
+    - the maximal horizontal runs, found by walking the slabs' spans in
+      band indices (:meth:`furthest_run`).  A run's region is the inside
+      cells of the columns it spans (full-column property, see
+      :mod:`polytx.visibility`).
 
     A vertical misses every inside cell of a row outside its cross-section,
     which the nearest slabs whose span leaves the section give.  Those
@@ -124,7 +137,7 @@ class SweepTables:
 
     def __init__(self, prof: SlabProfile):
         self.prof = prof
-        spans, rows = prof.spans, prof.row_walls
+        spans, rows = prof.span_bands, prof.row_walls
         tops = [hi for _, hi in spans]
         downs = [-lo for lo, _ in spans]
         up_before, self._up_after = _nearest_greater(tops)
@@ -134,7 +147,8 @@ class SweepTables:
         self._end_below = [-1, *accumulate(ends, max)]
         self._end_above = [*accumulate(reversed(ends), max)][::-1] + [-1]
         # Per vertical j >= 1, of the two slabs its section joins (a = b at
-        # the right edge), the one holding the section's top (bottom).
+        # the right edge), the one holding the section's top (bottom).  Band
+        # indices order like the ordinates, so the comparisons are the same.
         self._top, self._bottom, self.bound = [0], [0], [0]
         for a in range(len(spans)):
             b = a + 1 if a + 1 < len(spans) else a
@@ -179,6 +193,13 @@ class SweepTables:
             return reach, first, last
         return reach, None, None
 
+    def vertical(self, j: int) -> Member:
+        """The member of the vertical at breakpoint j >= 1: the whole
+        cross-section, from its bottom slab's lowest band to its top
+        slab's highest."""
+        bands = self.prof.span_bands
+        return (VERTICAL, j, bands[self._bottom[j]][0], bands[self._top[j]][1])
+
     def rightmost_vertical(self, c: int, col: int) -> int:
         """The largest j > c whose vertical sees every inside cell of
         columns col .. j-1.  A vertical whose bound rules it out is not
@@ -189,17 +210,18 @@ class SweepTables:
                 return j
         raise ValueError(f"no usable vertical right of x={self.prof.xs[c]}")
 
-    def furthest_run(self, c: int, ix: int) -> tuple[Transmitter, int]:
+    def furthest_run(self, c: int, ix: int) -> Member:
         """Among the runs of the remainder at column c <= ix over column
         ix < len(prof.spans), the one reaching furthest right (ties: lowest
-        line), clipped to the cut, and its end column.
+        line), clipped to the cut: ``(HORIZONTAL, r, start, end)``.
 
         Walking right from ix, the lines whose run still goes on are the
-        intersection of the spans passed; the run ends at the first slab
-        that empties it, and its line is the intersection's bottom, the
-        lowest edge ordinate left.  Walking back left to c finds its start.
+        intersection of the spans passed, in band indices; the run ends at
+        the first slab that empties it, and its line is the intersection's
+        bottom, the lowest edge ordinate left.  Walking back left to c
+        finds its start.
         """
-        spans = self.prof.spans
+        spans = self.prof.span_bands
         y, top = spans[ix]
         end = ix + 1
         while end < len(spans):
@@ -214,23 +236,28 @@ class SweepTables:
         start = ix
         while start > c and spans[start - 1][0] <= y <= spans[start - 1][1]:
             start -= 1
-        xs = self.prof.xs
-        return Transmitter(HORIZONTAL, y, (xs[start], xs[end])), end
+        return (HORIZONTAL, y, start, end)
 
 
 def _nearest_greater(values: Sequence[int]) -> tuple[list[int], list[int]]:
     """Per index i, the nearest index before i and the nearest after i whose
-    value is strictly greater than values[i]; -1 and len(values) if none."""
+    value is strictly greater than values[i]; -1 and len(values) if none.
+
+    One pass with a stack of non-increasing values: i pops the smaller ones,
+    which is where their nearest greater after lies.  Everything between
+    the new top and i is smaller than values[i], so the top is i's nearest
+    greater before, unless it ties, when the top's own answer is i's.
+    """
     n = len(values)
     before, after = [-1] * n, [n] * n
-    for order, out in ((range(n), before), (range(n - 1, -1, -1), after)):
-        stack: list[int] = []
-        for i in order:
-            while stack and values[stack[-1]] <= values[i]:
-                stack.pop()
-            if stack:
-                out[i] = stack[-1]
-            stack.append(i)
+    stack: list[int] = []
+    for i, v in enumerate(values):
+        while stack and values[stack[-1]] < v:
+            after[stack.pop()] = i
+        if stack:
+            top = stack[-1]
+            before[i] = before[top] if values[top] == v else top
+        stack.append(i)
     return before, after
 
 
@@ -246,12 +273,13 @@ def vh_finder(sweep: SweepTables, c: int) -> FinderResult:
     if not 0 <= c <= n:
         raise ValueError(f"cut column {c} is outside 0 .. {n}")
     j = sweep.rightmost_vertical(c, c)
-    s_v = maximal_vertical(sweep.prof, sweep.prof.xs[j])
+    s_v = sweep.vertical(j)
     _, first, last = sweep.misses(j)
     if first is None:
         return FinderResult(s_v, None, n)
     # c <= first < len(prof.spans), so there is always a run over it
-    s_h, end = sweep.furthest_run(c, first)
+    s_h = sweep.furthest_run(c, first)
+    end = s_h[3]
     # the vertical's misses lie in columns miss_lo .. miss_hi; a run covers whole columns
     return FinderResult(s_v, s_h, n if last < end else end)
 
@@ -269,15 +297,15 @@ def hv_finder(sweep: SweepTables, c: int) -> FinderResult:
         raise ValueError(f"cut column {c} is outside 0 .. {n}")
     if c == n:
         raise ValueError("no left-anchored horizontal candidate")
-    s_h, end = sweep.furthest_run(c, c)
+    s_h = sweep.furthest_run(c, c)
+    end = s_h[3]
     # every column holds an inside cell: the run covers the rest iff it
     # ends on the last breakpoint
     if end == n:
         return FinderResult(s_h, None, n)
     j = sweep.rightmost_vertical(c, end)
-    s_v = maximal_vertical(sweep.prof, sweep.prof.xs[j])
     _, first, _ = sweep.misses(j)
-    return FinderResult(s_h, s_v, n if first is None else first)
+    return FinderResult(s_h, sweep.vertical(j), n if first is None else first)
 
 
 def _better(a: FinderResult, b: FinderResult) -> FinderResult:
@@ -299,24 +327,29 @@ def approximate_2transmitters(p: OrthoPolygon) -> Solution:
     maximal on the remainder; a round costs one integer test per vertical
     it passes, a row scan for each vertical whose bound lets it through
     (once per solve), and a walk over the slabs of the runs it reads.  No
-    cell grid, bitset or remainder profile is built.  Coverage of the
+    cell grid, bitset or remainder profile is built.  The finders return
+    index-form members; the chosen ones are deduplicated and sorted in
+    canonical order (indices order like coordinates), and only those
+    become Transmitters (``member_transmitter``).  Coverage of the
     original polygon is re-verified at the end rather than inferred from
     the loop.  Raises RuntimeError when a round fails to advance the cut or
     the round and size bounds behind the factor-2 guarantee are broken.
     """
     prof = p.profile
     sweep = SweepTables(prof)
-    chosen: list[Transmitter] = []
+    chosen: set[Member] = set()
     c = iterations = 0
     while c < len(prof.spans):
         step = _better(vh_finder(sweep, c), hv_finder(sweep, c))
-        chosen.extend(step.transmitters)
+        chosen.update(step.transmitters)
         iterations += 1
         # Not an assert: python -O strips those, and a stalled cut loops forever.
         if step.cut <= c:
             raise RuntimeError(f"cut at x={prof.xs[step.cut]} does not advance past x={prof.xs[c]}")
         c = step.cut
-    transmitters = canonical(chosen)
+    # Canonical order: verticals first, then line and ends.
+    members = sorted(chosen, key=lambda m: (m[0] == HORIZONTAL, m[1:]))
+    transmitters = tuple(member_transmitter(prof, m) for m in members)
     if len(transmitters) > 2 * iterations:
         raise RuntimeError(f"{len(transmitters)} transmitters from {iterations} rounds")
     if iterations > p.m:

@@ -1,7 +1,6 @@
 import pytest
 
 import polytx as px
-from polytx.candidates import maximal_vertical
 
 FIXTURE_NAMES = ("RECT", "VALLEY", "STAIR3", "STAIR6", "GAP7")
 
@@ -28,7 +27,8 @@ def stalled_finders(monkeypatch):
     """Both greedy finders return a round whose cut stays on the left edge."""
 
     def stalled(sweep, c):
-        return px.FinderResult(maximal_vertical(sweep.prof, sweep.prof.x_min), None, c)
+        # the member of the vertical at the left edge, breakpoint 0
+        return px.FinderResult(("v", 0, *sweep.prof.span_bands[0]), None, c)
 
     monkeypatch.setattr(px.approx, "vh_finder", stalled)
     monkeypatch.setattr(px.approx, "hv_finder", stalled)

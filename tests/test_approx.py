@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,13 @@ from polytx import (
     hv_finder,
     vh_finder,
 )
-from polytx.candidates import edge_aligned_candidates, maximal_vertical
+from polytx.approx import _nearest_greater
+from polytx.candidates import (
+    edge_aligned_candidates,
+    maximal_vertical,
+    member_transmitter,
+    segment_inside,
+)
 from polytx.visibility import segments_cover
 
 from oracles import (
@@ -59,16 +66,18 @@ def off_family(p, rng: random.Random) -> tuple[Transmitter, ...]:
     )
 
 
-def with_cut_x(prof, r):
-    """r with its cut read back as the line prof.xs[r.cut], the x-coordinate
-    the reference finders report."""
-    return replace(r, cut=prof.xs[r.cut])
+def as_reference(prof, r):
+    """r in the form the reference finders report: its members as the
+    Transmitters they stand for (member_transmitter) and its cut as the line
+    prof.xs[r.cut]."""
+    second = None if r.second is None else member_transmitter(prof, r.second)
+    return replace(r, first=member_transmitter(prof, r.first), second=second, cut=prof.xs[r.cut])
 
 
 def finders_for(p):
-    """Both finders' first round on p, from column 0, cuts as x-coordinates."""
+    """Both finders' first round on p, from column 0, in reference form."""
     sweep = SweepTables(p.profile)
-    return with_cut_x(p.profile, vh_finder(sweep, 0)), with_cut_x(p.profile, hv_finder(sweep, 0))
+    return as_reference(p.profile, vh_finder(sweep, 0)), as_reference(p.profile, hv_finder(sweep, 0))
 
 
 class TestFinders:
@@ -104,12 +113,38 @@ class TestFinders:
         assert hv.cut == 14
 
     def test_result_shape(self, polys):
-        vh, _ = finders_for(polys["STAIR6"])
+        # Members in edge_aligned_family's index form; STAIR6's ordinates
+        # are 0 .. 7, so its band indices equal its y-coordinates.
+        sweep = SweepTables(polys["STAIR6"].profile)
+        vh = vh_finder(sweep, 0)
+        assert (vh.first, vh.second, vh.cut) == (("v", 1, 0, 3), ("h", 4, 2, 5), 5)
         assert vh.transmitters == (vh.first, vh.second)
         assert vh.count == 2
-        single, _ = finders_for(polys["RECT"])
+        single = vh_finder(SweepTables(polys["RECT"].profile), 0)
+        assert (single.first, single.second) == (("v", 1, 0, 1), None)
         assert single.transmitters == (single.first,)
         assert single.count == 1
+
+    @pytest.mark.parametrize("shapes", ["fixtures+corpus", "random"])
+    def test_members_lie_inside(self, polys, shapes):
+        # Every member a finder returns, at every cut, stands for a segment
+        # inside P, and a vertical spans the whole cross-section on its line.
+        if shapes == "random":
+            todo = [px.random_monotone(40, h, w, seed=0) for h, w in ((20, 4), (8, 4), (300, 1))]
+        else:
+            todo = list(polys.values()) + [p for _, p in px.corpus(300)]
+        for p in todo:
+            prof = p.profile
+            sweep = SweepTables(prof)
+            for c in range(len(prof.spans)):
+                for r in (vh_finder(sweep, c), hv_finder(sweep, c)):
+                    for m in r.transmitters:
+                        s = member_transmitter(prof, m)
+                        assert segment_inside(prof, s), (c, m)
+                        if m[0] == "v":
+                            assert s.span == prof.cross_section(prof.xs[m[1]])
+                        else:
+                            assert prof.xs[c] <= s.span[0]
 
     def test_empty_remainder_rejected(self, polys):
         # right of the last breakpoint there is nothing to cover and no candidate
@@ -161,7 +196,7 @@ class TestFinders:
                 current = cut_right(prof, cut)
                 cands = edge_aligned_candidates(current)
                 tables = finder_tables(current, cands)
-                vh, hv = with_cut_x(prof, vh_finder(sweep, c)), with_cut_x(prof, hv_finder(sweep, c))
+                vh, hv = as_reference(prof, vh_finder(sweep, c)), as_reference(prof, hv_finder(sweep, c))
                 assert vh == reference_vh_finder(current, cands, **tables)
                 assert hv == reference_hv_finder(current, cands, **tables)
 
@@ -366,7 +401,42 @@ class TestSweep:
                         key=lambda run: (run[2], -run[0]),
                     )
                     run = Transmitter("h", y, (max(lo, xs[c]), hi))
-                    assert sweep.furthest_run(c, ix) == (run, xs.index(hi))
+                    member = sweep.furthest_run(c, ix)
+                    assert member_transmitter(prof, member) == run
+                    assert member[3] == xs.index(hi)
+
+    def test_nearest_greater_exhaustive(self):
+        # Every sequence of length <= 7 over {0, 1, 2}: ties are where the
+        # one-pass stack has to borrow the tied top's answer.
+        for n in range(8):
+            for values in product(range(3), repeat=n):
+                before = [
+                    next((j for j in range(i - 1, -1, -1) if values[j] > v), -1)
+                    for i, v in enumerate(values)
+                ]
+                after = [
+                    next((j for j in range(i + 1, n) if values[j] > v), n)
+                    for i, v in enumerate(values)
+                ]
+                assert _nearest_greater(values) == (before, after), values
+
+    @pytest.mark.parametrize("name", ["STAIR6", "GAP7", "random400"])
+    def test_only_the_answer_becomes_transmitters(self, monkeypatch, name):
+        # The finders work in index-form members; a Transmitter is made
+        # once per segment of the answer, after the loop.
+        p = px.random_monotone(400, 20, 4, seed=1) if name == "random400" else px.fixture(name)
+        calls = Counter()
+        convert = px.approx.member_transmitter
+
+        def counted(prof, m):
+            calls[m] += 1
+            return convert(prof, m)
+
+        monkeypatch.setattr(px.approx, "member_transmitter", counted)
+        sol = approximate_2transmitters(p)
+        assert sol.coverage_complete
+        assert sum(calls.values()) == sol.count
+        assert set(calls.values()) == {1}
 
 
 class TestSolution:
