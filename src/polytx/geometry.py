@@ -32,12 +32,6 @@ Span = tuple[int, int]
 Edge = tuple[int, int, int, int]  # (line, lo, hi, index), see _axis_edges
 
 
-def _shoelace2(xs: list[int], ys: list[int]) -> int:
-    """Twice the signed area of the ring with these vertex coordinates
-    (positive for counter-clockwise)."""
-    return sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys))
-
-
 @dataclass(frozen=True)
 class SlabProfile:
     """Step-function form of an x-monotone orthogonal polygon.
@@ -223,6 +217,32 @@ class OrthoPolygon:
         return f"OrthoPolygon({len(self.vertices)} vertices, xs={xs}, spans={spans})"
 
 
+def _alternates(xs: list[int], ys: list[int]) -> bool:
+    """Whether the ring with these vertex coordinates has an even number of
+    at least 4 vertices and edges that alternate between the axes, none of
+    zero length.  Such a ring has no collinear vertex and no spike."""
+    if len(xs) < 4:
+        return False
+    # u is the coordinate that the even edges keep, w the one the odd edges
+    # keep; edge i runs from vertex i to vertex i + 1.
+    u, w = (ys, xs) if ys[0] == ys[1] else (xs, ys)
+    return (
+        u[::2] == u[1::2]
+        and w[1::2] == w[2::2] + w[:1]
+        and all(map(ne, w[::2], w[1::2]))
+        and all(map(ne, u[1::2], u[2::2] + u[:1]))
+    )
+
+
+def _area(xs: list[int], ys: list[int]) -> int:
+    """Signed area of a ring whose edges alternate between the axes
+    (positive for counter-clockwise): the sum of y * (x_i - x_{i+1}) over
+    its horizontal edges, which is half the shoelace sum."""
+    if ys[0] == ys[1]:  # the even edges are the horizontal ones
+        return sum(map(mul, ys[::2], map(sub, xs[::2], xs[1::2])))
+    return sum(map(mul, ys[1::2], map(sub, xs[1::2], xs[2::2] + xs[:1])))
+
+
 def _merge_collinear(xs: list[int], ys: list[int], horizontal: list[bool]) -> list[bool]:
     """Which vertices turn: the others are interior to straight runs and are
     dropped.  ``horizontal[i]`` tells whether edge i, leaving vertex i, is
@@ -315,9 +335,9 @@ def _check_simple(hs: list[Edge], vs: list[Edge]) -> None:
     raise InvalidPolygonError("self-intersecting", message, i)
 
 
-def _slab_stack(ring: list[Point]) -> SlabProfile:
-    """Slab decomposition of a merged counter-clockwise ring with no repeated
-    vertex, or InvalidPolygonError.
+def _slab_stack(xs: list[int], ys: list[int]) -> SlabProfile:
+    """Slab decomposition of the merged counter-clockwise ring with these
+    vertex coordinates and no repeated vertex, or InvalidPolygonError.
 
     The ring is read as its two x-monotone chains.  It must leave its least
     vertex along a horizontal edge; from there the bottom chain runs with x
@@ -336,27 +356,36 @@ def _slab_stack(ring: list[Point]) -> SlabProfile:
     in SlabProfile.  Then the contact sweep (:func:`_check_simple`) names a
     self-intersection, or else :func:`_slab_scan` the not-monotone fault;
     both read one pass over the edges.
+
+    The walk reads the coordinate lists, sliced from the least vertex (the
+    lowest of those on x_min); only a rejected ring is paired into points
+    for the sweep and the scan.
     """
-    start = ring.index(min(ring))
-    walk = ring[start:] + ring[:start]
-    xs = [x for x, _ in walk]
-    k = xs.index(max(xs))  # where the bottom chain ends
-    if xs[0] != xs[1] and all(map(le, xs[:k], xs[1 : k + 1])) and all(map(ge, xs[k:], xs[k + 1 :])):
-        ys = [y for _, y in walk]
+    x0 = min(xs)
+    start = i = xs.index(x0)
+    for _ in range(xs.count(x0) - 1):
+        i = xs.index(x0, i + 1)
+        if ys[i] < ys[start]:
+            start = i
+    wx = xs[start:] + xs[:start]
+    k = wx.index(max(wx))  # where the bottom chain ends
+    if wx[0] != wx[1] and all(map(le, wx[:k], wx[1 : k + 1])) and all(map(ge, wx[k:], wx[k + 1 :])):
+        wy = ys[start:] + ys[:start]
         # Horizontal edges are the even ones: 0, 2 .. k - 1 on the bottom
         # chain, and n - 2, n - 4 .. k + 1 on the top chain read from x_min.
         # Left to right, a chain's breakpoints are the left end of its first
         # horizontal and the right end of each.
         breaks = sorted(set(xs))
         col = dict(zip(breaks, count()))
-        bottom = _steps([*xs[0:k:2], xs[k]], ys[0:k:2], col)
-        top = _steps([xs[-1], *xs[-2:k:-2]], ys[-2:k:-2], col)
+        bottom = _steps([*wx[0:k:2], wx[k]], wy[0:k:2], col)
+        top = _steps([wx[-1], *wx[-2:k:-2]], wy[-2:k:-2], col)
         try:
             return SlabProfile(tuple(breaks), tuple(zip(bottom, top)))
         except ValueError:
             pass
     # A self-intersecting ring is reported as such, even when it also fails
     # as a slab stack.
+    ring = list(zip(xs, ys))
     hs, vs = _axis_edges(ring)
     _check_simple(hs, vs)
     raise _slab_scan(ring, hs)
@@ -410,12 +439,15 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     vertex index otherwise.
 
     The per-vertex checks run on the whole ring at once and fall back to a
-    loop only to name the first offender.  An accepted ring becomes a profile
-    in one walk along its two x-monotone chains (:func:`_slab_stack`).  A
-    ring that walk rejects is swept once for edge contact
-    (:func:`_check_simple`), which also names the first touching pair, and
-    otherwise scanned slab by slab (:func:`_slab_scan`) to name the
-    not-monotone fault.  Every input is decided in O(n log n) comparisons
+    loop only to name the first offender.  So do the edge checks: a ring
+    whose edges alternate between the axes, none of zero length, passes
+    them on slices of its coordinate lists (:func:`_alternates`), and only
+    another ring is checked edge by edge and merged.  An accepted ring
+    becomes a profile in one walk along its two x-monotone chains
+    (:func:`_slab_stack`).  A ring that walk rejects is swept once for edge
+    contact (:func:`_check_simple`), which also names the first touching
+    pair, and otherwise scanned slab by slab (:func:`_slab_scan`) to name
+    the not-monotone fault.  Every input is decided in O(n log n) comparisons
     (the sweep's list insertions are memmoves).
     """
     ring = iter(vertices)  # a ring that is not iterable stays a TypeError
@@ -444,26 +476,34 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
 
 def _validate_coords(flat: list[int]) -> OrthoPolygon:
     """validate after its per-vertex checks: flat holds the ring's
-    coordinates x0, y0, x1, y1, ..., each an integer within the limit."""
+    coordinates x0, y0, x1, y1, ..., each an integer within the limit.
+
+    The ring is first judged whole, on slices of its coordinate lists
+    (:func:`_alternates`).  A ring that passes has nothing to merge and no
+    edge to name, so only a ring that fails builds the per-edge lists, to
+    name its first zero-length or diagonal edge or to merge its collinear
+    runs (:func:`_merge_collinear`).  Then the duplicate check, the
+    orientation (:func:`_area`) and the chain walk (:func:`_slab_stack`)
+    read the merged lists.
+    """
     if len(flat) > 2 and flat[:2] == flat[-2:]:
         del flat[-2:]
     xs, ys = flat[::2], flat[1::2]
-    n = len(xs)
-    vertical = list(map(eq, xs, xs[1:] + xs[:1]))  # edge i leaves vertex i
-    horizontal = list(map(eq, ys, ys[1:] + ys[:1]))
-    if any(map(and_, vertical, horizontal)):
-        i = list(map(and_, vertical, horizontal)).index(True)
-        raise InvalidPolygonError("degenerate-edge", f"zero-length edge at vertex {i}", i)
-    if not all(map(or_, vertical, horizontal)):
-        i = list(map(or_, vertical, horizontal)).index(False)
-        raise InvalidPolygonError("non-orthogonal", f"edge from vertex {i} is not axis-parallel", i)
-    if n < 4:
-        raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {n}")
-
-    turns = _merge_collinear(xs, ys, horizontal)
-    xs, ys = list(compress(xs, turns)), list(compress(ys, turns))
-    if len(xs) < 4:
-        raise InvalidPolygonError("degenerate-edge", "polygon collapses after merging collinear runs")
+    if not _alternates(xs, ys):
+        vertical = list(map(eq, xs, xs[1:] + xs[:1]))  # edge i leaves vertex i
+        horizontal = list(map(eq, ys, ys[1:] + ys[:1]))
+        if any(map(and_, vertical, horizontal)):
+            i = list(map(and_, vertical, horizontal)).index(True)
+            raise InvalidPolygonError("degenerate-edge", f"zero-length edge at vertex {i}", i)
+        if not all(map(or_, vertical, horizontal)):
+            i = list(map(or_, vertical, horizontal)).index(False)
+            raise InvalidPolygonError("non-orthogonal", f"edge from vertex {i} is not axis-parallel", i)
+        if len(xs) < 4:
+            raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {len(xs)}")
+        turns = _merge_collinear(xs, ys, horizontal)
+        xs, ys = list(compress(xs, turns)), list(compress(ys, turns))
+        if len(xs) < 4:
+            raise InvalidPolygonError("degenerate-edge", "polygon collapses after merging collinear runs")
     ring: list[Point] = list(zip(xs, ys))
 
     if len(set(ring)) < len(ring):
@@ -475,17 +515,19 @@ def _validate_coords(flat: list[int]) -> OrthoPolygon:
                 )
             seen[pt] = i
 
-    area2 = _shoelace2(xs, ys)
-    if area2 == 0:
+    area = _area(xs, ys)
+    if area == 0:
         raise InvalidPolygonError("self-intersecting", "ring encloses zero area")
-    if area2 < 0:
+    if area < 0:
         ring.reverse()
+        xs.reverse()
+        ys.reverse()
 
     # _slab_stack raises only InvalidPolygonError (a ValueError subclass);
     # should a plain ValueError ever escape it, it still ends as a typed
     # not-monotone rejection.
     try:
-        profile = _slab_stack(ring)
+        profile = _slab_stack(xs, ys)
     except InvalidPolygonError:
         raise
     except ValueError as exc:
@@ -510,19 +552,10 @@ def parse_polygon(text: str) -> OrthoPolygon:
         set(map(type, verts)) <= {list} and set(map(len, verts)) <= {2}
     ):
         raise InvalidPolygonError("malformed-json", "vertices must be a list of [x, y] pairs")
-    if len(verts) < 4:
-        # A 3-point ring can still expose a diagonal edge; report that first.
-        for i in range(len(verts)):
-            (x1, y1), (x2, y2) = verts[i], verts[(i + 1) % len(verts)]
-            if x1 != x2 and y1 != y2:
-                raise InvalidPolygonError(
-                    "non-orthogonal", f"edge from vertex {i} is not axis-parallel", i
-                )
-        raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {len(verts)}")
     flat = list(chain.from_iterable(verts))
     if set(map(type, flat)) <= {int}:
         # The pairs and types are checked; only the range is left to check.
-        if -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT:
+        if not flat or -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT:
             return _validate_coords(flat)
         return validate(verts)
     try:

@@ -225,7 +225,7 @@ class TestDiagnoses:
     def test_plain_value_error_becomes_not_monotone(self, monkeypatch):
         # No known simple ring makes the scan raise a plain ValueError, but
         # validate's documented error type must hold if one ever does.
-        def scan(ring):
+        def scan(xs, ys):
             raise ValueError("adjacent slab spans must differ")
 
         monkeypatch.setattr(px.geometry, "_slab_stack", scan)

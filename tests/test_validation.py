@@ -18,9 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 import polytx as px
 from polytx import InvalidPolygonError, validate
-from polytx.geometry import COORD_LIMIT, _axis_edges, _check_simple
+from polytx.geometry import COORD_LIMIT, _area, _axis_edges, _check_simple
 
-from oracles import notched, reference_check_simple, reference_slab_scan, reference_validate
+from oracles import (
+    notched,
+    reference_check_simple,
+    reference_merge_collinear,
+    reference_slab_scan,
+    reference_validate,
+    ring_edges,
+    shoelace2,
+)
 
 # Every reason validate itself raises (malformed-json is parse_polygon's).
 VALIDATE_REASONS = {
@@ -154,6 +162,47 @@ def test_mutated_rings_reach_every_reason():
     assert accepted > 100
 
 
+# -- the area from horizontal edges against the shoelace sum -------------------
+
+
+def merged_ring(ring) -> list | None:
+    """ring as oracles.reference_validate merges it, or None when that
+    rejects the ring before it merges (or while it merges)."""
+    pts = [tuple(v) for v in ring]
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    if len(pts) < 4 or not all(type(c) is int for pt in pts for c in pt):
+        return None
+    # Every edge axis-parallel and of nonzero length.
+    if not all((a[0] == b[0]) != (a[1] == b[1]) for a, b in ring_edges(pts)):
+        return None
+    try:
+        merged = reference_merge_collinear(pts)
+    except InvalidPolygonError:
+        return None
+    return merged if len(merged) >= 4 else None
+
+
+def area_matches_shoelace(ring) -> bool:
+    xs, ys = [x for x, _ in ring], [y for _, y in ring]
+    return 2 * _area(xs, ys) == shoelace2(ring)
+
+
+def test_area_is_half_the_shoelace_sum():
+    rings = [merged_ring(mutated_ring(random.Random(seed))) for seed in range(3000)]
+    rings = [r for r in rings if r is not None]
+    assert len(rings) > 1000
+    for _, p in px.corpus(400):
+        ring = list(p.vertices)
+        rings += [ring, ring[::-1], ring[1:] + ring[:1]]
+    # Two unit squares of opposite winding, joined where two edges cross.
+    figure_eight = [(0, 0), (1, 0), (1, 2), (2, 2), (2, 1), (0, 1)]
+    rings += [figure_eight, figure_eight[::-1], figure_eight[1:] + figure_eight[:1]]
+    assert [r for r in rings if not area_matches_shoelace(r)] == []
+    signs = {(shoelace2(r) > 0) - (shoelace2(r) < 0) for r in rings}
+    assert signs == {-1, 0, 1}
+
+
 # -- the contact sweep against the all-pairs reference -------------------------
 
 
@@ -163,9 +212,9 @@ def simplicity_inputs(monkeypatch, rings) -> list:
     seen = []
     scan = px.geometry._slab_stack
 
-    def recording(ring):
-        seen.append(list(ring))
-        return scan(ring)
+    def recording(xs, ys):
+        seen.append(list(zip(xs, ys)))
+        return scan(xs, ys)
 
     monkeypatch.setattr(px.geometry, "_slab_stack", recording)
     for ring in rings:
@@ -226,10 +275,11 @@ def test_touches_matches_reference_on_large_rings(monkeypatch, slabs, seeds):
 # -- the chain walk against the edge-count scan ---------------------------------
 
 
-def scan_only(ring):
+def scan_only(xs, ys):
     """_slab_stack without its chain walk, as validate decided every ring
     before: the accepting edge-count scan, and the contact check when it
     rejects."""
+    ring = list(zip(xs, ys))
     hs, vs = _axis_edges(ring)
     try:
         return reference_slab_scan(ring, hs)
@@ -301,10 +351,35 @@ RECT = [(0, 0), (6, 0), (6, 3), (0, 3)]
         pytest.param([(0, 0)], id="one-vertex"),
         pytest.param([(0, 0), (6, 0), (3, 0), (3, 3), (0, 3)], id="spike"),
         pytest.param([(0, 0), (6, 0), (6, 3), (0, 3), (0, 6), (6, 6), (6, 3), (0, 3)], id="repeat"),
+        pytest.param([(0, 0), (3, 0), (6, 0), (6, 3), (0, 3)], id="collinear-midpoint"),
+        pytest.param([(0, 0), (6, 0), (6, 3), (0, 3), (0, 2)], id="odd-midpoint-on-closing-edge"),
+        pytest.param([(0, 0), (3, 0), (6, 0), (6, 3), (3, 3), (0, 3)], id="even-two-midpoints"),
+        pytest.param([(0, 0), (1, 0), (1, 2), (2, 2), (2, 1), (0, 1)], id="zero-area"),
     ],
 )
 def test_fast_paths_match_reference(ring):
     assert outcome(validate, ring) == outcome(reference_validate, ring)
+
+
+def test_only_rings_that_fail_the_alternation_test_are_merged(monkeypatch):
+    # An alternating ring, read from either parity and closed or not, skips
+    # the per-edge lists and the merge; a ring with a collinear midpoint
+    # takes them.
+    calls = []
+    merge = px.geometry._merge_collinear
+
+    def counting(xs, ys, horizontal):
+        calls.append(len(xs))
+        return merge(xs, ys, horizontal)
+
+    monkeypatch.setattr(px.geometry, "_merge_collinear", counting)
+    for _, p in px.corpus(200):
+        ring = list(p.vertices)
+        for r in (ring, ring[::-1], ring[1:] + ring[:1], ring + ring[:1]):
+            assert validate(r).profile == p.profile
+    assert calls == []
+    assert validate([(0, 0), (3, 0), (6, 0), (6, 3), (0, 3)]).vertices == tuple(RECT)
+    assert calls == [5]
 
 
 @pytest.mark.parametrize(
@@ -343,6 +418,38 @@ def test_parse_polygon_int_coordinates_out_of_range():
         px.parse_polygon('{"vertices": [[0,0],[2000000,0],[2000000,1],[0,1]]}')
     assert (exc.value.reason, exc.value.index) == ("out-of-range", 1)
     assert str(exc.value) == "vertex 1 exceeds |c| <= 1000000"
+
+
+@pytest.mark.parametrize(
+    "vertices, want",
+    [
+        pytest.param(
+            [[0, 0], [0, None], [0, 0]],
+            ("non-integer", None, "coordinate None is not an integer"),
+            id="null",
+        ),
+        pytest.param(
+            [[0, 0], [2000000, 0], [0, 0]],
+            ("out-of-range", 1, "vertex 1 exceeds |c| <= 1000000"),
+            id="out-of-range",
+        ),
+        pytest.param(
+            [[0, 0], [0, 0], [0, 0]],
+            ("degenerate-edge", 0, "zero-length edge at vertex 0"),
+            id="degenerate",
+        ),
+        pytest.param(
+            [[0, 0], [1, "a"], [2, 2]],
+            ("non-integer", None, "coordinate 'a' is not an integer"),
+            id="string",
+        ),
+    ],
+)
+def test_parse_polygon_short_ring_takes_validates_checks(vertices, want):
+    # A ring of fewer than four vertices gets the same reason from
+    # parse_polygon as from validate, not too-few-vertices ahead of it.
+    assert diagnosis(px.parse_polygon, json.dumps({"vertices": vertices})) == want
+    assert diagnosis(validate, vertices)[0] == want[0]
 
 
 # -- parse_polygon: any JSON document ends in a polygon or a typed error ------
@@ -400,6 +507,13 @@ def _document(draw) -> str:
     if draw(st.integers(0, 9)) == 0:
         return json.dumps(draw(_json_value))
     return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_orthogonal_walk())
+def test_parse_polygon_judges_int_walks_as_validate(vertices):
+    text = json.dumps({"vertices": vertices})
+    assert outcome(px.parse_polygon, text) == outcome(validate, vertices)
 
 
 def _parses_or_rejects(text: str) -> None:
