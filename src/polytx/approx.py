@@ -83,7 +83,9 @@ class Solution:
         Coverage is never trusted from the solver that produced the set: the
         union of the transmitters' k-visibility regions is compared against
         the whole polygon, band by band (:func:`~polytx.visibility.segments_cover`),
-        from the polygon and the transmitters alone.
+        from the polygon and the transmitters alone.  Every transmitter must
+        also lie in the closed polygon; one that leaves it makes
+        ``coverage_complete`` False.
         """
         covered = segments_cover(polygon.profile, transmitters, k)
         return Solution(transmitters, k, solver, iterations, covered)

@@ -15,6 +15,7 @@ indices from the profile's ``span_bands``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
@@ -73,11 +74,14 @@ def canonical(segments: Iterable[Transmitter]) -> SegmentSet:
 
 
 def segment_inside(prof: SlabProfile, s: Transmitter) -> bool:
-    """Whether the segment lies in the closed polygon."""
+    """Whether the segment lies in the closed polygon: a vertical within the
+    cross-section at its line, a horizontal on slabs that all hold its
+    ordinate (:meth:`~polytx.geometry.SlabProfile.slabs_met`).  The
+    library's one containment test, in O(log n) plus the slabs it meets."""
     if s.orientation == VERTICAL:
         section = prof.cross_section(s.anchor)
         return section is not None and section[0] <= s.span[0] and s.span[1] <= section[1]
-    return prof.run_covering(s.anchor, *s.span) is not None
+    return prof.slabs_met(s.anchor, *s.span) is not None
 
 
 def maximal_vertical(prof: SlabProfile, x: int) -> Transmitter:
@@ -112,7 +116,7 @@ def edge_aligned_family(prof: SlabProfile) -> list[Member]:
         for j, a, b, c, d in zip(range(1, n), los, his, los[1:], his[1:])
     ]
     family.append((VERTICAL, n, los[-1], his[-1]))
-    # Each ordinate's runs, as runs_at finds them, in breakpoint indices.
+    # Each ordinate's runs (maximal stretches of slabs holding it), as indices.
     for r in range(len(prof.edge_ordinates)):
         start = None
         for i, (lo, hi) in enumerate(zip(los, his)):
@@ -177,8 +181,11 @@ def prune_dominated(p: OrthoPolygon, k: int = 2) -> SegmentSet:
 
 
 def _nearest(lines: Sequence[int], v: int) -> int:
-    """Closest value in lines; ties resolve to the smaller (left/down)."""
-    return min(lines, key=lambda line: (abs(line - v), line))
+    """Closest value in the sorted lines; ties resolve to the smaller (left/down)."""
+    i = bisect_left(lines, v)
+    if i == len(lines) or i > 0 and v - lines[i - 1] <= lines[i] - v:
+        return lines[i - 1]
+    return lines[i]
 
 
 def canonicalize_solution(
@@ -194,16 +201,14 @@ def canonicalize_solution(
     from .visibility import segments_cover
 
     prof = p.profile
-    vlines = prof.xs
-    hlines = prof.edge_ordinates
     out: list[Transmitter] = []
     for s in sol:
         if not segment_inside(prof, s):
             raise ValueError(f"segment {s} is not inside the closed polygon")
         if s.orientation == VERTICAL:
-            out.append(maximal_vertical(prof, _nearest(vlines, s.anchor)))
+            out.append(maximal_vertical(prof, _nearest(prof.xs, s.anchor)))
         else:
-            y = s.anchor if s.anchor in hlines else _nearest(hlines, s.anchor)
+            y = _nearest(prof.edge_ordinates, s.anchor)
             run = prof.run_covering(y, *s.span)
             if run is None:
                 raise ValueError(f"segment {s} leaves the polygon when slid to y={y}")

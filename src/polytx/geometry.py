@@ -147,27 +147,32 @@ class SlabProfile:
             return (min(a, c), max(b, d))
         return self.spans[i - 1]
 
-    def runs_at(self, y: int) -> tuple[Span, ...]:
-        """Maximal x-intervals the horizontal line at y crosses inside the polygon."""
-        runs: list[Span] = []
-        start = None
-        for i, (lo, hi) in enumerate(self.spans):
-            if lo <= y <= hi:
-                if start is None:
-                    start = self.xs[i]
-            elif start is not None:
-                runs.append((start, self.xs[i]))
-                start = None
-        if start is not None:
-            runs.append((start, self.xs[-1]))
-        return tuple(runs)
+    def slabs_met(self, y: int, x_lo: int, x_hi: int) -> Span | None:
+        """By two bisections, the slabs a .. b - 1 that the open interval
+        (x_lo, x_hi) meets, x_lo <= x_hi, if each holds y (so, for x_lo < x_hi,
+        [x_lo, x_hi] at height y lies in the closed polygon); else None."""
+        xs, spans = self.xs, self.spans
+        a, b = bisect_right(xs, x_lo) - 1, bisect_left(xs, x_hi)
+        if a < 0 or b > len(spans) or a > b:
+            return None
+        for lo, hi in spans[a:b]:
+            if not lo <= y <= hi:
+                return None
+        return a, b
 
     def run_covering(self, y: int, x_lo: int, x_hi: int) -> Span | None:
-        """The maximal run at ordinate y containing the whole interval [x_lo, x_hi]."""
-        for lo, hi in self.runs_at(y):
-            if lo <= x_lo and x_hi <= hi:
-                return (lo, hi)
-        return None
+        """The maximal run at ordinate y containing [x_lo, x_hi] (x_lo <= x_hi),
+        or None.  A run is a maximal stretch of slabs whose spans hold y: the
+        walk out from :meth:`slabs_met` reads only the run's own slabs."""
+        met = self.slabs_met(y, x_lo, x_hi)
+        if met is None:
+            return None
+        (a, b), spans = met, self.spans
+        while a > 0 and spans[a - 1][0] <= y <= spans[a - 1][1]:
+            a -= 1
+        while b < len(spans) and spans[b][0] <= y <= spans[b][1]:
+            b += 1
+        return None if a == b else (self.xs[a], self.xs[b])
 
 
 def profile_to_ring(xs: Sequence[int], spans: Sequence[Span]) -> list[Point]:
@@ -654,19 +659,9 @@ def build_grid(
     extra_x: Iterable[int] = (),
     extra_y: Iterable[int] = (),
 ) -> CellGrid:
-    """Cell grid over prof refined by the given extra cut lines, which must
-    lie inside the bounding box."""
-    ex, ey = checked_cuts(prof, extra_x, extra_y)
-    x_cuts = tuple(sorted(set(prof.xs) | ex))
-    y_cuts = tuple(sorted(ey.union(prof.edge_ordinates)))
-    return CellGrid(prof, x_cuts, y_cuts)
-
-
-def checked_cuts(
-    prof: SlabProfile, extra_x: Iterable[int], extra_y: Iterable[int]
-) -> tuple[set[int], set[int]]:
-    """The extra cut lines as sets, or ValueError for one that is not an int
-    (a bool or a float is not) or lies outside prof's bounding box."""
+    """Cell grid over prof refined by the given extra cut lines, or
+    ValueError for one that is not an int (a bool or a float is not) or
+    lies outside prof's bounding box."""
     ex, ey = set(extra_x), set(extra_y)
     for v in (*ex, *ey):
         if type(v) is not int:
@@ -677,4 +672,6 @@ def checked_cuts(
     for v in ey:
         if not prof.y_min <= v <= prof.y_max:
             raise ValueError(f"extra y-cut {v} outside [{prof.y_min}, {prof.y_max}]")
-    return ex, ey
+    x_cuts = tuple(sorted(ex.union(prof.xs)))
+    y_cuts = tuple(sorted(ey.union(prof.edge_ordinates)))
+    return CellGrid(prof, x_cuts, y_cuts)

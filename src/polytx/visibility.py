@@ -13,7 +13,8 @@ a CellGrid, for ``render --vis`` and the test oracles; the grid may be
 refined with the segment's own coordinates, and each cell is then seen
 whole or not at all.
 :func:`segments_cover` decides whether a set of regions covers the polygon
-from the same rules as x-intervals per row band, with no grid.
+from the same rules as x-intervals per row band, with no grid; a set with a
+segment outside the polygon does not cover it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .candidates import HORIZONTAL, VERTICAL, Member, Transmitter
-from .geometry import CellGrid, SlabProfile, checked_cuts
+from .candidates import HORIZONTAL, VERTICAL, Member, Transmitter, segment_inside
+from .geometry import CellGrid, SlabProfile
 
 
 @dataclass(frozen=True)
@@ -155,22 +156,14 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
     spans, the slabs :func:`reach` gives, as in vis_region and member_bits.
     The bands are the polygon's rows cut at the verticals' span ends, so a
     vertical spans each band whole or not at all.  The polygon is covered
-    when, in every band, each inside interval lies in the union.  Raises
-    ValueError, as the refined grid of :func:`~polytx.geometry.build_grid`
-    does, for a coordinate outside the bounding box.
+    when, in every band, each inside interval lies in the union, and no
+    segment leaves it (:func:`~polytx.candidates.segment_inside`, inside the
+    bounding box or not).  k must be 0, 1 or 2 when there are segments.
     """
-    extra_x: list[int] = []
-    extra_y: list[int] = []
-    for t in segments:
-        if t.orientation == VERTICAL:
-            extra_x.append(t.anchor)
-            extra_y.extend(t.span)
-        else:
-            extra_y.append(t.anchor)
-            extra_x.extend(t.span)
-    checked_cuts(prof, extra_x, extra_y)
     if segments:
         check_k(k)
+    if not all(segment_inside(prof, t) for t in segments):
+        return False
     xs, ys, rows = prof.xs, prof.edge_ordinates, prof.row_walls
     end = len(prof.spans)
     everywhere = sorted(t.span for t in segments if t.orientation == HORIZONTAL)

@@ -37,8 +37,10 @@ package uses internally, so agreement is meaningful.  The exceptions:
   band check: a refined grid and the OR of the regions' bitsets.
 
 The small grid and profile helpers (row_reps, cell_rep, cell_index,
-is_inside, first_cell, cell_area, profile_area, contains_point) are what
-the checks need of a CellGrid or SlabProfile beyond what the solvers use.
+is_inside, first_cell, cell_area, profile_area, contains_point, runs_at)
+are what the checks need of a CellGrid or SlabProfile beyond what the
+solvers use; runs_at, a scan of every slab, is also the reference for
+SlabProfile.run_covering.
 
 Brute force samples each grid cell at its midpoint, which need not be an
 integer.  So a sample point is given at twice its coordinates (row_reps,
@@ -125,6 +127,23 @@ def profile_area(prof: SlabProfile) -> int:
     return sum(
         (x2 - x1) * (hi - lo) for x1, x2, (lo, hi) in zip(prof.xs, prof.xs[1:], prof.spans)
     )
+
+
+def runs_at(prof: SlabProfile, y: int) -> tuple[Span, ...]:
+    """Maximal x-intervals the horizontal line at y crosses inside the
+    polygon, by a scan of every slab."""
+    runs: list[Span] = []
+    start = None
+    for i, (lo, hi) in enumerate(prof.spans):
+        if lo <= y <= hi:
+            if start is None:
+                start = prof.xs[i]
+        elif start is not None:
+            runs.append((start, prof.xs[i]))
+            start = None
+    if start is not None:
+        runs.append((start, prof.xs[-1]))
+    return tuple(runs)
 
 
 def contains_point(prof: SlabProfile, x: int, y: int) -> bool:
@@ -298,10 +317,11 @@ def reference_vertical_edges(prof: SlabProfile) -> tuple[tuple[int, int, int], .
 
 
 def reference_covers(p: OrthoPolygon, transmitters: Sequence[Transmitter], k: int) -> bool:
-    """Solution.build's coverage flag from bitsets: the grid refined with
-    every transmitter coordinate, and the union of the transmitters'
-    vis_region bits compared with the inside cells.  Raises the ValueError
-    build_grid raises for an out-of-box coordinate."""
+    """Solution.build's coverage flag, for transmitters inside the polygon,
+    from bitsets: the grid refined with every transmitter coordinate, and the
+    union of the transmitters' vis_region bits compared with the inside
+    cells.  Raises the ValueError build_grid raises for an out-of-box
+    coordinate."""
     extra_x: list[int] = []
     extra_y: list[int] = []
     for t in transmitters:
@@ -763,7 +783,7 @@ def dense_exact(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
         if section is not None:
             segs.append(Transmitter("v", x, section))
     for y in range(prof.y_min, prof.y_max + 1):
-        for run in prof.runs_at(y):
+        for run in runs_at(prof, y):
             segs.append(Transmitter("h", y, run))
     cands = canonical(segs)
     grid = build_grid(prof, range(prof.x_min, prof.x_max + 1), range(prof.y_min, prof.y_max + 1))

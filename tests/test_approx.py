@@ -1,5 +1,4 @@
 import random
-import re
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -34,10 +33,13 @@ from oracles import (
     covered_area,
     finder_tables,
     oracle_region_bits,
+    point_inside,
     reference_approximate,
     reference_covers,
     reference_hv_finder,
     reference_vh_finder,
+    ring_edges,
+    runs_at,
 )
 
 
@@ -57,13 +59,27 @@ def off_family(p, rng: random.Random) -> tuple[Transmitter, ...]:
 
     x = rng.randrange(prof.x_min, prof.x_max + 1)
     y = rng.randrange(prof.y_min, prof.y_max + 1)
-    run = rng.choice(prof.runs_at(y))
+    run = rng.choice(runs_at(prof, y))
     return (
         Transmitter("v", x, short(*prof.cross_section(x))),
         Transmitter("h", y, short(*run)),
         Transmitter("v", x, short(prof.y_min, prof.y_max)),
         Transmitter("h", y, short(prof.x_min, prof.x_max)),
     )
+
+
+def reference_inside(ring, s: Transmitter) -> bool:
+    """Whether s lies in the closed polygon, decided on the ring, not on the
+    profile: each half-unit point along it is on an edge or, moved a quarter
+    unit off every edge line, inside by point_inside (on the ring doubled)."""
+    ring2 = [(2 * x, 2 * y) for x, y in ring]
+    boxes = [(min(a, c), max(a, c), min(b, d), max(b, d)) for (a, b), (c, d) in ring_edges(ring2)]
+    for t in range(2 * s.span[0], 2 * s.span[1] + 1):
+        qx, qy = (2 * s.anchor, t) if s.orientation == "v" else (t, 2 * s.anchor)
+        on_edge = any(x1 <= qx <= x2 and y1 <= qy <= y2 for x1, x2, y1, y2 in boxes)
+        if not on_edge and not point_inside(ring2, 2 * qx + 1, 2 * qy + 1):
+            return False
+    return True
 
 
 def as_reference(prof, r):
@@ -391,7 +407,7 @@ class TestSweep:
                 assert miss_lo == (min(right) if right else None)
                 assert miss_hi == (max(right) if right else None)
                 assert sweep.bound[j] <= reach
-            runs = {y: prof.runs_at(y) for y in prof.edge_ordinates}
+            runs = {y: runs_at(prof, y) for y in prof.edge_ordinates}
             xs = prof.xs
             for c in range(len(prof.spans)):
                 live = {y for span in prof.spans[c:] for y in span}
@@ -439,6 +455,105 @@ class TestSweep:
         assert set(calls.values()) == {1}
 
 
+class TestContainment:
+    """segment_inside, the one containment test, against the ring."""
+
+    @staticmethod
+    def box_segments(prof):
+        """Every integer-ended segment in the bounding box."""
+        for x in range(prof.x_min, prof.x_max + 1):
+            for lo in range(prof.y_min, prof.y_max):
+                for hi in range(lo + 1, prof.y_max + 1):
+                    yield Transmitter("v", x, (lo, hi))
+        for y in range(prof.y_min, prof.y_max + 1):
+            for lo in range(prof.x_min, prof.x_max):
+                for hi in range(lo + 1, prof.x_max + 1):
+                    yield Transmitter("h", y, (lo, hi))
+
+    def test_every_box_segment_matches_the_ring(self, polys):
+        # A segment is inside when each of its unit pieces is, so the ring
+        # reference runs once per unit piece.
+        seen = Counter()
+        for p in list(polys.values()) + [p for _, p in px.corpus(60)]:
+            prof = p.profile
+            unit = {}
+            for s in self.box_segments(prof):
+                o, a, (lo, hi) = s.orientation, s.anchor, s.span
+                for t in range(lo, hi):
+                    if (o, a, t) not in unit:
+                        unit[o, a, t] = reference_inside(p.vertices, Transmitter(o, a, (t, t + 1)))
+                want = all(unit[o, a, t] for t in range(lo, hi))
+                assert segment_inside(prof, s) == want, s
+                seen[o, want] += 1
+        assert len(seen) == 4
+
+    def test_family_and_off_family_match_the_ring(self):
+        rng = random.Random(5)
+        seen = Counter()
+        for _, p in px.corpus(200):
+            for s in edge_aligned_candidates(p.profile) + off_family(p, rng):
+                want = reference_inside(p.vertices, s)
+                assert segment_inside(p.profile, s) == want, s
+                seen[want] += 1
+        assert seen[True] > 0 and seen[False] > 0
+
+    def test_run_covering_matches_the_run_scan(self, polys):
+        # The bisected run against the first of runs_at's runs that holds
+        # [x_lo, x_hi], at every (half-)integer ordinate and every pair of
+        # integer ends from one left of the box to one right of it.
+        for p in list(polys.values()) + [p for _, p in px.corpus(60, seed0=700)]:
+            prof = p.profile
+            ends = range(prof.x_min - 1, prof.x_max + 2)
+            for y2 in range(2 * prof.y_min - 2, 2 * prof.y_max + 3):
+                y = y2 / 2 if y2 % 2 else y2 // 2
+                runs = runs_at(prof, y)
+                for x_lo in ends:
+                    for x_hi in ends[x_lo - ends[0] :]:
+                        want = next((r for r in runs if r[0] <= x_lo and x_hi <= r[1]), None)
+                        assert prof.run_covering(y, x_lo, x_hi) == want, (y, x_lo, x_hi)
+
+    def test_horizontal_check_reads_only_the_slabs_it_meets(self):
+        # A unit segment on a 2,000-slab run: segment_inside reads its one
+        # slab, while run_covering walks the whole run to return it.
+        class Counted(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                got = super().__getitem__(i)
+                Counted.reads += len(got) if isinstance(i, slice) else 1
+                return got
+
+            def __iter__(self):
+                Counted.reads += len(self)
+                return super().__iter__()
+
+        n = 2000
+        prof = SlabProfile(tuple(range(n + 1)), Counted((0, 2 + i % 2) for i in range(n)))
+        Counted.reads = 0
+        assert segment_inside(prof, T("h", 0, 700, 701))
+        assert Counted.reads == 1
+        assert prof.run_covering(0, 700, 701) == (0, n)
+        assert Counted.reads > n
+
+    def test_valley_crossing_the_notch(self, polys):
+        p = polys["VALLEY"]
+        for s, inside in (
+            (T("v", 3, 0, 3), False),
+            (T("h", 2, 0, 6), False),
+            (T("h", 1, 0, 6), True),
+        ):
+            assert segment_inside(p.profile, s) == inside == reference_inside(p.vertices, s)
+            assert Solution.build(p, (s,), 2, "approx", 1).coverage_complete == inside
+
+    def test_every_answer_lies_inside(self, polys):
+        for p in list(polys.values()) + [p for _, p in px.corpus(300)]:
+            sols = [approximate_2transmitters(p)]
+            sols += [exact_min_transmitters(p, k) for k in (0, 1, 2)]
+            for sol in sols:
+                assert sol.coverage_complete
+                assert all(segment_inside(p.profile, t) for t in sol.transmitters)
+
+
 class TestSolution:
     def test_build_verifies_coverage(self, polys):
         p = polys["VALLEY"]
@@ -460,8 +575,11 @@ class TestSolution:
     def test_band_check_matches_bitset_oracle(self, polys, shapes):
         # Every solution, with segments off the family's lines added, and
         # every drop-one subset of it, at each k: complete and incomplete
-        # sets alike.  canonicalize_solution's flag uses the same check.
+        # sets alike.  canonicalize_solution's flag uses the same check.  A
+        # set whose regions cover but with a segment outside the polygon is
+        # not covering; some subsets must be of that kind.
         rng = random.Random(11)
+        outside_only = 0
         if shapes == "random":
             todo = [
                 px.random_monotone(slabs, h, w, seed)
@@ -479,13 +597,20 @@ class TestSolution:
                 canon, feasible = canonicalize_solution(sol, p)
                 assert feasible == reference_covers(p, canon, 2)
                 full = sol + off_family(p, rng)
+                inside = {t: reference_inside(p.vertices, t) for t in full}
                 for subset in [full] + [full[:i] + full[i + 1 :] for i in range(len(full))]:
                     for k in (0, 1, 2):
-                        want = reference_covers(p, subset, k)
+                        regions = reference_covers(p, subset, k)
+                        want = regions and all(inside[t] for t in subset)
+                        outside_only += regions and not want
                         assert segments_cover(p.profile, subset, k) == want, (subset, k)
                         assert Solution.build(p, subset, k, "approx", 1).coverage_complete == want
+        assert outside_only > 0
 
-    def test_band_check_rejects_what_the_grid_rejects(self, polys):
+    def test_segments_outside_the_polygon_are_uncovered(self, polys):
+        # Outside the bounding box, alone or beside a segment inside: the
+        # grid reference cannot cut there and raises, the verifier says
+        # "not covering".
         p = polys["STAIR6"]
         ok = T("v", 8, 3, 6)
         bad = [
@@ -496,10 +621,10 @@ class TestSolution:
         ]
         for s in bad:
             for segs in ((s,), (ok, s), (s, ok)):
-                with pytest.raises(ValueError) as want:
+                with pytest.raises(ValueError, match="outside"):
                     reference_covers(p, segs, 2)
-                with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-                    Solution.build(p, segs, 2, "approx", 1)
+                assert not segments_cover(p.profile, segs, 2)
+                assert not Solution.build(p, segs, 2, "approx", 1).coverage_complete
         for k in (3, -1, True, 2.0):
             with pytest.raises(ValueError, match="k must be 0, 1 or 2"):
                 reference_covers(p, (ok,), k)

@@ -1,3 +1,4 @@
+import random
 from enum import IntEnum
 from functools import reduce
 from operator import or_
@@ -14,7 +15,7 @@ from polytx import (
     prune_dominated,
     vis_region,
 )
-from polytx.candidates import maximal_vertical
+from polytx.candidates import _nearest, maximal_vertical
 
 from oracles import contains_point, dense_exact, reference_prune_dominated
 
@@ -251,6 +252,17 @@ class TestCanonicalizeSolution:
         monkeypatch.setattr(px.candidates, "_nearest", lambda lines, v: lines[-1])
         with pytest.raises(ValueError, match="leaves the polygon"):
             canonicalize_solution((Transmitter("h", 1, (0, 12)),), valley)
+
+    def test_nearest_matches_the_min_form(self):
+        # Bisection against the linear scan it replaced, on random sorted
+        # line sets with ties and values past both ends.
+        rng = random.Random(3)
+        for _ in range(2000):
+            lines = sorted(rng.sample(range(-20, 21), rng.randint(1, 8)))
+            for v in range(lines[0] - 3, lines[-1] + 4):
+                want = min(lines, key=lambda line: (abs(line - v), line))
+                assert _nearest(lines, v) == want, (lines, v)
+        assert _nearest((0, 2), 1) == 0 and _nearest((0, 2, 4), 3) == 2
 
     def test_maximal_vertical_outside_raises(self, polys):
         prof = polys["RECT"].profile

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from polytx import Solution, Transmitter, fixture
 from polytx.cli import main
 
 GAP7_RING = [
@@ -152,6 +153,19 @@ class TestSolve:
         assert main(["solve", gap7_file, "--alg", "approx", "--k", "2"]) == 3
         assert "invariant breach" in capsys.readouterr().err
         assert main(["compare", gap7_file]) == 3
+
+    def test_segment_outside_the_polygon_exits_3(self, valley_file, monkeypatch, capsys):
+        # An answer whose segment crosses VALLEY's notch is not a cover.
+        crossing = (Transmitter("h", 2, (0, 6)),)
+        monkeypatch.setattr(
+            "polytx.cli.approximate_2transmitters",
+            lambda p: Solution.build(fixture("VALLEY"), crossing, 2, "approx", 1),
+        )
+        assert main(["solve", valley_file, "--alg", "approx", "--k", "2"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["coverage"] == "incomplete"
+        assert doc["transmitters"] == [{"orientation": "h", "anchor": 2, "span": [0, 6]}]
+        assert main(["compare", valley_file]) == 3
 
     def test_exact_with_budget(self, gap7_file, capsys):
         assert main(["solve", gap7_file, "--alg", "exact", "--k", "0", "--budget", "5"]) == 0

@@ -4,8 +4,8 @@
 and ``member_bits`` reads those indices straight (test_visibility checks it
 against vis_region); ``edge_aligned_candidates`` is the family's
 Transmitter view.  The reference below builds the family the direct way,
-from ``maximal_vertical`` and ``runs_at``, so a change to the order or the
-contents of the index family shows here.
+from ``maximal_vertical`` and ``oracles.runs_at``, so a change to the order
+or the contents of the index family shows here.
 """
 
 import pytest
@@ -21,6 +21,8 @@ from polytx.candidates import (
     member_transmitter,
 )
 
+from oracles import runs_at
+
 SHAPES = [
     (slabs, height, 4, seed)
     for slabs in (1, 2, 3, 5, 8, 13, 21, 40, 80)
@@ -33,7 +35,7 @@ def reference_family(prof: px.SlabProfile) -> list[Transmitter]:
     """The vertical at every breakpoint, then every run at every ordinate."""
     family = [maximal_vertical(prof, x) for x in prof.xs]
     for y in prof.edge_ordinates:
-        family += [Transmitter(HORIZONTAL, y, run) for run in prof.runs_at(y)]
+        family += [Transmitter(HORIZONTAL, y, run) for run in runs_at(prof, y)]
     return family
 
 

@@ -21,6 +21,7 @@ from oracles import (
     reference_slab_scan,
     reference_vertical_edges,
     row_reps,
+    runs_at,
     shoelace2,
 )
 
@@ -344,9 +345,9 @@ class TestSlabProfile:
     def test_runs(self, polys):
         prof = polys["GAP7"].profile
         # the line y=1 crosses the full middle stretch
-        assert prof.runs_at(1) == ((2, 12),)
+        assert runs_at(prof, 1) == ((2, 12),)
         # the line y=2.5 leaves three separate runs
-        assert prof.runs_at(2.5) == ((0, 4), (6, 8), (10, 14))
+        assert runs_at(prof, 2.5) == ((0, 4), (6, 8), (10, 14))
         assert prof.run_covering(2.5, 6, 8) == (6, 8)
         assert prof.run_covering(2.5, 4, 8) is None
 

@@ -28,6 +28,7 @@ from oracles import (
     percolumn_inside_between,
     point_inside,
     profile_area,
+    runs_at,
 )
 
 
@@ -217,7 +218,7 @@ def test_any_integer_line_matches_oracle(polys):
         lo, hi = prof.cross_section(x)
         segs += [Transmitter("v", x, span) for span in combinations(range(lo, hi + 1), 2)]
     for y in range(prof.y_min, prof.y_max + 1):
-        for lo, hi in prof.runs_at(y):
+        for lo, hi in runs_at(prof, y):
             segs += [Transmitter("h", y, span) for span in combinations(range(lo, hi + 1), 2)]
     assert T("v", 1, 0, 3) in segs and T("h", 2, 0, 1) in segs
     family = edge_aligned_candidates(prof)
@@ -253,7 +254,7 @@ def test_refined_grid_matches_oracle(seed, data):
             if lo < y < hi:
                 segs += [Transmitter("v", x, (lo, y)), Transmitter("v", x, (y, hi))]
     for y in extra_y:
-        segs.extend(Transmitter("h", y, run) for run in prof.runs_at(y))
+        segs.extend(Transmitter("h", y, run) for run in runs_at(prof, y))
     for s in segs:
         for k in (0, 1, 2):
             assert vis_region(s, k, g).bits == oracle_region_bits(p, s, k, g)
