@@ -12,14 +12,13 @@ only the answer's members become Transmitters.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 from .candidates import HORIZONTAL, VERTICAL, Member, SegmentSet, member_transmitter
 from .geometry import OrthoPolygon, SlabProfile
-from .visibility import segments_cover
+from .visibility import reach, segments_cover
 
 # Not called here: bench/spans.py traces these names in this module's namespace.
 from .candidates import canonical, edge_aligned_candidates  # noqa: F401
@@ -112,9 +111,9 @@ class SweepTables:
 
     - the vertical at ``prof.xs[j]`` (its member, :meth:`vertical`) and,
       for j >= 1, three columns holding inside cells its k=2 region misses
-      (:meth:`misses`): ``reach`` is one past the rightmost such column
+      (:meth:`misses`): ``left`` is one past the rightmost such column
       left of j, or 0, so the vertical sees every inside cell of columns
-      col .. j-1 exactly when ``reach <= col``; ``miss_lo`` and ``miss_hi``
+      col .. j-1 exactly when ``left <= col``; ``miss_lo`` and ``miss_hi``
       are the first and last such column >= j, or None.  They are never
       asked for at j = 0 (the vertical at ``xs[1]`` always beats it).
     - the maximal horizontal runs, found by walking the slabs' spans in
@@ -125,12 +124,11 @@ class SweepTables:
     A vertical misses every inside cell of a row outside its cross-section,
     which the nearest slabs whose span leaves the section give.  Those
     tables, linear in slabs and rows, are built up front, and with them
-    ``bound[j]``, the reach over those rows alone, so ``bound[j] <= reach``.
+    ``bound[j]``, ``left`` over those rows alone, so ``bound[j] <= left``.
     In a row inside the section (its bands are read off
-    ``prof.span_bands``) the vertical sees the columns between its
-    third wall on each side (``prof.row_walls``; ``reach`` at k=2); that
-    scan runs only for a vertical whose bound lets a finder pick it, once
-    per vertical.
+    ``prof.span_bands``) the nearest columns the vertical misses are the
+    ends of :func:`~polytx.visibility.reach` at k=2; that scan runs only
+    for a vertical whose bound lets a finder pick it, once per vertical.
 
     A region on the whole polygon agrees with the region on any
     ``cut_right`` remainder on the columns right of the cut: walls left of
@@ -163,7 +161,7 @@ class SweepTables:
         self._misses: list[tuple[int, int | None, int | None] | None] = [None] * len(prof.xs)
 
     def misses(self, j: int) -> tuple[int, int | None, int | None]:
-        """``(reach, miss_lo, miss_hi)`` of the vertical at breakpoint
+        """``(left, miss_lo, miss_hi)`` of the vertical at breakpoint
         j >= 1, scanned on first use."""
         known = self._misses[j]
         if known is None:
@@ -175,25 +173,22 @@ class SweepTables:
         cols, bands = len(prof.spans), prof.span_bands
         t, d = self._top[j], self._bottom[j]
         r_lo, r_hi = bands[d][0], bands[t][1]
-        reach = self.bound[j]
+        left = self.bound[j]
         first = min(self._up_after[t], self._down_after[d])
         last = max(self._end_below[r_lo], self._end_above[r_hi])
-        # Rows inside the section: left of the third wall left of j, and
-        # from the third wall right of j on.  Walls at even positions enter.
-        # reach's k=2 rule inline: this needs wall positions, not reach's slabs.
+        # Rows inside the section: reach's ends are the nearest missed columns.
         for walls in prof.row_walls[r_lo:r_hi]:
-            i = bisect_left(walls, j)
-            if i >= 4 and walls[i - 4 | 1] > reach:
-                reach = walls[i - 4 | 1]
-            i = bisect_right(walls, j) + 3 & ~1
-            if i < len(walls):
-                if walls[i] < first:
-                    first = walls[i]
+            a, b = reach(walls, j, j + 1, 2, cols)
+            if a > left:
+                left = a
+            if b < cols:
+                if b < first:
+                    first = b
                 if walls[-1] - 1 > last:
                     last = walls[-1] - 1
         if first < cols:
-            return reach, first, last
-        return reach, None, None
+            return left, first, last
+        return left, None, None
 
     def vertical(self, j: int) -> Member:
         """The member of the vertical at breakpoint j >= 1: the whole

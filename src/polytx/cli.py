@@ -44,8 +44,8 @@ class _InputError(Exception):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _load_polygon(path: str) -> OrthoPolygon:

@@ -59,7 +59,7 @@ def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
     The polygon is the grid's own profile.  The segment must be
     grid-aligned (anchor, then span ends, on cuts); then no cell straddles
     any of its lines and the region is exact, not just a sample.  A
-    vertical sees, row by row, the slabs :func:`reach` gives.
+    vertical sees, row by row, the inside slabs of :func:`reach`'s range.
     """
     check_k(k)
     lo, hi = s.span
@@ -91,18 +91,21 @@ def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
 
 
 def reach(walls: Sequence[int], before: int, upto: int, k: int, end: int) -> tuple[int, int]:
-    """The slabs a vertical sees in one row band, as a range a .. b - 1.
+    """The slabs a vertical sees in one row band and the outside slabs
+    next to them, as a range a .. b - 1.
 
-    walls is the band's ``row_walls`` entry; the vertical's line has
-    ``before`` breakpoints left of it and ``upto`` at or left of it.  In one
-    band the crossing count only grows with distance from the line, so the
-    vertical sees up to the (k+1)-th wall on each side; walls on the line
-    are not crossed.  With fewer walls on a side the range runs to slab 0 or
-    to end, the slab count.
+    walls is the band's ``row_walls`` entry (walls at even positions enter,
+    at odd ones leave); the vertical's line has ``before`` breakpoints left
+    of it and ``upto`` at or left of it.  In one band the crossing count
+    only grows with distance from the line, so the vertical sees up to the
+    (k+1)-th wall on each side; walls on the line are not crossed.  Slabs
+    a - 1 and b are the nearest inside slabs it misses, or a is 0 and b is
+    end, the slab count.  The range's inside slabs are the seen ones, so a
+    caller that keeps only inside slabs can ignore the rest.
     """
-    left = bisect_left(walls, before) - k - 1
-    right = bisect_left(walls, upto) + k
-    return (walls[left] if left >= 0 else 0, walls[right] if right < len(walls) else end)
+    left = bisect_left(walls, before) - k - 2 | 1
+    right = bisect_left(walls, upto) + k + 1 & ~1
+    return (walls[left] if left > 0 else 0, walls[right] if right < len(walls) else end)
 
 
 def member_bits(
@@ -118,9 +121,9 @@ def member_bits(
     ``edge_ordinates``), so the cells are vis_region's on
     ``build_grid(prof)`` with the same numbering, and no grid is built.  A
     horizontal sees the inside cells of its spanned slabs (full-column
-    property).  A vertical sees, in each band of its section, the slabs
-    :func:`reach` gives; consecutive bands with the same slabs are one
-    block.  k must be 0, 1 or 2.
+    property).  A vertical sees, in each band of its section, the inside
+    slabs of :func:`reach`'s range; consecutive bands with the same range
+    are one block.  k must be 0, 1 or 2.
     """
     rows, spans = prof.row_walls, prof.span_bands
     slabs, bands = len(spans), len(rows)
@@ -153,7 +156,8 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
     The regions are vis_region's, kept as closed x-intervals per row band
     instead of bits per cell: a horizontal sees its whole span in every
     band (full-column property), and a vertical sees, in each band it
-    spans, the slabs :func:`reach` gives, as in vis_region and member_bits.
+    spans, the slabs of :func:`reach`'s range (its outside slabs touch an
+    inside interval only at an end), as in vis_region and member_bits.
     The bands are the polygon's rows cut at the verticals' span ends, so a
     vertical spans each band whole or not at all.  The polygon is covered
     when, in every band, each inside interval lies in the union, and no

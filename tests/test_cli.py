@@ -352,6 +352,27 @@ class TestRender:
         assert code == 0
 
 
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{bad}"],
+            ["solve", "{bad}", "--alg", "approx", "--k", "2"],
+            ["render", "{poly}", "--solution", "{bad}", "--svg", "{out}"],
+        ],
+        ids=["validate", "solve", "render-solution"],
+    )
+    def test_exits_2_with_a_message(self, argv, rect_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "x.svg"
+        code = main([a.format(bad=bad, poly=rect_file, out=out) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert "Traceback" not in err
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
         "argv",

@@ -13,7 +13,7 @@ from polytx import (
     vis_region,
 )
 from polytx.candidates import edge_aligned_family, member_transmitter
-from polytx.visibility import member_bits, segments_cover
+from polytx.visibility import member_bits, reach, segments_cover
 
 from oracles import (
     cell_area,
@@ -316,3 +316,31 @@ def test_member_bits_match_vis_region_on_the_plain_grid(k):
         view = [member_transmitter(prof, m) for m in family]
         assert bits == [vis_region(t, k, grid).bits for t in view]
         assert inside == grid.inside_mask
+
+
+def test_reach_ends_on_missed_inside_slabs():
+    # Every even-length wall list over breakpoints 0 .. n, n <= 7, and every
+    # line on a breakpoint (upto = before + 1) or inside a slab (upto =
+    # before).  In doubled coordinates the line is at x, slab s's middle at
+    # 2s + 1 and wall w at 2w; a wall on the line is not crossed.
+    cases = 0
+    for n in range(8):
+        for size in range(0, n + 2, 2):
+            for walls in combinations(range(n + 1), size):
+                inside = {s for w in range(0, size, 2) for s in range(walls[w], walls[w + 1])}
+                lines = [(j, j + 1, 2 * j) for j in range(n + 1)]
+                lines += [(j, j, 2 * j - 1) for j in range(1, n + 1)]
+                for before, upto, x in lines:
+                    crossings = {
+                        s: sum(min(x, 2 * s + 1) < 2 * w < max(x, 2 * s + 1) for w in walls)
+                        for s in inside
+                    }
+                    for k in (0, 1, 2):
+                        a, b = reach(walls, before, upto, k, n)
+                        case = (walls, before, upto, k, (a, b))
+                        seen = {s for s in inside if crossings[s] <= k}
+                        assert {s for s in inside if a <= s < b} == seen, case
+                        assert a == 0 or a - 1 in inside and a - 1 not in seen, case
+                        assert b == n or b in inside and b not in seen, case
+                        cases += 1
+    assert cases == 9993
