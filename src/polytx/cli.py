@@ -61,7 +61,8 @@ def _load_solution(path: str) -> tuple[int, list[Transmitter]]:
         doc = json.loads(_read_text(path))
         k = input_int(doc["k"])
         txs = [Transmitter.from_input(d) for d in doc["transmitters"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
+        # RecursionError is nesting deeper than the decoder can go
         raise _InputError(f"{path}: not a solution document: {exc}") from exc
     if k not in (0, 1, 2):
         raise _InputError(f"{path}: k must be 0, 1 or 2")

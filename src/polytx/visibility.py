@@ -13,8 +13,8 @@ a CellGrid, for ``render --vis`` and the test oracles; the grid may be
 refined with the segment's own coordinates, and each cell is then seen
 whole or not at all.
 :func:`segments_cover` decides whether a set of regions covers the polygon
-from the same rules as x-intervals per row band, with no grid; a set with a
-segment outside the polygon does not cover it.
+from the same rules, as slab ranges per row band tested only in their gaps;
+a set with a segment outside the polygon does not cover it.
 """
 
 from __future__ import annotations
@@ -153,16 +153,17 @@ def member_bits(
 def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -> bool:
     """Whether the segments' k-visibility regions together cover the polygon.
 
-    The regions are vis_region's, kept as closed x-intervals per row band
-    instead of bits per cell: a horizontal sees its whole span in every
-    band (full-column property), and a vertical sees, in each band it
-    spans, the slabs of :func:`reach`'s range (its outside slabs touch an
-    inside interval only at an end), as in vis_region and member_bits.
-    The bands are the polygon's rows cut at the verticals' span ends, so a
-    vertical spans each band whole or not at all.  The polygon is covered
-    when, in every band, each inside interval lies in the union, and no
-    segment leaves it (:func:`~polytx.candidates.segment_inside`, inside the
-    bounding box or not).  k must be 0, 1 or 2 when there are segments.
+    The regions are vis_region's, kept as slab ranges per row band instead
+    of bits per cell.  The bands are the polygon's rows cut at the
+    verticals' span ends, so a vertical spans each band whole or not at
+    all; in each band it spans it sees :func:`reach`'s range.  A horizontal
+    sees its span in every band (full-column property).  The horizontals'
+    spans are merged first, as two may share a slab that neither holds
+    alone, and each block sees the slabs it holds whole; a range meets any
+    other slab at most at an end.  The polygon is covered when no segment
+    leaves it (:func:`~polytx.candidates.segment_inside`, inside the
+    bounding box or not) and no gap between a band's ranges holds an
+    inside slab.  k must be 0, 1 or 2 when there are segments.
     """
     if segments:
         check_k(k)
@@ -170,36 +171,34 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
         return False
     xs, ys, rows = prof.xs, prof.edge_ordinates, prof.row_walls
     end = len(prof.spans)
-    everywhere = sorted(t.span for t in segments if t.orientation == HORIZONTAL)
-    # (span, breakpoints left of the line, breakpoints up to the line): a
-    # wall on the line is not crossed.
-    verticals = [
-        (*t.span, bisect_left(xs, t.anchor), bisect_right(xs, t.anchor))
-        for t in segments
-        if t.orientation == VERTICAL
-    ]
-    cuts = sorted(set(ys).union(*(v[:2] for v in verticals)))
-    for y0, y1 in zip(cuts, cuts[1:]):
-        walls = rows[bisect_right(ys, y0) - 1]
-        seen = list(everywhere)
-        for lo, hi, before, upto in verticals:
-            if lo <= y0 and y1 <= hi:
-                a, b = reach(walls, before, upto, k, end)
-                seen.append((xs[a], xs[b]))
-        seen.sort()
-        # merge into disjoint blocks; touching intervals share no gap cell
-        starts: list[int] = []
-        ends: list[int] = []
-        for a, b in seen:
-            if ends and a <= ends[-1]:
-                if b > ends[-1]:
-                    ends[-1] = b
-            else:
-                starts.append(a)
-                ends.append(b)
-        for w in range(0, len(walls), 2):
-            u, v = xs[walls[w]], xs[walls[w + 1]]
-            i = bisect_right(starts, u) - 1
-            if i < 0 or ends[i] < v:
-                return False
+    merged: list[list[int]] = []
+    for lo, hi in sorted(t.span for t in segments if t.orientation == HORIZONTAL):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    # (first, last + 1) of the slabs each block holds whole
+    whole = [(bisect_left(xs, lo), bisect_right(xs, hi) - 1) for lo, hi in merged]
+    whole.append((end, end))  # closes the last gap
+    verticals = [t for t in segments if t.orientation == VERTICAL]
+    cuts = sorted(set(ys).union(*(t.span for t in verticals)))
+    walls_of = [rows[bisect_right(ys, y) - 1] for y in cuts[:-1]]
+    seen = [whole[:] for _ in walls_of]
+    for t in verticals:
+        # a wall on the line is not crossed
+        before, upto = bisect_left(xs, t.anchor), bisect_right(xs, t.anchor)
+        for c in range(bisect_left(cuts, t.span[0]), bisect_left(cuts, t.span[1])):
+            seen[c].append(reach(walls_of[c], before, upto, k, end))
+    for walls, ranges in zip(walls_of, seen):
+        ranges.sort()
+        g = 0  # the slabs before g are seen
+        for a, b in ranges:
+            if a > g:  # slabs g .. a - 1 are unseen: none may be inside
+                # slab g is inside iff an odd number of walls is at or
+                # left of it; else walls[i] is the next inside slab
+                i = bisect_right(walls, g)
+                if i & 1 or i < len(walls) and walls[i] < a:
+                    return False
+            if b > g:
+                g = b
     return True

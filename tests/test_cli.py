@@ -373,6 +373,25 @@ class TestUndecodableInput:
         assert "Traceback" not in err
 
 
+class TestDeeplyNestedSolution:
+    # json.loads raises RecursionError, a RuntimeError, on nesting this
+    # deep; it must read as a bad document, not as an invariant breach.
+    @pytest.mark.parametrize(
+        "template",
+        ["{nested}", '{{"k": 2, "transmitters": {nested}}}'],
+        ids=["bare-list", "in-transmitters"],
+    )
+    def test_exits_2_with_a_message(self, template, rect_file, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(template.format(nested="[" * 200000 + "]" * 200000))
+        out = tmp_path / "x.svg"
+        code = main(["render", rect_file, "--solution", str(deep), "--svg", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{deep}: not a solution document: " in err
+        assert "Traceback" not in err
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
         "argv",

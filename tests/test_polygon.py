@@ -268,6 +268,7 @@ class TestParsePolygon:
             ("{nope", "malformed-json"),
             ('{"vertices": 5}', "malformed-json"),
             ('{"points": [[0,0]]}', "malformed-json"),
+            pytest.param("[" * 100000, "malformed-json", id="nested-too-deep"),
             ('{"vertices": [[0,0],[1.5,0],[1.5,1],[0,1]]}', "non-integer"),
             ('{"vertices": [[0,0],[2,2],[0,2]]}', "non-orthogonal"),
         ],

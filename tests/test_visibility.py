@@ -232,6 +232,24 @@ def test_any_integer_line_matches_oracle(polys):
                 assert segments_cover(prof, segments, k) == want, (segments, k)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize(
+    "spans, want",
+    [
+        (((0, 3), (3, 6)), True),
+        (((0, 3), (2, 6)), True),
+        (((0, 2), (3, 6)), False),
+        (((0, 3),), False),
+    ],
+)
+def test_horizontals_merge_before_slabs(polys, spans, want, k):
+    # RECT is one slab, x 0 to 6.  Two horizontals that meet or overlap
+    # hold it together though neither holds it alone, so segments_cover
+    # must merge their spans before it asks which slabs a span holds.
+    segments = tuple(T("h", y, *span) for y, span in zip((1, 2), spans))
+    assert segments_cover(polys["RECT"].profile, segments, k) is want
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), data=st.data())
 def test_refined_grid_matches_oracle(seed, data):
