@@ -38,7 +38,7 @@ from .geometry import (
 )
 from .instances import FIXTURES, corpus, fixture, random_monotone
 from .svg import render_svg
-from .visibility import RectUnion, vis_region
+from .visibility import vis_region
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "NoSolutionWithinBudget",
     "OrthoPolygon",
     "Point",
-    "RectUnion",
     "SegmentSet",
     "SlabProfile",
     "Solution",

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .candidates import HORIZONTAL, VERTICAL, Member, SegmentSet, member_transmitter
+from .candidates import HORIZONTAL, VERTICAL, Member, SegmentSet, Transmitter, member_transmitter
 from .geometry import OrthoPolygon, SlabProfile
 from .visibility import reach, segments_cover
 
@@ -72,7 +72,7 @@ class Solution:
     @staticmethod
     def build(
         polygon: OrthoPolygon,
-        transmitters: SegmentSet,
+        transmitters: Iterable[Transmitter],
         k: int,
         solver: str,
         iterations: int,
@@ -84,8 +84,10 @@ class Solution:
         the whole polygon, band by band (:func:`~polytx.visibility.segments_cover`),
         from the polygon and the transmitters alone.  Every transmitter must
         also lie in the closed polygon; one that leaves it makes
-        ``coverage_complete`` False.
+        ``coverage_complete`` False.  The transmitters are read once into
+        the tuple the Solution keeps, so any iterable gives the same answer.
         """
+        transmitters = tuple(transmitters)
         covered = segments_cover(polygon.profile, transmitters, k)
         return Solution(transmitters, k, solver, iterations, covered)
 

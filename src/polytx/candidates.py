@@ -84,14 +84,6 @@ def segment_inside(prof: SlabProfile, s: Transmitter) -> bool:
     return prof.slabs_met(s.anchor, *s.span) is not None
 
 
-def maximal_vertical(prof: SlabProfile, x: int) -> Transmitter:
-    """The vertical over the polygon's whole cross-section at x."""
-    section = prof.cross_section(x)
-    if section is None:
-        raise ValueError(f"x={x} is outside the polygon")
-    return Transmitter(VERTICAL, x, section)
-
-
 Member = tuple[str, int, int, int]
 
 
@@ -206,7 +198,8 @@ def canonicalize_solution(
         if not segment_inside(prof, s):
             raise ValueError(f"segment {s} is not inside the closed polygon")
         if s.orientation == VERTICAL:
-            out.append(maximal_vertical(prof, _nearest(prof.xs, s.anchor)))
+            x = _nearest(prof.xs, s.anchor)  # a breakpoint, so the section exists
+            out.append(Transmitter(VERTICAL, x, prof.cross_section(x)))
         else:
             y = _nearest(prof.edge_ordinates, s.anchor)
             run = prof.run_covering(y, *s.span)

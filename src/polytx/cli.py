@@ -21,7 +21,7 @@ from .exact import exact_min_transmitters
 from .geometry import OrthoPolygon, build_grid, input_int, parse_polygon
 from .instances import random_monotone
 from .svg import render_svg
-from .visibility import vis_region
+from .visibility import check_k, vis_region
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,11 +61,10 @@ def _load_solution(path: str) -> tuple[int, list[Transmitter]]:
         doc = json.loads(_read_text(path))
         k = input_int(doc["k"])
         txs = [Transmitter.from_input(d) for d in doc["transmitters"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
-        # RecursionError is nesting deeper than the decoder can go
+        check_k(k)
+    except (KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
+        # bad JSON is a ValueError; RecursionError is nesting too deep to decode
         raise _InputError(f"{path}: not a solution document: {exc}") from exc
-    if k not in (0, 1, 2):
-        raise _InputError(f"{path}: k must be 0, 1 or 2")
     return k, txs
 
 
@@ -144,6 +143,8 @@ def _cmd_render(args) -> int:
     if args.solution is not None:
         k, transmitters = _load_solution(args.solution)
         if args.vis is not None:
+            if not transmitters:
+                raise _InputError(f"--vis {args.vis}: the solution has no transmitters to shade")
             if not 0 <= args.vis < len(transmitters):
                 raise _InputError(
                     f"--vis index {args.vis} out of range 0..{len(transmitters) - 1}"
@@ -152,7 +153,8 @@ def _cmd_render(args) -> int:
             if not segment_inside(p.profile, t):
                 raise _InputError(f"--vis transmitter {args.vis} is not inside the closed polygon")
             cuts = ([t.anchor], t.span) if t.orientation == "v" else (t.span, [t.anchor])
-            shaded = vis_region(t, k, build_grid(p.profile, *cuts))
+            grid = build_grid(p.profile, *cuts)
+            shaded = grid, vis_region(t, k, grid)
     _write_text(args.svg, render_svg(p, transmitters, shaded))
     return EXIT_OK
 

@@ -51,23 +51,19 @@ class SlabProfile:
         if len(xs) != len(spans) + 1 or not spans:
             raise ValueError("profile needs n+1 breakpoints for n >= 1 slabs")
         los, his = [lo for lo, _ in spans], [hi for _, hi in spans]
-        # The whole profile at once; the loops below only name the fault.
+        if not all(map(lt, xs, xs[1:])):
+            raise ValueError("breakpoints must increase strictly")
+        if not all(map(lt, los, his)):
+            raise ValueError("slab span must have positive height")
         # With positive heights, two spans meet iff each starts below the
-        # other's end.
+        # other's end; the loop below only names the first pair at fault.
         if (
-            all(map(lt, xs, xs[1:]))
-            and all(map(lt, los, his))
-            and all(map(le, los[1:], his))
+            all(map(le, los[1:], his))
             and all(map(le, los, his[1:]))
             and all(map(ne, spans, spans[1:]))
         ):
             return
-        if any(a >= b for a, b in zip(self.xs, self.xs[1:])):
-            raise ValueError("breakpoints must increase strictly")
-        for lo, hi in self.spans:
-            if lo >= hi:
-                raise ValueError("slab span must have positive height")
-        for (a, b), (c, d) in zip(self.spans, self.spans[1:]):
+        for (a, b), (c, d) in zip(spans, spans[1:]):
             if max(a, c) > min(b, d):
                 raise ValueError("adjacent slab spans must intersect")
             if (a, b) == (c, d):

@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .candidates import Transmitter, VERTICAL
-from .geometry import OrthoPolygon
-from .visibility import RectUnion
+from .geometry import CellGrid, OrthoPolygon
 
 # Pixels per input unit; enough that 3px strokes read as segments, not blobs.
 _UNIT = 40
@@ -22,9 +21,12 @@ _SHADE = "#7fb2d9"
 def render_svg(
     polygon: OrthoPolygon,
     transmitters: Iterable[Transmitter] = (),
-    shaded: RectUnion | None = None,
+    shaded: tuple[CellGrid, int] | None = None,
 ) -> str:
-    """Standalone SVG document, y-axis flipped to screen convention."""
+    """Standalone SVG document, y-axis flipped to screen convention.
+
+    ``shaded`` is a ``(grid, bits)`` pair, as a grid and vis_region's bitset
+    on it; its cells are drawn under the transmitters."""
     prof = polygon.profile
     x0, x1 = prof.x_min, prof.x_max
     y0, y1 = prof.y_min, prof.y_max
@@ -54,8 +56,9 @@ def render_svg(
         f'  <path d="{path}" fill="{_POLY_FILL}" stroke="{_POLY_STROKE}" stroke-width="1.5"/>',
     ]
     if shaded is not None:
-        for ix, iy in shaded.cells():
-            cx0, cy0, cx1, cy1 = shaded.grid.cell_bounds(ix, iy)
+        grid, bits = shaded
+        for ix, iy in grid.iter_cells(bits):
+            cx0, cy0, cx1, cy1 = grid.cell_bounds(ix, iy)
             lines.append(
                 f'  <rect x="{sx(cx0)}" y="{sy(cy1)}" width="{sx(cx1) - sx(cx0)}" '
                 f'height="{sy(cy0) - sy(cy1)}" fill="{_SHADE}" fill-opacity="0.4"/>'

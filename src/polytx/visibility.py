@@ -9,8 +9,8 @@ vertical sees up to the (k+1)-th wall on each side of its line
 solver and of ``prune_dominated(p, k)`` straight from that table for
 index-form family members, one bit per (slab, band) cell in column-major
 order, with no grid.  :func:`vis_region` gives one region as a bitset over
-a CellGrid, for ``render --vis`` and the test oracles; the grid may be
-refined with the segment's own coordinates, and each cell is then seen
+a CellGrid's cells, for ``render --vis`` and the test oracles; the grid may
+be refined with the segment's own coordinates, and each cell is then seen
 whole or not at all.
 :func:`segments_cover` decides whether a set of regions covers the polygon
 from the same rules, as slab ranges per row band tested only in their gaps;
@@ -20,23 +20,10 @@ a set with a segment outside the polygon does not cover it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .candidates import HORIZONTAL, VERTICAL, Member, Transmitter, segment_inside
 from .geometry import CellGrid, SlabProfile
-
-
-@dataclass(frozen=True)
-class RectUnion:
-    """Set of grid cells, stored as one bit per cell (column-major)."""
-
-    grid: CellGrid
-    bits: int
-
-    def cells(self) -> Iterable[tuple[int, int]]:
-        """(ix, iy) pairs of member cells, column-major order."""
-        return self.grid.iter_cells(self.bits)
 
 
 def _cut(cuts: Sequence[int], v: int, what: str) -> int:
@@ -53,8 +40,9 @@ def check_k(k: int) -> None:
         raise ValueError("k must be 0, 1 or 2")
 
 
-def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
-    """Cells the segment sees with at most k crossings.
+def vis_region(s: Transmitter, k: int, grid: CellGrid) -> int:
+    """Cells the segment sees with at most k crossings, as a bitset over
+    the grid's cells in column-major order (``grid.iter_cells`` lists them).
 
     The polygon is the grid's own profile.  The segment must be
     grid-aligned (anchor, then span ends, on cuts); then no cell straddles
@@ -71,7 +59,7 @@ def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
         # Full-column property: the vertical sight line from the segment to
         # any cell of a spanned column stays inside one slab cross-section,
         # so it never crosses a wall and k does not matter.
-        return RectUnion(grid, grid.inside_mask_between(lo, hi))
+        return grid.inside_mask_between(lo, hi)
     _cut(x_cuts, s.anchor, "anchor")
     iy_lo = _cut(y_cuts, lo, "span endpoint")
     iy_hi = _cut(y_cuts, hi, "span endpoint")
@@ -87,7 +75,7 @@ def vis_region(s: Transmitter, k: int, grid: CellGrid) -> RectUnion:
         a, b = reach(rows[r], before, upto, k, len(prof.spans))
         ix_lo, ix_hi = bisect_left(x_cuts, xs[a]), bisect_left(x_cuts, xs[b])
         bits |= (grid.row_ones << iy) & grid.columns(ix_lo, ix_hi)
-    return RectUnion(grid, bits & grid.inside_mask)
+    return bits & grid.inside_mask
 
 
 def reach(walls: Sequence[int], before: int, upto: int, k: int, end: int) -> tuple[int, int]:

@@ -334,7 +334,7 @@ def reference_covers(p: OrthoPolygon, transmitters: Sequence[Transmitter], k: in
     grid = build_grid(p.profile, extra_x, extra_y)
     bits = 0
     for t in transmitters:
-        bits |= vis_region(t, k, grid).bits
+        bits |= vis_region(t, k, grid)
     return bits & grid.inside_mask == grid.inside_mask
 
 
@@ -350,10 +350,9 @@ def mirror_transmitter(s: Transmitter) -> Transmitter:
     return Transmitter("h", s.anchor, (-s.span[1], -s.span[0]))
 
 
-def cell_rects(region, grid=None) -> set[tuple[int, int, int, int]]:
-    """Covered cells as coordinate rectangles, for comparisons across grids."""
-    g = grid if grid is not None else region.grid
-    return {g.cell_bounds(ix, iy) for ix, iy in region.cells()}
+def cell_rects(grid, bits: int) -> set[tuple[int, int, int, int]]:
+    """The bitset's cells as coordinate rectangles, for comparisons across grids."""
+    return {grid.cell_bounds(ix, iy) for ix, iy in grid.iter_cells(bits)}
 
 
 def covered_area(p: OrthoPolygon, segs: Iterable[Transmitter], k: int) -> bool:
@@ -621,7 +620,7 @@ def reference_prune_dominated(p: OrthoPolygon, k: int = 2) -> SegmentSet:
     remaining one.  The regions are vis_region's on the plain grid."""
     cands = edge_aligned_candidates(p.profile)
     grid = build_grid(p.profile)
-    bits = {s: vis_region(s, k, grid).bits for s in cands}
+    bits = {s: vis_region(s, k, grid) for s in cands}
     kept = list(cands)
     for s in cands:
         others = 0
@@ -637,7 +636,7 @@ def finder_tables(prof: SlabProfile, cands: Sequence[Transmitter]) -> dict:
     """A fresh grid on prof and the k=2 regions of cands on it, as the
     reference finders' ``grid`` and ``regions`` keywords."""
     grid = build_grid(prof)
-    return {"grid": grid, "regions": [vis_region(s, 2, grid).bits for s in cands]}
+    return {"grid": grid, "regions": [vis_region(s, 2, grid) for s in cands]}
 
 
 def _check_finder_inputs(cands: Sequence[Transmitter], regions: Sequence[int]) -> None:
@@ -787,7 +786,7 @@ def dense_exact(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
             segs.append(Transmitter("h", y, run))
     cands = canonical(segs)
     grid = build_grid(prof, range(prof.x_min, prof.x_max + 1), range(prof.y_min, prof.y_max + 1))
-    bits = [vis_region(s, k, grid).bits for s in cands]
+    bits = [vis_region(s, k, grid) for s in cands]
     target = grid.inside_mask
     iterations = 0
     for size in range(1, budget + 1):
@@ -815,7 +814,7 @@ def reference_exact(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
         raise ValueError("budget must be at least 1")
     cands = edge_aligned_candidates(p.profile)
     grid = build_grid(p.profile)
-    bits = [vis_region(s, k, grid).bits for s in cands]
+    bits = [vis_region(s, k, grid) for s in cands]
     target = grid.inside_mask
     every = 0
     for b in bits:
@@ -857,7 +856,7 @@ def reference_dfs(p: OrthoPolygon, k: int, budget: int = 8) -> Solution:
     """
     cands = edge_aligned_candidates(p.profile)
     grid = build_grid(p.profile)
-    bits = [vis_region(s, k, grid).bits for s in cands]
+    bits = [vis_region(s, k, grid) for s in cands]
     target = grid.inside_mask
     n = len(bits)
     every = 0

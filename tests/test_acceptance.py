@@ -68,7 +68,7 @@ def test_criterion_2_horizontal_regions_ignore_k(certification):
                 continue
             r0 = vis_region(s, 0, grid)
             r2 = vis_region(s, 2, grid)
-            ok = ok and r0.bits == r2.bits
+            ok = ok and r0 == r2
             checked += 1
     assert report(2, ok, f"{checked} horizontal candidates: k=0 region == k=2 region")
 
@@ -141,9 +141,9 @@ def test_criterion_7_visibility_oracle():
                 k: vis_region(s, k, grid) for k in (0, 1, 2)
             }
             for k, r in regions.items():
-                ok = ok and r.bits == oracle_region_bits(p, s, k, grid)
-            ok = ok and regions[0].bits & ~regions[1].bits == 0
-            ok = ok and regions[1].bits & ~regions[2].bits == 0
+                ok = ok and r == oracle_region_bits(p, s, k, grid)
+            ok = ok and regions[0] & ~regions[1] == 0
+            ok = ok and regions[1] & ~regions[2] == 0
             candidates += 1
     assert report(
         7, ok, f"{candidates} candidates on 50 instances match the brute-force oracle"
@@ -157,8 +157,8 @@ def test_criterion_8_pruning_soundness(certification):
         fam = edge_aligned_candidates(p.profile)
         kept = prune_dominated(p)
         grid = build_grid(p.profile)
-        before = reduce(or_, (vis_region(s, 2, grid).bits for s in fam))
-        after = reduce(or_, (vis_region(s, 2, grid).bits for s in kept))
+        before = reduce(or_, (vis_region(s, 2, grid) for s in fam))
+        after = reduce(or_, (vis_region(s, 2, grid) for s in kept))
         ok = ok and before == after and len(kept) >= 1
     assert report(8, ok, "pruning preserves the covered region on 500 instances")
 

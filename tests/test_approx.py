@@ -23,7 +23,6 @@ from polytx import (
 from polytx.approx import _nearest_greater
 from polytx.candidates import (
     edge_aligned_candidates,
-    maximal_vertical,
     member_transmitter,
     segment_inside,
 )
@@ -398,7 +397,8 @@ class TestSweep:
             sweep = SweepTables(prof)
             grid = build_grid(prof)
             for j in range(1, len(prof.xs)):
-                seen = oracle_region_bits(p, maximal_vertical(prof, prof.xs[j]), 2, grid)
+                x = prof.xs[j]
+                seen = oracle_region_bits(p, T("v", x, *prof.cross_section(x)), 2, grid)
                 cols = {ix for ix, _ in grid.iter_cells(grid.inside_mask & ~seen)}
                 left = [ix for ix in cols if ix < j]
                 right = [ix for ix in cols if ix >= j]
@@ -561,6 +561,21 @@ class TestSolution:
         assert good.coverage_complete
         bad = Solution.build(p, (T("v", 0, 0, 3),), 0, "approx", 1)
         assert not bad.coverage_complete
+
+    def test_build_reads_any_iterable_once(self, polys):
+        # A one-shot iterator or a list gives the tuple's Solution: the
+        # containment and band checks both see every segment, and the
+        # Solution keeps a tuple, which a tuple passes through as itself.
+        cases = [(polys["VALLEY"], (T("v", 0, 0, 3),))]
+        cases += [(polys[name], approximate_2transmitters(polys[name]).transmitters)
+                  for name in ("STAIR6", "GAP7")]
+        for p, txs in cases:
+            want = Solution.build(p, txs, 2, "approx", 1)
+            assert want.coverage_complete and want.transmitters is txs
+            for given in (iter(txs), list(txs)):
+                got = Solution.build(p, given, 2, "approx", 1)
+                assert got == want
+                assert got.to_json_dict() == want.to_json_dict()
 
     def test_build_refines_the_grid_for_interior_segments(self, polys):
         # a transmitter through cell interiors still verifies exactly,

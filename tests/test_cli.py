@@ -296,11 +296,24 @@ class TestRender:
             assert "not inside the closed polygon" in capsys.readouterr().err
 
     def test_malformed_solution_file(self, gap7_file, tmp_path, capsys):
+        # k is judged by visibility.check_k, as every library call judges it
         sol = tmp_path / "sol.json"
-        sol.write_text('{"k": 9, "transmitters": []}')
+        for k in ("9", "-1", "3.0"):
+            sol.write_text(f'{{"k": {k}, "transmitters": []}}')
+            code = main(["render", gap7_file, "--solution", str(sol),
+                         "--svg", str(tmp_path / "x.svg")])
+            assert code == 2, k
+            err = capsys.readouterr().err
+            assert err == f"error: {sol}: not a solution document: k must be 0, 1 or 2\n", k
+
+    def test_vis_on_an_empty_solution(self, gap7_file, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        sol.write_text('{"k": 2, "transmitters": []}')
         code = main(["render", gap7_file, "--solution", str(sol),
-                     "--svg", str(tmp_path / "x.svg")])
+                     "--vis", "0", "--svg", str(tmp_path / "x.svg")])
         assert code == 2
+        assert capsys.readouterr().err == "error: --vis 0: the solution has no transmitters to shade\n"
+        assert not (tmp_path / "x.svg").exists()
 
     def test_bad_span_quoted_as_written(self, gap7_file, tmp_path, capsys):
         # the message names the document's own numbers

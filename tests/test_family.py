@@ -4,7 +4,7 @@
 and ``member_bits`` reads those indices straight (test_visibility checks it
 against vis_region); ``edge_aligned_candidates`` is the family's
 Transmitter view.  The reference below builds the family the direct way,
-from ``maximal_vertical`` and ``oracles.runs_at``, so a change to the order
+from ``SlabProfile.cross_section`` and ``oracles.runs_at``, so a change to the order
 or the contents of the index family shows here.
 """
 
@@ -17,7 +17,6 @@ from polytx.candidates import (
     Transmitter,
     edge_aligned_candidates,
     edge_aligned_family,
-    maximal_vertical,
     member_transmitter,
 )
 
@@ -33,7 +32,7 @@ SHAPES = [
 
 def reference_family(prof: px.SlabProfile) -> list[Transmitter]:
     """The vertical at every breakpoint, then every run at every ordinate."""
-    family = [maximal_vertical(prof, x) for x in prof.xs]
+    family = [Transmitter(VERTICAL, x, prof.cross_section(x)) for x in prof.xs]
     for y in prof.edge_ordinates:
         family += [Transmitter(HORIZONTAL, y, run) for run in runs_at(prof, y)]
     return family

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import polytx as px
 from polytx import (
-    RectUnion,
     Transmitter,
     build_grid,
     edge_aligned_candidates,
@@ -50,7 +49,7 @@ def sees(p, s, k, point):
         for ix, iy in g.iter_cells(g.inside_mask)
         if (b := g.cell_bounds(ix, iy))[0] < px_ < b[2] and b[1] < py_ < b[3]
     ]
-    return cell in set(r.cells())
+    return cell in set(g.iter_cells(r))
 
 
 class TestSeesPoint:
@@ -68,8 +67,8 @@ class TestSeesPoint:
         s = Transmitter("v", 0, (0, 1))
         assert sees(p, s, 2, (5, 0.5))
         assert not sees(p, s, 2, (5, 2))
-        r, _ = region_for(p, s, 2)
-        assert sorted(r.cells()) == [(0, 0), (1, 0), (2, 0)]
+        r, g = region_for(p, s, 2)
+        assert sorted(g.iter_cells(r)) == [(0, 0), (1, 0), (2, 0)]
 
     def test_bad_k_rejected(self, polys):
         g = build_grid(polys["RECT"].profile)
@@ -81,21 +80,21 @@ class TestVisRegion:
     def test_valley_k0_blocked_by_the_notch(self, polys):
         p = polys["VALLEY"]
         r, g = region_for(p, T("v", 0, 0, 3), 0)
-        assert sorted(r.cells()) == [(0, 0), (0, 1), (1, 0), (2, 0)]
-        assert cell_area(g, r.bits) == 10  # everything but the right wall's top
-        assert r.bits != g.inside_mask
+        assert sorted(g.iter_cells(r)) == [(0, 0), (0, 1), (1, 0), (2, 0)]
+        assert cell_area(g, r) == 10  # everything but the right wall's top
+        assert r != g.inside_mask
 
     def test_valley_k2_sees_everything(self, polys):
         p = polys["VALLEY"]
         r, g = region_for(p, T("v", 0, 0, 3), 2)
-        assert r.bits == g.inside_mask
+        assert r == g.inside_mask
 
     def test_gap7_center_column(self, polys):
         p = polys["GAP7"]
         counts = {}
         for k in (0, 1, 2):
             r, g = region_for(p, T("v", 8, 0, 3), k)
-            counts[k] = r.bits.bit_count()
+            counts[k] = r.bit_count()
         assert counts == {0: 7, 1: 10, 2: 13}
         assert g.inside_mask.bit_count() == 13
 
@@ -108,7 +107,7 @@ class TestVisRegion:
                     continue
                 expect = g.inside_mask_between(s.span[0], s.span[1])
                 for k in (0, 1, 2):
-                    assert vis_region(s, k, g).bits == expect
+                    assert vis_region(s, k, g) == expect
 
     def test_k_is_monotone(self, polys, small_corpus):
         for p in list(polys.values()) + small_corpus[:20]:
@@ -117,15 +116,15 @@ class TestVisRegion:
                 r0 = vis_region(s, 0, g)
                 r1 = vis_region(s, 1, g)
                 r2 = vis_region(s, 2, g)
-                assert r0.bits & ~r1.bits == 0
-                assert r1.bits & ~r2.bits == 0
+                assert r0 & ~r1 == 0
+                assert r1 & ~r2 == 0
 
     def test_segment_sees_itself(self, polys, small_corpus):
         # every inside cell the segment touches is visible at k=0
         for p in list(polys.values()) + small_corpus[:10]:
             g = build_grid(p.profile)
             for s in edge_aligned_candidates(p.profile):
-                cells = set(vis_region(s, 0, g).cells())
+                cells = set(g.iter_cells(vis_region(s, 0, g)))
                 lo, hi = s.span
                 for ix, iy in g.iter_cells(g.inside_mask):
                     x1, y1, x2, y2 = g.cell_bounds(ix, iy)
@@ -141,7 +140,7 @@ class TestVisRegion:
             g = build_grid(p.profile)
             for s in edge_aligned_candidates(p.profile):
                 for k in (0, 1, 2):
-                    assert vis_region(s, k, g).bits == oracle_region_bits(
+                    assert vis_region(s, k, g) == oracle_region_bits(
                         p, s, k, g
                     )
 
@@ -155,9 +154,9 @@ class TestVisRegion:
                     rp = vis_region(s, k, gp)
                     rq = vis_region(mirror_transmitter(s), k, gq)
                     flipped = {
-                        (-x2, y1, -x1, y2) for (x1, y1, x2, y2) in cell_rects(rp)
+                        (-x2, y1, -x1, y2) for (x1, y1, x2, y2) in cell_rects(gp, rp)
                     }
-                    assert cell_rects(rq) == flipped
+                    assert cell_rects(gq, rq) == flipped
 
     def test_unaligned_segment_rejected(self, polys):
         # RECT's grid has cuts x in {0, 6} and y in {0, 3} only.  The
@@ -188,10 +187,10 @@ class TestRegions:
     def test_area_and_cells(self, polys):
         p = polys["VALLEY"]
         g = build_grid(p.profile)
-        full = RectUnion(g, g.inside_mask)
-        assert cell_area(g, full.bits) == profile_area(p.profile)
-        assert full.bits.bit_count() == 5
-        assert len(list(full.cells())) == 5
+        full = g.inside_mask
+        assert cell_area(g, full) == profile_area(p.profile)
+        assert full.bit_count() == 5
+        assert len(list(g.iter_cells(full))) == 5
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,7 +201,7 @@ def test_any_candidate_matches_oracle(seed, data):
     s = data.draw(st.sampled_from(fam))
     k = data.draw(st.sampled_from((0, 1, 2)))
     g = build_grid(p.profile)
-    assert vis_region(s, k, g).bits == oracle_region_bits(p, s, k, g)
+    assert vis_region(s, k, g) == oracle_region_bits(p, s, k, g)
 
 
 def test_any_integer_line_matches_oracle(polys):
@@ -226,7 +225,7 @@ def test_any_integer_line_matches_oracle(polys):
         lines = ([s.anchor], s.span) if s.orientation == "v" else (s.span, [s.anchor])
         g = build_grid(prof, *lines)
         for k in (0, 1, 2):
-            assert vis_region(s, k, g).bits == oracle_region_bits(p, s, k, g)
+            assert vis_region(s, k, g) == oracle_region_bits(p, s, k, g)
             for segments in [(s,)] + [(s, t) for t in family]:
                 want = covered_area(p, segments, k)
                 assert segments_cover(prof, segments, k) == want, (segments, k)
@@ -275,7 +274,7 @@ def test_refined_grid_matches_oracle(seed, data):
         segs.extend(Transmitter("h", y, run) for run in runs_at(prof, y))
     for s in segs:
         for k in (0, 1, 2):
-            assert vis_region(s, k, g).bits == oracle_region_bits(p, s, k, g)
+            assert vis_region(s, k, g) == oracle_region_bits(p, s, k, g)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -286,7 +285,7 @@ def test_matches_percell_reference_at_40_slabs(seed):
     g = build_grid(prof)
     for s in edge_aligned_candidates(prof):
         for k in (0, 1, 2):
-            assert vis_region(s, k, g).bits == percell_region_bits(s, k, g)
+            assert vis_region(s, k, g) == percell_region_bits(s, k, g)
     # Refined with random cuts, each band holds several rows, and
     # verticals off the family start and end inside bands.
     rng = random.Random(seed)
@@ -298,7 +297,7 @@ def test_matches_percell_reference_at_40_slabs(seed):
         inner = [y for y in g.y_cuts if lo <= y <= hi]
         s = Transmitter("v", x, tuple(sorted(rng.sample(inner, 2))))
         for k in (0, 1, 2):
-            assert vis_region(s, k, g).bits == percell_region_bits(s, k, g)
+            assert vis_region(s, k, g) == percell_region_bits(s, k, g)
 
 
 def test_inside_mask_between_matches_percolumn_reference(polys, small_corpus):
@@ -332,7 +331,7 @@ def test_member_bits_match_vis_region_on_the_plain_grid(k):
         grid = build_grid(prof)
         bits, inside = member_bits(prof, family, k)
         view = [member_transmitter(prof, m) for m in family]
-        assert bits == [vis_region(t, k, grid).bits for t in view]
+        assert bits == [vis_region(t, k, grid) for t in view]
         assert inside == grid.inside_mask
 
 
