@@ -19,7 +19,7 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import and_, eq, ge, itemgetter, le, lt, mul, ne, not_, or_, sub
 from typing import Iterable, Sequence
 
@@ -260,23 +260,32 @@ def _merge_collinear(xs: list[int], ys: list[int], horizontal: list[bool]) -> li
     return turns
 
 
-def _axis_edges(ring: list[Point]) -> tuple[list[Edge], list[Edge]]:
-    """The ring's edges in one pass: horizontals as (y, x_lo, x_hi, index)
-    and verticals as (x, y_lo, y_hi, index), each list by index."""
-    hs, vs = [], []
-    for i, ((x1, y1), (x2, y2)) in enumerate(zip(ring, ring[1:] + ring[:1])):
-        if y1 == y2:
-            hs.append((y1, x1, x2, i) if x1 < x2 else (y1, x2, x1, i))
-        else:
-            vs.append((x1, y1, y2, i) if y1 < y2 else (x1, y2, y1, i))
+def _axis_edges(xs: list[int], ys: list[int]) -> tuple[list[Edge], list[Edge]]:
+    """The edges of a ring whose edges alternate between the axes, sliced
+    from its coordinate lists by parity: horizontals as (y, x_lo, x_hi,
+    index) and verticals as (x, y_lo, y_hi, index), each list by index."""
+    h = 0 if ys[0] == ys[1] else 1  # the parity of the horizontal edges
+    v = 1 - h
+    # Edge i runs from vertex i to vertex i + 1; the last wraps to vertex 0.
+    hs = [
+        (y, a, b, i) if a < b else (y, b, a, i)
+        for y, a, b, i in zip(ys[h::2], xs[h::2], xs[h + 1 :: 2] + xs[:h], count(h, 2))
+    ]
+    vs = [
+        (x, a, b, i) if a < b else (x, b, a, i)
+        for x, a, b, i in zip(xs[v::2], ys[v::2], ys[v + 1 :: 2] + ys[:v], count(v, 2))
+    ]
     return hs, vs
 
 
-def _crowded(lines: list[Edge], queries: list[Edge]) -> list[int]:
+def _crowded(lines: list[Edge], queries: list[Edge]) -> tuple[list[int], Span | None]:
     """Indices of the queries, edges (line, lo, hi, index) on the other axis
-    from the lines, that meet more than two lines.  At each position the
-    sweep adds the lines starting there, counts the active ones in each
-    query's closed range, then drops the lines ending there."""
+    from the lines, that meet more than two lines, and the first gap between
+    consecutive positions over which other than two lines are active (None
+    if there is none).  At each position the sweep adds the lines starting
+    there, counts the active ones in each query's closed range, then drops
+    the lines ending there.  Along x, with a ring's horizontals as the lines,
+    the gaps are its slabs, since every vertex ends a horizontal."""
     # Adds, queries and drops go in in that order, and a stable sort on the
     # position alone keeps it at each position.
     events = sorted(
@@ -287,7 +296,13 @@ def _crowded(lines: list[Edge], queries: list[Edge]) -> list[int]:
     )
     active: list[int] = []
     hit = []
-    for _, kind, lo, hi, i in events:
+    gap = None
+    at = events[0][0] if events else None
+    for pos, kind, lo, hi, i in events:
+        if pos != at and gap is None:
+            # Every event at `at` is in, so the count holds up to pos.
+            gap = None if len(active) == 2 else (at, pos)
+            at = pos
         if kind == 0:
             insort(active, lo)
         elif kind == 1:
@@ -295,12 +310,14 @@ def _crowded(lines: list[Edge], queries: list[Edge]) -> list[int]:
                 hit.append(i)
         else:
             del active[bisect_left(active, lo)]
-    return hit
+    return hit, gap
 
 
-def _check_simple(hs: list[Edge], vs: list[Edge]) -> None:
+def _check_simple(hs: list[Edge], vs: list[Edge]) -> Span | None:
     """Reject any contact between non-adjacent edges of a merged ring, given
-    its edges as :func:`_axis_edges` lists them.
+    its edges as :func:`_axis_edges` lists them; else return the x-range of
+    the first slab that the x-sweep found over other than two horizontals,
+    or None if every slab has two.
 
     Edges alternate between the axes and each meets its two neighbours, so
     a third edge of the other axis that meets it touches it.  Every contact
@@ -310,10 +327,10 @@ def _check_simple(hs: list[Edge], vs: list[Edge]) -> None:
     maximum along each line.  The least flagged edge i touches no earlier
     one, and a scan of the later edges finds its first partner j.
     """
-    flagged = _crowded(hs, vs)
+    flagged, gap = _crowded(hs, vs)
     if not flagged:
-        return
-    flagged += _crowded(vs, hs)
+        return gap
+    flagged += _crowded(vs, hs)[0]
     for edges in (hs, vs):
         far = (None, 0, 0)  # (line, hi, index) of the farthest-reaching edge so far
         for line, lo, hi, i in sorted(edges):
@@ -354,13 +371,12 @@ def _slab_stack(xs: list[int], ys: list[int]) -> SlabProfile:
     ring is a simple slab stack and needs no rebuild, and the edge-count
     scan that rebuilds and compares accepts no other ring.  A ring that is
     not one fails on its x-sequence alone, before any span is built, or else
-    in SlabProfile.  Then the contact sweep (:func:`_check_simple`) names a
-    self-intersection, or else :func:`_slab_scan` the not-monotone fault;
-    both read one pass over the edges.
+    in SlabProfile.  Then one sweep along x (:func:`_check_simple`) names a
+    self-intersection, or else the first slab it found over other than two
+    horizontal edges, with the third edge up (or the lowest) as offender.
 
     The walk reads the coordinate lists, sliced from the least vertex (the
-    lowest of those on x_min); only a rejected ring is paired into points
-    for the sweep and the scan.
+    lowest of those on x_min); the sweep reads slices of them too.
     """
     x0 = min(xs)
     start = i = xs.index(x0)
@@ -386,10 +402,15 @@ def _slab_stack(xs: list[int], ys: list[int]) -> SlabProfile:
             pass
     # A self-intersecting ring is reported as such, even when it also fails
     # as a slab stack.
-    ring = list(zip(xs, ys))
-    hs, vs = _axis_edges(ring)
-    _check_simple(hs, vs)
-    raise _slab_scan(ring, hs)
+    hs, vs = _axis_edges(xs, ys)
+    gap = _check_simple(hs, vs)
+    if gap is None:
+        raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
+    a, b = gap
+    over = sorted((y, i) for y, lo, hi, i in hs if lo <= a and b <= hi)
+    offender = over[2][1] if len(over) > 2 else (over[0][1] if over else 0)
+    message = f"a vertical line over [{a},{b}] meets {len(over)} horizontal edges (want 2)"
+    raise InvalidPolygonError("not-monotone", message, offender)
 
 
 def _steps(xs: list[int], ys: list[int], col: dict[int, int]) -> Iterable[int]:
@@ -397,38 +418,6 @@ def _steps(xs: list[int], ys: list[int], col: dict[int, int]) -> Iterable[int]:
     xs[j] to xs[j + 1] (xs increasing, col their slab indices)."""
     cols = list(map(col.__getitem__, xs))
     return chain.from_iterable(map(repeat, ys, map(sub, cols[1:], cols)))
-
-
-def _slab_scan(ring: list[Point], hs: list[Edge]) -> InvalidPolygonError:
-    """The not-monotone fault of a counter-clockwise ring with horizontal
-    edges hs that is not a slab stack.
-
-    The edge-count scan: a vertical line interior to a slab of a stack meets
-    exactly one bottom and one top horizontal edge.  The first slab whose
-    line meets any other number of edges is named, with the third edge up
-    (or the lowest, if fewer) as the offender.  A ring with two edges over
-    every slab is still no stack, and is named as such.
-    """
-    xs = sorted({x for x, _ in ring})
-    slab_of = {x: s for s, x in enumerate(xs)}
-    # Horizontal edges as (first slab, end slab, y, index): slabs first..end-1.
-    hedges = [(slab_of[lo], slab_of[hi], y, i) for y, lo, hi, i in hs]
-    # Edges over each slab, counted with a difference array.
-    delta = [0] * len(xs)
-    for a, b, _, _ in hedges:
-        delta[a] += 1
-        delta[b] -= 1
-    for s, over in enumerate(accumulate(delta[:-1])):
-        if over != 2:
-            spanning = sorted((y, i) for a, b, y, i in hedges if a <= s < b)
-            offender = spanning[2][1] if len(spanning) > 2 else (spanning[0][1] if spanning else 0)
-            return InvalidPolygonError(
-                "not-monotone",
-                f"a vertical line over [{xs[s]},{xs[s + 1]}] meets "
-                f"{len(spanning)} horizontal edges (want 2)",
-                offender,
-            )
-    return InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
 
 
 def validate(vertices: Iterable[Point]) -> OrthoPolygon:
@@ -445,10 +434,11 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     them on slices of its coordinate lists (:func:`_alternates`), and only
     another ring is checked edge by edge and merged.  An accepted ring
     becomes a profile in one walk along its two x-monotone chains
-    (:func:`_slab_stack`).  A ring that walk rejects is swept once for edge
-    contact (:func:`_check_simple`), which also names the first touching
-    pair, and otherwise scanned slab by slab (:func:`_slab_scan`) to name
-    the not-monotone fault.  Every input is decided in O(n log n) comparisons
+    (:func:`_slab_stack`).  A ring that walk rejects is swept once along x
+    (:func:`_check_simple`): a contact between edges is named as the first
+    touching pair, and otherwise the same pass has found the first slab
+    with other than two horizontal edges over it, which names the
+    not-monotone fault.  Every input is decided in O(n log n) comparisons
     (the sweep's list insertions are memmoves).
     """
     ring = iter(vertices)  # a ring that is not iterable stays a TypeError
@@ -539,7 +529,8 @@ def _validate_coords(flat: list[int]) -> OrthoPolygon:
 
 
 def parse_polygon(text: str) -> OrthoPolygon:
-    """Parse a JSON document ``{"vertices": [[x, y], ...]}`` and validate it."""
+    """Parse a JSON document ``{"vertices": [[x, y], ...]}`` and validate it.
+    A coordinate that is not an integer is named with its vertex index."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -559,10 +550,12 @@ def parse_polygon(text: str) -> OrthoPolygon:
         if not flat or -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT:
             return _validate_coords(flat)
         return validate(verts)
+    ring: list[Point] = []
     try:
-        ring = [(input_int(x), input_int(y)) for x, y in verts]
+        ring += ((input_int(x), input_int(y)) for x, y in verts)
     except ValueError as exc:
-        raise InvalidPolygonError("non-integer", f"coordinate {exc}") from exc
+        # ring holds the vertices before the first that is not an integer pair.
+        raise InvalidPolygonError("non-integer", f"coordinate {exc}", len(ring)) from exc
     return validate(ring)
 
 

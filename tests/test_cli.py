@@ -108,6 +108,12 @@ class TestValidate:
         assert main(["validate", str(f)]) == 2
         assert "out-of-range" in capsys.readouterr().err
 
+    def test_non_integer_names_the_vertex(self, tmp_path, capsys):
+        f = tmp_path / "half.json"
+        f.write_text('{"vertices": [[0,0],[6,0],[6,0.5],[0,3]]}')
+        assert main(["validate", str(f)]) == 2
+        assert f"{f}: non-integer (vertex 2): coordinate 0.5 is not an integer" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err

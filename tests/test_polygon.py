@@ -6,7 +6,7 @@ import pytest
 
 import polytx as px
 from polytx import InvalidPolygonError, build_grid, cut_right, validate
-from polytx.geometry import _axis_edges, _slab_scan, profile_to_ring
+from polytx.geometry import profile_to_ring
 
 from oracles import (
     cell_area,
@@ -18,12 +18,12 @@ from oracles import (
     point_inside,
     profile_area,
     reference_row_walls,
-    reference_slab_scan,
     reference_vertical_edges,
     row_reps,
     runs_at,
     shoelace2,
 )
+from validation_oracles import reference_axis_edges, reference_slab_scan
 
 RECT_RING = [(0, 0), (6, 0), (6, 3), (0, 3)]
 VALLEY_RING = [(0, 0), (6, 0), (6, 3), (4, 3), (4, 1), (2, 1), (2, 3), (0, 3)]
@@ -86,11 +86,12 @@ class TestValidate:
         assert exc.value.index == 2
 
 
-# Diagnoses frozen from the all-pairs validator (oracles.reference_validate).
-# A ring the chain walk rejects goes to the contact check, and to the slab
-# scan only when the check passes.  Every ring here fails the accepting scan
-# (oracles.reference_slab_scan, with scan_message) and must still report
-# what the scan-first order reported.  That scan's span checks (made by
+# Diagnoses frozen from the all-pairs validator
+# (validation_oracles.reference_validate).  A ring the chain walk rejects
+# goes to the contact check, and is named not-monotone only when the check
+# passes.  Every ring here fails the accepting scan
+# (validation_oracles.reference_slab_scan, with scan_message) and must still
+# report what the scan-first order reported.  That scan's span checks (made by
 # SlabProfile) and ring comparison only ever fire on rings that also
 # self-intersect.
 DIAGNOSES = [
@@ -176,21 +177,25 @@ class TestDiagnoses:
         assert (exc.value.reason, exc.value.index, str(exc.value)) == (reason, index, message)
 
     @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
-    def test_slab_scan_rejects_first(self, ring, scan_message, reason, index, message):
+    def test_slab_scan_rejects_first(self, monkeypatch, ring, scan_message, reason, index, message):
         # Counter-clockwise rings with no collinear vertices: validate hands
-        # the slab scan the ring unchanged.
-        hs = _axis_edges(ring)[0]
+        # the chain walk, and the sweep after it, the ring unchanged.
         with pytest.raises(ValueError) as exc:
-            reference_slab_scan(ring, hs)
+            reference_slab_scan(ring, reference_axis_edges(ring)[0])
         assert str(exc.value) == scan_message
-        # The library's scan only names the fault: the reference's own
-        # not-monotone error, or for SlabProfile's plain ValueError the one
-        # validate turned it into.
+        # The library only names the fault: the reference's own not-monotone
+        # error, or for SlabProfile's plain ValueError the one validate
+        # turned it into.
         want = exc.value
         if not isinstance(want, InvalidPolygonError):
             want = InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
-        fault = _slab_scan(ring, hs)
-        assert type(fault) is InvalidPolygonError
+        # It names the slab its x-sweep found, after the contact verdict,
+        # which is set aside here so that every ring reaches the naming.
+        sweep = px.geometry._crowded
+        monkeypatch.setattr(px.geometry, "_check_simple", lambda hs, vs: sweep(hs, vs)[1])
+        with pytest.raises(InvalidPolygonError) as got:
+            validate(ring)
+        fault = got.value
         assert (fault.reason, fault.index, str(fault)) == (want.reason, want.index, str(want))
 
     @pytest.mark.parametrize("ring, scan_message, reason, index, message", DIAGNOSES)
@@ -210,6 +215,34 @@ class TestDiagnoses:
             validate(ring)
         assert exc.value.reason == "not-monotone"
         assert calls == [1, 1]
+
+    def test_not_monotone_reject_sweeps_its_edges_once(self, monkeypatch):
+        # The x-sweep that finds no contact has also counted the horizontals
+        # over every slab, so a not-monotone reject lists its edges once and
+        # sweeps them once.
+        calls = {"edges": 0, "sweeps": 0}
+        edges, sweep = px.geometry._axis_edges, px.geometry._crowded
+
+        def counting_edges(xs, ys):
+            calls["edges"] += 1
+            return edges(xs, ys)
+
+        def counting_sweep(lines, queries):
+            calls["sweeps"] += 1
+            return sweep(lines, queries)
+
+        monkeypatch.setattr(px.geometry, "_axis_edges", counting_edges)
+        monkeypatch.setattr(px.geometry, "_crowded", counting_sweep)
+        rings = [DIAGNOSES[3].values[0]]
+        for slabs in (40, 400):
+            base = list(px.random_monotone(slabs, 20, 4, seed=1).vertices)
+            rings += [notched(base), notched(base, depth=2)]
+        for ring in rings:
+            calls.update(edges=0, sweeps=0)
+            with pytest.raises(InvalidPolygonError) as exc:
+                validate(ring)
+            assert exc.value.reason == "not-monotone"
+            assert calls == {"edges": 1, "sweeps": 1}
 
     def test_notched_4000_slabs_names_the_first_contact(self):
         # Frozen from the earlier all-pairs scan; the reference is quadratic here.

@@ -3,11 +3,11 @@
 Rings start as random slab stacks, some with a notch cut into the right
 edge, and are then mutated: vertices dragged, runs of vertices translated,
 vertices deleted or duplicated, chunks of the ring reversed.  Every outcome,
-accepted or rejected, must match oracles.reference_validate exactly.  The
-contact sweep must name the same pair, with the same reason, index and
-message, as oracles.reference_check_simple on every ring that reaches it,
-and validate's chain walk must decide every ring as the edge-count scan
-alone does.
+accepted or rejected, must match validation_oracles.reference_validate
+exactly.  The contact sweep must name the same pair, with the same reason,
+index and message, as validation_oracles.reference_check_simple on every
+ring that reaches it, and validate's chain walk must decide every ring as
+the edge-count scan alone does.
 """
 
 import json
@@ -20,14 +20,14 @@ import polytx as px
 from polytx import InvalidPolygonError, validate
 from polytx.geometry import COORD_LIMIT, _area, _axis_edges, _check_simple
 
-from oracles import (
-    notched,
+from oracles import notched, ring_edges, shoelace2
+from validation_oracles import (
+    pruned_check_simple,
+    reference_axis_edges,
     reference_check_simple,
     reference_merge_collinear,
     reference_slab_scan,
     reference_validate,
-    ring_edges,
-    shoelace2,
 )
 
 # Every reason validate itself raises (malformed-json is parse_polygon's).
@@ -166,8 +166,8 @@ def test_mutated_rings_reach_every_reason():
 
 
 def merged_ring(ring) -> list | None:
-    """ring as oracles.reference_validate merges it, or None when that
-    rejects the ring before it merges (or while it merges)."""
+    """ring as validation_oracles.reference_validate merges it, or None when
+    that rejects the ring before it merges (or while it merges)."""
     pts = [tuple(v) for v in ring]
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
@@ -226,8 +226,13 @@ def simplicity_inputs(monkeypatch, rings) -> list:
     return seen
 
 
+def coords(ring) -> tuple[list, list]:
+    """The ring's x and y coordinate lists."""
+    return [x for x, _ in ring], [y for _, y in ring]
+
+
 def contact_check(ring) -> None:
-    _check_simple(*_axis_edges(ring))
+    _check_simple(*_axis_edges(*coords(ring)))
 
 
 def diagnosis(check, ring) -> tuple | None:
@@ -272,6 +277,57 @@ def test_touches_matches_reference_on_large_rings(monkeypatch, slabs, seeds):
     assert any(contact) and not all(contact)
 
 
+def test_axis_edges_match_the_zipped_ring(monkeypatch):
+    rings = [mutated_ring(random.Random(seed)) for seed in range(3000)]
+    for slabs in (40, 400):
+        base = list(px.random_monotone(slabs, 20, 4, 1).vertices)
+        rings += [base, base[1:] + base[:1], notched(base), notched(base, depth=3 * slabs)]
+    scanned = simplicity_inputs(monkeypatch, rings)
+    assert len(scanned) > 1000
+    # Both parities: the first edge horizontal, and the first edge vertical.
+    assert {r[0][1] == r[1][1] for r in scanned} == {True, False}
+    assert [r for r in scanned if _axis_edges(*coords(r)) != reference_axis_edges(r)] == []
+
+
+# -- the x-sweep names the not-monotone slab as the edge-count scan did ------
+
+
+def reference_diagnosis(check, ring) -> tuple | None:
+    """What check, then the edge-count scan, say of a merged counter-clockwise
+    ring, as validate would name it: a plain ValueError from the scan's
+    SlabProfile becomes the stack fault validate raises for one."""
+    try:
+        check(ring)
+        reference_slab_scan(ring, reference_axis_edges(ring)[0])
+    except InvalidPolygonError as exc:
+        return (exc.reason, exc.index, str(exc))
+    except ValueError:
+        return ("not-monotone", None, "region is not a left-to-right slab stack")
+    return None
+
+
+@pytest.mark.parametrize("slabs, seeds", [(40, range(5)), (400, range(1)), (4000, range(1))])
+def test_notched_rings_match_the_references(slabs, seeds):
+    # reference_check_simple tries all n^2 pairs, too many at 4,000 slabs;
+    # pruned_check_simple gives its verdict there, and is held to it below.
+    reasons = []
+    for seed in seeds:
+        base = list(px.random_monotone(slabs, 20, 4, seed).vertices)
+        for depth in (1, 2, 3, 3 * slabs):
+            ring = notched(base, depth)
+            # validate hands the chain walk the ring, counter-clockwise: a
+            # deep notch can turn its signed area negative.
+            assert len(set(ring)) == len(ring) and shoelace2(ring) != 0
+            walked = ring if shoelace2(ring) > 0 else ring[::-1]
+            got = diagnosis(validate, ring)
+            assert got == reference_diagnosis(pruned_check_simple, walked), (seed, depth)
+            if slabs < 4000:
+                assert got == reference_diagnosis(reference_check_simple, walked), (seed, depth)
+            reasons.append(got[0])
+    assert reasons.count("not-monotone") >= 2 * len(seeds)
+    assert "self-intersecting" in reasons
+
+
 # -- the chain walk against the edge-count scan ---------------------------------
 
 
@@ -280,7 +336,7 @@ def scan_only(xs, ys):
     before: the accepting edge-count scan, and the contact check when it
     rejects."""
     ring = list(zip(xs, ys))
-    hs, vs = _axis_edges(ring)
+    hs, vs = _axis_edges(xs, ys)
     try:
         return reference_slab_scan(ring, hs)
     except ValueError:
@@ -425,7 +481,7 @@ def test_parse_polygon_int_coordinates_out_of_range():
     [
         pytest.param(
             [[0, 0], [0, None], [0, 0]],
-            ("non-integer", None, "coordinate None is not an integer"),
+            ("non-integer", 1, "coordinate None is not an integer"),
             id="null",
         ),
         pytest.param(
@@ -440,16 +496,22 @@ def test_parse_polygon_int_coordinates_out_of_range():
         ),
         pytest.param(
             [[0, 0], [1, "a"], [2, 2]],
-            ("non-integer", None, "coordinate 'a' is not an integer"),
+            ("non-integer", 1, "coordinate 'a' is not an integer"),
             id="string",
+        ),
+        pytest.param(
+            [[0, 0], [6, 0.5], [0, 0]],
+            ("non-integer", 1, "coordinate 0.5 is not an integer"),
+            id="float",
         ),
     ],
 )
 def test_parse_polygon_short_ring_takes_validates_checks(vertices, want):
     # A ring of fewer than four vertices gets the same reason from
-    # parse_polygon as from validate, not too-few-vertices ahead of it.
+    # parse_polygon as from validate, not too-few-vertices ahead of it, and
+    # the same offending vertex.
     assert diagnosis(px.parse_polygon, json.dumps({"vertices": vertices})) == want
-    assert diagnosis(validate, vertices)[0] == want[0]
+    assert diagnosis(validate, vertices)[:2] == want[:2]
 
 
 # -- parse_polygon: any JSON document ends in a polygon or a typed error ------
