@@ -5,28 +5,19 @@ becomes bitsets over (slab, band) cells for the exact solver and intervals
 per row for the greedy sweep and the coverage check, both read from the
 profile's wall table, and both the factor-2 approximation and the exact
 solver work on a finite edge-aligned candidate family.
+
+The modules import each other in one direction: ``geometry`` (with
+``InvalidPolygonError``) → ``candidates`` → ``visibility`` (with ``Solution``,
+``prune_dominated`` and ``canonicalize_solution``) → ``approx`` and ``exact``
+(with ``NoSolutionWithinBudget``) → ``cli``.
 """
 
-from .approx import (
-    FinderResult,
-    Solution,
-    SweepTables,
-    approximate_2transmitters,
-    hv_finder,
-    vh_finder,
-)
-from .candidates import (
-    SegmentSet,
-    Transmitter,
-    canonical,
-    canonicalize_solution,
-    edge_aligned_candidates,
-    prune_dominated,
-)
-from .errors import InvalidPolygonError, NoSolutionWithinBudget
-from .exact import exact_min_transmitters
+from .approx import FinderResult, SweepTables, approximate_2transmitters, hv_finder, vh_finder
+from .candidates import SegmentSet, Transmitter, canonical, edge_aligned_candidates
+from .exact import NoSolutionWithinBudget, exact_min_transmitters
 from .geometry import (
     CellGrid,
+    InvalidPolygonError,
     OrthoPolygon,
     Point,
     SlabProfile,
@@ -38,7 +29,7 @@ from .geometry import (
 )
 from .instances import FIXTURES, corpus, fixture, random_monotone
 from .svg import render_svg
-from .visibility import vis_region
+from .visibility import Solution, canonicalize_solution, prune_dominated, vis_region
 
 __version__ = "0.1.0"
 

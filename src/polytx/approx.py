@@ -7,18 +7,20 @@ covered prefix is discarded.  At most two segments per iteration against at
 least one in any optimal cover gives the factor-2 guarantee.  Cuts are
 breakpoint indices: cut c is the line ``prof.xs[c]``, and the finders'
 segments are members in ``candidates.edge_aligned_family``'s index form;
-only the answer's members become Transmitters.
+only the answer's members become Transmitters.  The answer is a
+``visibility.Solution``, the verified cover the exact solver returns too;
+this module and :mod:`polytx.exact` do not import each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .candidates import HORIZONTAL, VERTICAL, Member, SegmentSet, Transmitter, member_transmitter
+from .candidates import HORIZONTAL, VERTICAL, Member, member_transmitter
 from .geometry import OrthoPolygon, SlabProfile
-from .visibility import reach, segments_cover
+from .visibility import Solution, reach
 
 # Not called here: bench/spans.py traces these names in this module's namespace.
 from .candidates import canonical, edge_aligned_candidates  # noqa: F401
@@ -53,53 +55,6 @@ class FinderResult:
     @property
     def count(self) -> int:
         return 1 if self.second is None else 2
-
-
-@dataclass(frozen=True)
-class Solution:
-    """A verified cover attempt, ready for serialization."""
-
-    transmitters: SegmentSet
-    k: int
-    solver: str
-    iterations: int
-    coverage_complete: bool
-
-    @property
-    def count(self) -> int:
-        return len(self.transmitters)
-
-    @staticmethod
-    def build(
-        polygon: OrthoPolygon,
-        transmitters: Iterable[Transmitter],
-        k: int,
-        solver: str,
-        iterations: int,
-    ) -> "Solution":
-        """Re-verify coverage on the polygon before packaging.
-
-        Coverage is never trusted from the solver that produced the set: the
-        union of the transmitters' k-visibility regions is compared against
-        the whole polygon, band by band (:func:`~polytx.visibility.segments_cover`),
-        from the polygon and the transmitters alone.  Every transmitter must
-        also lie in the closed polygon; one that leaves it makes
-        ``coverage_complete`` False.  The transmitters are read once into
-        the tuple the Solution keeps, so any iterable gives the same answer.
-        """
-        transmitters = tuple(transmitters)
-        covered = segments_cover(polygon.profile, transmitters, k)
-        return Solution(transmitters, k, solver, iterations, covered)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "solver": self.solver,
-            "count": self.count,
-            "transmitters": [t.as_input() for t in self.transmitters],
-            "coverage": "complete" if self.coverage_complete else "incomplete",
-            "iterations": self.iterations,
-        }
 
 
 class SweepTables:

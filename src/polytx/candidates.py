@@ -4,24 +4,25 @@ A transmitter is a maximal axis-parallel segment inside the closed polygon.
 The search family is the edge-aligned family: a maximal vertical segment at
 every vertical-edge abscissa and every maximal horizontal run at every
 horizontal-edge ordinate.  An optimal solution can always be slid onto these
-edge-aligned lines, which is what :func:`canonicalize_solution` performs (and
-re-verifies).  :func:`edge_aligned_family` is the one generator: it gives
-each member as a line index and two index ends (breakpoints and
-``edge_ordinates`` positions), which is what the bitsets, the exact
-search and ``prune_dominated(p, k)`` read; :func:`edge_aligned_candidates`
-is its Transmitter view.  Every consumer takes a slab's span in band
-indices from the profile's ``span_bands``.
+edge-aligned lines.  :func:`edge_aligned_family` is the one generator: it
+gives each member as a line index and two index ends (breakpoints and
+``edge_ordinates`` positions), which is what the bitsets, the exact search
+and the pruning read; :func:`edge_aligned_candidates` is its Transmitter
+view.  Every consumer takes a slab's span in band indices from the
+profile's ``span_bands``.
+
+This module reads no visibility.  What is decided from the regions lives
+in :mod:`polytx.visibility`: the pruning (``prune_dominated``), the sliding
+onto edge-aligned lines (``canonicalize_solution``) and the verified
+``Solution``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .geometry import OrthoPolygon, SlabProfile, Span, input_int
+from .geometry import SlabProfile, Span, input_int
 
 VERTICAL = "v"
 HORIZONTAL = "h"
@@ -141,70 +142,3 @@ def edge_aligned_candidates(prof: SlabProfile) -> SegmentSet:
     canonical() would return it unchanged.
     """
     return tuple(member_transmitter(prof, m) for m in edge_aligned_family(prof))
-
-
-def prune_dominated(p: OrthoPolygon, k: int = 2) -> SegmentSet:
-    """The polygon's edge-aligned family after a single elimination pass in
-    canonical order.
-
-    A candidate is removed when its k-visibility region is contained in the
-    union over the *currently remaining* other candidates, so the union of
-    regions over the result equals the union over the whole family exactly.
-    Those others are the candidates kept so far and all later ones, so a
-    running union and precomputed suffix unions decide each candidate with
-    one OR.  The regions are :func:`~polytx.visibility.member_bits`' (slab,
-    band) bitsets of the index-form family, and only the kept members become
-    Transmitters.  k must be 0, 1 or 2.
-    """
-    from .visibility import check_k, member_bits
-
-    check_k(k)
-    prof = p.profile
-    family = edge_aligned_family(prof)
-    regions, _ = member_bits(prof, family, k)
-    # after[i] is the union of regions[i + 1:].
-    after = list(accumulate(reversed(regions), or_, initial=0))[-2::-1]
-    kept, before = [], 0
-    for m, region, rest in zip(family, regions, after):
-        if region & ~(before | rest):
-            kept.append(member_transmitter(prof, m))
-            before |= region
-    return tuple(kept)
-
-
-def _nearest(lines: Sequence[int], v: int) -> int:
-    """Closest value in the sorted lines; ties resolve to the smaller (left/down)."""
-    i = bisect_left(lines, v)
-    if i == len(lines) or i > 0 and v - lines[i - 1] <= lines[i] - v:
-        return lines[i - 1]
-    return lines[i]
-
-
-def canonicalize_solution(
-    sol: Iterable[Transmitter], p: OrthoPolygon
-) -> tuple[SegmentSet, bool]:
-    """Slide each segment onto the nearer edge-aligned line and maximalize.
-
-    Returns the deduplicated result plus a feasibility flag: whether the
-    canonicalized set still covers the polygon with k = 2 (re-verified, not
-    assumed).  Raises ValueError when an input segment leaves the closed
-    polygon.
-    """
-    from .visibility import segments_cover
-
-    prof = p.profile
-    out: list[Transmitter] = []
-    for s in sol:
-        if not segment_inside(prof, s):
-            raise ValueError(f"segment {s} is not inside the closed polygon")
-        if s.orientation == VERTICAL:
-            x = _nearest(prof.xs, s.anchor)  # a breakpoint, so the section exists
-            out.append(Transmitter(VERTICAL, x, prof.cross_section(x)))
-        else:
-            y = _nearest(prof.edge_ordinates, s.anchor)
-            run = prof.run_covering(y, *s.span)
-            if run is None:
-                raise ValueError(f"segment {s} leaves the polygon when slid to y={y}")
-            out.append(Transmitter(HORIZONTAL, y, run))
-    result = canonical(out)
-    return result, segments_cover(prof, result, 2)

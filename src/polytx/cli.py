@@ -15,13 +15,12 @@ import sys
 from pathlib import Path
 
 from .approx import approximate_2transmitters
-from .candidates import Transmitter, edge_aligned_candidates, prune_dominated, segment_inside
-from .errors import InvalidPolygonError, NoSolutionWithinBudget
-from .exact import exact_min_transmitters
-from .geometry import OrthoPolygon, build_grid, input_int, parse_polygon
+from .candidates import Transmitter, edge_aligned_candidates, segment_inside
+from .exact import NoSolutionWithinBudget, exact_min_transmitters
+from .geometry import InvalidPolygonError, OrthoPolygon, build_grid, input_int, parse_polygon
 from .instances import random_monotone
 from .svg import render_svg
-from .visibility import check_k, vis_region
+from .visibility import check_k, prune_dominated, vis_region
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -30,6 +30,10 @@ the first time that cell is the lowest uncovered one.  A node branches on
 the list's entries from its lowest allowed index on, which is the order a
 scan of the whole family would give, at the cost of the cell's coverers
 instead of the family's size.
+
+The answer is a ``visibility.Solution``, as the greedy's is; nothing here
+comes from :mod:`polytx.approx`.  :class:`NoSolutionWithinBudget` is raised
+when no cover fits the budget.
 """
 
 from __future__ import annotations
@@ -38,16 +42,22 @@ from bisect import bisect_left
 from math import comb
 from typing import Sequence
 
-from .approx import Solution
 from .candidates import edge_aligned_family, member_transmitter
-from .errors import NoSolutionWithinBudget
 from .geometry import OrthoPolygon
-from .visibility import check_k, member_bits
+from .visibility import Solution, check_k, member_bits
 
 # Not called here: bench/spans.py traces these names in this module's namespace.
 from .candidates import edge_aligned_candidates  # noqa: F401
 from .geometry import build_grid  # noqa: F401
 from .visibility import vis_region  # noqa: F401
+
+
+class NoSolutionWithinBudget(Exception):
+    """The exact search exhausted its cardinality budget without a cover."""
+
+    def __init__(self, budget: int):
+        super().__init__(f"no covering subset of cardinality <= {budget}")
+        self.budget = budget
 
 
 def _covers(

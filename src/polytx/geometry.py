@@ -11,6 +11,9 @@ between consecutive vertical-edge abscissae, each carrying a single vertical
 cross-section interval.  ``CellGrid`` refines the slabs with any extra exact
 cut lines a caller needs and classifies every cell as entirely inside or
 entirely outside the closed polygon.
+
+:class:`InvalidPolygonError`, the error ingestion raises, is defined here
+beside its raisers; this module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -23,13 +26,28 @@ from itertools import chain, compress, count, repeat
 from operator import and_, eq, ge, itemgetter, le, lt, mul, ne, not_, or_, sub
 from typing import Iterable, Sequence
 
-from .errors import InvalidPolygonError
-
 COORD_LIMIT = 10**6
 
 Point = tuple[int, int]
 Span = tuple[int, int]
 Edge = tuple[int, int, int, int]  # (line, lo, hi, index), see _axis_edges
+
+
+class InvalidPolygonError(ValueError):
+    """The input vertex ring is not a simple x-monotone orthogonal polygon.
+
+    ``reason`` is a stable machine-readable code (``"non-orthogonal"``,
+    ``"self-intersecting"``, ``"not-monotone"``, ``"degenerate-edge"``,
+    ``"duplicate-vertex"``, and the ingestion codes ``"malformed-json"``,
+    ``"too-few-vertices"``, ``"non-integer"``, ``"out-of-range"``).
+    ``index`` names the offending vertex in the input ring when one can be
+    pinned down.
+    """
+
+    def __init__(self, reason: str, message: str, index: int | None = None):
+        super().__init__(message)
+        self.reason = reason
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -545,11 +563,12 @@ def parse_polygon(text: str) -> OrthoPolygon:
     ):
         raise InvalidPolygonError("malformed-json", "vertices must be a list of [x, y] pairs")
     flat = list(chain.from_iterable(verts))
-    if set(map(type, flat)) <= {int}:
-        # The pairs and types are checked; only the range is left to check.
-        if not flat or -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT:
-            return _validate_coords(flat)
-        return validate(verts)
+    # The pairs are checked; an all-int ring within range skips validate's
+    # per-vertex checks, and any other is converted and judged by them.
+    if set(map(type, flat)) <= {int} and (
+        not flat or -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT
+    ):
+        return _validate_coords(flat)
     ring: list[Point] = []
     try:
         ring += ((input_int(x), input_int(y)) for x, y in verts)

@@ -1,4 +1,4 @@
-"""Visibility with up to k wall crossings, as bitsets and as intervals.
+"""Visibility with up to k wall crossings, and every decision read from it.
 
 Sight lines are axis-parallel: a segment sees a point iff the perpendicular
 from the point lands on the closed segment and crosses at most k boundary
@@ -6,7 +6,7 @@ edges on the way.  All predicates are exact integer arithmetic.  Everything
 here reads one wall table, the profile's ``row_walls``: in each row band, a
 vertical sees up to the (k+1)-th wall on each side of its line
 (:func:`reach`).  :func:`member_bits` builds the bitsets of the exact
-solver and of ``prune_dominated(p, k)`` straight from that table for
+solver and of :func:`prune_dominated` straight from that table for
 index-form family members, one bit per (slab, band) cell in column-major
 order, with no grid.  :func:`vis_region` gives one region as a bitset over
 a CellGrid's cells, for ``render --vis`` and the test oracles; the grid may
@@ -14,16 +14,22 @@ be refined with the segment's own coordinates, and each cell is then seen
 whole or not at all.
 :func:`segments_cover` decides whether a set of regions covers the polygon
 from the same rules, as slab ranges per row band tested only in their gaps;
-a set with a segment outside the polygon does not cover it.
+a set with a segment outside the polygon does not cover it.  It is the
+check behind :class:`Solution`, the verified answer both solvers return,
+and behind :func:`canonicalize_solution`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Sequence
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
+from typing import Iterable, Sequence
 
-from .candidates import HORIZONTAL, VERTICAL, Member, Transmitter, segment_inside
-from .geometry import CellGrid, SlabProfile
+from .candidates import HORIZONTAL, VERTICAL, Member, SegmentSet, Transmitter, canonical
+from .candidates import edge_aligned_family, member_transmitter, segment_inside
+from .geometry import CellGrid, OrthoPolygon, SlabProfile
 
 
 def _cut(cuts: Sequence[int], v: int, what: str) -> int:
@@ -190,3 +196,113 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
             if b > g:
                 g = b
     return True
+
+
+@dataclass(frozen=True)
+class Solution:
+    """A verified cover attempt, ready for serialization."""
+
+    transmitters: SegmentSet
+    k: int
+    solver: str
+    iterations: int
+    coverage_complete: bool
+
+    @property
+    def count(self) -> int:
+        return len(self.transmitters)
+
+    @staticmethod
+    def build(
+        polygon: OrthoPolygon,
+        transmitters: Iterable[Transmitter],
+        k: int,
+        solver: str,
+        iterations: int,
+    ) -> "Solution":
+        """Re-verify coverage on the polygon before packaging.
+
+        Coverage is never trusted from the solver that produced the set: the
+        union of the transmitters' k-visibility regions is compared against
+        the whole polygon, band by band (:func:`segments_cover`), from the
+        polygon and the transmitters alone.  Every transmitter must also lie
+        in the closed polygon; one that leaves it makes
+        ``coverage_complete`` False.  The transmitters are read once into
+        the tuple the Solution keeps, so any iterable gives the same answer.
+        """
+        transmitters = tuple(transmitters)
+        covered = segments_cover(polygon.profile, transmitters, k)
+        return Solution(transmitters, k, solver, iterations, covered)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "solver": self.solver,
+            "count": self.count,
+            "transmitters": [t.as_input() for t in self.transmitters],
+            "coverage": "complete" if self.coverage_complete else "incomplete",
+            "iterations": self.iterations,
+        }
+
+
+def prune_dominated(p: OrthoPolygon, k: int = 2) -> SegmentSet:
+    """The polygon's edge-aligned family after a single elimination pass in
+    canonical order.
+
+    A candidate is removed when its k-visibility region is contained in the
+    union over the *currently remaining* other candidates, so the union of
+    regions over the result equals the union over the whole family exactly.
+    Those others are the candidates kept so far and all later ones, so a
+    running union and precomputed suffix unions decide each candidate with
+    one OR.  The regions are :func:`member_bits`' (slab, band) bitsets of
+    the index-form family, and only the kept members become Transmitters.
+    k must be 0, 1 or 2.
+    """
+    check_k(k)
+    prof = p.profile
+    family = edge_aligned_family(prof)
+    regions, _ = member_bits(prof, family, k)
+    # after[i] is the union of regions[i + 1:].
+    after = list(accumulate(reversed(regions), or_, initial=0))[-2::-1]
+    kept, before = [], 0
+    for m, region, rest in zip(family, regions, after):
+        if region & ~(before | rest):
+            kept.append(member_transmitter(prof, m))
+            before |= region
+    return tuple(kept)
+
+
+def _nearest(lines: Sequence[int], v: int) -> int:
+    """Closest value in the sorted lines; ties resolve to the smaller (left/down)."""
+    i = bisect_left(lines, v)
+    if i == len(lines) or i > 0 and v - lines[i - 1] <= lines[i] - v:
+        return lines[i - 1]
+    return lines[i]
+
+
+def canonicalize_solution(
+    sol: Iterable[Transmitter], p: OrthoPolygon
+) -> tuple[SegmentSet, bool]:
+    """Slide each segment onto the nearer edge-aligned line and maximalize.
+
+    Returns the deduplicated result plus a feasibility flag: whether the
+    canonicalized set still covers the polygon with k = 2 (re-verified by
+    :func:`segments_cover`, not assumed).  Raises ValueError when an input
+    segment leaves the closed polygon.
+    """
+    prof = p.profile
+    out: list[Transmitter] = []
+    for s in sol:
+        if not segment_inside(prof, s):
+            raise ValueError(f"segment {s} is not inside the closed polygon")
+        if s.orientation == VERTICAL:
+            x = _nearest(prof.xs, s.anchor)  # a breakpoint, so the section exists
+            out.append(Transmitter(VERTICAL, x, prof.cross_section(x)))
+        else:
+            y = _nearest(prof.edge_ordinates, s.anchor)
+            run = prof.run_covering(y, *s.span)
+            if run is None:
+                raise ValueError(f"segment {s} leaves the polygon when slid to y={y}")
+            out.append(Transmitter(HORIZONTAL, y, run))
+    result = canonical(out)
+    return result, segments_cover(prof, result, 2)

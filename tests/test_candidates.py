@@ -15,7 +15,7 @@ from polytx import (
     prune_dominated,
     vis_region,
 )
-from polytx.candidates import _nearest
+from polytx.visibility import _nearest
 
 from oracles import contains_point, dense_exact, reference_prune_dominated
 
@@ -249,7 +249,7 @@ class TestCanonicalizeSolution:
         # line is forced to reach the check that guards it.  VALLEY scaled
         # by 2 has the line y=1 across its floor off every edge line.
         valley = px.validate([(2 * x, 2 * y) for x, y in px.FIXTURES["VALLEY"]])
-        monkeypatch.setattr(px.candidates, "_nearest", lambda lines, v: lines[-1])
+        monkeypatch.setattr(px.visibility, "_nearest", lambda lines, v: lines[-1])
         with pytest.raises(ValueError, match="leaves the polygon"):
             canonicalize_solution((Transmitter("h", 1, (0, 12)),), valley)
 
