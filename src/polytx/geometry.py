@@ -31,6 +31,7 @@ COORD_LIMIT = 10**6
 Point = tuple[int, int]
 Span = tuple[int, int]
 Edge = tuple[int, int, int, int]  # (line, lo, hi, index), see _axis_edges
+Gap = tuple[int, int, list[int]]  # (lo, hi, sorted lines over it), see _crowded
 
 
 class InvalidPolygonError(ValueError):
@@ -296,30 +297,40 @@ def _axis_edges(xs: list[int], ys: list[int]) -> tuple[list[Edge], list[Edge]]:
     return hs, vs
 
 
-def _crowded(lines: list[Edge], queries: list[Edge]) -> tuple[list[int], Span | None]:
-    """Indices of the queries, edges (line, lo, hi, index) on the other axis
-    from the lines, that meet more than two lines, and the first gap between
-    consecutive positions over which other than two lines are active (None
-    if there is none).  At each position the sweep adds the lines starting
-    there, counts the active ones in each query's closed range, then drops
-    the lines ending there.  Along x, with a ring's horizontals as the lines,
-    the gaps are its slabs, since every vertex ends a horizontal."""
+def _crowded(a: list[int], b: list[int]) -> tuple[list[int], Gap | None]:
+    """Sweep along a over the ring with coordinate lists a and b, whose
+    edges alternate between the axes.  The lines are the edges that keep b,
+    the queries the edges that keep a.  Returns the indices of the queries
+    that meet more than two lines, and the first gap between consecutive
+    positions over which other than two lines are active, with the sorted
+    b-coordinates of those lines (None if there is none).  At each position
+    the sweep adds the lines starting there, counts the active ones in each
+    query's closed range, then drops the lines ending there.
+    ``_crowded(xs, ys)`` sweeps along x with the horizontals as lines, and
+    then the gaps are the ring's slabs, since every vertex ends a
+    horizontal; ``_crowded(ys, xs)`` is the swapped sweep.  The events are
+    built straight from parity slices of the two lists."""
+    p = 0 if b[0] == b[1] else 1  # the parity of the lines
+    q = 1 - p
+    # Edge i runs from vertex i to vertex i + 1; the last wraps to vertex 0.
+    ends = a[p::2], a[p + 1 :: 2] + a[:p], b[p::2]  # a line's two ends and its b
+    queries = zip(a[q::2], b[q::2], b[q + 1 :: 2] + b[:q], count(q, 2))
     # Adds, queries and drops go in in that order, and a stable sort on the
     # position alone keeps it at each position.
     events = sorted(
-        [(lo, 0, line, line, i) for line, lo, _, i in lines]
-        + [(line, 1, lo, hi, i) for line, lo, hi, i in queries]
-        + [(hi, 2, line, line, i) for line, _, hi, i in lines],
+        [(s, 0, y, y, i) if s < t else (t, 0, y, y, i) for s, t, y, i in zip(*ends, count(p, 2))]
+        + [(x, 1, s, t, i) if s < t else (x, 1, t, s, i) for x, s, t, i in queries]
+        + [(t, 2, y, y, i) if s < t else (s, 2, y, y, i) for s, t, y, i in zip(*ends, count(p, 2))],
         key=itemgetter(0),
     )
     active: list[int] = []
     hit = []
     gap = None
-    at = events[0][0] if events else None
+    at = events[0][0]
     for pos, kind, lo, hi, i in events:
         if pos != at and gap is None:
             # Every event at `at` is in, so the count holds up to pos.
-            gap = None if len(active) == 2 else (at, pos)
+            gap = None if len(active) == 2 else (at, pos, active[:])
             at = pos
         if kind == 0:
             insort(active, lo)
@@ -331,24 +342,26 @@ def _crowded(lines: list[Edge], queries: list[Edge]) -> tuple[list[int], Span | 
     return hit, gap
 
 
-def _check_simple(hs: list[Edge], vs: list[Edge]) -> Span | None:
-    """Reject any contact between non-adjacent edges of a merged ring, given
-    its edges as :func:`_axis_edges` lists them; else return the x-range of
-    the first slab that the x-sweep found over other than two horizontals,
-    or None if every slab has two.
+def _check_simple(xs: list[int], ys: list[int]) -> Gap | None:
+    """Reject any contact between non-adjacent edges of the merged ring with
+    these vertex coordinates; else return the x-range of the first slab that
+    the x-sweep found over other than two horizontals, with their sorted
+    ordinates, or None if every slab has two.
 
     Edges alternate between the axes and each meets its two neighbours, so
     a third edge of the other axis that meets it touches it.  Every contact
     gives some vertical a third horizontal, at a crossing or at one end of a
     collinear overlap, so one x-sweep decides whether any exists.  Only then
     is every touching edge flagged, by the swapped sweep and by a running
-    maximum along each line.  The least flagged edge i touches no earlier
-    one, and a scan of the later edges finds its first partner j.
+    maximum along each line, which reads the edges as :func:`_axis_edges`
+    lists them.  The least flagged edge i touches no earlier one, and a scan
+    of the later edges finds its first partner j.
     """
-    flagged, gap = _crowded(hs, vs)
+    flagged, gap = _crowded(xs, ys)
     if not flagged:
         return gap
-    flagged += _crowded(vs, hs)[0]
+    flagged += _crowded(ys, xs)[0]
+    hs, vs = _axis_edges(xs, ys)
     for edges in (hs, vs):
         far = (None, 0, 0)  # (line, hi, index) of the farthest-reaching edge so far
         for line, lo, hi, i in sorted(edges):
@@ -394,7 +407,8 @@ def _slab_stack(xs: list[int], ys: list[int]) -> SlabProfile:
     horizontal edges, with the third edge up (or the lowest) as offender.
 
     The walk reads the coordinate lists, sliced from the least vertex (the
-    lowest of those on x_min); the sweep reads slices of them too.
+    lowest of those on x_min); the sweep reads parity slices of them too,
+    and it holds the ordinates of the horizontals over the slab it names.
     """
     x0 = min(xs)
     start = i = xs.index(x0)
@@ -420,13 +434,26 @@ def _slab_stack(xs: list[int], ys: list[int]) -> SlabProfile:
             pass
     # A self-intersecting ring is reported as such, even when it also fails
     # as a slab stack.
-    hs, vs = _axis_edges(xs, ys)
-    gap = _check_simple(hs, vs)
+    gap = _check_simple(xs, ys)
     if gap is None:
         raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
-    a, b = gap
-    over = sorted((y, i) for y, lo, hi, i in hs if lo <= a and b <= hi)
-    offender = over[2][1] if len(over) > 2 else (over[0][1] if over else 0)
+    a, b, over = gap
+    offender = 0
+    if over:
+        # The offender is the horizontal at over[j], the third up (or the
+        # lowest), ties in ordinate going by index: of those over the slab
+        # at its ordinate y, listed by index, it is at place j minus the
+        # number below y.
+        j = 2 if len(over) > 2 else 0
+        y = over[j]
+        h = 0 if ys[0] == ys[1] else 1  # the parity of the horizontal edges
+        n = len(xs)
+        at_y = [
+            i
+            for i in compress(range(h, n, 2), map(eq, ys[h::2], repeat(y)))
+            if xs[i] <= a and b <= xs[(i + 1) % n] or xs[(i + 1) % n] <= a and b <= xs[i]
+        ]
+        offender = at_y[j - bisect_left(over, y)]
     message = f"a vertical line over [{a},{b}] meets {len(over)} horizontal edges (want 2)"
     raise InvalidPolygonError("not-monotone", message, offender)
 
@@ -446,12 +473,15 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     :class:`InvalidPolygonError` naming the violated property and an offending
     vertex index otherwise.
 
-    The per-vertex checks run on the whole ring at once and fall back to a
-    loop only to name the first offender.  So do the edge checks: a ring
-    whose edges alternate between the axes, none of zero length, passes
-    them on slices of its coordinate lists (:func:`_alternates`), and only
-    another ring is checked edge by edge and merged.  An accepted ring
-    becomes a profile in one walk along its two x-monotone chains
+    Each vertex is read once, into a tuple, and one reader
+    (:func:`_read_coords`, which :func:`parse_polygon` shares) unpacks the
+    tuples into the coordinate lists and judges every coordinate on those
+    two lists at once; only a ring it refuses takes the loop that names the
+    first offending vertex.  The edge checks are judged whole as well: a
+    ring whose edges alternate between the axes, none of zero length,
+    passes them on slices of its coordinate lists (:func:`_alternates`),
+    and only another ring is checked edge by edge and merged.  An accepted
+    ring becomes a profile in one walk along its two x-monotone chains
     (:func:`_slab_stack`).  A ring that walk rejects is swept once along x
     (:func:`_check_simple`): a contact between edges is named as the first
     touching pair, and otherwise the same pass has found the first slab
@@ -467,37 +497,59 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
         # A vertex that is not iterable: pts holds the ones before it, and an
         # empty stand-in for it makes the loop below name the first offender.
         pts.append(())
-    flat = list(chain.from_iterable(pts))
-    # type() is exact: bools and int subclasses take the loop, which judges
-    # them one by one.
-    if not (
-        set(map(len, pts)) <= {2}
-        and set(map(type, flat)) <= {int}
-        and (not flat or -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT)
-    ):
+    coords = _read_coords(pts)
+    if coords is None:
         for i, pt in enumerate(pts):
             if len(pt) != 2 or not all(isinstance(c, int) and not isinstance(c, bool) for c in pt):
                 raise InvalidPolygonError("non-integer", f"vertex {i} is not an integer pair", i)
             if any(abs(c) > COORD_LIMIT for c in pt):
                 raise InvalidPolygonError("out-of-range", f"vertex {i} exceeds |c| <= {COORD_LIMIT}", i)
-    return _validate_coords(flat)
+        # Nothing named: no vertex at all, or int subclasses within range.
+        coords = [x for x, _ in pts], [y for _, y in pts]
+    return _validate_coords(*coords)
 
 
-def _validate_coords(flat: list[int]) -> OrthoPolygon:
-    """validate after its per-vertex checks: flat holds the ring's
-    coordinates x0, y0, x1, y1, ..., each an integer within the limit.
+def _read_coords(verts: list) -> tuple[list[int], list[int]] | None:
+    """The x and y coordinate lists of these vertices, if every vertex is a
+    pair of ints within the limit; else None.
+
+    The vertices must be materialized, as each is unpacked once per list.
+    ``type()`` is exact, so a bool or an int subclass is refused, as are a
+    vertex that is not a pair and an empty vertex list; the caller names
+    the fault.
+    """
+    try:
+        # Unpacking into two names takes only pairs.
+        xs = [x for x, _ in verts]
+        ys = [y for _, y in verts]
+    except (TypeError, ValueError):
+        return None
+    both = xs + ys
+    if both and set(map(type, both)) <= {int} and -COORD_LIMIT <= min(both) and max(both) <= COORD_LIMIT:
+        return xs, ys
+    return None
+
+
+def _validate_coords(xs: list[int], ys: list[int]) -> OrthoPolygon:
+    """validate after the reader: xs and ys are the ring's coordinate
+    lists, every coordinate an integer within the limit.  The closing
+    vertex is dropped from them, and they are merged, before any vertex
+    tuple is built.
 
     The ring is first judged whole, on slices of its coordinate lists
     (:func:`_alternates`).  A ring that passes has nothing to merge and no
     edge to name, so only a ring that fails builds the per-edge lists, to
     name its first zero-length or diagonal edge or to merge its collinear
-    runs (:func:`_merge_collinear`).  Then the duplicate check, the
+    runs (:func:`_merge_collinear`).  Then the merged lists are zipped
+    once, into the polygon's ring, which the duplicate check reads; the
     orientation (:func:`_area`) and the chain walk (:func:`_slab_stack`)
-    read the merged lists.
+    read the lists, and a clockwise ring is reversed in place, as lists and
+    ring.  The ring is built as a list: a tuple grown from the zip is slower
+    once the garbage collector runs during the build, as it does on large
+    rings.
     """
-    if len(flat) > 2 and flat[:2] == flat[-2:]:
-        del flat[-2:]
-    xs, ys = flat[::2], flat[1::2]
+    if len(xs) > 1 and xs[0] == xs[-1] and ys[0] == ys[-1]:
+        del xs[-1], ys[-1]
     if not _alternates(xs, ys):
         vertical = list(map(eq, xs, xs[1:] + xs[:1]))  # edge i leaves vertex i
         horizontal = list(map(eq, ys, ys[1:] + ys[:1]))
@@ -513,8 +565,8 @@ def _validate_coords(flat: list[int]) -> OrthoPolygon:
         xs, ys = list(compress(xs, turns)), list(compress(ys, turns))
         if len(xs) < 4:
             raise InvalidPolygonError("degenerate-edge", "polygon collapses after merging collinear runs")
-    ring: list[Point] = list(zip(xs, ys))
 
+    ring = list(zip(xs, ys))
     if len(set(ring)) < len(ring):
         seen: dict[Point, int] = {}
         for i, pt in enumerate(ring):
@@ -548,7 +600,14 @@ def _validate_coords(flat: list[int]) -> OrthoPolygon:
 
 def parse_polygon(text: str) -> OrthoPolygon:
     """Parse a JSON document ``{"vertices": [[x, y], ...]}`` and validate it.
-    A coordinate that is not an integer is named with its vertex index."""
+    A coordinate that is not an integer is named with its vertex index.
+
+    The vertex list goes through the reader :func:`validate` uses
+    (:func:`_read_coords`).  Only a list it refuses is judged pair by pair:
+    anything but a list of two-element lists is malformed, and the rest is
+    converted with :func:`input_int` and handed to :func:`validate`, which
+    names the first vertex at fault.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -558,17 +617,13 @@ def parse_polygon(text: str) -> OrthoPolygon:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InvalidPolygonError("malformed-json", 'document must be {"vertices": [[x, y], ...]}')
     verts = doc["vertices"]
+    coords = _read_coords(verts) if isinstance(verts, list) else None
+    if coords is not None:
+        return _validate_coords(*coords)
     if not isinstance(verts, list) or not (
         set(map(type, verts)) <= {list} and set(map(len, verts)) <= {2}
     ):
         raise InvalidPolygonError("malformed-json", "vertices must be a list of [x, y] pairs")
-    flat = list(chain.from_iterable(verts))
-    # The pairs are checked; an all-int ring within range skips validate's
-    # per-vertex checks, and any other is converted and judged by them.
-    if set(map(type, flat)) <= {int} and (
-        not flat or -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT
-    ):
-        return _validate_coords(flat)
     ring: list[Point] = []
     try:
         ring += ((input_int(x), input_int(y)) for x, y in verts)

@@ -156,13 +156,13 @@ def count_pairwise_scans(monkeypatch) -> list[int]:
     calls = [0, 0]
     check, sweep = px.geometry._check_simple, px.geometry._crowded
 
-    def counting_check(hs, vs):
+    def counting_check(xs, ys):
         calls[0] += 1
-        return check(hs, vs)
+        return check(xs, ys)
 
-    def counting_sweep(lines, queries):
+    def counting_sweep(a, b):
         calls[1] += 1
-        return sweep(lines, queries)
+        return sweep(a, b)
 
     monkeypatch.setattr(px.geometry, "_check_simple", counting_check)
     monkeypatch.setattr(px.geometry, "_crowded", counting_sweep)
@@ -192,7 +192,7 @@ class TestDiagnoses:
         # It names the slab its x-sweep found, after the contact verdict,
         # which is set aside here so that every ring reaches the naming.
         sweep = px.geometry._crowded
-        monkeypatch.setattr(px.geometry, "_check_simple", lambda hs, vs: sweep(hs, vs)[1])
+        monkeypatch.setattr(px.geometry, "_check_simple", lambda xs, ys: sweep(xs, ys)[1])
         with pytest.raises(InvalidPolygonError) as got:
             validate(ring)
         fault = got.value
@@ -218,8 +218,9 @@ class TestDiagnoses:
 
     def test_not_monotone_reject_sweeps_its_edges_once(self, monkeypatch):
         # The x-sweep that finds no contact has also counted the horizontals
-        # over every slab, so a not-monotone reject lists its edges once and
-        # sweeps them once.
+        # over every slab, so a not-monotone reject sweeps its coordinate
+        # lists once and never lists its edges; only a contact to be named
+        # lists them, once.
         calls = {"edges": 0, "sweeps": 0}
         edges, sweep = px.geometry._axis_edges, px.geometry._crowded
 
@@ -227,9 +228,9 @@ class TestDiagnoses:
             calls["edges"] += 1
             return edges(xs, ys)
 
-        def counting_sweep(lines, queries):
+        def counting_sweep(a, b):
             calls["sweeps"] += 1
-            return sweep(lines, queries)
+            return sweep(a, b)
 
         monkeypatch.setattr(px.geometry, "_axis_edges", counting_edges)
         monkeypatch.setattr(px.geometry, "_crowded", counting_sweep)
@@ -242,7 +243,12 @@ class TestDiagnoses:
             with pytest.raises(InvalidPolygonError) as exc:
                 validate(ring)
             assert exc.value.reason == "not-monotone"
-            assert calls == {"edges": 1, "sweeps": 1}
+            assert calls == {"edges": 0, "sweeps": 1}
+        calls.update(edges=0, sweeps=0)
+        with pytest.raises(InvalidPolygonError) as exc:
+            validate(DIAGNOSES[2].values[0])
+        assert exc.value.reason == "self-intersecting"
+        assert calls == {"edges": 1, "sweeps": 2}
 
     def test_notched_4000_slabs_names_the_first_contact(self):
         # Frozen from the earlier all-pairs scan; the reference is quadratic here.

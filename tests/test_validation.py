@@ -12,22 +12,27 @@ the edge-count scan alone does.
 
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polytx as px
 from polytx import InvalidPolygonError, validate
-from polytx.geometry import COORD_LIMIT, _area, _axis_edges, _check_simple
+from polytx.geometry import COORD_LIMIT, _area, _axis_edges, _check_simple, _crowded
 
 from oracles import notched, ring_edges, shoelace2
 from validation_oracles import (
     pruned_check_simple,
     reference_axis_edges,
     reference_check_simple,
+    reference_crowded,
     reference_merge_collinear,
+    reference_parse_polygon,
     reference_slab_scan,
     reference_validate,
+    reference_validate_vertices,
 )
 
 # Every reason validate itself raises (malformed-json is parse_polygon's).
@@ -232,7 +237,7 @@ def coords(ring) -> tuple[list, list]:
 
 
 def contact_check(ring) -> None:
-    _check_simple(*_axis_edges(*coords(ring)))
+    _check_simple(*coords(ring))
 
 
 def diagnosis(check, ring) -> tuple | None:
@@ -277,7 +282,8 @@ def test_touches_matches_reference_on_large_rings(monkeypatch, slabs, seeds):
     assert any(contact) and not all(contact)
 
 
-def test_axis_edges_match_the_zipped_ring(monkeypatch):
+def swept_rings(monkeypatch) -> list:
+    """Merged rings of both parities that reach the contact sweep."""
     rings = [mutated_ring(random.Random(seed)) for seed in range(3000)]
     for slabs in (40, 400):
         base = list(px.random_monotone(slabs, 20, 4, 1).vertices)
@@ -286,7 +292,33 @@ def test_axis_edges_match_the_zipped_ring(monkeypatch):
     assert len(scanned) > 1000
     # Both parities: the first edge horizontal, and the first edge vertical.
     assert {r[0][1] == r[1][1] for r in scanned} == {True, False}
+    return scanned
+
+
+def test_axis_edges_match_the_zipped_ring(monkeypatch):
+    scanned = swept_rings(monkeypatch)
     assert [r for r in scanned if _axis_edges(*coords(r)) != reference_axis_edges(r)] == []
+
+
+def test_sweeps_on_coordinate_slices_match_the_edge_list_sweeps(monkeypatch):
+    # Both sweeps flag the same edges, in the same order, and find the same
+    # first gap as the sweep over the edge lists; along x the gap also
+    # carries the sorted ordinates of the horizontals over it.
+    for ring in swept_rings(monkeypatch):
+        xs, ys = coords(ring)
+        hs, vs = reference_axis_edges(ring)
+        hit, gap = _crowded(xs, ys)
+        want_hit, want_gap = reference_crowded(hs, vs)
+        assert hit == want_hit
+        if want_gap is None:
+            assert gap is None
+        else:
+            a, b = want_gap
+            assert gap == (a, b, sorted(y for y, lo, hi, _ in hs if lo <= a and b <= hi))
+        hit, gap = _crowded(ys, xs)
+        want_hit, want_gap = reference_crowded(vs, hs)
+        assert hit == want_hit
+        assert (gap and gap[:2]) == want_gap
 
 
 # -- the x-sweep names the not-monotone slab as the edge-count scan did ------
@@ -336,11 +368,10 @@ def scan_only(xs, ys):
     before: the accepting edge-count scan, and the contact check when it
     rejects."""
     ring = list(zip(xs, ys))
-    hs, vs = _axis_edges(xs, ys)
     try:
-        return reference_slab_scan(ring, hs)
+        return reference_slab_scan(ring, _axis_edges(xs, ys)[0])
     except ValueError:
-        _check_simple(hs, vs)
+        _check_simple(xs, ys)
         raise
 
 
@@ -606,3 +637,104 @@ def test_parse_polygon_edge_documents():
         '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}",
     ):
         _parses_or_rejects(text)
+
+
+# -- the one reader against the per-vertex passes it replaced -----------------
+
+
+def assert_both_entry_points_match(vertices) -> None:
+    """validate on the vertices, and parse_polygon on their JSON document,
+    give what the per-vertex passes gave."""
+    assert outcome(validate, vertices) == outcome(reference_validate_vertices, vertices)
+    text = json.dumps({"vertices": vertices})
+    assert outcome(px.parse_polygon, text) == outcome(reference_parse_polygon, text)
+
+
+def workload_documents(seed: int) -> list[str]:
+    """The texts of every document the three benchmark workloads send."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [doc.text for w in workloads.BUILDERS for doc in workloads.build(w, seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reader_matches_the_passes_on_workload_documents(seed):
+    texts = workload_documents(seed)
+    assert len(texts) == 407 + 79 + 875
+    outcomes = []
+    for text in texts:
+        got = outcome(px.parse_polygon, text)
+        assert got == outcome(reference_parse_polygon, text)
+        vertices = json.loads(text)["vertices"]
+        assert outcome(validate, vertices) == got
+        assert outcome(reference_validate_vertices, vertices) == got
+        outcomes.append(len(got))
+    # A reject is a 4-tuple: approx_large's 82, exact_enum's 16 and
+    # corpus_compare's 175 notched rings.
+    assert outcomes.count(4) == 5 + 75 + 1 + 1 + 16 + 175
+
+
+@settings(max_examples=300, deadline=None)
+@given(_document())
+def test_reader_matches_the_passes_on_fuzzed_documents(text):
+    assert outcome(px.parse_polygon, text) == outcome(reference_parse_polygon, text)
+    doc = json.loads(text)
+    vertices = doc.get("vertices") if isinstance(doc, dict) else None
+    # validate takes any iterable; on a scalar both raise TypeError.
+    if isinstance(vertices, (list, dict, str)):
+        assert outcome(validate, vertices) == outcome(reference_validate_vertices, vertices)
+
+
+# Vertices and coordinates the reader must refuse (or, at the limit, take),
+# each put in place of the first or the last vertex, or of one coordinate.
+BAD_VERTICES = ("ab", {"x": 0, "y": 0}, [0], [0, 0, 0], [[0, 0], [6, 0]], True, 6.0, 0.5, None, Int(3), [])
+BAD_COORDINATES = (True, 6.0, 0.5, None, Int(3), L, -L, L + 1, -L - 1)
+
+
+def refused_rings() -> list:
+    rings = [[]]
+    for base in (RECT, list(px.random_monotone(40, 20, 4, 1).vertices)):
+        base = [list(v) for v in base]
+        for at in (0, len(base) - 1):
+            for bad in BAD_VERTICES:
+                rings.append(base[:at] + [bad] + base[at + 1 :])
+            for bad in BAD_COORDINATES:
+                x, y = base[at]
+                for vertex in ([bad, y], [x, bad]):
+                    rings.append(base[:at] + [vertex] + base[at + 1 :])
+    return rings
+
+
+def test_reader_matches_the_passes_on_refused_vertices():
+    rings = refused_rings()
+    for ring in rings:
+        assert_both_entry_points_match(ring)
+        # As tuples too, where a vertex is a list.
+        assert_both_entry_points_match([tuple(v) if isinstance(v, list) else v for v in ring])
+    reasons = {outcome(validate, ring)[1] for ring in rings}
+    assert {"non-integer", "out-of-range", "too-few-vertices"} <= reasons
+    # A coordinate of magnitude 10**6 is in range; one more is not.
+    assert validate([[L, 0], [6, 0], [6, 3], [L, 3]]).profile.xs == (6, L)
+    ring = [[0, 0], [6, 0], [6, 3], [0, -L - 1]]
+    assert outcome(validate, ring)[1:3] == ("out-of-range", 3)
+
+
+def test_one_shot_rings_and_vertices_are_read_once():
+    # A generator ring, and vertices that are one-shot iterators, are each
+    # read once, so they give the outcome the same list of pairs gives.
+    base = list(px.random_monotone(40, 20, 4, seed=1).vertices)
+    rings = [RECT, base, notched(base), [(0, 0), (6, 0), (6, 0.5), (0, 3)], [(0, 0), (6, 0), (L + 1, 3)]]
+    for ring in rings:
+        want = outcome(validate, ring)
+        assert outcome(reference_validate_vertices, ring) == want
+        assert outcome(validate, (v for v in ring)) == want
+        assert outcome(validate, [iter(v) for v in ring]) == want
+        assert outcome(validate, (iter(v) for v in ring)) == want
+    p = validate(iter(v) for v in RECT)
+    assert p.vertices == tuple(RECT)
+    assert outcome(validate, [iter(v) for v in rings[3]])[1:3] == ("non-integer", 2)
+    assert outcome(validate, (iter(v) for v in rings[4]))[1:3] == ("out-of-range", 2)

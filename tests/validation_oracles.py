@@ -14,16 +14,42 @@
 
 reference_axis_edges lists a ring's edges from its zipped vertices, the
 reference for geometry._axis_edges and the edges reference_slab_scan reads.
+reference_crowded is the contact sweep as it was when it read those edge
+lists, the reference for geometry._crowded, which builds its events from
+slices of the coordinate lists.
+
+reference_parse_polygon and reference_validate_vertices are parse_polygon
+and validate as they were before the two shared one coordinate reader:
+verbatim, each judges the vertices in separate passes (types, lengths, the
+flattened coordinates, their range) and hands the flat coordinate list to
+reference_validate_coords, which slices it into the coordinate lists and
+zips the ring.  They are the reference for geometry._read_coords and for
+every reason, index and message the two entry points give.
 
 They live here, not in ``oracles.py``, which the bench imports.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left, bisect_right, insort
+from itertools import chain, compress
+from operator import and_, eq, itemgetter, or_
 from typing import Iterable
 
 from polytx import InvalidPolygonError, OrthoPolygon
-from polytx.geometry import COORD_LIMIT, Edge, SlabProfile, Span, profile_to_ring
+from polytx.geometry import (
+    COORD_LIMIT,
+    Edge,
+    SlabProfile,
+    Span,
+    _alternates,
+    _area,
+    _merge_collinear,
+    _slab_stack,
+    input_int,
+    profile_to_ring,
+)
 
 from oracles import shoelace2
 
@@ -40,6 +66,35 @@ def reference_axis_edges(ring: list[Point]) -> tuple[list[Edge], list[Edge]]:
         else:
             vs.append((x1, min(y1, y2), max(y1, y2), i))
     return hs, vs
+
+
+def reference_crowded(lines: list[Edge], queries: list[Edge]) -> tuple[list[int], Span | None]:
+    """geometry._crowded when it read edge lists: the indices of the queries,
+    edges (line, lo, hi, index) on the other axis from the lines, that meet
+    more than two lines, and the first gap between consecutive positions
+    over which other than two lines are active (None if there is none)."""
+    events = sorted(
+        [(lo, 0, line, line, i) for line, lo, _, i in lines]
+        + [(line, 1, lo, hi, i) for line, lo, hi, i in queries]
+        + [(hi, 2, line, line, i) for line, _, hi, i in lines],
+        key=itemgetter(0),
+    )
+    active: list[int] = []
+    hit = []
+    gap = None
+    at = events[0][0] if events else None
+    for pos, kind, lo, hi, i in events:
+        if pos != at and gap is None:
+            gap = None if len(active) == 2 else (at, pos)
+            at = pos
+        if kind == 0:
+            insort(active, lo)
+        elif kind == 1:
+            if bisect_right(active, hi) - bisect_left(active, lo) > 2:
+                hit.append(i)
+        else:
+            del active[bisect_left(active, lo)]
+    return hit, gap
 
 
 def reference_merge_collinear(ring: list[Point]) -> list[Point]:
@@ -294,3 +349,113 @@ def reference_slab_scan(ring: list[Point], hs: list[Edge]) -> SlabProfile:
     if ring[start:] + ring[:start] != rebuilt:
         raise InvalidPolygonError("not-monotone", "region is not a left-to-right slab stack")
     return profile
+
+
+def reference_validate_vertices(vertices: Iterable[Point]) -> OrthoPolygon:
+    """geometry.validate before the shared reader, with its per-vertex fast
+    check: whole-ring passes over the vertex tuples and their flattened
+    coordinates, and the naming loop when one fails."""
+    ring = iter(vertices)  # a ring that is not iterable stays a TypeError
+    pts: list[tuple] = []
+    try:
+        pts += map(tuple, ring)
+    except TypeError:
+        # A vertex that is not iterable: pts holds the ones before it, and an
+        # empty stand-in for it makes the loop below name the first offender.
+        pts.append(())
+    flat = list(chain.from_iterable(pts))
+    # type() is exact: bools and int subclasses take the loop, which judges
+    # them one by one.
+    if not (
+        set(map(len, pts)) <= {2}
+        and set(map(type, flat)) <= {int}
+        and (not flat or -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT)
+    ):
+        for i, pt in enumerate(pts):
+            if len(pt) != 2 or not all(isinstance(c, int) and not isinstance(c, bool) for c in pt):
+                raise InvalidPolygonError("non-integer", f"vertex {i} is not an integer pair", i)
+            if any(abs(c) > COORD_LIMIT for c in pt):
+                raise InvalidPolygonError("out-of-range", f"vertex {i} exceeds |c| <= {COORD_LIMIT}", i)
+    return reference_validate_coords(flat)
+
+
+def reference_validate_coords(flat: list[int]) -> OrthoPolygon:
+    """geometry._validate_coords when it read the flat coordinate list
+    x0, y0, x1, y1, ... and zipped the ring from its slices."""
+    if len(flat) > 2 and flat[:2] == flat[-2:]:
+        del flat[-2:]
+    xs, ys = flat[::2], flat[1::2]
+    if not _alternates(xs, ys):
+        vertical = list(map(eq, xs, xs[1:] + xs[:1]))  # edge i leaves vertex i
+        horizontal = list(map(eq, ys, ys[1:] + ys[:1]))
+        if any(map(and_, vertical, horizontal)):
+            i = list(map(and_, vertical, horizontal)).index(True)
+            raise InvalidPolygonError("degenerate-edge", f"zero-length edge at vertex {i}", i)
+        if not all(map(or_, vertical, horizontal)):
+            i = list(map(or_, vertical, horizontal)).index(False)
+            raise InvalidPolygonError("non-orthogonal", f"edge from vertex {i} is not axis-parallel", i)
+        if len(xs) < 4:
+            raise InvalidPolygonError("too-few-vertices", f"need at least 4 vertices, got {len(xs)}")
+        turns = _merge_collinear(xs, ys, horizontal)
+        xs, ys = list(compress(xs, turns)), list(compress(ys, turns))
+        if len(xs) < 4:
+            raise InvalidPolygonError("degenerate-edge", "polygon collapses after merging collinear runs")
+    ring: list[Point] = list(zip(xs, ys))
+
+    if len(set(ring)) < len(ring):
+        seen: dict[Point, int] = {}
+        for i, pt in enumerate(ring):
+            if pt in seen:
+                raise InvalidPolygonError(
+                    "duplicate-vertex", f"vertex {i} repeats vertex {seen[pt]}", i
+                )
+            seen[pt] = i
+
+    area = _area(xs, ys)
+    if area == 0:
+        raise InvalidPolygonError("self-intersecting", "ring encloses zero area")
+    if area < 0:
+        ring.reverse()
+        xs.reverse()
+        ys.reverse()
+
+    try:
+        profile = _slab_stack(xs, ys)
+    except InvalidPolygonError:
+        raise
+    except ValueError as exc:
+        raise InvalidPolygonError(
+            "not-monotone", "region is not a left-to-right slab stack"
+        ) from exc
+    return OrthoPolygon(tuple(ring), profile)
+
+
+def reference_parse_polygon(text: str) -> OrthoPolygon:
+    """geometry.parse_polygon before the shared reader: six passes over the
+    vertices (types, lengths, the flatten, the coordinates' types, min and
+    max) before the flat list goes to reference_validate_coords."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidPolygonError("malformed-json", f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "vertices" not in doc:
+        raise InvalidPolygonError("malformed-json", 'document must be {"vertices": [[x, y], ...]}')
+    verts = doc["vertices"]
+    if not isinstance(verts, list) or not (
+        set(map(type, verts)) <= {list} and set(map(len, verts)) <= {2}
+    ):
+        raise InvalidPolygonError("malformed-json", "vertices must be a list of [x, y] pairs")
+    flat = list(chain.from_iterable(verts))
+    # The pairs are checked; an all-int ring within range skips validate's
+    # per-vertex checks, and any other is converted and judged by them.
+    if set(map(type, flat)) <= {int} and (
+        not flat or -COORD_LIMIT <= min(flat) and max(flat) <= COORD_LIMIT
+    ):
+        return reference_validate_coords(flat)
+    ring: list[Point] = []
+    try:
+        ring += ((input_int(x), input_int(y)) for x, y in verts)
+    except ValueError as exc:
+        # ring holds the vertices before the first that is not an integer pair.
+        raise InvalidPolygonError("non-integer", f"coordinate {exc}", len(ring)) from exc
+    return reference_validate_vertices(ring)
