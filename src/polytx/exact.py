@@ -31,6 +31,12 @@ the list's entries from its lowest allowed index on, which is the order a
 scan of the whole family would give, at the cost of the cell's coverers
 instead of the family's size.
 
+Two column reductions (Weihe's set-cover data reduction) change no answer:
+the search sees only the first member of each distinct region, and a node
+skips a member that a member at or above its lowest allowed index
+dominates.  Every dominator of a member holds the lowest uncovered cell, so
+one backward scan of the node's coverer list finds the largest.
+
 The answer is a ``visibility.Solution``, as the greedy's is; nothing here
 comes from :mod:`polytx.approx`.  :class:`NoSolutionWithinBudget` is raised
 when no cover fits the budget.
@@ -67,6 +73,7 @@ def _covers(
     lo: int,
     failed: dict[tuple[int, int], int],
     coverers: dict[int, list[int]],
+    dom: list[int | None],
 ) -> tuple[int, ...] | None:
     """Indices of at most r of bits[lo:] that together cover the nonzero mask
     uncovered, or None if there are none.
@@ -81,6 +88,14 @@ def _covers(
     one memo serves every call on the same bits, and an entry at lo = 0
     answers for any lo.  Each entry is one node the search expanded and
     failed.
+
+    A set is expanded only if no set of bits[lo:] dominates it
+    (:func:`_dominator`).  Domination is a strict order, so a cover using a
+    dominated set can use an undominated dominator from bits[lo:] instead:
+    no answer and no memo entry changes.  dom caches each set's largest
+    dominator (-1 if none) from the first time the set is about to be
+    expanded.  The test is against lo: a set whose only dominators lie
+    below lo may be needed.
     """
     key = (uncovered, lo)
     if failed.get(key, 0) >= r or (lo and failed.get((uncovered, 0), 0) >= r):
@@ -94,11 +109,33 @@ def _covers(
         if not rest:
             return (i,)
         if r > 1:
-            found = _covers(bits, rest, r - 1, lo, failed, coverers)
+            d = dom[i]
+            if d is None:
+                d = dom[i] = _dominator(bits, lst, i)
+            if d >= lo:
+                continue
+            found = _covers(bits, rest, r - 1, lo, failed, coverers, dom)
             if found is not None:
                 return (i, *found)
     failed[key] = r
     return None
+
+
+def _dominator(bits: Sequence[int], holders: Sequence[int], i: int) -> int:
+    """The largest index j that dominates set i, or -1 if none does.
+
+    j dominates i when bits[j] contains bits[i], and for equal sets only
+    when j > i, so of two equal sets only the lower one is dominated.
+    holders is ascending and must hold every set that contains bits[i]:
+    the coverer list of any cell of i has them all, as each holds that
+    cell, so one backward scan of it finds the largest.
+    """
+    b = bits[i]
+    for j in reversed(holders):
+        c = bits[j]
+        if c & b == b and (j > i or c != b):
+            return j
+    return -1
 
 
 def enumeration_count(combo: Sequence[int], n: int) -> int:
@@ -118,6 +155,47 @@ def enumeration_count(combo: Sequence[int], n: int) -> int:
     return count
 
 
+def _least_cover(bits: Sequence[int], target: int, budget: int) -> list[int]:
+    """The lexicographically least smallest cover of target, as ascending
+    indices into bits, when no one set covers it but all of them together do.
+
+    Only the first set of each distinct region is searched: a least cover
+    never holds a set equal to an earlier one, since swapping in the earlier
+    one gives a smaller cover or an earlier one of the same size.  The
+    witness is mapped back to indices into bits.
+    """
+    first: dict[int, int] = {}
+    for i, b in enumerate(bits):
+        first.setdefault(b, i)
+    keep = list(first.values())
+    bits = list(first)
+    failed: dict[tuple[int, int], int] = {}
+    coverers: dict[int, list[int]] = {}
+    dom: list[int | None] = [None] * len(bits)
+    for opt in range(2, min(budget, len(bits)) + 1):
+        found = _covers(bits, target, opt, 0, failed, coverers, dom)
+        if found is not None:
+            break
+    else:
+        raise NoSolutionWithinBudget(budget)
+    witness = sorted(found)
+    uncovered, lo = target, 0
+    for pos in range(opt):
+        left = opt - 1 - pos
+        for i in range(lo, witness[pos]):
+            rest = uncovered & ~bits[i]
+            if left:
+                found = _covers(bits, rest, left, i + 1, failed, coverers, dom)
+            else:
+                found = None if rest else ()
+            if found is not None:
+                witness[pos:] = [i, *sorted(found)]
+                break
+        uncovered &= ~bits[witness[pos]]
+        lo = witness[pos] + 1
+    return [keep[i] for i in witness]
+
+
 def exact_min_transmitters(
     p: OrthoPolygon, k: int, mode: str = "standard", budget: int = 8
 ) -> Solution:
@@ -127,13 +205,16 @@ def exact_min_transmitters(
     and the inside cells are (slab, band) bitsets from ``member_bits``; no
     grid is built, and only the witness becomes Transmitters.
 
-    The optimum size OPT is found by iterative deepening over r = 1, 2, ...,
-    and the witness is the lexicographically least covering OPT-subset in
-    the family's canonical order, built one position at a time: each takes
-    the smallest index after which the rest can still be covered.  The
-    r = OPT search returns a cover F, sorted; the witness is never above F,
-    so each position tries only the indices below F's entry there, and a
-    cover found by such a try becomes the new F.  Every search of the solve
+    The witness is the lexicographically least covering OPT-subset in the
+    family's canonical order.  OPT is 1 when some member's region is every
+    inside cell, and the first such member is the witness, with no search.
+    Otherwise `_least_cover` finds OPT by iterative deepening over r = 2,
+    3, ..., among the first members of the distinct regions, and builds
+    the witness one position at a time: each takes the smallest index after
+    which the rest can still be covered.  The r = OPT search returns a
+    cover F, sorted; the witness is never above F, so each position tries
+    only the indices below F's entry there, and a cover found by such a try
+    becomes the new F.  Every search of the solve
     shares one failure memo and one table of per-cell coverer lists, both
     dropped on return.  The memo holds one entry per node the search
     expanded and failed, and the table one list per cell that was ever the
@@ -159,28 +240,9 @@ def exact_min_transmitters(
         every |= b
     if every & target != target:
         raise NoSolutionWithinBudget(budget)
-    failed: dict[tuple[int, int], int] = {}
-    coverers: dict[int, list[int]] = {}
-    for opt in range(1, min(budget, n) + 1):
-        found = _covers(bits, target, opt, 0, failed, coverers)
-        if found is not None:
-            break
+    if target in bits:
+        witness = [bits.index(target)]
     else:
-        raise NoSolutionWithinBudget(budget)
-    witness = sorted(found)
-    uncovered, lo = target, 0
-    for pos in range(opt):
-        left = opt - 1 - pos
-        for i in range(lo, witness[pos]):
-            rest = uncovered & ~bits[i]
-            if left:
-                found = _covers(bits, rest, left, i + 1, failed, coverers)
-            else:
-                found = None if rest else ()
-            if found is not None:
-                witness[pos:] = [i, *sorted(found)]
-                break
-        uncovered &= ~bits[witness[pos]]
-        lo = witness[pos] + 1
+        witness = _least_cover(bits, target, budget)
     chosen = tuple(member_transmitter(prof, family[i]) for i in witness)
     return Solution.build(p, chosen, k, "exact", enumeration_count(witness, n))

@@ -31,7 +31,8 @@ COORD_LIMIT = 10**6
 Point = tuple[int, int]
 Span = tuple[int, int]
 Edge = tuple[int, int, int, int]  # (line, lo, hi, index), see _axis_edges
-Gap = tuple[int, int, list[int]]  # (lo, hi, sorted lines over it), see _crowded
+Gap = tuple[int, int, list[int]]  # (lo, hi, sorted lines over it), see _sweep
+Event = tuple[int, int, int, int, int]  # (position, kind, lo, hi, index), see _sweep
 
 
 class InvalidPolygonError(ValueError):
@@ -299,30 +300,37 @@ def _axis_edges(xs: list[int], ys: list[int]) -> tuple[list[Edge], list[Edge]]:
 
 def _crowded(a: list[int], b: list[int]) -> tuple[list[int], Gap | None]:
     """Sweep along a over the ring with coordinate lists a and b, whose
-    edges alternate between the axes.  The lines are the edges that keep b,
-    the queries the edges that keep a.  Returns the indices of the queries
-    that meet more than two lines, and the first gap between consecutive
-    positions over which other than two lines are active, with the sorted
-    b-coordinates of those lines (None if there is none).  At each position
-    the sweep adds the lines starting there, counts the active ones in each
-    query's closed range, then drops the lines ending there.
+    edges alternate between the axes (:func:`_sweep`).  The lines are the
+    edges that keep b, the queries the edges that keep a.
     ``_crowded(xs, ys)`` sweeps along x with the horizontals as lines, and
     then the gaps are the ring's slabs, since every vertex ends a
-    horizontal; ``_crowded(ys, xs)`` is the swapped sweep.  The events are
-    built straight from parity slices of the two lists."""
+    horizontal; ``_crowded(ys, xs)`` sweeps along y.  The events are built
+    straight from parity slices of the two lists."""
     p = 0 if b[0] == b[1] else 1  # the parity of the lines
     q = 1 - p
     # Edge i runs from vertex i to vertex i + 1; the last wraps to vertex 0.
     ends = a[p::2], a[p + 1 :: 2] + a[:p], b[p::2]  # a line's two ends and its b
     queries = zip(a[q::2], b[q::2], b[q + 1 :: 2] + b[:q], count(q, 2))
-    # Adds, queries and drops go in in that order, and a stable sort on the
-    # position alone keeps it at each position.
-    events = sorted(
+    return _sweep(
         [(s, 0, y, y, i) if s < t else (t, 0, y, y, i) for s, t, y, i in zip(*ends, count(p, 2))]
         + [(x, 1, s, t, i) if s < t else (x, 1, t, s, i) for x, s, t, i in queries]
-        + [(t, 2, y, y, i) if s < t else (s, 2, y, y, i) for s, t, y, i in zip(*ends, count(p, 2))],
-        key=itemgetter(0),
+        + [(t, 2, y, y, i) if s < t else (s, 2, y, y, i) for s, t, y, i in zip(*ends, count(p, 2))]
     )
+
+
+def _sweep(events: list[Event]) -> tuple[list[int], Gap | None]:
+    """Sweep a ring's events along one axis.  A line, an edge of the other
+    axis, comes in at its low end as ``(lo, 0, line, line, index)`` and goes
+    at its high end as ``(hi, 2, line, line, index)``; a query, an edge of
+    this axis, is ``(coordinate, 1, lo, hi, index)``.  Returns the indices
+    of the queries that meet more than two lines, and the first gap between
+    consecutive positions over which other than two lines are active, with
+    the sorted coordinates of those lines (None if there is none).  At each
+    position the sweep adds the lines starting there, counts the active ones
+    in each query's closed range, then drops the lines ending there: events
+    must list every add, then every query, then every drop, and a stable
+    sort in place on the position alone keeps that order at each one."""
+    events.sort(key=itemgetter(0))
     active: list[int] = []
     hit = []
     gap = None
@@ -352,16 +360,21 @@ def _check_simple(xs: list[int], ys: list[int]) -> Gap | None:
     a third edge of the other axis that meets it touches it.  Every contact
     gives some vertical a third horizontal, at a crossing or at one end of a
     collinear overlap, so one x-sweep decides whether any exists.  Only then
-    is every touching edge flagged, by the swapped sweep and by a running
-    maximum along each line, which reads the edges as :func:`_axis_edges`
-    lists them.  The least flagged edge i touches no earlier one, and a scan
-    of the later edges finds its first partner j.
+    is every touching edge flagged, by the swapped sweep (along y) and by a
+    running maximum along each line, which both read the edges as
+    :func:`_axis_edges` lists them.  The least flagged edge i touches no
+    earlier one, and a scan of the later edges finds its first partner j.
     """
     flagged, gap = _crowded(xs, ys)
     if not flagged:
         return gap
-    flagged += _crowded(ys, xs)[0]
+    # The swapped sweep and the pair search read one listing of the edges.
     hs, vs = _axis_edges(xs, ys)
+    flagged += _sweep(
+        [(lo, 0, x, x, i) for x, lo, hi, i in vs]
+        + [(y, 1, lo, hi, i) for y, lo, hi, i in hs]
+        + [(hi, 2, x, x, i) for x, lo, hi, i in vs]
+    )[0]
     for edges in (hs, vs):
         far = (None, 0, 0)  # (line, hi, index) of the farthest-reaching edge so far
         for line, lo, hi, i in sorted(edges):

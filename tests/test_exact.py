@@ -206,7 +206,10 @@ class TestBudget:
                 exact_min_transmitters(p, k, budget=budget)
             except NoSolutionWithinBudget:
                 pass
-            assert 0 < peak <= min(budget, len(edge_aligned_candidates(p.profile)))
+            assert peak <= min(budget, len(edge_aligned_candidates(p.profile)))
+            # Whether one member covers is read off the regions, so budget 1
+            # never searches; every larger budget here does.
+            assert (peak > 0) == (budget > 1)
 
 
 class TestAgainstReferenceEnumerator:
@@ -272,13 +275,93 @@ class TestAgainstScanSearch:
 
     # At 40 slabs the seeds run past 3: a search that wrongly skips the first
     # coverer at or above lo returns the scan's witness on seeds 0-3 at every
-    # size, and differs only on seeds 14 and 29 at k = 0.
-    @pytest.mark.parametrize("slabs,seeds", [(40, 32), (60, 4), (80, 4)])
+    # size, and differs only on seeds 14 and 29 at k = 0.  From 100 slabs the
+    # scan takes 0.1-1.4 s a solve.
+    @pytest.mark.parametrize(
+        "slabs,seeds", [(40, 32), (60, 4), (80, 4), (100, 2), (130, 1), (160, 1)]
+    )
     def test_random_monotone(self, slabs, seeds):
         for seed in range(seeds):
             p = px.random_monotone(slabs, 8, 4, seed)
             for k in (0, 1, 2):
                 assert exact_min_transmitters(p, k, budget=64) == scan_exact(p, k, 64)
+
+
+def brute_dominator(bits, i):
+    """The largest j whose set contains set i, counting an equal set only
+    when j > i, or -1: every pair tested."""
+    b = bits[i]
+    return max(
+        (j for j, c in enumerate(bits) if c & b == b and (c != b or j > i)), default=-1
+    )
+
+
+class TestDomination:
+    """A member the search would expand is skipped when a member at or above
+    the node's lowest allowed index dominates it; its largest dominator is
+    found by one backward scan of a coverer list that holds it."""
+
+    @staticmethod
+    def families():
+        for _, p in px.corpus(200):
+            for k in (0, 1, 2):
+                yield member_bits(p.profile, edge_aligned_family(p.profile), k)[0]
+        for slabs in (20, 40, 60, 80):
+            for seed in range(2):
+                p = px.random_monotone(slabs, 8, 4, seed)
+                for k in (0, 1, 2):
+                    yield member_bits(p.profile, edge_aligned_family(p.profile), k)[0]
+
+    def test_backward_scan_finds_the_largest_dominator(self):
+        # The family as built, before equal regions are merged, so the tie
+        # rule is exercised: of two equal regions only the lower is dominated.
+        ties = 0
+        for bits in self.families():
+            for i, b in enumerate(bits):
+                assert b
+                want = brute_dominator(bits, i)
+                # the coverer lists of the member's lowest and highest cells
+                for cell in (b & -b, 1 << b.bit_length() - 1):
+                    holders = [j for j, c in enumerate(bits) if c & cell]
+                    assert exact_mod._dominator(bits, holders, i) == want
+                ties += want >= 0 and bits[want] == b
+        assert ties > 100
+
+    def test_equal_sets_do_not_exclude_each_other(self):
+        # Sets 0 and 1 are equal: 1 dominates 0, and 0 does not dominate 1,
+        # so the search still reaches the cover {1, 2}.
+        bits = [0b011, 0b011, 0b100]
+        assert [exact_mod._dominator(bits, [0, 1], i) for i in (0, 1)] == [1, -1]
+        assert exact_mod._covers(bits, 0b111, 2, 0, {}, {}, [None] * 3) == (1, 2)
+
+    def test_a_dominator_below_lo_does_not_skip(self):
+        # Set 0 contains set 1, but from lo = 1 only {1, 2} covers.  The
+        # solve's own calls never tell this rule from skipping every
+        # dominated set, so the search is called directly.
+        bits = [0b111, 0b011, 0b100]
+        assert exact_mod._dominator(bits, [0, 1], 1) == 0
+        assert exact_mod._covers(bits, 0b111, 2, 1, {}, {}, [None] * 3) == (1, 2)
+        assert exact_mod._covers(bits, 0b111, 2, 2, {}, {}, [None] * 3) is None
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_equal_regions_searched_once(self, monkeypatch, k):
+        # Once no single member covers, the search sees only the first
+        # member of each region, in the family's order.
+        inner = exact_mod._covers
+        seen = []
+
+        def spy(bits, *args):
+            seen.append(bits)
+            return inner(bits, *args)
+
+        monkeypatch.setattr(exact_mod, "_covers", spy)
+        for seed in range(3):
+            p = px.random_monotone(40, 8, 4, seed)
+            bits = member_bits(p.profile, edge_aligned_family(p.profile), k)[0]
+            assert len(set(bits)) < len(bits)
+            seen.clear()
+            assert exact_min_transmitters(p, k, budget=64).count > 1
+            assert seen and all(b == list(dict.fromkeys(bits)) for b in seen)
 
 
 class TestHardInstances:

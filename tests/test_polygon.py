@@ -154,18 +154,18 @@ def count_pairwise_scans(monkeypatch) -> list[int]:
     pair of edges touches, and names the pair (a second sweep, then a scan
     for the partner) only when one does."""
     calls = [0, 0]
-    check, sweep = px.geometry._check_simple, px.geometry._crowded
+    check, sweep = px.geometry._check_simple, px.geometry._sweep
 
     def counting_check(xs, ys):
         calls[0] += 1
         return check(xs, ys)
 
-    def counting_sweep(a, b):
+    def counting_sweep(events):
         calls[1] += 1
-        return sweep(a, b)
+        return sweep(events)
 
     monkeypatch.setattr(px.geometry, "_check_simple", counting_check)
-    monkeypatch.setattr(px.geometry, "_crowded", counting_sweep)
+    monkeypatch.setattr(px.geometry, "_sweep", counting_sweep)
     return calls
 
 
@@ -220,35 +220,33 @@ class TestDiagnoses:
         # The x-sweep that finds no contact has also counted the horizontals
         # over every slab, so a not-monotone reject sweeps its coordinate
         # lists once and never lists its edges; only a contact to be named
-        # lists them, once.
-        calls = {"edges": 0, "sweeps": 0}
-        edges, sweep = px.geometry._axis_edges, px.geometry._crowded
+        # lists them, once, and the swapped sweep and the pair search both
+        # read that listing.
+        calls = {"x-sweeps": 0, "edges": 0, "sweeps": 0}
+        geo = px.geometry
+        for name, key in (("_crowded", "x-sweeps"), ("_axis_edges", "edges"), ("_sweep", "sweeps")):
 
-        def counting_edges(xs, ys):
-            calls["edges"] += 1
-            return edges(xs, ys)
+            def counting(*args, fn=getattr(geo, name), key=key):
+                calls[key] += 1
+                return fn(*args)
 
-        def counting_sweep(a, b):
-            calls["sweeps"] += 1
-            return sweep(a, b)
-
-        monkeypatch.setattr(px.geometry, "_axis_edges", counting_edges)
-        monkeypatch.setattr(px.geometry, "_crowded", counting_sweep)
+            monkeypatch.setattr(geo, name, counting)
         rings = [DIAGNOSES[3].values[0]]
         for slabs in (40, 400):
             base = list(px.random_monotone(slabs, 20, 4, seed=1).vertices)
             rings += [notched(base), notched(base, depth=2)]
         for ring in rings:
-            calls.update(edges=0, sweeps=0)
+            calls.update({key: 0 for key in calls})
             with pytest.raises(InvalidPolygonError) as exc:
                 validate(ring)
             assert exc.value.reason == "not-monotone"
-            assert calls == {"edges": 0, "sweeps": 1}
-        calls.update(edges=0, sweeps=0)
-        with pytest.raises(InvalidPolygonError) as exc:
-            validate(DIAGNOSES[2].values[0])
-        assert exc.value.reason == "self-intersecting"
-        assert calls == {"edges": 1, "sweeps": 2}
+            assert calls == {"x-sweeps": 1, "edges": 0, "sweeps": 1}
+        for ring in (DIAGNOSES[2].values[0], notched(base, depth=3 * slabs)):
+            calls.update({key: 0 for key in calls})
+            with pytest.raises(InvalidPolygonError) as exc:
+                validate(ring)
+            assert exc.value.reason == "self-intersecting"
+            assert calls == {"x-sweeps": 1, "edges": 1, "sweeps": 2}
 
     def test_notched_4000_slabs_names_the_first_contact(self):
         # Frozen from the earlier all-pairs scan; the reference is quadratic here.
