@@ -95,7 +95,11 @@ def reach(walls: Sequence[int], before: int, upto: int, k: int, end: int) -> tup
     (k+1)-th wall on each side; walls on the line are not crossed.  Slabs
     a - 1 and b are the nearest inside slabs it misses, or a is 0 and b is
     end, the slab count.  The range's inside slabs are the seen ones, so a
-    caller that keeps only inside slabs can ignore the rest.
+    caller that keeps only inside slabs can ignore the rest.  Each bound
+    reads one side only, a before and b upto, and both only grow as the
+    line moves right; so the before of one line and the upto of a line at
+    or right of it give the range that every line between them sees
+    together.
     """
     left = bisect_left(walls, before) - k - 2 | 1
     right = bisect_left(walls, upto) + k + 1 & ~1
@@ -116,9 +120,18 @@ def member_bits(
     ``build_grid(prof)`` with the same numbering, and no grid is built.  A
     horizontal sees the inside cells of its spanned slabs (full-column
     property).  A vertical sees, in each band of its section, the inside
-    slabs of :func:`reach`'s range; consecutive bands with the same range
-    are one block.  k must be 0, 1 or 2.
+    slabs of :func:`reach`'s range.  Its section is the whole cross-section
+    at its breakpoint, so it holds exactly the bands where that breakpoint
+    lies in a closed inside run ``walls[2i] .. walls[2i + 1]``, and only
+    the breakpoint is read.  In one band, reach gives every breakpoint of a
+    run the same range at even k; at odd k the run's two ends each see one
+    wall farther out than the lines between them.  So the bands are walked
+    once, with one reach per run for the range its breakpoints see together
+    (and one more at odd k, for the lines between its ends), and each run's
+    cells are ORed into the regions of its breakpoints.  k must be 0, 1 or
+    2.
     """
+    check_k(k)
     rows, spans = prof.row_walls, prof.span_bands
     slabs, bands = len(spans), len(rows)
     # Geometric series: the bit of band 0 in every slab.
@@ -126,21 +139,33 @@ def member_bits(
     inside = 0
     for i, (lo, hi) in enumerate(spans):
         inside |= (1 << i * bands + hi) - (1 << i * bands + lo)
+    # region[j]: the cells a vertical on breakpoint j sees, outside slabs
+    # of reach's ranges included
+    region = [0] * (slabs + 1)
+    for r, walls in enumerate(rows):
+        band = row_ones << r
+        for w in range(0, len(walls), 2):
+            lo, hi = walls[w], walls[w + 1]
+            # what the run's breakpoints see together: its ends' outer bounds
+            a, b = reach(walls, lo, hi + 1, k, slabs)
+            if k & 1:
+                # each end sees one wall farther out than the lines between
+                c, d = reach(walls, lo + 1, hi, k, slabs)
+                region[lo] |= band & (1 << d * bands) - (1 << a * bands)
+                region[hi] |= band & (1 << b * bands) - (1 << c * bands)
+                a, b, lo, hi = c, d, lo + 1, hi - 1
+                if lo > hi:
+                    continue
+            seen = band & (1 << b * bands) - (1 << a * bands)
+            for j in range(lo, hi + 1):
+                region[j] |= seen
     bits: list[int] = []
-    for orientation, j, r, stop in family:
+    for orientation, j, lo, hi in family:
         if orientation == HORIZONTAL:
-            # r .. stop are the spanned slabs (j, the ordinate, is not read)
-            bits.append(inside & (1 << stop * bands) - (1 << r * bands))
-            continue
-        # j is the breakpoint, and r .. stop the bands of its section
-        seen, ab = 0, reach(rows[r], j, j + 1, k, slabs)
-        while r < stop:
-            start, (a, b) = r, ab
-            r += 1
-            while r < stop and (ab := reach(rows[r], j, j + 1, k, slabs)) == (a, b):
-                r += 1
-            seen |= ((1 << r) - (1 << start)) * row_ones & (1 << b * bands) - (1 << a * bands)
-        bits.append(seen & inside)
+            # lo .. hi are the spanned slabs (j, the ordinate, is not read)
+            bits.append(inside & (1 << hi * bands) - (1 << lo * bands))
+        else:
+            bits.append(region[j] & inside)
     return bits, inside
 
 

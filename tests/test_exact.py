@@ -1,4 +1,5 @@
 import importlib
+import random
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -362,6 +363,105 @@ class TestDomination:
             seen.clear()
             assert exact_min_transmitters(p, k, budget=64).count > 1
             assert seen and all(b == list(dict.fromkeys(bits)) for b in seen)
+
+
+def brute_least_cover(bits, target, budget):
+    """The first cover of target among all subsets of bits, by size and
+    then in combinations order, of at most budget sets; None if none."""
+    for r in range(1, min(budget, len(bits)) + 1):
+        for combo in combinations(range(len(bits)), r):
+            union = 0
+            for i in combo:
+                union |= bits[i]
+            if union & target == target:
+                return list(combo)
+    return None
+
+
+class TestPackingBound:
+    """A node at r <= 3 fails when r + 1 of its uncovered cells have no
+    holder in common pairwise, before it branches."""
+
+    def test_least_cover_matches_brute_force_on_random_set_systems(self):
+        rng = random.Random(5)
+        outcomes = Counter()
+        for _ in range(1500):
+            cells = rng.randint(3, 14)
+            # about one cell in eight per set, and at least one
+            bits = [
+                rng.getrandbits(cells) & rng.getrandbits(cells) & rng.getrandbits(cells)
+                | 1 << rng.randrange(cells)
+                for _ in range(rng.randint(2, 12))
+            ]
+            bits += [rng.choice(bits) for _ in range(rng.randint(0, 2))]  # equal sets
+            rng.shuffle(bits)
+            every = 0
+            for b in bits:
+                every |= b
+            target = every & (rng.getrandbits(cells) | rng.getrandbits(cells))
+            if not target or any(b & target == target for b in bits):
+                continue
+            budget = rng.randint(2, 6)
+            want = brute_least_cover(bits, target, budget)
+            try:
+                got = exact_mod._least_cover(bits, target, budget)
+            except NoSolutionWithinBudget as exc:
+                assert want is None and exc.budget == budget
+                outcomes["none"] += 1
+            else:
+                assert got == want
+                outcomes[len(got)] += 1
+        assert outcomes["none"] > 20
+        assert all(outcomes[size] > 10 for size in (2, 3, 4, 5)), outcomes
+
+    def test_independent_cells_fail_without_branching(self, monkeypatch):
+        # Cells 0, 2 and 4 share no holder pairwise, so no two sets cover.
+        bits = [0b00011, 0b01100, 0b10000, 0b00110]
+        inner = exact_mod._covers
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2])
+            return inner(*args)
+
+        monkeypatch.setattr(exact_mod, "_covers", spy)
+        failed = {}
+        assert exact_mod._covers(bits, 0b11111, 2, 0, failed, {}, [None] * 4) is None
+        assert calls == [2] and failed == {(0b11111, 0): 2}
+        assert exact_mod._covers(bits, 0b11111, 3, 0, {}, {}, [None] * 4) == (0, 1, 2)
+
+    def test_bound_refutes_nodes_of_a_slow_solve(self, monkeypatch):
+        # The nodes each search expands, with and without the bound: the
+        # bound fails some node before it branches that would otherwise
+        # branch, and the solve's answer does not change.
+        p = px.random_monotone(18, 8, 4, 25)
+        inner = exact_mod._covers
+
+        def expanded():
+            nodes, stack = {}, []
+
+            def spy(bits, uncovered, r, lo, *rest):
+                if stack:
+                    nodes[stack[-1]] = True
+                stack.append((uncovered, r, lo))
+                nodes.setdefault(stack[-1], False)
+                try:
+                    return inner(bits, uncovered, r, lo, *rest)
+                finally:
+                    stack.pop()
+
+            monkeypatch.setattr(exact_mod, "_covers", spy)
+            sol = exact_min_transmitters(p, 0)
+            monkeypatch.setattr(exact_mod, "_covers", inner)
+            return sol, nodes
+
+        sol, bounded = expanded()
+        monkeypatch.setattr(exact_mod, "PACKING_DEPTH", 0)
+        plain_sol, plain = expanded()
+        assert sol == plain_sol
+        refuted = [n for n, branched in bounded.items() if not branched and plain.get(n)]
+        assert refuted and all(r <= 3 for _, r, _ in refuted)
+        assert len(bounded) < len(plain)
 
 
 class TestHardInstances:

@@ -11,7 +11,7 @@ from polytx import (
     edge_aligned_candidates,
     vis_region,
 )
-from polytx.candidates import edge_aligned_family, member_transmitter
+from polytx.candidates import HORIZONTAL, edge_aligned_family, member_transmitter
 from polytx.visibility import member_bits, reach, segments_cover
 
 from oracles import (
@@ -333,6 +333,90 @@ def test_member_bits_match_vis_region_on_the_plain_grid(k):
         view = [member_transmitter(prof, m) for m in family]
         assert bits == [vis_region(t, k, grid) for t in view]
         assert inside == grid.inside_mask
+
+
+# member_bits as it was before the per-run build: one reach per (vertical,
+# band of its section), consecutive bands with the same range as one block.
+# Kept here, not in oracles.py, because bench/run.py imports oracles.py.
+def band_member_bits(prof, family, k):
+    rows, spans = prof.row_walls, prof.span_bands
+    slabs, bands = len(spans), len(rows)
+    row_ones = ((1 << slabs * bands) - 1) // ((1 << bands) - 1)
+    inside = 0
+    for i, (lo, hi) in enumerate(spans):
+        inside |= (1 << i * bands + hi) - (1 << i * bands + lo)
+    bits = []
+    for orientation, j, r, stop in family:
+        if orientation == HORIZONTAL:
+            bits.append(inside & (1 << stop * bands) - (1 << r * bands))
+            continue
+        seen, ab = 0, reach(rows[r], j, j + 1, k, slabs)
+        while r < stop:
+            start, (a, b) = r, ab
+            r += 1
+            while r < stop and (ab := reach(rows[r], j, j + 1, k, slabs)) == (a, b):
+                r += 1
+            seen |= ((1 << r) - (1 << start)) * row_ones & (1 << b * bands) - (1 << a * bands)
+        bits.append(seen & inside)
+    return bits, inside
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_member_bits_match_the_per_band_build(k):
+    # The per-run build against one reach per (vertical, band), on the
+    # corpus and on 1-80-slab shapes 3-60 high, one and four wide.
+    shapes = [p for _, p in px.corpus(200)]
+    shapes += [
+        px.random_monotone(slabs, height, width, seed)
+        for slabs in (1, 2, 3, 7, 20, 45, 80)
+        for height in (3, 12, 60)
+        for width in (1, 4)
+        for seed in range(2)
+    ]
+    one_slab_runs = 0
+    for p in shapes:
+        prof = p.profile
+        family = edge_aligned_family(prof)
+        assert member_bits(prof, family, k) == band_member_bits(prof, family, k)
+        one_slab_runs += sum(
+            walls[w + 1] - walls[w] == 1 for walls in prof.row_walls for w in range(0, len(walls), 2)
+        )
+    # at odd k a one-slab run has two ends and no line between them
+    assert one_slab_runs > 1000
+
+
+@pytest.mark.parametrize("k", [-1, 3, 7, 1.0, True])
+def test_member_bits_bad_k_rejected(k):
+    prof = px.fixture("RECT").profile
+    with pytest.raises(ValueError):
+        member_bits(prof, edge_aligned_family(prof), k)
+
+
+def test_reach_of_a_stretch_is_what_its_lines_see_together():
+    # The before of one line and the upto of a line at or right of it give
+    # the first line's left bound and the second's right bound, and the
+    # range's inside slabs are those some line between them sees.  Lines
+    # are numbered as in test_reach_ends_on_missed_inside_slabs.
+    cases = 0
+    for n in range(7):
+        for size in range(0, n + 2, 2):
+            for walls in combinations(range(n + 1), size):
+                inside = {s for w in range(0, size, 2) for s in range(walls[w], walls[w + 1])}
+                lines = sorted(
+                    [(2 * j, j, j + 1) for j in range(n + 1)] + [(2 * j - 1, j, j) for j in range(1, n + 1)]
+                )
+                for k in (0, 1, 2):
+                    ranges = [reach(walls, before, upto, k, n) for _, before, upto in lines]
+                    for i, (_, before, _) in enumerate(lines):
+                        together = set()
+                        for m in range(i, len(lines)):
+                            a, b = ranges[m]
+                            together |= {s for s in inside if a <= s < b}
+                            got = reach(walls, before, lines[m][2], k, n)
+                            assert got == (ranges[i][0], b), (walls, i, m, k)
+                            assert {s for s in inside if got[0] <= s < got[1]} == together
+                            cases += 1
+    assert cases > 10000
 
 
 def test_reach_ends_on_missed_inside_slabs():
