@@ -14,13 +14,14 @@ this module and :mod:`polytx.exact` do not import each other.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 from .candidates import HORIZONTAL, VERTICAL, Member, member_transmitter
 from .geometry import OrthoPolygon, SlabProfile
-from .visibility import Solution, reach
+from .visibility import Solution, reach_at
 
 # Not called here: bench/spans.py traces these names in this module's namespace.
 from .candidates import canonical, edge_aligned_candidates  # noqa: F401
@@ -84,7 +85,8 @@ class SweepTables:
     ``bound[j]``, ``left`` over those rows alone, so ``bound[j] <= left``.
     In a row inside the section (its bands are read off
     ``prof.span_bands``) the nearest columns the vertical misses are the
-    ends of :func:`~polytx.visibility.reach` at k=2; that scan runs only
+    ends of :func:`~polytx.visibility.reach` at k=2, from one bisection
+    per row and :func:`~polytx.visibility.reach_at`; that scan runs only
     for a vertical whose bound lets a finder pick it, once per vertical.
 
     A region on the whole polygon agrees with the region on any
@@ -134,8 +136,11 @@ class SweepTables:
         first = min(self._up_after[t], self._down_after[d])
         last = max(self._end_below[r_lo], self._end_above[r_hi])
         # Rows inside the section: reach's ends are the nearest missed columns.
+        # Each such row holds j in a closed run, so a wall sits at or right
+        # of the line (i < len(walls)); a wall on it is not crossed.
         for walls in prof.row_walls[r_lo:r_hi]:
-            a, b = reach(walls, j, j + 1, 2, cols)
+            i = bisect_left(walls, j)
+            a, b = reach_at(walls, i, i + 1 if walls[i] == j else i, 2, cols)
             if a > left:
                 left = a
             if b < cols:

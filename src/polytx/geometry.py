@@ -133,16 +133,19 @@ class SlabProfile:
         # Walk the breakpoints left to right, so every row's list is sorted.
         # At an inner breakpoint the bottom and the top chain may each step;
         # the step runs between the two spans' ends on that side.
-        walls = [(0, *spans[0])]
+        lo, hi = spans[0]
+        for row in rows[lo:hi]:
+            row.append(0)
         for i, (pb, pt), (cb, ct) in zip(count(1), spans, spans[1:]):
             if pb != cb:
-                walls.append((i, pb, cb) if pb < cb else (i, cb, pb))
+                for row in rows[pb:cb] if pb < cb else rows[cb:pb]:
+                    row.append(i)
             if pt != ct:
-                walls.append((i, pt, ct) if pt < ct else (i, ct, pt))
-        walls.append((len(spans), *spans[-1]))
-        for i, lo, hi in walls:
-            for r in range(lo, hi):
-                rows[r].append(i)
+                for row in rows[pt:ct] if pt < ct else rows[ct:pt]:
+                    row.append(i)
+        lo, hi = spans[-1]
+        for row in rows[lo:hi]:
+            row.append(len(spans))
         return tuple(map(tuple, rows))
 
     def cross_section(self, x: int) -> Span | None:

@@ -4,11 +4,14 @@ Sight lines are axis-parallel: a segment sees a point iff the perpendicular
 from the point lands on the closed segment and crosses at most k boundary
 edges on the way.  All predicates are exact integer arithmetic.  Everything
 here reads one wall table, the profile's ``row_walls``: in each row band, a
-vertical sees up to the (k+1)-th wall on each side of its line
-(:func:`reach`).  :func:`member_bits` builds the bitsets of the exact
-solver and of :func:`prune_dominated` straight from that table for
-index-form family members, one bit per (slab, band) cell in column-major
-order, with no grid.  :func:`vis_region` gives one region as a bitset over
+vertical sees up to the (k+1)-th wall on each side of its line.  That
+rule is :func:`reach_at`'s, on the counts of the band's walls left of the
+line; :func:`reach` finds them by bisection, and the hot callers pass the
+counts they already hold or find them with one bisection.
+:func:`member_bits` builds the bitsets of the exact solver and of
+:func:`prune_dominated` straight from that table for index-form family
+members, one bit per (slab, band) cell in column-major order, with no
+grid.  :func:`vis_region` gives one region as a bitset over
 a CellGrid's cells, for ``render --vis`` and the test oracles; the grid may
 be refined with the segment's own coordinates, and each cell is then seen
 whole or not at all.
@@ -99,10 +102,18 @@ def reach(walls: Sequence[int], before: int, upto: int, k: int, end: int) -> tup
     reads one side only, a before and b upto, and both only grow as the
     line moves right; so the before of one line and the upto of a line at
     or right of it give the range that every line between them sees
-    together.
+    together.  The rule itself is :func:`reach_at`'s, on the wall counts
+    left of ``before`` and of ``upto``.
     """
-    left = bisect_left(walls, before) - k - 2 | 1
-    right = bisect_left(walls, upto) + k + 1 & ~1
+    return reach_at(walls, bisect_left(walls, before), bisect_left(walls, upto), k, end)
+
+
+def reach_at(walls: Sequence[int], i: int, j: int, k: int, end: int) -> tuple[int, int]:
+    """:func:`reach` with its bisections done: i walls lie left of
+    ``before`` and j left of ``upto``.  Callers that already hold those
+    counts pass them here, the one copy of the rule."""
+    left = i - k - 2 | 1
+    right = j + k + 1 & ~1
     return (walls[left] if left > 0 else 0, walls[right] if right < len(walls) else end)
 
 
@@ -128,8 +139,9 @@ def member_bits(
     wall farther out than the lines between them.  So the bands are walked
     once, with one reach per run for the range its breakpoints see together
     (and one more at odd k, for the lines between its ends), and each run's
-    cells are ORed into the regions of its breakpoints.  k must be 0, 1 or
-    2.
+    cells are ORed into the regions of its breakpoints.  A run's wall
+    positions are the wall counts :func:`reach_at` takes, so no wall is
+    searched.  k must be 0, 1 or 2.
     """
     check_k(k)
     rows, spans = prof.row_walls, prof.span_bands
@@ -146,11 +158,14 @@ def member_bits(
         band = row_ones << r
         for w in range(0, len(walls), 2):
             lo, hi = walls[w], walls[w + 1]
-            # what the run's breakpoints see together: its ends' outer bounds
-            a, b = reach(walls, lo, hi + 1, k, slabs)
+            # what the run's breakpoints see together: its ends' outer
+            # bounds.  Walls increase strictly, so w walls lie left of lo
+            # and w + 2 left of hi + 1.
+            a, b = reach_at(walls, w, w + 2, k, slabs)
             if k & 1:
-                # each end sees one wall farther out than the lines between
-                c, d = reach(walls, lo + 1, hi, k, slabs)
+                # each end sees one wall farther out than the lines between,
+                # which have w + 1 walls on their left
+                c, d = reach_at(walls, w + 1, w + 1, k, slabs)
                 region[lo] |= band & (1 << d * bands) - (1 << a * bands)
                 region[hi] |= band & (1 << b * bands) - (1 << c * bands)
                 a, b, lo, hi = c, d, lo + 1, hi - 1
@@ -175,14 +190,15 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
     The regions are vis_region's, kept as slab ranges per row band instead
     of bits per cell.  The bands are the polygon's rows cut at the
     verticals' span ends, so a vertical spans each band whole or not at
-    all; in each band it spans it sees :func:`reach`'s range.  A horizontal
-    sees its span in every band (full-column property).  The horizontals'
-    spans are merged first, as two may share a slab that neither holds
-    alone, and each block sees the slabs it holds whole; a range meets any
-    other slab at most at an end.  The polygon is covered when no segment
-    leaves it (:func:`~polytx.candidates.segment_inside`, inside the
-    bounding box or not) and no gap between a band's ranges holds an
-    inside slab.  k must be 0, 1 or 2 when there are segments.
+    all; in each band it spans it sees :func:`reach`'s range, found by
+    one bisection (the walls left of its line) and :func:`reach_at`.  A
+    horizontal sees its span in every band (full-column property).  The
+    horizontals' spans are merged first, as two may share a slab that
+    neither holds alone, and each block sees the slabs it holds whole; a
+    range meets any other slab at most at an end.  The polygon is covered
+    when no segment leaves it (:func:`~polytx.candidates.segment_inside`,
+    inside the bounding box or not) and no gap between a band's ranges
+    holds an inside slab.  k must be 0, 1 or 2 when there are segments.
     """
     if segments:
         check_k(k)
@@ -204,10 +220,14 @@ def segments_cover(prof: SlabProfile, segments: Sequence[Transmitter], k: int) -
     walls_of = [rows[bisect_right(ys, y) - 1] for y in cuts[:-1]]
     seen = [whole[:] for _ in walls_of]
     for t in verticals:
-        # a wall on the line is not crossed
         before, upto = bisect_left(xs, t.anchor), bisect_right(xs, t.anchor)
         for c in range(bisect_left(cuts, t.span[0]), bisect_left(cuts, t.span[1])):
-            seen[c].append(reach(walls_of[c], before, upto, k, end))
+            walls = walls_of[c]
+            # i walls lie left of the line; a wall on it (only where the
+            # line is breakpoint ``before``) is not crossed
+            i = bisect_left(walls, before)
+            j = i + 1 if upto > before and i < len(walls) and walls[i] == before else i
+            seen[c].append(reach_at(walls, i, j, k, end))
     for walls, ranges in zip(walls_of, seen):
         ranges.sort()
         g = 0  # the slabs before g are seen

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 import polytx as px
 from polytx import (
     Transmitter,
+    approx,
     build_grid,
     edge_aligned_candidates,
     vis_region,
+    visibility,
 )
 from polytx.candidates import HORIZONTAL, edge_aligned_family, member_transmitter
-from polytx.visibility import member_bits, reach, segments_cover
+from polytx.approx import SweepTables
+from polytx.visibility import member_bits, reach, reach_at, segments_cover
 
 from oracles import (
     cell_area,
@@ -445,3 +449,64 @@ def test_reach_ends_on_missed_inside_slabs():
                         assert b == n or b in inside and b not in seen, case
                         cases += 1
     assert cases == 9993
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_reach_at_on_the_callers_counts_is_reach(monkeypatch, k):
+    # The hot callers hand reach_at wall counts they derive without reach's
+    # two bisections; each derivation must give reach's own range.  On the
+    # corpus and on tall shapes (height 300, one wide).
+    shapes = [p for _, p in px.corpus(200)]
+    shapes += [px.random_monotone(slabs, 300, 1, seed) for slabs in (10, 40) for seed in range(2)]
+    calls = []
+
+    def spy(walls, *args):
+        got = reach_at(walls, *args)
+        calls.append((walls, got))
+        return got
+
+    def recorded(run):
+        calls.clear()
+        run()
+        return calls[:]
+
+    for p in shapes:
+        prof = p.profile
+        xs, end = prof.xs, len(prof.spans)
+        # One bisection, every row and every line, on a breakpoint (before,
+        # before + 1) or between two (before, before): j is i + 1 only when
+        # the line is on a wall, which it does not cross.
+        lines = [(b, b + 1) for b in range(end + 1)] + [(b, b) for b in range(1, end + 1)]
+        for walls in prof.row_walls:
+            for before, upto in lines:
+                i = bisect_left(walls, before)
+                j = i + 1 if upto > before and i < len(walls) and walls[i] == before else i
+                assert reach_at(walls, i, j, k, end) == reach(walls, before, upto, k, end)
+        with monkeypatch.context() as m:
+            m.setattr(visibility, "reach_at", spy)
+            m.setattr(approx, "reach_at", spy)
+            # member_bits, per closed run lo .. hi: the range its breakpoints
+            # see together and, at odd k, the lines between its ends
+            got = recorded(lambda: member_bits(prof, edge_aligned_family(prof), k))
+            want = []
+            for walls in prof.row_walls:
+                for lo, hi in zip(walls[::2], walls[1::2]):
+                    want.append((walls, reach(walls, lo, hi + 1, k, end)))
+                    if k & 1:
+                        want.append((walls, reach(walls, lo + 1, hi, k, end)))
+            assert got == want
+            # segments_cover, one vertical over its whole section on every
+            # line, and the sweep's in-section rows at k=2
+            between = [x + 1 for x, nxt in zip(xs, xs[1:]) if nxt - x > 1]
+            for x in [*xs, *between]:
+                t = Transmitter("v", x, prof.cross_section(x))
+                got = recorded(lambda: segments_cover(prof, [t], k))
+                before, upto = bisect_left(xs, x), bisect_right(xs, x)
+                assert got
+                assert all(ab == reach(walls, before, upto, k, end) for walls, ab in got), x
+            if k == 2:
+                sweep = SweepTables(prof)
+                for j in range(1, end + 1):
+                    got = recorded(lambda: sweep._scan(j))
+                    assert got
+                    assert all(ab == reach(walls, j, j + 1, 2, end) for walls, ab in got), j
