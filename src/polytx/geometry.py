@@ -22,8 +22,8 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, repeat
-from operator import and_, eq, ge, itemgetter, le, lt, mul, ne, not_, or_, sub
+from itertools import compress, count, repeat
+from operator import and_, eq, gt, itemgetter, le, lt, mul, ne, not_, or_, sub
 from typing import Iterable, Sequence
 
 COORD_LIMIT = 10**6
@@ -405,20 +405,25 @@ def _slab_stack(xs: list[int], ys: list[int]) -> SlabProfile:
     vertex coordinates and no repeated vertex, or InvalidPolygonError.
 
     The ring is read as its two x-monotone chains.  It must leave its least
-    vertex along a horizontal edge; from there the bottom chain runs with x
-    non-decreasing to the first vertex on x_max, and the top chain runs back
-    with x non-increasing.  Edges alternate between the axes, so each chain
-    is a staircase: its horizontal edges give its ordinate over consecutive
-    x-ranges, and merging the two chains' breakpoints gives xs and spans.
-    When SlabProfile accepts those (positive heights, adjacent spans that
-    meet), ``profile_to_ring`` of the profile is exactly the ring read from
-    its least vertex: both start at (x_min, bottom of the first span), and
-    wherever the bottom (top) chain steps, the lower (upper) ends of the two
-    spans differ and profile_to_ring emits the step's two vertices.  So the
-    ring is a simple slab stack and needs no rebuild, and the edge-count
-    scan that rebuilds and compares accepts no other ring.  A ring that is
-    not one fails on its x-sequence alone, before any span is built, or else
-    in SlabProfile.  Then one sweep along x (:func:`_check_simple`) names a
+    vertex along a horizontal edge; from there the bottom chain runs to the
+    first vertex on x_max, and the top chain runs back.  Edges alternate
+    between the axes, so each chain is a staircase, and its breakpoints
+    (the left end of its first horizontal edge and the right end of each)
+    must increase strictly left to right: on the ring, x never decreases
+    along the bottom chain and never increases along the top.  One merge
+    walk of the two breakpoint lists then emits each breakpoint of the
+    profile and each slab's span, the ordinates of the two chains'
+    horizontals over it; at a breakpoint both chains share (x_max is
+    always one) both advance.  When SlabProfile accepts the result
+    (positive heights, adjacent spans that meet), ``profile_to_ring`` of
+    the profile is exactly the ring read from its least vertex: both start
+    at (x_min, bottom of the first span), and wherever the bottom (top)
+    chain steps, the lower (upper) ends of the two spans differ and
+    profile_to_ring emits the step's two vertices.  So the ring is a simple
+    slab stack and needs no rebuild, and the edge-count scan that rebuilds
+    and compares accepts no other ring.  A ring that is not one fails on
+    its breakpoint lists alone, before any span is built, or else in
+    SlabProfile.  Then one sweep along x (:func:`_check_simple`) names a
     self-intersection, or else the first slab it found over other than two
     horizontal edges, with the third edge up (or the lowest) as offender.
 
@@ -434,18 +439,47 @@ def _slab_stack(xs: list[int], ys: list[int]) -> SlabProfile:
             start = i
     wx = xs[start:] + xs[:start]
     k = wx.index(max(wx))  # where the bottom chain ends
-    if wx[0] != wx[1] and all(map(le, wx[:k], wx[1 : k + 1])) and all(map(ge, wx[k:], wx[k + 1 :])):
+    # Horizontal edges are the even ones: 0, 2 .. k - 1 on the bottom chain,
+    # and k + 1, k + 3 .. n - 2 on the top chain.  The top chain's
+    # breakpoints are judged right to left, as the ring runs, so that one
+    # that turns back near x_max (a notch in the right edge) fails at its
+    # first step; its last, x_min, is less than all the others.
+    bx = [*wx[0:k:2], wx[k]]
+    tx = wx[k + 1 :: 2]
+    if wx[0] != wx[1] and all(map(lt, bx, bx[1:])) and all(map(gt, tx, tx[1:])):
+        tx.append(x0)
+        tx.reverse()
         wy = ys[start:] + ys[:start]
-        # Horizontal edges are the even ones: 0, 2 .. k - 1 on the bottom
-        # chain, and n - 2, n - 4 .. k + 1 on the top chain read from x_min.
-        # Left to right, a chain's breakpoints are the left end of its first
-        # horizontal and the right end of each.
-        breaks = sorted(set(xs))
-        col = dict(zip(breaks, count()))
-        bottom = _steps([*wx[0:k:2], wx[k]], wy[0:k:2], col)
-        top = _steps([wx[-1], *wx[-2:k:-2]], wy[-2:k:-2], col)
+        by, ty = wy[0:k:2], wy[-2:k:-2]
+        # Merge the two chains: i and j index the next breakpoint of each,
+        # b and t; lo and hi are the ordinates of the slab left of both.
+        breaks = [x0]
+        spans = []
+        i = j = 1
+        b, t, lo, hi = bx[1], tx[1], by[0], ty[0]
+        end = wx[k]
+        while True:
+            spans.append((lo, hi))
+            if b < t:
+                breaks.append(b)
+                lo = by[i]
+                i += 1
+                b = bx[i]
+            elif t < b:
+                breaks.append(t)
+                hi = ty[j]
+                j += 1
+                t = tx[j]
+            else:
+                breaks.append(b)
+                if b == end:
+                    break
+                lo, hi = by[i], ty[j]
+                i += 1
+                j += 1
+                b, t = bx[i], tx[j]
         try:
-            return SlabProfile(tuple(breaks), tuple(zip(bottom, top)))
+            return SlabProfile(tuple(breaks), tuple(spans))
         except ValueError:
             pass
     # A self-intersecting ring is reported as such, even when it also fails
@@ -474,13 +508,6 @@ def _slab_stack(xs: list[int], ys: list[int]) -> SlabProfile:
     raise InvalidPolygonError("not-monotone", message, offender)
 
 
-def _steps(xs: list[int], ys: list[int], col: dict[int, int]) -> Iterable[int]:
-    """A staircase's ordinate per slab: ys[j] over every slab from breakpoint
-    xs[j] to xs[j + 1] (xs increasing, col their slab indices)."""
-    cols = list(map(col.__getitem__, xs))
-    return chain.from_iterable(map(repeat, ys, map(sub, cols[1:], cols)))
-
-
 def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     """Validate a vertex ring and build the polygon.
 
@@ -497,11 +524,12 @@ def validate(vertices: Iterable[Point]) -> OrthoPolygon:
     ring whose edges alternate between the axes, none of zero length,
     passes them on slices of its coordinate lists (:func:`_alternates`),
     and only another ring is checked edge by edge and merged.  An accepted
-    ring becomes a profile in one walk along its two x-monotone chains
-    (:func:`_slab_stack`).  A ring that walk rejects is swept once along x
-    (:func:`_check_simple`): a contact between edges is named as the first
-    touching pair, and otherwise the same pass has found the first slab
-    with other than two horizontal edges over it, which names the
+    ring becomes a profile in one merge walk of the breakpoint lists of its
+    two x-monotone chains, which emits each slab's breakpoint and span as
+    it goes (:func:`_slab_stack`).  A ring that walk rejects is swept once
+    along x (:func:`_check_simple`): a contact between edges is named as the
+    first touching pair, and otherwise the same pass has found the first
+    slab with other than two horizontal edges over it, which names the
     not-monotone fault.  Every input is decided in O(n log n) comparisons
     (the sweep's list insertions are memmoves).
     """

@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import or_
+from operator import or_, xor
 from typing import Iterable, Sequence
 
 from .candidates import HORIZONTAL, VERTICAL, Member, SegmentSet, Transmitter, canonical
@@ -138,10 +138,13 @@ def member_bits(
     run the same range at even k; at odd k the run's two ends each see one
     wall farther out than the lines between them.  So the bands are walked
     once, with one reach per run for the range its breakpoints see together
-    (and one more at odd k, for the lines between its ends), and each run's
-    cells are ORed into the regions of its breakpoints.  A run's wall
-    positions are the wall counts :func:`reach_at` takes, so no wall is
-    searched.  k must be 0, 1 or 2.
+    (and one more at odd k, for the lines between its ends).  The runs of
+    one band are disjoint and each band owns its bits, so every breakpoint
+    gets at most one range per band, and the regions are the prefix XORs
+    of a step array: a run's cells go in at its first breakpoint and out
+    after its last.  At odd k the two ends' ranges are ORed in afterwards.
+    A run's wall positions are the wall counts :func:`reach_at` takes, so
+    no wall is searched.  k must be 0, 1 or 2.
     """
     check_k(k)
     rows, spans = prof.row_walls, prof.span_bands
@@ -151,9 +154,11 @@ def member_bits(
     inside = 0
     for i, (lo, hi) in enumerate(spans):
         inside |= (1 << i * bands + hi) - (1 << i * bands + lo)
-    # region[j]: the cells a vertical on breakpoint j sees, outside slabs
-    # of reach's ranges included
-    region = [0] * (slabs + 1)
+    # The XOR of step[0 .. j] is the cells a vertical on breakpoint j sees
+    # from the runs it lies in, outside slabs of reach's ranges included;
+    # ends[j] is what it sees as a run's end at odd k.
+    step = [0] * (slabs + 2)
+    ends = [0] * (slabs + 2)
     for r, walls in enumerate(rows):
         band = row_ones << r
         for w in range(0, len(walls), 2):
@@ -166,14 +171,15 @@ def member_bits(
                 # each end sees one wall farther out than the lines between,
                 # which have w + 1 walls on their left
                 c, d = reach_at(walls, w + 1, w + 1, k, slabs)
-                region[lo] |= band & (1 << d * bands) - (1 << a * bands)
-                region[hi] |= band & (1 << b * bands) - (1 << c * bands)
+                ends[lo] |= band & (1 << d * bands) - (1 << a * bands)
+                ends[hi] |= band & (1 << b * bands) - (1 << c * bands)
                 a, b, lo, hi = c, d, lo + 1, hi - 1
                 if lo > hi:
                     continue
             seen = band & (1 << b * bands) - (1 << a * bands)
-            for j in range(lo, hi + 1):
-                region[j] |= seen
+            step[lo] ^= seen
+            step[hi + 1] ^= seen
+    region = list(map(or_, accumulate(step, xor), ends) if k & 1 else accumulate(step, xor))
     bits: list[int] = []
     for orientation, j, lo, hi in family:
         if orientation == HORIZONTAL:

@@ -20,7 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 import polytx as px
 from polytx import InvalidPolygonError, validate
-from polytx.geometry import COORD_LIMIT, _area, _axis_edges, _check_simple, _crowded
+from polytx.geometry import (
+    COORD_LIMIT,
+    _area,
+    _axis_edges,
+    _check_simple,
+    _crowded,
+    profile_to_ring,
+)
 
 from oracles import notched, ring_edges, shoelace2
 from validation_oracles import (
@@ -403,6 +410,41 @@ def test_chain_walk_matches_the_scan(monkeypatch):
     assert sum(len(got) == 2 for got in walked) > 5_000
     reasons = [got[1] for got in walked if len(got) == 4]
     assert reasons.count("not-monotone") > 1_000 and reasons.count("self-intersecting") > 1_000
+
+
+def walk_shapes() -> list:
+    """(ring, profile) at 1 to 3,000 slabs: tall stacks one unit wide, where
+    both chains step at almost every breakpoint, and flat-bottomed and
+    flat-topped combs, where one chain never steps."""
+    shapes = []
+    for slabs in (1, 2, 3, 7, 40, 400, 3000):
+        for seed in range(2 if slabs < 3000 else 1):
+            p = px.random_monotone(slabs, 3000, 1, seed)
+            shapes.append((list(p.vertices), p.profile))
+        xs = tuple(range(0, 2 * slabs + 1, 2))
+        for spans in (
+            tuple((0, 2 + i % 2) for i in range(slabs)),
+            tuple((i % 2, 3) for i in range(slabs)),
+        ):
+            shapes.append((profile_to_ring(xs, spans), px.SlabProfile(xs, spans)))
+    return shapes
+
+
+def test_merge_walk_matches_the_scan(monkeypatch):
+    # random_monotone validates its own ring, so the shapes are built under
+    # the scan too, and only the comparison below judges the walk.
+    monkeypatch.setattr(px.geometry, "_slab_stack", scan_only)
+    rings, profiles = [], []
+    for ring, profile in walk_shapes():
+        for wound in (ring, ring[::-1]):
+            for start in {0, 1, 5 % len(ring), len(ring) // 2}:
+                rings.append(wound[start:] + wound[:start])
+                profiles.append(profile)
+    scanned = [outcome(validate, ring) for ring in rings]
+    monkeypatch.undo()
+    walked = [outcome(validate, ring) for ring in rings]
+    assert [i for i, (got, want) in enumerate(zip(walked, scanned)) if got != want] == []
+    assert [got[1] for got in walked] == profiles
 
 
 # -- the per-vertex fast paths judge edge cases as the loops did ---------------
